@@ -28,11 +28,9 @@ from .intervals import Interval
 from .prover import (
     BatteryReport,
     Outcome,
-    Sign,
     SignCertificate,
     SignDecision,
     base_case_sign,
-    boundary_sign_at_zero,
     decide_sign,
     replay,
     verify_battery,
@@ -85,14 +83,12 @@ __all__ = [
     "InvalidDistributionError",
     "Outcome",
     "ScanRow",
-    "Sign",
     "SignCertificate",
     "SignDecision",
     "SymmetricDiscreteDistribution",
     "TiltParams",
     "base_case_sign",
     "bound_factor",
-    "boundary_sign_at_zero",
     "certify_negative",
     "check_bound",
     "d_expr",

@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 from .exppoly import ExprSyntaxError, normalize, parse_expression
-from .extremal import FamilyKind, FamilySpec, ratio_limit_scan, scan_to_csv, sup_tilted_mean
+from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
 from .regions import BoxRegion, CaseRegion, certify_negative, verify_case_structure
 from .tilted import (
@@ -83,7 +83,7 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_prove(args) -> int:
     poly = parse_expression(args.expr)
-    decision = decide_sign(normalize(poly), max_depth=args.depth)
+    decision = decide_sign(normalize(poly))
     payload = {
         "expression": args.expr,
         "outcome": decision.outcome.value,
@@ -140,39 +140,37 @@ def _near_degenerate_curve(b) -> bool:
     )
 
 
-def _cmd_verify_proof(args) -> int:
+def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
+    """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
     # structure checks need a positive floor: at u = 0 the boundary
     # expression genuinely reaches zero and nothing certifies
-    structure = verify_case_structure(
-        lo=max(args.box[0], 0.05), hi=args.box[1], max_depth=args.depth
-    )
-    regions, regions_ok = _region_reports(args.box, args.depth)
-    all_passed = battery.all_certified and structure.all_passed and regions_ok
+    structure = verify_case_structure(lo=max(box[0], 0.05), hi=box[1], max_depth=depth)
+    regions, regions_ok = _region_reports(box, depth)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
         "regions": regions,
-        "all_passed": all_passed,
     }
+    return payload, battery.all_certified and structure.all_passed and regions_ok
+
+
+def _cmd_verify_proof(args) -> int:
+    payload, all_passed = _verify(args.box, args.depth)
+    payload["all_passed"] = all_passed
     _emit(payload, args.format)
     return 0 if all_passed else 1
 
 
 def _cmd_extremal(args) -> int:
-    params = TiltParams(args.h, args.w)
-    sigmas = args.sigma if args.sigma else list(DEFAULT_SIGMAS)
-    rows = ratio_limit_scan(params, sigmas)
+    rows = ratio_limit_scan(TiltParams(args.h, args.w), args.sigma or list(DEFAULT_SIGMAS))
     if args.format == "csv":
         sys.stdout.write(scan_to_csv(rows))
         return 0
     detail_rows = []
-    for row, sigma in zip(rows, sigmas):
+    for row in rows:
         entry = row.to_dict()
-        found = sup_tilted_mean(
-            FamilySpec(FamilyKind.SYMMETRIC, sigma * sigma), params
-        )
-        entry["argmax_atoms"] = [[x, p] for x, p in found.atoms]
+        entry["argmax_atoms"] = [[x, p] for x, p in row.atoms]
         detail_rows.append(entry)
     _emit({"h": args.h, "w": args.w, "rows": detail_rows}, args.format)
     return 0
@@ -186,18 +184,11 @@ def _cmd_report(args) -> int:
         sym = bound_factor(BoundKind.SYMMETRIC, probe).value
         gen = bound_factor(BoundKind.ZERO_MEAN, probe).value
         factor_rows.append({"hw": hw, "ratio": sym / gen})
-    battery = verify_battery()
-    structure = verify_case_structure(
-        lo=max(args.box[0], 0.05), hi=args.box[1], max_depth=args.depth
-    )
-    regions, regions_ok = _region_reports(args.box, args.depth)
-    rows = ratio_limit_scan(params, args.sigma if args.sigma else list(DEFAULT_SIGMAS))
-    all_passed = battery.all_certified and structure.all_passed and regions_ok
+    proof, all_passed = _verify(args.box, args.depth)
+    rows = ratio_limit_scan(params, args.sigma or list(DEFAULT_SIGMAS))
     payload = {
         "factor_comparison": factor_rows,
-        "battery": battery.to_dict(),
-        "case_structure": structure.to_dict(),
-        "regions": regions,
+        **proof,
         "extremal": {"h": args.h, "w": args.w, "rows": [r.to_dict() for r in rows]},
         "all_passed": all_passed,
     }
@@ -213,19 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dist=False, expr=False, sigmas=False):
-        p.add_argument("--h", type=float, default=1.0, help="tilt rate (default 1)")
-        p.add_argument("--w", type=float, default=1.0, help="cap level (default 1)")
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json", help="output format"
-        )
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bisection depth cap")
-        p.add_argument(
-            "--box",
-            type=_parse_box,
-            default=DEFAULT_BOX,
-            help="region bounds lo:hi applied to each axis (default 0.05:8)",
-        )
+    def add_flags(p, tilt=False, region=False, dist=False, expr=False, sigmas=False, csv=False):
+        if tilt:
+            p.add_argument("--h", type=float, default=1.0, help="tilt rate (default 1)")
+            p.add_argument("--w", type=float, default=1.0, help="cap level (default 1)")
+        formats = ("json", "csv", "text") if csv else ("json", "text")
+        p.add_argument("--format", choices=formats, default="json", help="output format")
+        if region:
+            p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bisection depth cap")
+            p.add_argument(
+                "--box",
+                type=_parse_box,
+                default=DEFAULT_BOX,
+                help="region bounds lo:hi applied to each axis (default 0.05:8)",
+            )
         if dist:
             p.add_argument("--dist", required=True, help='distribution JSON {"atoms": [[x, p], ...]}')
         if expr:
@@ -239,27 +231,27 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_eval = sub.add_parser("eval", help="tilted mean of a distribution")
-    add_common(p_eval, dist=True)
+    add_flags(p_eval, tilt=True, dist=True)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_check = sub.add_parser("bound-check", help="mean against the symmetric bound")
-    add_common(p_check, dist=True)
+    add_flags(p_check, tilt=True, dist=True)
     p_check.set_defaults(func=_cmd_bound_check)
 
     p_prove = sub.add_parser("prove", help="certify the sign of an expression")
-    add_common(p_prove, expr=True)
+    add_flags(p_prove, expr=True)
     p_prove.set_defaults(func=_cmd_prove)
 
     p_verify = sub.add_parser("verify-proof", help="battery, case structure and regions")
-    add_common(p_verify)
+    add_flags(p_verify, region=True)
     p_verify.set_defaults(func=_cmd_verify_proof)
 
     p_ext = sub.add_parser("extremal", help="sharpness scan over sigma")
-    add_common(p_ext, sigmas=True)
+    add_flags(p_ext, tilt=True, sigmas=True, csv=True)
     p_ext.set_defaults(func=_cmd_extremal)
 
     p_report = sub.add_parser("report", help="aggregate JSON report")
-    add_common(p_report, sigmas=True)
+    add_flags(p_report, tilt=True, region=True, sigmas=True)
     p_report.set_defaults(func=_cmd_report)
 
     return parser

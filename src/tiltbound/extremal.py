@@ -288,6 +288,7 @@ class ScanRow:
     ratio: float
     bound_factor: float
     gap: float
+    atoms: tuple[tuple[float, float], ...]  # signed support of the best law found
 
     def to_dict(self) -> dict:
         return {
@@ -324,6 +325,7 @@ def ratio_limit_scan(
                 ratio=ratio,
                 bound_factor=factor,
                 gap=factor - ratio,
+                atoms=found.atoms,
             )
         )
     return rows

@@ -270,32 +270,6 @@ class Dual:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        value = self.val / o.val
-        denom = o.val * o.val
-        grad = tuple(
-            (a * o.val - b * self.val) / denom for a, b in zip(self.grad, o.grad)
-        )
-        return Dual(value, grad)
-
-    def __rtruediv__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int) -> "Dual":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("dual powers take nonnegative integer exponents")
-        if n == 0:
-            return Dual.constant(1.0, len(self.grad))
-        value = self.val**n
-        factor = self.val ** (n - 1) * n
-        return Dual(value, tuple(factor * g for g in self.grad))
-
     def exp(self) -> "Dual":
         e = self.val.exp()
         return Dual(e, tuple(e * g for g in self.grad))

@@ -32,55 +32,10 @@ from .exppoly import ExpPoly, derivative, normalize, parse_expression
 from . import rootisolation as ri
 
 
-class Sign(enum.Enum):
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
-
-
 class Outcome(enum.Enum):
     NEGATIVE = "negative"
     POSITIVE = "positive"
     UNDETERMINED = "undetermined"
-
-
-def _sign_of(value: Fraction) -> Sign:
-    if value > 0:
-        return Sign.POSITIVE
-    if value < 0:
-        return Sign.NEGATIVE
-    return Sign.ZERO
-
-
-@dataclass(frozen=True)
-class BoundarySign:
-    """Sign of P(w, e^w) as w -> 0+, resolved through exact derivatives.
-
-    ``order`` is the derivative order at which a nonzero value appeared.
-    ``exhausted`` marks that the cap was reached with every value still zero,
-    in which case ``sign`` stays ZERO and carries no directional claim.
-    """
-
-    sign: Sign
-    order: int
-    exhausted: bool = False
-
-
-def boundary_sign_at_zero(p: ExpPoly, max_order: int = 16) -> BoundarySign:
-    """Limiting sign of p(w, e^w) at 0+ via successive exact derivatives.
-
-    The m-th symbolic derivative evaluated at (w, t) = (0, 1) is the m-th
-    Taylor coefficient of p(w, e^w) at 0 up to the positive factor m!, so the
-    first nonzero one fixes the sign of p near 0+.  No normalization happens
-    between orders; that would distort the Taylor data.
-    """
-    q = p
-    for order in range(max_order + 1):
-        value = q.eval_at_zero()
-        if value != 0:
-            return BoundarySign(_sign_of(value), order)
-        q = derivative(q)
-    return BoundarySign(Sign.ZERO, max_order, exhausted=True)
 
 
 @dataclass(frozen=True)
@@ -132,11 +87,10 @@ def base_case_sign(coeffs, lower: Fraction = Fraction(1)) -> BaseCaseDecision:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One level of the chain: a normalized expression and its boundary data."""
+    """One level of the chain: a normalized expression and its value at w = 0."""
 
     expr: ExpPoly
     boundary_value: Fraction
-    boundary: BoundarySign
 
 
 @dataclass(frozen=True)
@@ -152,11 +106,6 @@ class SignCertificate:
                 {
                     "terms": step.expr.to_term_list(),
                     "boundary_value": _frac_str(step.boundary_value),
-                    "boundary_sign": {
-                        "sign": step.boundary.sign.name.lower(),
-                        "order": step.boundary.order,
-                        "exhausted": step.boundary.exhausted,
-                    },
                 }
                 for step in self.steps
             ],
@@ -175,11 +124,6 @@ class SignCertificate:
             ReductionStep(
                 expr=ExpPoly.from_term_list(s["terms"]),
                 boundary_value=Fraction(s["boundary_value"]),
-                boundary=BoundarySign(
-                    sign=Sign[s["boundary_sign"]["sign"].upper()],
-                    order=int(s["boundary_sign"]["order"]),
-                    exhausted=bool(s["boundary_sign"]["exhausted"]),
-                ),
             )
             for s in data["steps"]
         )
@@ -205,17 +149,12 @@ class SignDecision:
     reason: Optional[str] = None
 
 
-def decide_sign(
-    p: ExpPoly,
-    max_depth: int = 32,
-    boundary_depth: int = 16,
-) -> SignDecision:
+def decide_sign(p: ExpPoly, max_depth: int = 32) -> SignDecision:
     """Decide the sign of p(w, e^w) on w in (0, oo), or report UNDETERMINED.
 
-    ``max_depth`` caps the derivative chain length and ``boundary_depth`` the
-    derivative escalation inside :func:`boundary_sign_at_zero`.  Exhausting
-    either cap returns UNDETERMINED; the procedure never asserts a sign it
-    has not proved.
+    ``max_depth`` caps the derivative chain length.  Exhausting the cap
+    returns UNDETERMINED; the procedure never asserts a sign it has not
+    proved.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no sign")
@@ -239,8 +178,9 @@ def decide_sign(
         )
 
     sign = base.outcome
-    for level in range(len(chain) - 2, -1, -1):
-        boundary_value = chain[level].eval_at_zero()
+    steps = tuple(ReductionStep(expr, expr.eval_at_zero()) for expr in chain)
+    for level in range(len(steps) - 2, -1, -1):
+        boundary_value = steps[level].boundary_value
         if sign is Outcome.NEGATIVE and boundary_value <= 0:
             continue
         if sign is Outcome.POSITIVE and boundary_value >= 0:
@@ -254,23 +194,7 @@ def decide_sign(
             ),
         )
 
-    steps = []
-    for expr in chain:
-        boundary = boundary_sign_at_zero(expr, boundary_depth)
-        boundary_value = expr.eval_at_zero()
-        # Redundant cross-check: with a zero boundary value, the escalated
-        # limiting sign must agree with the claim unless the escalation ran
-        # out of depth.
-        if boundary_value == 0 and not boundary.exhausted:
-            if boundary.sign.name != sign.name:
-                return SignDecision(
-                    Outcome.UNDETERMINED,
-                    None,
-                    reason="boundary derivative analysis contradicts the claim",
-                )
-        steps.append(ReductionStep(expr, boundary_value, boundary))
-
-    certificate = SignCertificate(claim=sign, steps=tuple(steps), base=base.record)
+    certificate = SignCertificate(claim=sign, steps=steps, base=base.record)
     return SignDecision(sign, certificate)
 
 
@@ -327,8 +251,11 @@ def replay(certificate: SignCertificate) -> Outcome:
 #
 # One-variable inequalities underpinning the negativity of the symmetrized
 # comparison expression d(u, v, w) across the three case regions.  Each entry
-# is (name, expression text, expected sign, role).  Names refer to the
-# auxiliary-expression catalog in tiltbound.regions.
+# is (name, expression text, expected sign, role).  Names follow the
+# auxiliary expressions of the case analysis (d1, d111, the rescaled diagonal
+# dtilde); apart from d1_case2 these have no closed form in the
+# tiltbound.regions catalog, because the one-variable claims are proved here
+# on all of w > 0.  Names and roles appear in the verify-proof JSON.
 
 BATTERY = (
     (
@@ -435,7 +362,7 @@ class BatteryReport:
         }
 
 
-def verify_battery(max_depth: int = 32, boundary_depth: int = 16) -> BatteryReport:
+def verify_battery(max_depth: int = 32) -> BatteryReport:
     """Certify every built-in inequality and replay each certificate.
 
     The report fails loudly (``all_certified`` False) if any member comes
@@ -443,7 +370,7 @@ def verify_battery(max_depth: int = 32, boundary_depth: int = 16) -> BatteryRepo
     """
     entries = []
     for name, text, expected, role in BATTERY:
-        decision = decide_sign(parse_expression(text), max_depth, boundary_depth)
+        decision = decide_sign(parse_expression(text), max_depth)
         replay_ok = False
         if decision.certificate is not None:
             try:

@@ -9,16 +9,26 @@ proof splits the orthant by how u and v compare with the cap w:
     case 3:  0 < u <= v <= w   (reduces to case 2 by monotonicity in w)
 
 On each region d loses its minimum operator and becomes an explicit
-exp/sinh/cosh formula; the same is true of the auxiliary expressions (partial
-derivatives, scaled restrictions, and splittings) used by the case analysis.
-This module hard-codes those closed forms in a catalog, bounds their ranges
-over boxes with outward-rounded interval arithmetic sharpened by a mean-value
-form, and certifies strict negativity by adaptive bisection.
+exp/sinh/cosh formula.  The catalog holds the five closed forms that
+``tiltbound verify-proof`` certifies:
+
+    d_case1            d on case 1
+    d_case2            d on case 2
+    dv2_case1          second v-derivative of d on case 1 (concavity in v)
+    d1_case2           w e^v times the v-slope of d on case 2
+    d_at_v_eq_w_case2  d restricted to v = w on case 2
+
+It bounds their ranges over boxes with outward-rounded interval arithmetic
+sharpened by a mean-value form, and certifies strict negativity by adaptive
+bisection.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
-sub-boxes as witnesses.  Unbounded tails are out of reach of boxes by nature
-and are covered by the monotonicity checks in :func:`verify_case_structure`.
+sub-boxes as witnesses.  Every check here, :func:`verify_case_structure`
+included, covers the bounded cube [lo, hi]^3 only; the unbounded tails are
+not covered.  Within the cube the case-3 reduction rests partly on sampled
+checks (a sinh(w)/w grid and a spot check of d along w), not on certified
+enclosures.
 """
 
 from __future__ import annotations
@@ -77,9 +87,9 @@ class BoxRegion:
     def clipped(self, axes: tuple[str, ...] = _AXES) -> Optional["BoxRegion"]:
         """Bounding box of the intersection with the case-order constraints.
 
-        Only constraints speaking about ``axes`` are applied; restricted
-        catalog expressions (for example those with v pinned to u or w) use
-        the surviving constraint among their own variables.  Returns None
+        Only constraints speaking about ``axes`` are applied; a restricted
+        catalog expression (d_at_v_eq_w_case2, with v pinned to w) uses the
+        surviving constraint among its own variables.  Returns None
         when the intersection is empty.
         """
         bounds = {name: list(getattr(self, name)) for name in _AXES}
@@ -149,23 +159,6 @@ def _dv2_case1(u, v, w):
     return vexp(-v) * (2 - v) - vsinh_over(w) * (vexp(-v) * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
 
 
-def _dv3_case1(u, v, w):
-    return vexp(-v) * (v - 3 + (u * u) * vsinh_over(w))
-
-
-def _d2_case1(u, w):
-    return w * (2 - u) - vsinh(w) * (u * u + 2 + 2 * vexp(u + w))
-
-
-def _dtilde_case1(u, w):
-    return vexp(u + w) * (w / u) * _d_case1(u, u, w)
-
-
-def _d1_case1(u, w):
-    euw = vexp(u + w)
-    return w * (euw - 1 + u) - vsinh(w) * (2 * u * euw - u * u + 2 * u)
-
-
 def _d_case2(u, v, w):
     return (
         2 * u * vsinh(u)
@@ -177,27 +170,6 @@ def _d_case2(u, v, w):
 
 def _d1_case2(u, v, w):
     return w * (vexp(v + w) - 1 + v) - vsinh(w) * (4 * v * vexp(v) * vcosh(u) - u * u)
-
-
-def _dv_d1_at_w_case2(u, w):
-    ew = vexp(w)
-    return ew * (ew * w - 4 * (w + 1) * vcosh(u) * vsinh(w)) + w
-
-
-def _d11_case2(u, w):
-    return vexp(w) * w * (vsinh(w) + vcosh(w) - 3 * vcosh(u) * vsinh(w)) + (w - 1) * w
-
-
-def _d12_case2(u, w):
-    return (u * u - vexp(w) * w * vcosh(u)) * vsinh(w)
-
-
-def _d111_case2(w):
-    return vexp(w) * w * (vcosh(w) - 2 * vsinh(w)) + (w - 1) * w
-
-
-def _d112_case2(u, w):
-    return -3 * (vcosh(u) - 1) * vexp(w) * w * vsinh(w)
 
 
 def _d_at_v_eq_w_case2(u, w):
@@ -218,48 +190,12 @@ CATALOG: dict[str, ProofExpr] = {
             "second v-derivative of d in case 1 (concavity in v)",
         ),
         ProofExpr(
-            "dv3_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv3_case1,
-            "third v-derivative of d in case 1 (single sign change in v)",
-        ),
-        ProofExpr(
-            "d2_case1", ("u", "w"), CaseRegion.CASE1, _d2_case1,
-            "w e^u times the second v-derivative of d at v = u",
-        ),
-        ProofExpr(
-            "dtilde_case1", ("u", "w"), CaseRegion.CASE1, _dtilde_case1,
-            "rescaled diagonal restriction e^{u+w} (w/u) d(u, u, w)",
-        ),
-        ProofExpr(
-            "d1_case1", ("u", "w"), CaseRegion.CASE1, _d1_case1,
-            "w e^u times the v-slope of d at v = u",
-        ),
-        ProofExpr(
             "d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2,
             "d with u below and v above the cap",
         ),
         ProofExpr(
             "d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2,
             "w e^v times the v-slope of d in case 2",
-        ),
-        ProofExpr(
-            "dv_d1_at_w_case2", ("u", "w"), CaseRegion.CASE2, _dv_d1_at_w_case2,
-            "v-slope of d1 at v = w (decreasing in u)",
-        ),
-        ProofExpr(
-            "d11", ("u", "w"), CaseRegion.CASE2, _d11_case2,
-            "first part of the split of d1 at v = w",
-        ),
-        ProofExpr(
-            "d12", ("u", "w"), CaseRegion.CASE2, _d12_case2,
-            "second part of the split of d1 at v = w",
-        ),
-        ProofExpr(
-            "d111", ("w",), CaseRegion.CASE2, _d111_case2,
-            "u-independent part of d11",
-        ),
-        ProofExpr(
-            "d112", ("u", "w"), CaseRegion.CASE2, _d112_case2,
-            "u-dependent part of d11 (manifestly nonpositive)",
         ),
         ProofExpr(
             "d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2,

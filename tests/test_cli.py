@@ -1,10 +1,14 @@
 """CLI behavior: subcommands, exit codes, formats, determinism."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from tiltbound.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -67,6 +71,16 @@ class TestProve:
         assert code == 1
         assert json.loads(out)["outcome"] == "undetermined"
 
+    def test_long_chain_uses_the_prover_default_cap(self, capsys):
+        # e^w minus its degree-19 Taylor polynomial needs a 20-step chain,
+        # longer than the bisection depth default of 18
+        taylor = " + ".join(f"1/{math.factorial(k)}*w^{k}" for k in range(20))
+        code, out, _ = run_cli(capsys, "prove", "--expr", f"exp(w) - ({taylor})")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == "positive"
+        assert len(payload["certificate"]["steps"]) == 20
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "prove", "--expr", "exp(w^2)")
         assert code == 2
@@ -97,6 +111,7 @@ class TestVerifyProof:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2  # byte-identical reports
+        assert out1 == (GOLDEN / "verify_proof_box_0.3_2.0_depth_10.json").read_text()
         payload = json.loads(out1)
         assert payload["all_passed"] is True
         assert payload["battery"]["all_certified"] is True
@@ -116,29 +131,39 @@ class TestVerifyProof:
         assert any(b["boundary_expected"] for b in leftovers)
 
 
-class TestVerifyProofDefaults:
-    def test_full_default_run_passes(self, capsys):
-        # the stock configuration: battery, case structure, and both case
-        # regions on [0.05, 8]^3 at depth 18; everything must certify
-        code, out, _ = run_cli(capsys, "verify-proof")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["all_passed"] is True
-        assert payload["battery"]["all_certified"] is True
-        assert payload["case_structure"]["all_passed"] is True
-        for region in payload["regions"]:
-            assert region["status"] == "certified"
-            assert region["undecided_boxes"] == []
-
-
 class TestReport:
     def test_aggregate_shape(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "report", "--box", "0.3:2.0", "--depth", "8", "--sigma", "0.1"
-        )
+        flags = ("--box", "0.3:2.0", "--depth", "8")
+        code, out, _ = run_cli(capsys, "report", *flags, "--sigma", "0.1")
         assert code == 0
         payload = json.loads(out)
-        for key in ("factor_comparison", "battery", "case_structure", "regions", "extremal"):
-            assert key in payload
+        assert list(payload) == [
+            "factor_comparison", "battery", "case_structure", "regions", "extremal", "all_passed"
+        ]
         ratios = [row["ratio"] for row in payload["factor_comparison"]]
         assert ratios == sorted(ratios, reverse=True)
+        # the verify-proof sections come from the same pipeline
+        _, verify, _ = run_cli(capsys, "verify-proof", *flags)
+        verify = json.loads(verify)
+        for key in ("battery", "case_structure", "regions", "all_passed"):
+            assert payload[key] == verify[key]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prove", "--expr", "w", "--depth", "18"),
+            ("prove", "--expr", "w", "--w", "2"),
+            ("verify-proof", "--w", "2"),
+            ("eval", "--dist", "d.json", "--box", "0.1:1"),
+            ("bound-check", "--dist", "d.json", "--depth", "3"),
+            ("extremal", "--depth", "3"),
+            ("report", "--format", "csv"),
+        ],
+    )
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

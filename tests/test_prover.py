@@ -11,10 +11,8 @@ from tiltbound.prover import (
     BATTERY,
     CertificateError,
     Outcome,
-    Sign,
     SignCertificate,
     base_case_sign,
-    boundary_sign_at_zero,
     decide_sign,
     replay,
     verify_battery,
@@ -29,42 +27,6 @@ def mp_value(p: ExpPoly, w) -> mpmath.mpf:
     for i, k, c in p.terms():
         total += mpmath.mpf(c.numerator) / c.denominator * w**i * t**k
     return total
-
-
-class TestBoundarySign:
-    def test_exp_tail(self):
-        # e^w - 1 - w: zero through order 1, positive at order 2
-        result = boundary_sign_at_zero(parse_expression("exp(w) - 1 - w"))
-        assert result.sign is Sign.POSITIVE
-        assert result.order == 2
-        assert not result.exhausted
-
-    def test_sinh_tail(self):
-        # 2t(sinh w - w) = t^2 - 2wt - 1 behaves like w^3/3 at the origin;
-        # series oracle: first nonzero Taylor coefficient sits at order 3.
-        result = boundary_sign_at_zero(normalize(parse_expression("sinh(w) - w")))
-        assert result.sign is Sign.POSITIVE
-        assert result.order == 3
-
-    def test_battery_head_resolves_at_order_one(self):
-        p = parse_expression("1 + exp(w)^2*(w + 2*w*exp(w) - exp(w)^2*(1+w))")
-        assert p.eval_at_zero() == 0
-        result = boundary_sign_at_zero(p)
-        assert result.sign is Sign.NEGATIVE
-        assert result.order == 1
-
-    def test_exhaustion_reports_zero(self):
-        p = parse_expression("exp(w) - 1 - w")
-        result = boundary_sign_at_zero(p, max_order=1)
-        assert result.sign is Sign.ZERO
-        assert result.exhausted
-
-    def test_matches_small_w_sampling(self):
-        for text in ("exp(w) - 1 - w", "sinh(w) - w", "1 + w - exp(w)"):
-            p = parse_expression(text)
-            expected = boundary_sign_at_zero(p).sign
-            sampled = mp_value(p, mpmath.mpf(1) / 1000)
-            assert (sampled > 0) == (expected is Sign.POSITIVE)
 
 
 class TestBaseCase:
