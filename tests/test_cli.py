@@ -131,6 +131,21 @@ class TestVerifyProof:
         assert any(b["boundary_expected"] for b in leftovers)
 
 
+class TestVerifyProofDefaults:
+    def test_full_default_run_passes(self, capsys):
+        # the stock configuration: battery, case structure, and both case
+        # regions on [0.05, 8]^3 at depth 18; everything must certify
+        code, out, _ = run_cli(capsys, "verify-proof")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert payload["battery"]["all_certified"] is True
+        assert payload["case_structure"]["all_passed"] is True
+        for region in payload["regions"]:
+            assert region["status"] == "certified"
+            assert region["undecided_boxes"] == []
+
+
 class TestReport:
     def test_aggregate_shape(self, capsys):
         flags = ("--box", "0.3:2.0", "--depth", "8")
