@@ -199,10 +199,15 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltbound",
+        allow_abbrev=False,
         description="Verification toolkit for sharp bounds on tilted-capped means "
         "of symmetric distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # No prefix matching, or "--h" on a subcommand without it means "--help".
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def add_flags(p, tilt=False, region=False, dist=False, expr=False, sigmas=False, csv=False):
         if tilt:
@@ -230,27 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
                 help="sigma for the scan (repeatable; default 0.5 0.1 0.01 0.001)",
             )
 
-    p_eval = sub.add_parser("eval", help="tilted mean of a distribution")
+    p_eval = command("eval", help="tilted mean of a distribution")
     add_flags(p_eval, tilt=True, dist=True)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_check = sub.add_parser("bound-check", help="mean against the symmetric bound")
+    p_check = command("bound-check", help="mean against the symmetric bound")
     add_flags(p_check, tilt=True, dist=True)
     p_check.set_defaults(func=_cmd_bound_check)
 
-    p_prove = sub.add_parser("prove", help="certify the sign of an expression")
+    p_prove = command("prove", help="certify the sign of an expression")
     add_flags(p_prove, expr=True)
     p_prove.set_defaults(func=_cmd_prove)
 
-    p_verify = sub.add_parser("verify-proof", help="battery, case structure and regions")
+    p_verify = command("verify-proof", help="battery, case structure and regions")
     add_flags(p_verify, region=True)
     p_verify.set_defaults(func=_cmd_verify_proof)
 
-    p_ext = sub.add_parser("extremal", help="sharpness scan over sigma")
+    p_ext = command("extremal", help="sharpness scan over sigma")
     add_flags(p_ext, tilt=True, sigmas=True, csv=True)
     p_ext.set_defaults(func=_cmd_extremal)
 
-    p_report = sub.add_parser("report", help="aggregate JSON report")
+    p_report = command("report", help="aggregate JSON report")
     add_flags(p_report, tilt=True, region=True, sigmas=True)
     p_report.set_defaults(func=_cmd_report)
 

@@ -1,40 +1,58 @@
 """Interval arithmetic with outward rounding, plus interval gradients.
 
-:class:`Interval` implements the usual operations with every result widened
-outward: one ulp per arithmetic operation (float +, -, * and / are correctly
-rounded, so one ulp absorbs the rounding), and two ulps for exp/sinh/cosh,
-whose libm implementations are assumed accurate to within one ulp.  The
-hyperbolic functions use monotonicity for tight endpoint images; cosh splits
-at its minimum.  ``sinh(x)/x`` gets a dedicated monotone primitive because
+:class:`Interval` implements the usual operations with every inexact result
+widened outward: one ulp per arithmetic operation (float +, -, * and / are
+correctly rounded, so one ulp absorbs the rounding), and ``LIBM_ULPS`` ulps
+for exp/sinh/cosh.  The libm functions are not correctly rounded (glibc's
+``math.sinh(0.809034359644837)`` is off by 1.45 ulp), so the code relies on
+their error staying below ``LIBM_ULPS`` ulps; tests/test_intervals.py checks
+that against mpmath on a seeded and an adversarial point set.  A product
+with an exactly-zero factor is exact and is not widened, so an interval
+starting at 0 keeps 0 as its lower end through scaling.  The hyperbolic
+functions use monotonicity for tight endpoint images; cosh splits at its
+minimum.  ``sinh(x)/x`` gets a dedicated monotone primitive because
 quotienting the two enclosures separately is catastrophically loose for
 narrow x near zero.
 
+Every Interval is validated when it is built, by the one test
+``lo <= hi``: it rejects inverted bounds and a NaN at either end.
+Intervals are immutable.
+
 :class:`Dual` carries an interval value together with interval enclosures of
-the partial derivatives (forward mode).  The region checker combines a plain
-evaluation with the mean-value form built from these gradients; both are
-ordinary interval enclosures and their intersection stays rigorous.
+the partial derivatives (forward mode).  A partial that is exactly zero (a
+constant, or an axis the subterm does not read) is the shared object
+:data:`ZERO`; arithmetic tests for it by identity and skips it, so it costs
+no multiplication and is never widened.  That only tightens the gradients:
+by inclusion monotonicity an exact 0 in place of a widened one can never
+widen a result.  The region checker combines a plain evaluation with the
+mean-value form built from these gradients; both are ordinary interval
+enclosures and their intersection stays rigorous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _INF = math.inf
-ARITH_ULPS = 1
-LIBM_ULPS = 2
+_TINY = math.ulp(0.0)  # the smallest positive subnormal
+_nextafter = math.nextafter
+LIBM_ULPS = 2  # _libm_down / _libm_up step this many ulps
 
 
-def _down(x: float, steps: int = ARITH_ULPS) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, -_INF)
-    return x
+def _down(x: float) -> float:
+    return _nextafter(x, -_INF)
 
 
-def _up(x: float, steps: int = ARITH_ULPS) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, _INF)
-    return x
+def _up(x: float) -> float:
+    return _nextafter(x, _INF)
+
+
+def _libm_down(x: float) -> float:
+    return _nextafter(_nextafter(x, -_INF), -_INF)
+
+
+def _libm_up(x: float) -> float:
+    return _nextafter(_nextafter(x, _INF), _INF)
 
 
 def _exp(x: float) -> float:
@@ -59,24 +77,53 @@ def _cosh(x: float) -> float:
 
 
 def _prod(a: float, b: float) -> float:
-    # Interval convention 0 * inf = 0: an exactly-zero endpoint annihilates.
+    """a * b rounded to nearest; the result is 0 exactly when it is exact.
+
+    An exactly-zero factor annihilates, inf included (interval convention
+    0 * inf = 0).  A product of nonzero factors that underflows to 0 comes
+    back as the smallest subnormal of its sign, so callers may leave a zero
+    unwidened.
+    """
     if a == 0.0 or b == 0.0:
         return 0.0
-    return a * b
+    p = a * b
+    return p if p else math.copysign(_TINY, p)
 
 
-@dataclass(frozen=True, slots=True)
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+
 class Interval:
-    lo: float
-    hi: float
+    """The closed interval [lo, hi] of floats; immutable."""
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
 
-    @classmethod
-    def point(cls, value: float) -> "Interval":
-        return cls(value, value)
+    def __init__(self, lo: float, hi: float):
+        if not lo <= hi:  # also false when either end is NaN
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    @staticmethod
+    def point(value: float) -> "Interval":
+        return Interval(value, value)
 
     @property
     def width(self) -> float:
@@ -99,101 +146,90 @@ class Interval:
             raise ValueError("intersection of disjoint enclosures; a bound is unsound")
         return Interval(lo, hi)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: the other operand is an Interval or a real scalar -------
 
-    @staticmethod
-    def _coerce(value) -> "Interval | None":
-        if isinstance(value, Interval):
-            return value
-        if isinstance(value, (int, float)):
-            return Interval(float(value), float(value))
-        return None
-
-    def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+    def __add__(self, o) -> "Interval":
+        if type(o) is Interval:
+            return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        if isinstance(o, (int, float)):
+            return Interval(_down(self.lo + o), _up(self.hi + o))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+    def __sub__(self, o) -> "Interval":
+        if type(o) is Interval:
+            return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        if isinstance(o, (int, float)):
+            return Interval(_down(self.lo - o), _up(self.hi - o))
+        return NotImplemented
 
-    def __rsub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o) -> "Interval":
+        if isinstance(o, (int, float)):
+            return Interval(_down(o - self.hi), _up(o - self.lo))
+        return NotImplemented
 
-    def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o) -> "Interval":
+        if type(o) is Interval:
+            olo, ohi = o.lo, o.hi
+        elif isinstance(o, (int, float)):
+            if o != o:
+                raise ValueError("NaN operand")
+            olo = ohi = o
+        else:
             return NotImplemented
-        products = (
-            _prod(self.lo, o.lo),
-            _prod(self.lo, o.hi),
-            _prod(self.hi, o.lo),
-            _prod(self.hi, o.hi),
-        )
-        return Interval(_down(min(products)), _up(max(products)))
+        lo, hi = self.lo, self.hi
+        if lo >= 0.0 and olo >= 0.0:
+            # Rounding is monotone, so the two endpoint products are the
+            # least and the greatest of the four.
+            return Interval(
+                _nextafter(lo * olo, -_INF) if lo and olo else 0.0,
+                _nextafter(hi * ohi, _INF) if hi and ohi else 0.0,
+            )
+        products = (_prod(lo, olo), _prod(lo, ohi), _prod(hi, olo), _prod(hi, ohi))
+        lo, hi = min(products), max(products)
+        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, o) -> "Interval":
+        if type(o) is Interval:
+            olo, ohi = o.lo, o.hi
+        elif isinstance(o, (int, float)):
+            if o != o:
+                raise ValueError("NaN operand")
+            olo = ohi = o
+        else:
             return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
+        if olo <= 0.0 <= ohi:
             # Divisor straddles zero: no finite enclosure exists.
             return Interval(-_INF, _INF)
         quotients = [
             q
-            for q in (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+            for q in (self.lo / olo, self.lo / ohi, self.hi / olo, self.hi / ohi)
             if not math.isnan(q)  # inf/inf; the remaining corners cover the range
         ]
         if not quotients:
             return Interval(-_INF, _INF)
         return Interval(_down(min(quotients)), _up(max(quotients)))
 
-    def __rtruediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int) -> "Interval":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("interval powers take nonnegative integer exponents")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        lo_p, hi_p = self.lo**n, self.hi**n
-        if n % 2 == 1 or self.lo >= 0.0:
-            return Interval(_down(lo_p), _up(hi_p))
-        if self.hi <= 0.0:
-            return Interval(_down(hi_p), _up(lo_p))
-        return Interval(0.0, _up(max(lo_p, hi_p)))
-
     # -- elementary functions ------------------------------------------------
 
     def exp(self) -> "Interval":
-        return Interval(max(0.0, _down(_exp(self.lo), LIBM_ULPS)), _up(_exp(self.hi), LIBM_ULPS))
+        return Interval(max(0.0, _libm_down(_exp(self.lo))), _libm_up(_exp(self.hi)))
 
     def sinh(self) -> "Interval":
-        return Interval(_down(_sinh(self.lo), LIBM_ULPS), _up(_sinh(self.hi), LIBM_ULPS))
+        return Interval(_libm_down(_sinh(self.lo)), _libm_up(_sinh(self.hi)))
 
     def cosh(self) -> "Interval":
-        top = _up(max(_cosh(self.lo), _cosh(self.hi)), LIBM_ULPS)
+        at_lo, at_hi = _cosh(self.lo), _cosh(self.hi)
+        top = _libm_up(max(at_lo, at_hi))
         if self.lo <= 0.0 <= self.hi:
             return Interval(1.0, top)  # cosh attains its exact minimum 1 at 0
-        bottom = _down(min(_cosh(self.lo), _cosh(self.hi)), LIBM_ULPS)
-        return Interval(max(1.0, bottom), top)
+        return Interval(max(1.0, _libm_down(min(at_lo, at_hi))), top)
 
     def sinh_over(self) -> "Interval":
         """Enclosure of sinh(x)/x for x >= 0, exploiting monotonicity.
@@ -201,93 +237,135 @@ class Interval:
         The even power series of sinh(x)/x has positive coefficients, so the
         function increases on (0, oo) with limit 1 at 0.  Endpoint images are
         therefore tight; a naive quotient of enclosures is far too wide when
-        the interval is narrow relative to its distance from zero.
+        the interval is narrow relative to its distance from zero.  Each
+        endpoint image is one libm call and one division: LIBM_ULPS + 1 ulps.
         """
-        if self.lo < 0.0:
+        lo, hi = self.lo, self.hi
+        if lo < 0.0:
             raise ValueError("sinh_over is defined for nonnegative intervals")
-        lo = 1.0 if self.lo == 0.0 else _down(_sinh(self.lo) / self.lo, LIBM_ULPS + 1)
-        hi = _up(_sinh(self.hi) / self.hi, LIBM_ULPS + 1) if self.hi > 0.0 else 1.0
-        return Interval(max(1.0, lo) if self.lo > 0.0 else lo, max(1.0, hi))
+        bottom = max(1.0, _down(_libm_down(_sinh(lo) / lo))) if lo > 0.0 else 1.0
+        top = max(1.0, _up(_libm_up(_sinh(hi) / hi))) if hi > 0.0 else 1.0
+        return Interval(bottom, top)
 
 
-@dataclass(frozen=True, slots=True)
+# The slot setters, which only __init__ calls: they bypass _read_only.
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+ZERO = Interval(0.0, 0.0)  # the exact-zero partial; Dual tests for it by identity
+_ONE = Interval(1.0, 1.0)
+
+
+def _neg_partial(a: Interval) -> Interval:
+    return a if a is ZERO else -a
+
+
 class Dual:
-    """Interval value with interval partial derivatives (forward mode)."""
+    """Interval value with interval partial derivatives (forward mode).
 
-    val: Interval
-    grad: tuple[Interval, ...]
+    ``grad`` is a tuple of Intervals, one per variable; a partial that is
+    exactly zero is :data:`ZERO`.  The other operand of an arithmetic
+    operation is a Dual of the same arity, an Interval or a real scalar.
+    """
+
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val: Interval, grad: tuple[Interval, ...]):
+        _set_val(self, val)
+        _set_grad(self, grad)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"Dual(val={self.val!r}, grad={self.grad!r})"
 
     @classmethod
     def variable(cls, value: Interval, index: int, arity: int) -> "Dual":
-        grad = tuple(
-            Interval.point(1.0) if i == index else Interval.point(0.0) for i in range(arity)
-        )
-        return cls(value, grad)
+        return cls(value, tuple(_ONE if i == index else ZERO for i in range(arity)))
 
     @classmethod
     def constant(cls, value, arity: int) -> "Dual":
         iv = value if isinstance(value, Interval) else Interval.point(float(value))
-        return cls(iv, tuple(Interval.point(0.0) for _ in range(arity)))
+        return cls(iv, (ZERO,) * arity)
 
-    def _coerce(self, other) -> "Dual | None":
-        if isinstance(other, Dual):
-            return other
-        if isinstance(other, (int, float, Interval)):
-            return Dual.constant(other, len(self.grad))
-        return None
-
-    def __add__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
+    def __add__(self, o) -> "Dual":
+        if type(o) is Dual:
+            return Dual(
+                self.val + o.val,
+                tuple(
+                    b if a is ZERO else a if b is ZERO else a + b
+                    for a, b in zip(self.grad, o.grad)
+                ),
+            )
+        if type(o) is Interval or isinstance(o, (int, float)):
+            return Dual(self.val + o, self.grad)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Dual":
-        return Dual(-self.val, tuple(-g for g in self.grad))
+        return Dual(-self.val, tuple(map(_neg_partial, self.grad)))
 
-    def __sub__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
+    def __sub__(self, o) -> "Dual":
+        if type(o) is Dual:
+            return Dual(
+                self.val - o.val,
+                tuple(
+                    a if b is ZERO else -b if a is ZERO else a - b
+                    for a, b in zip(self.grad, o.grad)
+                ),
+            )
+        if type(o) is Interval or isinstance(o, (int, float)):
+            return Dual(self.val - o, self.grad)
+        return NotImplemented
 
-    def __rsub__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o) -> "Dual":
+        if type(o) is Interval or isinstance(o, (int, float)):
+            return Dual(o - self.val, tuple(map(_neg_partial, self.grad)))
+        return NotImplemented
 
-    def __mul__(self, other) -> "Dual":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(
-            self.val * o.val,
-            tuple(a * o.val + b * self.val for a, b in zip(self.grad, o.grad)),
-        )
+    def __mul__(self, o) -> "Dual":
+        if type(o) is Dual:
+            x, y = self.val, o.val
+            grad = []
+            for a, b in zip(self.grad, o.grad):
+                if a is ZERO:
+                    grad.append(ZERO if b is ZERO else b * x)
+                elif b is ZERO:
+                    grad.append(a * y)
+                else:
+                    grad.append(a * y + b * x)
+            return Dual(x * y, tuple(grad))
+        if type(o) is Interval or isinstance(o, (int, float)):
+            return Dual(self.val * o, tuple(a if a is ZERO else a * o for a in self.grad))
+        return NotImplemented
 
     __rmul__ = __mul__
 
+    def _chain(self, value: Interval, slope: Interval) -> "Dual":
+        """f(self) from f's value and an enclosure of f' over self.val."""
+        return Dual(value, tuple(a if a is ZERO else slope * a for a in self.grad))
+
     def exp(self) -> "Dual":
         e = self.val.exp()
-        return Dual(e, tuple(e * g for g in self.grad))
+        return self._chain(e, e)
 
     def sinh(self) -> "Dual":
-        c = self.val.cosh()
-        return Dual(self.val.sinh(), tuple(c * g for g in self.grad))
+        return self._chain(self.val.sinh(), self.val.cosh())
 
     def cosh(self) -> "Dual":
-        s = self.val.sinh()
-        return Dual(self.val.cosh(), tuple(s * g for g in self.grad))
+        return self._chain(self.val.cosh(), self.val.sinh())
 
     def sinh_over(self) -> "Dual":
         # d/dx sinh(x)/x = cosh(x)/x - sinh(x)/x^2; looseness here only
         # affects the mean-value correction, which is second order.
         x = self.val
-        deriv = x.cosh() / x - x.sinh() / (x * x)
-        return Dual(x.sinh_over(), tuple(deriv * g for g in self.grad))
+        return self._chain(x.sinh_over(), x.cosh() / x - x.sinh() / (x * x))
+
+
+# As for Interval, only __init__ calls these.
+_set_val = Dual.val.__set__
+_set_grad = Dual.grad.__set__
 
 
 # Generic elementary functions usable with floats, Intervals and Duals.

@@ -175,6 +175,7 @@ class TestFlags:
             ("bound-check", "--dist", "d.json", "--depth", "3"),
             ("extremal", "--depth", "3"),
             ("report", "--format", "csv"),
+            ("prove", "--expr", "w", "--h", "2"),
         ],
     )
     def test_unread_flags_are_rejected(self, capsys, argv):

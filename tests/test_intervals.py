@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,14 +37,6 @@ class TestContainment:
             assert (2.5 * a).contains(2.5 * x)
             assert (a - 1).contains(x - 1)
             assert (1 - a).contains(1 - x)
-            assert (3 / (a + 5)).contains(3 / (x + 5))
-
-    def test_powers(self, rng):
-        for _ in range(200):
-            a = random_interval(rng)
-            x = sample_in(rng, a)
-            for n in (0, 1, 2, 3, 4):
-                assert (a**n).contains(x**n)
 
     def test_elementary_functions(self, rng):
         for _ in range(300):
@@ -55,6 +48,31 @@ class TestContainment:
             if a.lo >= 0:
                 value = math.sinh(x) / x if x > 0 else 1.0
                 assert a.sinh_over().contains(value)
+
+    def test_libm_error_stays_below_the_widening(self):
+        # glibc is not correctly rounded (math.sinh(0.809034359644837) is off
+        # by 1.45 ulp); each point enclosure must still hold the true value.
+        seeded = np.random.default_rng(20261018).uniform(-10.0, 10.0, size=5000)
+        adversarial = [0.809034359644837, 0.06065109309681205, 0.05, 8.0, 1e-8, 700.0, -700.0]
+        with mpmath.workprec(200):
+            for x in [*map(float, seeded), *adversarial]:
+                iv, mx = Interval.point(x), mpmath.mpf(x)
+                cases = [
+                    (iv.exp(), mpmath.exp(mx)),
+                    (iv.sinh(), mpmath.sinh(mx)),
+                    (iv.cosh(), mpmath.cosh(mx)),
+                ]
+                if x > 0:
+                    cases.append((iv.sinh_over(), mpmath.sinh(mx) / mx))
+                for enclosure, exact in cases:
+                    assert enclosure.lo <= exact <= enclosure.hi, (x, enclosure)
+
+    def test_product_with_exact_zero_factor_is_not_widened(self):
+        scaled = 0.5 * Interval(0.0, 1.0)
+        assert scaled.lo == 0.0
+        assert (Interval(0.0, 1.0) * Interval(-2.0, -1.0)).hi == 0.0
+        enc = scaled.sinh_over()
+        assert enc.contains(1.0) and enc.contains(math.sinh(0.5) / 0.5)
 
     def test_point_intervals_stay_tight(self):
         v = Interval.point(1.5)
@@ -83,8 +101,15 @@ class TestStructure:
             Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+        for lo, hi in [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                Interval(lo, hi)
+
+    def test_bounds_are_read_only(self):
+        iv = Interval(0.0, 1.0)
+        with pytest.raises(AttributeError):
+            iv.lo = -1.0
+        assert iv == Interval(0.0, 1.0)
 
     def test_hull(self):
         assert Interval(0.0, 1.0).hull(Interval(3.0, 4.0)) == Interval(0.0, 4.0)
@@ -123,3 +148,12 @@ class TestDual:
     def test_constant_has_zero_gradient(self):
         c = Dual.constant(3.0, 2)
         assert all(g.lo == 0.0 and g.hi == 0.0 for g in c.grad)
+
+    def test_unread_axis_has_an_exact_zero_partial(self):
+        u, v, w = (Dual.variable(Interval(0.5, 1.5), i, 3) for i in range(3))
+        result = (
+            2 * u * vsinh(u) - vsinh_over(w) * (u * u) * vexp(-u) + 1.5
+            + Interval(0.5, 1.0) * w - (Interval(1.0, 2.0) - vcosh(u))
+        )
+        assert result.grad[1].lo == 0.0 and result.grad[1].hi == 0.0
+        assert result.grad[0].lo < result.grad[0].hi
