@@ -16,12 +16,11 @@ Layers:
 
 from .exppoly import ExpPoly, derivative, normalize, parse_expression
 from .extremal import (
-    FamilyKind,
-    FamilySpec,
     ScanRow,
     ratio_limit_scan,
     scan_to_csv,
-    sup_tilted_mean,
+    sup_symmetric,
+    sup_zero_mean,
     three_point_extremal,
 )
 from .intervals import Interval
@@ -77,8 +76,6 @@ __all__ = [
     "DegenerateDistributionError",
     "EmptyRegionError",
     "ExpPoly",
-    "FamilyKind",
-    "FamilySpec",
     "Interval",
     "InvalidDistributionError",
     "Outcome",
@@ -102,7 +99,8 @@ __all__ = [
     "ratio_limit_scan",
     "replay",
     "scan_to_csv",
-    "sup_tilted_mean",
+    "sup_symmetric",
+    "sup_zero_mean",
     "three_point_extremal",
     "tilted_mean",
     "tilted_mean_signed",

@@ -2,9 +2,11 @@
 
 The sharpness side of the bound: over symmetric laws with E[X^2] = s^2 the
 supremum of the tilted mean, divided by s^2, climbs to sinh(hw)/w as s drops
-to 0, driven by the three-point family supported on {-w, 0, w}.  This module
-reproduces that limit numerically and also searches the zero-mean class,
-whose corresponding constant is (e^{hw} - 1)/w.
+to 0, driven by the three-point family supported on {-w, 0, w}.
+:func:`ratio_limit_scan` reproduces that limit numerically through
+:func:`sup_symmetric`.  :func:`sup_zero_mean` searches the zero-mean class,
+whose corresponding constant is the larger (e^{hw} - 1)/w.  Both searches
+take E[X^2] = sigma2 and place atoms in [-4w, 4w].
 
 The optimizer is deterministic (coarse grids plus coordinate refinement, no
 randomness) so scans are reproducible run to run.  For fixed atom positions
@@ -16,10 +18,9 @@ enumerates one- and two-point support families with weights solved exactly.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .tilted import (
     BoundKind,
@@ -28,32 +29,6 @@ from .tilted import (
     bound_factor,
     tilted_mean_signed,
 )
-
-
-class FamilyKind(enum.Enum):
-    SYMMETRIC = "symmetric-second-moment"
-    ZERO_MEAN = "zero-mean-second-moment"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Distribution family: fixed second moment, bounded support."""
-
-    kind: FamilyKind
-    sigma2: float
-    max_atom_pairs: int = 3
-    x_max: Optional[float] = None  # defaults to 4w at solve time
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError("sigma2 must be positive and finite")
-        if self.max_atom_pairs < 1:
-            raise ValueError("max_atom_pairs must be at least 1")
-        if self.x_max is not None and self.x_max <= 0:
-            raise ValueError("x_max must be positive")
-
-    def resolved_x_max(self, p: TiltParams) -> float:
-        return self.x_max if self.x_max is not None else 4.0 * p.w
 
 
 def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
@@ -159,30 +134,26 @@ def _refine_scalar(
 class SupSearchResult:
     value: float
     atoms: tuple[tuple[float, float], ...]  # signed support
-    distribution: Optional[SymmetricDiscreteDistribution]
-    family: FamilyKind
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "family": self.family.value,
-            "atoms": [[x, p] for x, p in self.atoms],
-        }
 
 
-def sup_tilted_mean(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
-    """Best tilted mean found in the family; a lower bound on the true sup."""
-    if spec.kind is FamilyKind.SYMMETRIC:
-        return _sup_symmetric(spec, p)
-    return _sup_zero_mean(spec, p)
-
-
-def _sup_symmetric(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
-    sigma2 = spec.sigma2
-    sigma = math.sqrt(sigma2)
-    x_max = spec.resolved_x_max(p)
-    if sigma > x_max:
+def _atom_range(sigma2: float, p: TiltParams) -> float:
+    """The searches place atoms in [-4w, 4w]; sigma2 must fit inside."""
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError("sigma2 must be positive and finite")
+    x_max = 4.0 * p.w
+    if sigma2 > x_max * x_max:
         raise ValueError("infeasible: sigma exceeds the atom range")
+    return x_max
+
+
+def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
+    """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
+
+    Searches one- and two-pair supports in [-4w, 4w]; the value is a lower
+    bound on the true supremum.
+    """
+    x_max = _atom_range(sigma2, p)
+    sigma = math.sqrt(sigma2)
 
     def single_value(x: float) -> float:
         if x <= 0 or x * x < sigma2:
@@ -194,7 +165,10 @@ def _sup_symmetric(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
     best_x, best_val = _refine_scalar(single_value, sigma, x_max, extra=extras)
     best_dist = single_pair_distribution(best_x, sigma2)
 
-    if spec.max_atom_pairs >= 2 and sigma > 1e-9:
+    # The solved pair weights lose precision as sigma shrinks: without this
+    # cut-off the search finds spurious ratios above sinh(hw)/w (seen at
+    # sigma = 1e-15, h = w = 1).
+    if sigma > 1e-9:
 
         def pair_value(x_low: float, x_high: float) -> float:
             if not (0 < x_low < x_high) or not (x_low**2 <= sigma2 <= x_high**2):
@@ -222,19 +196,17 @@ def _sup_symmetric(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
             best_val = best_two
             best_dist = two_pair_distribution(best_lo, best_hi, sigma2)
 
-    return SupSearchResult(
-        value=best_val,
-        atoms=tuple(best_dist.signed_atoms()),
-        distribution=best_dist,
-        family=FamilyKind.SYMMETRIC,
-    )
+    return SupSearchResult(best_val, tuple(best_dist.signed_atoms()))
 
 
-def _sup_zero_mean(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
-    sigma2 = spec.sigma2
-    x_max = spec.resolved_x_max(p)
-    if sigma2 > x_max * x_max:
-        raise ValueError("infeasible: sigma exceeds the atom range")
+def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
+    """Best tilted mean found over zero-mean laws with E[X^2] = sigma2.
+
+    Searches three-atom supports {x_pos, -x_neg, 0} in [-4w, 4w]; the value
+    is a lower bound on the true supremum, which approaches the factor
+    (e^{hw} - 1)/w as sigma2 drops to 0.
+    """
+    x_max = _atom_range(sigma2, p)
 
     def value(x_pos: float, x_neg: float) -> float:
         if x_pos <= 0 or x_neg <= 0 or x_pos * x_neg < sigma2 * (1 - 1e-14):
@@ -269,13 +241,7 @@ def _sup_zero_mean(spec: FamilySpec, p: TiltParams) -> SupSearchResult:
         best_neg, best_value = _refine_scalar(
             lambda x: value(best_pos, x), floor, x_max, extra=[floor], points=65, rounds=2
         )
-    atoms = tuple(zero_mean_three_atom(best_pos, best_neg, sigma2))
-    return SupSearchResult(
-        value=best_value,
-        atoms=atoms,
-        distribution=None,
-        family=FamilyKind.ZERO_MEAN,
-    )
+    return SupSearchResult(best_value, tuple(zero_mean_three_atom(best_pos, best_neg, sigma2)))
 
 
 # -- sharpness scan ----------------------------------------------------------
@@ -300,11 +266,7 @@ class ScanRow:
         }
 
 
-def ratio_limit_scan(
-    p: TiltParams,
-    sigmas: Sequence[float],
-    max_atom_pairs: int = 3,
-) -> list[ScanRow]:
+def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     """sup / sigma^2 for each sigma; the ratios climb toward sinh(hw)/w.
 
     Each ratio stays strictly below the bound factor (the bound is strict for
@@ -315,8 +277,7 @@ def ratio_limit_scan(
     for sigma in sigmas:
         if not (0 < sigma < p.w):
             raise ValueError("scan requires 0 < sigma < w")
-        spec = FamilySpec(FamilyKind.SYMMETRIC, sigma * sigma, max_atom_pairs=max_atom_pairs)
-        found = sup_tilted_mean(spec, p)
+        found = sup_symmetric(sigma * sigma, p)
         ratio = found.value / (sigma * sigma)
         rows.append(
             ScanRow(

@@ -129,15 +129,8 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)

@@ -31,6 +31,8 @@ from typing import Optional
 from .exppoly import ExpPoly, derivative, normalize, parse_expression
 from . import rootisolation as ri
 
+MAX_DEPTH = 32  # decide_sign differentiates at most this many times
+
 
 class Outcome(enum.Enum):
     NEGATIVE = "negative"
@@ -149,10 +151,10 @@ class SignDecision:
     reason: Optional[str] = None
 
 
-def decide_sign(p: ExpPoly, max_depth: int = 32) -> SignDecision:
+def decide_sign(p: ExpPoly) -> SignDecision:
     """Decide the sign of p(w, e^w) on w in (0, oo), or report UNDETERMINED.
 
-    ``max_depth`` caps the derivative chain length.  Exhausting the cap
+    ``MAX_DEPTH`` caps the derivative chain length.  Exhausting the cap
     returns UNDETERMINED; the procedure never asserts a sign it has not
     proved.
     """
@@ -160,11 +162,11 @@ def decide_sign(p: ExpPoly, max_depth: int = 32) -> SignDecision:
         raise ValueError("zero polynomial has no sign")
     chain = [normalize(p)]
     while chain[-1].w_degree > 0:
-        if len(chain) > max_depth:
+        if len(chain) > MAX_DEPTH:
             return SignDecision(
                 Outcome.UNDETERMINED,
                 None,
-                reason=f"derivative chain exceeded max_depth={max_depth}",
+                reason=f"derivative chain exceeded max_depth={MAX_DEPTH}",
             )
         chain.append(normalize(derivative(chain[-1])))
 
@@ -207,7 +209,9 @@ def replay(certificate: SignCertificate) -> Outcome:
 
     Recomputes every derivative, normalization, boundary value and the base
     case root count, checks them against the stored records, and returns the
-    re-derived claim.  Raises CertificateError on any mismatch.
+    re-derived claim.  The base case must speak about t = e^w on (1, oo),
+    the image of w > 0: its lower end must be 1 and its sample point above
+    1.  Raises CertificateError on any mismatch.
     """
     steps = certificate.steps
     if not steps:
@@ -226,6 +230,8 @@ def replay(certificate: SignCertificate) -> Outcome:
     coeffs = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
     if ri.make_poly(coeffs) != ri.make_poly(certificate.base.coefficients):
         raise CertificateError("base polynomial does not match the final step")
+    if certificate.base.lower != 1 or not certificate.base.sample_point > 1:
+        raise CertificateError("base case does not cover t = e^w > 1")
     count = ri.count_roots_above(ri.make_poly(coeffs), certificate.base.lower)
     if count != certificate.base.root_count or count != 0:
         raise CertificateError("base case root count mismatch")
@@ -362,7 +368,7 @@ class BatteryReport:
         }
 
 
-def verify_battery(max_depth: int = 32) -> BatteryReport:
+def verify_battery() -> BatteryReport:
     """Certify every built-in inequality and replay each certificate.
 
     The report fails loudly (``all_certified`` False) if any member comes
@@ -370,7 +376,7 @@ def verify_battery(max_depth: int = 32) -> BatteryReport:
     """
     entries = []
     for name, text, expected, role in BATTERY:
-        decision = decide_sign(parse_expression(text), max_depth)
+        decision = decide_sign(parse_expression(text))
         replay_ok = False
         if decision.certificate is not None:
             try:

@@ -231,8 +231,7 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     naive: Interval = full.val
 
     mids = [Interval.point(0.5 * (lo + hi)) for lo, hi in spans]
-    center = _as_interval(expr.fn(*mids))
-    mean_value = center
+    mean_value = expr.fn(*mids)
     for index, (lo, hi) in enumerate(spans):
         mid = 0.5 * (lo + hi)
         offset = Interval(_dnext(lo - mid), _unext(hi - mid))
@@ -256,14 +255,10 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
             upper_faces.append(Interval(lo, hi))
             lower_faces.append(Interval(lo, hi))
     if monotone:
-        sup_bound = _as_interval(expr.fn(*upper_faces)).hi
-        inf_bound = _as_interval(expr.fn(*lower_faces)).lo
+        sup_bound = expr.fn(*upper_faces).hi
+        inf_bound = expr.fn(*lower_faces).lo
         enclosure = Interval(max(enclosure.lo, inf_bound), min(enclosure.hi, sup_bound))
     return enclosure
-
-
-def _as_interval(value) -> Interval:
-    return value if isinstance(value, Interval) else Interval.point(float(value))
 
 
 def _dnext(x: float) -> float:
@@ -274,17 +269,10 @@ def _unext(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def eval_interval(
-    expr: ProofExpr | str,
-    box: BoxRegion,
-    within: Interval | None = None,
-) -> Interval:
+def eval_interval(expr: ProofExpr | str, box: BoxRegion) -> Interval:
     """Rigorous enclosure of the expression's range over box ∩ case region.
 
     Raises EmptyRegionError when the box misses its case region entirely.
-    If ``within`` is given (an enclosure already known to hold, e.g. from the
-    parent box), the result is intersected with it, which keeps enclosures
-    nested along a subdivision path.
     """
     if isinstance(expr, str):
         expr = CATALOG[expr]
@@ -293,10 +281,7 @@ def eval_interval(
         raise EmptyRegionError(
             f"box does not intersect the {box.case.value} ordering constraints"
         )
-    enclosure = _enclosure(expr, clipped)
-    if within is not None:
-        enclosure = enclosure.intersect(within)
-    return enclosure
+    return _enclosure(expr, clipped)
 
 
 @dataclass(frozen=True)
@@ -310,24 +295,13 @@ class CertifyResult:
     def status(self) -> str:
         return "certified" if self.certified else "undetermined"
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "boxes_evaluated": self.boxes_evaluated,
-            "deepest_level": self.deepest_level,
-            "undecided": [b.to_dict() for b in self.undecided],
-        }
 
-
-def certify_negative(
-    expr: ProofExpr | str,
-    box: BoxRegion,
-    max_depth: int = 18,
-) -> CertifyResult:
+def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> CertifyResult:
     """Adaptive bisection proof that the expression is negative on the box.
 
     A sub-box is settled once its enclosure has hi < 0; otherwise its widest
-    axis is halved.  ``max_depth`` caps how many times any single axis may be
+    axis is halved, and each half keeps the parent's enclosure as a bound on
+    its own.  ``max_depth`` caps how many times any single axis may be
     halved, so depth d resolves features down to (axis width) / 2^d.  The
     result is sound: ``certified`` means the expression is strictly negative
     everywhere on box ∩ case region.  Undecided boxes are returned in
@@ -401,15 +375,11 @@ class CaseStructureReport:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def default_box(case: CaseRegion, lo: float = 0.05, hi: float = 8.0) -> BoxRegion:
+def default_box(case: CaseRegion, lo: float, hi: float) -> BoxRegion:
     return BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=case)
 
 
-def verify_case_structure(
-    lo: float = 0.05,
-    hi: float = 8.0,
-    max_depth: int = 18,
-) -> CaseStructureReport:
+def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructureReport:
     """Certify the structural facts the case analysis rests on.
 
     (a) concavity of d in v on case 1 (second v-derivative negative);
@@ -458,8 +428,9 @@ def verify_case_structure(
         )
     )
 
-    boundary_box = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CaseRegion.CASE2)
-    boundary = certify_negative("d_at_v_eq_w_case2", boundary_box, max_depth)
+    boundary = certify_negative(
+        "d_at_v_eq_w_case2", default_box(CaseRegion.CASE2, lo, hi), max_depth
+    )
     at_zero = d_expr(0.0, 1.0, 1.0)
     checks.append(
         StructureCheck(

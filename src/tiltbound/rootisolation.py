@@ -10,6 +10,7 @@ there.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 Poly = tuple[Fraction, ...]
@@ -46,18 +47,12 @@ def _positive_content(p: Poly) -> Fraction:
     """Positive rational by which dividing makes coefficients coprime ints."""
     denom_lcm = 1
     for c in p:
-        g = _int_gcd(denom_lcm, c.denominator)
+        g = gcd(denom_lcm, c.denominator)
         denom_lcm = denom_lcm * c.denominator // g
     numer_gcd = 0
     for c in p:
-        numer_gcd = _int_gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
     return Fraction(numer_gcd, denom_lcm)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -137,22 +137,11 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
     return num / den
 
 
-def winsorized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParams) -> float:
-    """E[X^j e^{h (X ^ w)}] over the signed support, j in {0, 1}."""
-    if j not in (0, 1):
-        raise ValueError("moment order j must be 0 or 1")
-    total = 0.0
-    for x, mass in dist.signed_atoms():
-        value = math.exp(p.h * min(x, p.w)) * mass
-        total += value * x if j else value
-    return total
-
-
 def symmetrized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParams) -> float:
     """Same moment computed atom-wise through the folded integrands.
 
     For x >= 0 the folded integrand is (x^j e^{h(x^w)} + (-x)^j e^{-hx}) / 2,
-    with 0^0 = 1.  Agreement with :func:`winsorized_moment` is the
+    with 0^0 = 1.  Agreement with the moment over the signed support is the
     symmetrization identity used to reduce the bound to the sign of d.
     """
     if j not in (0, 1):
@@ -170,7 +159,7 @@ def symmetrized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParam
 
 def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:
     """The tilted-capped mean m(h, w); denominator is always positive."""
-    return winsorized_moment(dist, 1, p) / winsorized_moment(dist, 0, p)
+    return tilted_mean_signed(dist.signed_atoms(), p.h, p.w)
 
 
 class BoundKind:
@@ -201,12 +190,11 @@ class BoundCheck:
     mean: float
     bound: float
     margin: float
-    slack: float = STRICTNESS_SLACK
 
     @property
     def holds(self) -> bool:
-        """0 < mean < bound, allowing the configured absolute slack."""
-        return self.mean > -self.slack and self.margin > -self.slack
+        """0 < mean < bound, allowing the absolute slack STRICTNESS_SLACK."""
+        return self.mean > -STRICTNESS_SLACK and self.margin > -STRICTNESS_SLACK
 
     def to_dict(self) -> dict:
         return {
@@ -217,11 +205,7 @@ class BoundCheck:
         }
 
 
-def check_bound(
-    dist: SymmetricDiscreteDistribution,
-    p: TiltParams,
-    slack: float = STRICTNESS_SLACK,
-) -> BoundCheck:
+def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundCheck:
     """Evaluate mean, the symmetric-class bound, and their margin.
 
     Requires E[X^2] > 0; a point mass at zero has no meaningful bound and
@@ -232,7 +216,7 @@ def check_bound(
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
     bound = bound_factor(BoundKind.SYMMETRIC, p).value * s2
-    return BoundCheck(mean=mean, bound=bound, margin=bound - mean, slack=slack)
+    return BoundCheck(mean=mean, bound=bound, margin=bound - mean)
 
 
 # ---------------------------------------------------------------------------

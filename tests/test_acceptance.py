@@ -61,7 +61,7 @@ def test_criterion_1_bound_property_suite():
         for _ in range(10_000):
             dist = random_symmetric_distribution(rng, max_pairs=10, x_high=10.0)
             p = TiltParams(float(rng.uniform(1e-3, 5.0)), float(rng.uniform(1e-3, 5.0)))
-            report = check_bound(dist, p, slack=STRICT_SLACK)
+            report = check_bound(dist, p)
             assert report.mean > -STRICT_SLACK
             assert report.mean > 0.0 or dist.second_moment() == 0.0
             assert report.margin > -STRICT_SLACK

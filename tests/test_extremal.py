@@ -7,13 +7,12 @@ import pytest
 
 from tiltbound import (
     BoundKind,
-    FamilyKind,
-    FamilySpec,
     TiltParams,
     bound_factor,
     ratio_limit_scan,
     scan_to_csv,
-    sup_tilted_mean,
+    sup_symmetric,
+    sup_zero_mean,
     three_point_extremal,
     tilted_mean,
     tilted_mean_signed,
@@ -100,52 +99,47 @@ class TestCandidateConstructors:
 class TestSupSearch:
     def test_dominates_three_point_candidate(self):
         for sigma in (0.5, 0.1, 0.01):
-            spec = FamilySpec(FamilyKind.SYMMETRIC, sigma * sigma)
-            found = sup_tilted_mean(spec, P11)
+            found = sup_symmetric(sigma * sigma, P11)
             assert found.value >= tilted_mean(three_point_extremal(sigma, 1.0), P11) - 1e-15
 
     def test_stays_below_symmetric_bound(self):
         factor = bound_factor(BoundKind.SYMMETRIC, P11).value
         for sigma in (0.5, 0.2, 0.05):
-            spec = FamilySpec(FamilyKind.SYMMETRIC, sigma * sigma)
-            found = sup_tilted_mean(spec, P11)
+            found = sup_symmetric(sigma * sigma, P11)
             assert found.value / (sigma * sigma) < factor
 
     def test_argmax_satisfies_constraints(self):
-        spec = FamilySpec(FamilyKind.SYMMETRIC, 0.01)
-        found = sup_tilted_mean(spec, P11)
-        assert found.distribution.second_moment() == pytest.approx(0.01, abs=1e-10)
+        found = sup_symmetric(0.01, P11)
+        assert sum(x * x * p for x, p in found.atoms) == pytest.approx(0.01, abs=1e-10)
         assert found.value == pytest.approx(
             tilted_mean_signed(list(found.atoms), 1.0, 1.0), rel=1e-12
         )
 
     def test_zero_mean_ratio_approaches_sharp_factor(self):
         factor = bound_factor(BoundKind.ZERO_MEAN, P11).value
-        spec = FamilySpec(FamilyKind.ZERO_MEAN, 1e-4)
-        found = sup_tilted_mean(spec, P11)
+        found = sup_zero_mean(1e-4, P11)
         ratio = found.value / 1e-4
         assert ratio < factor
         assert ratio == pytest.approx(factor, abs=3e-4)
 
     def test_zero_mean_atoms_satisfy_constraints(self):
-        spec = FamilySpec(FamilyKind.ZERO_MEAN, 1e-4)
-        found = sup_tilted_mean(spec, P11)
+        found = sup_zero_mean(1e-4, P11)
         mean = sum(x * p for x, p in found.atoms)
         second = sum(x * x * p for x, p in found.atoms)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert second == pytest.approx(1e-4, abs=1e-12)
 
     def test_infeasible_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sup_tilted_mean(FamilySpec(FamilyKind.SYMMETRIC, 100.0, x_max=1.0), P11)
+        # atoms stay in [-4w, 4w], so sigma2 = 100 > (4w)^2 = 16 is infeasible
+        for search in (sup_symmetric, sup_zero_mean):
+            with pytest.raises(ValueError):
+                search(100.0, P11)
 
-    def test_family_spec_validation(self):
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.SYMMETRIC, -1.0)
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.SYMMETRIC, 1.0, max_atom_pairs=0)
-        with pytest.raises(ValueError):
-            FamilySpec(FamilyKind.SYMMETRIC, 1.0, x_max=-2.0)
+    def test_sigma2_validation(self):
+        for search in (sup_symmetric, sup_zero_mean):
+            for sigma2 in (-1.0, 0.0, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    search(sigma2, P11)
 
 
 class TestRatioScan:

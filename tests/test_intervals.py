@@ -111,9 +111,6 @@ class TestStructure:
             iv.lo = -1.0
         assert iv == Interval(0.0, 1.0)
 
-    def test_hull(self):
-        assert Interval(0.0, 1.0).hull(Interval(3.0, 4.0)) == Interval(0.0, 4.0)
-
 
 class TestDual:
     def test_gradients_match_finite_differences(self, rng):

@@ -1,6 +1,7 @@
 """Sign decisions, certificates, replay, and the inequality battery."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,10 @@ import pytest
 from tiltbound.exppoly import ExpPoly, normalize, parse_expression
 from tiltbound.prover import (
     BATTERY,
+    BaseCaseRecord,
     CertificateError,
     Outcome,
+    ReductionStep,
     SignCertificate,
     base_case_sign,
     decide_sign,
@@ -77,9 +80,18 @@ class TestDecideSign:
         assert "inconsistent" in decision.reason
 
     def test_depth_cap(self):
-        decision = decide_sign(parse_expression("exp(w) - 1 - w"), max_depth=0)
-        assert decision.outcome is Outcome.UNDETERMINED
-        assert "max_depth" in decision.reason
+        # e^w minus its degree-n Taylor polynomial needs n derivatives: 32 is
+        # the cap, so degree 32 still certifies and degree 33 does not
+        def taylor_remainder(n):
+            terms = " + ".join(f"1/{math.factorial(k)}*w^{k}" for k in range(n + 1))
+            return parse_expression(f"exp(w) - ({terms})")
+
+        within = decide_sign(taylor_remainder(32))
+        assert within.outcome is Outcome.POSITIVE
+        assert len(within.certificate.steps) == 33
+        beyond = decide_sign(taylor_remainder(33))
+        assert beyond.outcome is Outcome.UNDETERMINED
+        assert beyond.reason == "derivative chain exceeded max_depth=32"
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +136,31 @@ class TestCertificates:
         data["claim"] = "negative"
         with pytest.raises(CertificateError):
             replay(SignCertificate.from_dict(data))
+
+    @staticmethod
+    def _forged(text, claim, lower, sample_point):
+        """A one-step certificate for a polynomial in t = e^w, base case as given."""
+        expr = normalize(parse_expression(text))
+        q = [expr.coeff(0, k) for k in range(expr.t_degrees[1] + 1)]
+        sample_point = Fraction(sample_point)
+        value = sum(c * sample_point**k for k, c in enumerate(q))
+        base = BaseCaseRecord(tuple(q), Fraction(lower), 0, (), sample_point, value)
+        steps = (ReductionStep(expr, expr.eval_at_zero()),)
+        data = SignCertificate(Outcome(claim), steps, base).to_dict()
+        return SignCertificate.from_dict(json.loads(json.dumps(data)))
+
+    def test_sample_point_outside_the_domain_rejected(self):
+        # 2e^w - 1 > 0 on w > 0, but 2t - 1 is negative at t = 0
+        forged = self._forged("2*exp(w) - 1", "negative", 1, 0)
+        with pytest.raises(CertificateError):
+            replay(forged)
+
+    def test_base_case_on_a_shifted_ray_rejected(self):
+        # e^w - 3 changes sign at w = ln 3, yet t - 3 has no root on t > 100
+        assert decide_sign(parse_expression("exp(w) - 3")).outcome is Outcome.UNDETERMINED
+        forged = self._forged("exp(w) - 3", "positive", 100, 101)
+        with pytest.raises(CertificateError):
+            replay(forged)
 
     def test_tampered_boundary_rejected(self):
         decision = decide_sign(parse_expression("exp(w) - 1 - w"))
