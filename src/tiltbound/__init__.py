@@ -29,7 +29,6 @@ from .prover import (
     Outcome,
     SignCertificate,
     SignDecision,
-    base_case_sign,
     decide_sign,
     replay,
     verify_battery,
@@ -84,7 +83,6 @@ __all__ = [
     "SignDecision",
     "SymmetricDiscreteDistribution",
     "TiltParams",
-    "base_case_sign",
     "bound_factor",
     "certify_negative",
     "check_bound",

@@ -25,7 +25,7 @@ from typing import Sequence
 from .exppoly import ExprSyntaxError, normalize, parse_expression
 from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
-from .regions import BoxRegion, CaseRegion, certify_negative, verify_case_structure
+from .regions import CATALOG, BoxRegion, certify_negative, verify_case_structure
 from .tilted import (
     BoundKind,
     SymmetricDiscreteDistribution,
@@ -101,8 +101,8 @@ def _region_reports(box: tuple[float, float], depth: int) -> tuple[list[dict], b
     lo, hi = box
     reports = []
     passed = True
-    for name, case in (("d_case1", CaseRegion.CASE1), ("d_case2", CaseRegion.CASE2)):
-        region = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=case)
+    for name in ("d_case1", "d_case2"):
+        region = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
         result = certify_negative(name, region, max_depth=depth)
         boxes = []
         ok = True

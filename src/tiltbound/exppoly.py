@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping, Union
+
+from .rootisolation import positive_content
 
 Scalar = Union[int, Fraction]
 
@@ -215,15 +216,8 @@ def normalize(raw: ExpPoly) -> ExpPoly:
     min_i = min(i for i, _ in raw._terms)
     min_k = min(k for _, k in raw._terms)
     shifted = {(i - min_i, k - min_k): c for (i, k), c in raw._terms.items()}
-    denom_lcm = 1
-    for c in shifted.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    numers = [int(c * denom_lcm) for c in shifted.values()]
-    common = 0
-    for n in numers:
-        common = gcd(common, abs(n))
-    scale = Fraction(denom_lcm, common)
-    return ExpPoly({key: c * scale for key, c in shifted.items()})
+    content = positive_content(tuple(shifted.values()))
+    return ExpPoly({key: c / content for key, c in shifted.items()})
 
 
 def derivative(p: ExpPoly) -> ExpPoly:

@@ -19,6 +19,7 @@ enumerates one- and two-point support families with weights solved exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,9 +138,13 @@ class SupSearchResult:
 
 
 def _atom_range(sigma2: float, p: TiltParams) -> float:
-    """The searches place atoms in [-4w, 4w]; sigma2 must fit inside."""
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError("sigma2 must be positive and finite")
+    """The searches place atoms in [-4w, 4w]; sigma2 must fit inside.
+
+    A subnormal sigma2 is rejected: the weights solved from it lose their
+    precision, and the search then reports ratios above sinh(hw)/w.
+    """
+    if not (math.isfinite(sigma2) and sigma2 >= sys.float_info.min):
+        raise ValueError("sigma2 must be finite and at least the smallest normal float")
     x_max = 4.0 * p.w
     if sigma2 > x_max * x_max:
         raise ValueError("infeasible: sigma exceeds the atom range")
@@ -165,9 +170,8 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     best_x, best_val = _refine_scalar(single_value, sigma, x_max, extra=extras)
     best_dist = single_pair_distribution(best_x, sigma2)
 
-    # The solved pair weights lose precision as sigma shrinks: without this
-    # cut-off the search finds spurious ratios above sinh(hw)/w (seen at
-    # sigma = 1e-15, h = w = 1).
+    # The solved pair weights lose precision as sigma shrinks, so the
+    # two-pair search runs only for sigma > 1e-9.
     if sigma > 1e-9:
 
         def pair_value(x_low: float, x_high: float) -> float:

@@ -6,7 +6,7 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
 * Base case.  If P has w-degree zero it is a plain polynomial q(t) evaluated
   at t = e^w, and w > 0 is equivalent to t > 1.  Exact Sturm root counting
   (:mod:`tiltbound.rootisolation`) shows q has no root on (1, oo); the sign
-  at one sample point is then the sign everywhere.
+  at the sample point t = 2 is then the sign everywhere.
 
 * Reduction step.  Otherwise the derivative d/dw P is certified recursively
   after sign-preserving normalization.  If the derivative is strictly
@@ -16,9 +16,10 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
   a wrong sign.
 
 Every certified claim carries a :class:`SignCertificate`: the full chain of
-normalized expressions with exact boundary values, plus the root-isolation
-record for the base case.  :func:`replay` re-derives the whole chain from the
-stored expressions and must reproduce the claim exactly.
+normalized expressions with exact boundary values, plus the Sturm root count
+and sample of the base case.  :func:`replay` re-derives the certificate from
+its first expression with the same routine :func:`decide_sign` uses and
+requires the stored certificate to equal the derivation, field for field.
 """
 
 from __future__ import annotations
@@ -42,49 +43,13 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class BaseCaseRecord:
-    """Root-isolation evidence for a pure polynomial in t on (lower, oo)."""
+    """Sturm evidence that a polynomial in t keeps one sign on (lower, oo)."""
 
     coefficients: tuple[Fraction, ...]
     lower: Fraction
     root_count: int
-    isolating_intervals: tuple[tuple[Fraction, Fraction], ...]
     sample_point: Fraction
     sample_value: Fraction
-
-
-@dataclass(frozen=True)
-class BaseCaseDecision:
-    outcome: Outcome
-    record: Optional[BaseCaseRecord]
-    reason: Optional[str] = None
-
-
-def base_case_sign(coeffs, lower: Fraction = Fraction(1)) -> BaseCaseDecision:
-    """Constant sign of a rational polynomial q(t) on the open ray (lower, oo).
-
-    Returns NEGATIVE or POSITIVE with a replayable record when q provably has
-    no root there; UNDETERMINED (with isolating intervals) when it does.  A
-    root exactly at ``lower`` is outside the open domain and does not block a
-    verdict.
-    """
-    q = ri.make_poly(coeffs)
-    if not q:
-        raise ValueError("zero polynomial has no sign")
-    lower = Fraction(lower)
-    count = ri.count_roots_above(q, lower)
-    if count > 0:
-        intervals = tuple(ri.isolate_roots_above(q, lower))
-        record = BaseCaseRecord(q, lower, count, intervals, lower + 1, ri.evaluate(q, lower + 1))
-        return BaseCaseDecision(
-            Outcome.UNDETERMINED,
-            record,
-            reason=f"{count} root(s) inside (" + str(lower) + ", oo)",
-        )
-    sample = lower + 1
-    value = ri.evaluate(q, sample)
-    record = BaseCaseRecord(q, lower, 0, (), sample, value)
-    outcome = Outcome.POSITIVE if value > 0 else Outcome.NEGATIVE
-    return BaseCaseDecision(outcome, record)
 
 
 @dataclass(frozen=True)
@@ -93,6 +58,10 @@ class ReductionStep:
 
     expr: ExpPoly
     boundary_value: Fraction
+
+
+class CertificateError(ValueError):
+    """A stored certificate is malformed or does not replay to its content."""
 
 
 @dataclass(frozen=True)
@@ -122,22 +91,26 @@ class SignCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignCertificate":
-        steps = tuple(
-            ReductionStep(
-                expr=ExpPoly.from_term_list(s["terms"]),
-                boundary_value=Fraction(s["boundary_value"]),
+        """Inverse of :meth:`to_dict`; raises CertificateError on malformed data."""
+        try:
+            steps = tuple(
+                ReductionStep(
+                    expr=ExpPoly.from_term_list(s["terms"]),
+                    boundary_value=Fraction(s["boundary_value"]),
+                )
+                for s in data["steps"]
             )
-            for s in data["steps"]
-        )
-        base = BaseCaseRecord(
-            coefficients=tuple(Fraction(c) for c in data["base"]["coefficients"]),
-            lower=Fraction(data["base"]["lower"]),
-            root_count=int(data["base"]["root_count"]),
-            isolating_intervals=(),
-            sample_point=Fraction(data["base"]["sample_point"]),
-            sample_value=Fraction(data["base"]["sample_value"]),
-        )
-        return cls(claim=Outcome(data["claim"]), steps=steps, base=base)
+            base = data["base"]
+            record = BaseCaseRecord(
+                coefficients=tuple(Fraction(c) for c in base["coefficients"]),
+                lower=Fraction(base["lower"]),
+                root_count=int(base["root_count"]),
+                sample_point=Fraction(base["sample_point"]),
+                sample_value=Fraction(base["sample_value"]),
+            )
+            return cls(claim=Outcome(data["claim"]), steps=steps, base=record)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
 def _frac_str(q: Fraction) -> str:
@@ -151,6 +124,41 @@ class SignDecision:
     reason: Optional[str] = None
 
 
+def _derive(p: ExpPoly) -> SignCertificate | str:
+    """The certificate the derivative chain of nonzero ``p`` proves, or why none.
+
+    The one derivation of the prover: :func:`decide_sign` reports its result
+    and :func:`replay` compares a stored certificate against it.
+    """
+    chain = [normalize(p)]
+    while chain[-1].w_degree > 0:
+        if len(chain) > MAX_DEPTH:
+            return f"derivative chain exceeded max_depth={MAX_DEPTH}"
+        chain.append(normalize(derivative(chain[-1])))
+
+    # w > 0 is t = e^w > 1; with no root there, q has its sign at t = 2
+    lower, sample = Fraction(1), Fraction(2)
+    tail = chain[-1]
+    q = ri.make_poly([tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1)])
+    count = ri.count_roots_above(q, lower)
+    if count:
+        return f"base case has a root on (1, oo): {count} root(s) inside (1, oo)"
+    value = ri.evaluate(q, sample)
+    sign = Outcome.POSITIVE if value > 0 else Outcome.NEGATIVE
+
+    steps = tuple(ReductionStep(expr, expr.eval_at_zero()) for expr in chain)
+    for level in range(len(steps) - 2, -1, -1):
+        boundary_value = steps[level].boundary_value
+        wrong_side = boundary_value > 0 if sign is Outcome.NEGATIVE else boundary_value < 0
+        if wrong_side:
+            return (
+                f"level {level}: boundary value {boundary_value} is inconsistent "
+                f"with derivative sign {sign.value}"
+            )
+    base = BaseCaseRecord(q, lower, count, sample, value)
+    return SignCertificate(claim=sign, steps=steps, base=base)
+
+
 def decide_sign(p: ExpPoly) -> SignDecision:
     """Decide the sign of p(w, e^w) on w in (0, oo), or report UNDETERMINED.
 
@@ -160,95 +168,34 @@ def decide_sign(p: ExpPoly) -> SignDecision:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no sign")
-    chain = [normalize(p)]
-    while chain[-1].w_degree > 0:
-        if len(chain) > MAX_DEPTH:
-            return SignDecision(
-                Outcome.UNDETERMINED,
-                None,
-                reason=f"derivative chain exceeded max_depth={MAX_DEPTH}",
-            )
-        chain.append(normalize(derivative(chain[-1])))
-
-    tail = chain[-1]
-    base = base_case_sign([tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1)])
-    if base.outcome is Outcome.UNDETERMINED:
-        return SignDecision(
-            Outcome.UNDETERMINED,
-            None,
-            reason=f"base case has a root on (1, oo): {base.reason}",
-        )
-
-    sign = base.outcome
-    steps = tuple(ReductionStep(expr, expr.eval_at_zero()) for expr in chain)
-    for level in range(len(steps) - 2, -1, -1):
-        boundary_value = steps[level].boundary_value
-        if sign is Outcome.NEGATIVE and boundary_value <= 0:
-            continue
-        if sign is Outcome.POSITIVE and boundary_value >= 0:
-            continue
-        return SignDecision(
-            Outcome.UNDETERMINED,
-            None,
-            reason=(
-                f"level {level}: boundary value {boundary_value} is inconsistent "
-                f"with derivative sign {sign.value}"
-            ),
-        )
-
-    certificate = SignCertificate(claim=sign, steps=steps, base=base.record)
-    return SignDecision(sign, certificate)
-
-
-class CertificateError(ValueError):
-    """A stored certificate does not replay to its recorded content."""
+    derived = _derive(p)
+    if isinstance(derived, str):
+        return SignDecision(Outcome.UNDETERMINED, None, reason=derived)
+    return SignDecision(derived.claim, derived)
 
 
 def replay(certificate: SignCertificate) -> Outcome:
-    """Re-derive a certificate from its stored expressions.
+    """Re-derive a certificate from its first expression and return its claim.
 
-    Recomputes every derivative, normalization, boundary value and the base
-    case root count, checks them against the stored records, and returns the
-    re-derived claim.  The base case must speak about t = e^w on (1, oo),
-    the image of w > 0: its lower end must be 1 and its sample point above
-    1.  Raises CertificateError on any mismatch.
+    The derivation is the one :func:`decide_sign` runs: every derivative,
+    normalization and boundary value, and the base case on t = e^w > 1.
+    Raises CertificateError unless the stored certificate equals it field
+    for field.
     """
     steps = certificate.steps
-    if not steps:
-        raise CertificateError("certificate has no steps")
-    for i in range(len(steps) - 1):
-        expected = normalize(derivative(steps[i].expr))
-        if expected != steps[i + 1].expr:
-            raise CertificateError(f"step {i + 1} is not the normalized derivative of step {i}")
-    for i, step in enumerate(steps):
-        if step.expr.eval_at_zero() != step.boundary_value:
-            raise CertificateError(f"step {i} boundary value mismatch")
-
-    tail = steps[-1].expr
-    if tail.w_degree != 0:
-        raise CertificateError("final step is not a pure polynomial in t")
-    coeffs = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
-    if ri.make_poly(coeffs) != ri.make_poly(certificate.base.coefficients):
-        raise CertificateError("base polynomial does not match the final step")
-    if certificate.base.lower != 1 or not certificate.base.sample_point > 1:
-        raise CertificateError("base case does not cover t = e^w > 1")
-    count = ri.count_roots_above(ri.make_poly(coeffs), certificate.base.lower)
-    if count != certificate.base.root_count or count != 0:
-        raise CertificateError("base case root count mismatch")
-    sample_value = ri.evaluate(ri.make_poly(coeffs), certificate.base.sample_point)
-    if sample_value != certificate.base.sample_value or sample_value == 0:
-        raise CertificateError("base case sample value mismatch")
-
-    sign = Outcome.POSITIVE if sample_value > 0 else Outcome.NEGATIVE
-    for step in reversed(steps[:-1]):
-        if sign is Outcome.NEGATIVE and step.boundary_value <= 0:
-            continue
-        if sign is Outcome.POSITIVE and step.boundary_value >= 0:
-            continue
-        raise CertificateError("monotonicity inference fails on replay")
-    if sign is not certificate.claim:
-        raise CertificateError("replayed claim differs from stored claim")
-    return sign
+    if not steps or steps[0].expr.is_zero:
+        raise CertificateError("certificate has no nonzero first step")
+    derived = _derive(steps[0].expr)
+    if isinstance(derived, str):
+        raise CertificateError(f"certificate proves nothing: {derived}")
+    for name, stored, expected in (
+        ("steps", steps, derived.steps),
+        ("base case", certificate.base, derived.base),
+        ("claim", certificate.claim, derived.claim),
+    ):
+        if stored != expected:
+            raise CertificateError(f"stored {name} and re-derivation differ")
+    return derived.claim
 
 
 # ---------------------------------------------------------------------------

@@ -269,13 +269,24 @@ def _unext(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _owner(expr: ProofExpr | str, box: BoxRegion) -> ProofExpr:
+    """The catalog expression, which holds only on its own case region."""
+    if isinstance(expr, str):
+        expr = CATALOG[expr]
+    if box.case is not expr.case:
+        raise ValueError(
+            f"{expr.name} is the closed form on {expr.case.value}, not on {box.case.value}"
+        )
+    return expr
+
+
 def eval_interval(expr: ProofExpr | str, box: BoxRegion) -> Interval:
     """Rigorous enclosure of the expression's range over box ∩ case region.
 
-    Raises EmptyRegionError when the box misses its case region entirely.
+    Raises ValueError when the box belongs to another case region than the
+    expression, and EmptyRegionError when it misses its case region entirely.
     """
-    if isinstance(expr, str):
-        expr = CATALOG[expr]
+    expr = _owner(expr, box)
     clipped = box.clipped(expr.variables)
     if clipped is None:
         raise EmptyRegionError(
@@ -305,10 +316,10 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
     halved, so depth d resolves features down to (axis width) / 2^d.  The
     result is sound: ``certified`` means the expression is strictly negative
     everywhere on box ∩ case region.  Undecided boxes are returned in
-    canonical order for inspection.
+    canonical order for inspection.  Raises ValueError when the box belongs
+    to another case region than the expression.
     """
-    if isinstance(expr, str):
-        expr = CATALOG[expr]
+    expr = _owner(expr, box)
     axes = expr.variables
     root = box.clipped(axes)
     if root is None:
@@ -375,10 +386,6 @@ class CaseStructureReport:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def default_box(case: CaseRegion, lo: float, hi: float) -> BoxRegion:
-    return BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=case)
-
-
 def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructureReport:
     """Certify the structural facts the case analysis rests on.
 
@@ -392,7 +399,11 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
     """
     checks: list[StructureCheck] = []
 
-    concavity = certify_negative("dv2_case1", default_box(CaseRegion.CASE1, lo, hi), max_depth)
+    def on_cube(name: str) -> CertifyResult:
+        cube = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
+        return certify_negative(name, cube, max_depth)
+
+    concavity = on_cube("dv2_case1")
     checks.append(
         StructureCheck(
             "case1_concavity_in_v",
@@ -401,7 +412,7 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
         )
     )
 
-    slope = certify_negative("d1_case2", default_box(CaseRegion.CASE2, lo, hi), max_depth)
+    slope = on_cube("d1_case2")
     checks.append(
         StructureCheck(
             "case2_decreasing_in_v",
@@ -428,9 +439,7 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
         )
     )
 
-    boundary = certify_negative(
-        "d_at_v_eq_w_case2", default_box(CaseRegion.CASE2, lo, hi), max_depth
-    )
+    boundary = on_cube("d_at_v_eq_w_case2")
     at_zero = d_expr(0.0, 1.0, 1.0)
     checks.append(
         StructureCheck(

@@ -43,7 +43,7 @@ def _scale(p: Poly, s: Fraction) -> Poly:
     return tuple(c * s for c in p)
 
 
-def _positive_content(p: Poly) -> Fraction:
+def positive_content(p: Poly) -> Fraction:
     """Positive rational by which dividing makes coefficients coprime ints."""
     denom_lcm = 1
     for c in p:
@@ -82,7 +82,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         _, r = poly_divmod(a, b)
         a, b = b, r
         if a:
-            content = _positive_content(a)
+            content = positive_content(a)
             if content:
                 a = _scale(a, 1 / content)
     if a and a[-1] < 0:
@@ -114,7 +114,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
         _, r = poly_divmod(chain[-2], chain[-1])
         r = tuple(-c for c in r)
         if r:
-            content = _positive_content(r)
+            content = positive_content(r)
             if content:
                 r = _scale(r, 1 / content)
         chain.append(r)
@@ -157,8 +157,8 @@ def isolate_roots_above(p: Poly, lower: Fraction) -> list[tuple[Fraction, Fracti
     """Disjoint open intervals in (lower, oo) each containing one root of p.
 
     Intervals are half-open on the left in the Sturm sense; endpoints are
-    exact rationals.  Used for diagnostics when the base case finds roots
-    inside the domain.
+    exact rationals.  A diagnostic: it locates the roots that keep a base
+    case from a verdict.
     """
     p = make_poly(p)
     total = count_roots_above(p, lower)

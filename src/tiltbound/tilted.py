@@ -131,10 +131,21 @@ def winsorize(x: float, w: float) -> float:
 
 
 def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
-    """Tilted mean over an explicit signed support; the evaluation core."""
-    num = math.fsum(x * math.exp(h * min(x, w)) * p for x, p in atoms)
-    den = math.fsum(math.exp(h * min(x, w)) * p for x, p in atoms)
-    return num / den
+    """Tilted mean over an explicit signed support; the evaluation core.
+
+    The numerator is summed as x p (e^{h min(x, w)} - 1) plus x p.  For a
+    symmetric law the +-x terms of the first sum share one sign and the
+    second sum is exactly zero; summed as x p e^{h min(x, w)}, the +-x terms
+    would cancel to about 2 h x^2 p and keep the rounding error of x p.
+    """
+    shifted, linear, weights = [], [], []
+    for x, p in atoms:
+        a = h * min(x, w)
+        xp = x * p
+        shifted.append(xp * math.expm1(a))
+        linear.append(xp)
+        weights.append(math.exp(a) * p)
+    return (math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights)
 
 
 def symmetrized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParams) -> float:

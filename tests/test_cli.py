@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tiltbound.cli import main
+from tiltbound.prover import BATTERY
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +82,19 @@ class TestProve:
         assert payload["outcome"] == "positive"
         assert len(payload["certificate"]["steps"]) == 20
 
+    @pytest.mark.parametrize(
+        "name, text, exit_code",
+        [(name, text, 0) for name, text, _, _ in BATTERY]
+        + [
+            ("exp_w_minus_3", "exp(w) - 3", 1),
+            ("golden_ratio_base_case", "-exp(w)^2 + exp(w) + 1", 1),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, name, text, exit_code):
+        code, out, _ = run_cli(capsys, "prove", "--expr", text)
+        assert code == exit_code
+        assert out == (GOLDEN / f"prove_{name}.json").read_text()
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "prove", "--expr", "exp(w^2)")
         assert code == 2
@@ -96,6 +110,11 @@ class TestExtremal:
         lines = out.strip().splitlines()
         assert lines[0] == "sigma,sup,ratio,bound_factor,gap"
         assert len(lines) == 3
+
+    def test_subnormal_sigma_squared_is_a_clean_error(self, capsys):
+        code, _, err = run_cli(capsys, "extremal", "--sigma", "1e-160")
+        assert code == 2
+        assert "error:" in err
 
     def test_json_includes_argmax(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--sigma", "0.1")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,7 +138,7 @@ class TestSupSearch:
 
     def test_sigma2_validation(self):
         for search in (sup_symmetric, sup_zero_mean):
-            for sigma2 in (-1.0, 0.0, math.inf, math.nan):
+            for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
                 with pytest.raises(ValueError):
                     search(sigma2, P11)
 
@@ -157,6 +158,19 @@ class TestRatioScan:
         factor = bound_factor(BoundKind.SYMMETRIC, P11).value
         assert all(r.ratio < factor for r in rows)
         assert all(r.gap > 0 for r in rows)
+
+    @pytest.mark.parametrize("hw, sigma", [(0.1, 1.01e-9), (0.05, 1e-11)])
+    def test_tiny_sigma_ratio_is_the_mean_found(self, hw, sigma):
+        # the +-x atoms of these laws cancelled in the mean's numerator, which
+        # printed ratios above the factor with a wrong mean behind them
+        (row,) = ratio_limit_scan(TiltParams(hw, hw), [sigma])
+        assert row.gap >= 0
+        with mpmath.workdps(60):
+            h = w = mpmath.mpf(hw)
+            atoms = [(mpmath.mpf(x), p) for x, p in row.atoms]
+            tilts = [(x, p * mpmath.exp(h * min(x, w))) for x, p in atoms]
+            exact = mpmath.fsum(x * e for x, e in tilts) / mpmath.fsum(e for _, e in tilts)
+            assert abs(row.sup - exact) <= 1e-14 * exact
 
     def test_requires_sigma_below_cap(self):
         with pytest.raises(ValueError):

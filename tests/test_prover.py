@@ -15,7 +15,6 @@ from tiltbound.prover import (
     Outcome,
     ReductionStep,
     SignCertificate,
-    base_case_sign,
     decide_sign,
     replay,
     verify_battery,
@@ -33,26 +32,28 @@ def mp_value(p: ExpPoly, w) -> mpmath.mpf:
 
 
 class TestBaseCase:
+    # a chain of one step: the expression is already a polynomial in t = e^w
     def test_linear_positive(self):
-        decision = base_case_sign([Fraction(-1), Fraction(1)])  # t - 1
+        decision = decide_sign(parse_expression("exp(w) - 1"))  # t - 1, root at t = 1 excluded
         assert decision.outcome is Outcome.POSITIVE
-        assert decision.record.root_count == 0
+        one, two = Fraction(1), Fraction(2)
+        assert decision.certificate.base == BaseCaseRecord((-one, one), one, 0, two, one)
 
     def test_golden_ratio_blocks(self):
-        decision = base_case_sign([Fraction(1), Fraction(1), Fraction(-1)])  # -t^2 + t + 1
+        decision = decide_sign(parse_expression("-exp(w)^2 + exp(w) + 1"))  # root (1 + 5^.5)/2
         assert decision.outcome is Outcome.UNDETERMINED
-        (lo, hi), = decision.record.isolating_intervals
-        golden = (1 + 5 ** 0.5) / 2  # quadratic-formula oracle
-        assert float(lo) <= golden <= float(hi)
+        assert decision.reason == "base case has a root on (1, oo): 1 root(s) inside (1, oo)"
 
     def test_cubic_domain_dependence(self):
-        coeffs = [Fraction(0), Fraction(-3), Fraction(0), Fraction(1)]  # t^3 - 3t
-        assert base_case_sign(coeffs).outcome is Outcome.UNDETERMINED  # root at sqrt 3
-        assert base_case_sign(coeffs, Fraction(9, 5)).outcome is Outcome.POSITIVE
+        # only roots on t > 1 block: t^3 - 3t has one at sqrt 3, 2t^2 - 1 none
+        assert decide_sign(parse_expression("exp(w)^3 - 3*exp(w)")).outcome is Outcome.UNDETERMINED
+        assert decide_sign(parse_expression("2*exp(w)^3 - exp(w)")).outcome is Outcome.POSITIVE
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            base_case_sign([])
+        zero = ReductionStep(ExpPoly.zero(), Fraction(0))
+        base = BaseCaseRecord((), Fraction(1), 0, Fraction(2), Fraction(0))
+        with pytest.raises(CertificateError):
+            replay(SignCertificate(Outcome.POSITIVE, (zero,), base))
 
 
 class TestDecideSign:
@@ -144,7 +145,7 @@ class TestCertificates:
         q = [expr.coeff(0, k) for k in range(expr.t_degrees[1] + 1)]
         sample_point = Fraction(sample_point)
         value = sum(c * sample_point**k for k, c in enumerate(q))
-        base = BaseCaseRecord(tuple(q), Fraction(lower), 0, (), sample_point, value)
+        base = BaseCaseRecord(tuple(q), Fraction(lower), 0, sample_point, value)
         steps = (ReductionStep(expr, expr.eval_at_zero()),)
         data = SignCertificate(Outcome(claim), steps, base).to_dict()
         return SignCertificate.from_dict(json.loads(json.dumps(data)))
@@ -161,6 +162,35 @@ class TestCertificates:
         forged = self._forged("exp(w) - 3", "positive", 100, 101)
         with pytest.raises(CertificateError):
             replay(forged)
+
+    @pytest.mark.parametrize(
+        "path, value",  # value ... deletes the key
+        [
+            ((), {}),
+            ((), []),
+            (("base", "coefficients"), ...),
+            (("steps",), 5),
+            (("steps", 0, "boundary_value"), "1/0"),
+            (("steps", 0, "terms", 0), [0, 0]),
+            (("base", "root_count"), "none"),
+            (("claim",), "sideways"),
+        ],
+    )
+    def test_malformed_json_is_a_certificate_error(self, path, value):
+        data = decide_sign(parse_expression("sinh(w) - w")).certificate.to_dict()
+        if not path:
+            data = value
+        else:
+            *parents, last = path
+            owner = data
+            for key in parents:
+                owner = owner[key]
+            if value is ...:
+                del owner[last]
+            else:
+                owner[last] = value
+        with pytest.raises(CertificateError):
+            SignCertificate.from_dict(data)
 
     def test_tampered_boundary_rejected(self):
         decision = decide_sign(parse_expression("exp(w) - 1 - w"))

@@ -164,6 +164,14 @@ class TestEnclosures:
                 assert child_enc.width <= parent.width
                 assert parent.contains(child_enc.lo) and parent.contains(child_enc.hi)
 
+    def test_box_of_another_case_rejected(self):
+        # d_case1 is not d on case 2: -10.25 against d = -5.75 at (0.5, 2, 1)
+        box = BoxRegion(u=(0.1, 1.0), v=(1.0, 3.0), w=(1.0, 1.0), case=CaseRegion.CASE2)
+        with pytest.raises(ValueError, match="not on case2"):
+            eval_interval("d_case1", box)
+        with pytest.raises(ValueError, match="not on case2"):
+            certify_negative("d_case1", box, max_depth=12)
+
     def test_empty_intersection_raises(self):
         box = BoxRegion(u=(3.0, 4.0), v=(0.1, 0.2), w=(1.0, 2.0), case=CaseRegion.CASE2)
         with pytest.raises(EmptyRegionError):
