@@ -9,10 +9,15 @@ Subcommands map one-to-one onto the library layers:
     extremal      sharpness scan sup/sigma^2 toward sinh(hw)/w
     report        aggregate JSON of everything above
 
+``verify-proof`` reports d_case1 as certified by bisection and d_case2 as
+derived from two case-structure links (``CASE2_LINKS``): its status,
+box count and undecided boxes are those of the links, on the same cube.
+
 All reports are deterministic: the same inputs produce byte-identical
-output.  Exit status is 0 exactly when every executed check passed;
-undecided boxes that touch the genuinely degenerate boundary are expected
-and do not fail a run.
+output.  Exit status is 0 exactly when every executed check passed.
+Undecided boxes of a region report that hug the degenerate curve u = 0,
+v = w are marked ``boundary_expected``; the case-structure links must
+certify outright.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import json
 import sys
 from typing import Sequence
 
-from .exppoly import ExprSyntaxError, normalize, parse_expression
+from .exppoly import ExprSyntaxError, parse_expression
 from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
 from .regions import CATALOG, BoxRegion, certify_negative, verify_case_structure
@@ -83,7 +88,7 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_prove(args) -> int:
     poly = parse_expression(args.expr)
-    decision = decide_sign(normalize(poly))
+    decision = decide_sign(poly)
     payload = {
         "expression": args.expr,
         "outcome": decision.outcome.value,
@@ -96,30 +101,47 @@ def _cmd_prove(args) -> int:
 
 DEGENERATE_MARGIN = 0.05
 
+# The structure checks whose certifications derive d < 0 on case 2: d
+# decreases in v there, so it is at most its value on the negative face v = w.
+CASE2_LINKS = ("case2_decreasing_in_v", "boundary_v_eq_w")
 
-def _region_reports(box: tuple[float, float], depth: int) -> tuple[list[dict], bool]:
+
+def _region_reports(box: tuple[float, float], depth: int, structure) -> tuple[list[dict], bool]:
+    """d_case1 by bisection; d_case2 derived from the case-2 links of ``structure``."""
     lo, hi = box
+    cube = {
+        name: BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
+        for name in ("d_case1", "d_case2")
+    }
+    case1 = certify_negative("d_case1", cube["d_case1"], max_depth=depth)
+    slope, face = (structure.check(name).result for name in CASE2_LINKS)
+    # the face lives on v = w, so its leftovers are reported there
+    case2_left = [*slope.undecided, *(b.replace("v", b.w) for b in face.undecided)]
+    rows = (
+        ("d_case1", {"method": "bisection"}, case1.certified, case1.boxes_evaluated,
+         case1.undecided),
+        ("d_case2", {"method": "derived", "links": list(CASE2_LINKS)},
+         slope.certified and face.certified, slope.boxes_evaluated + face.boxes_evaluated,
+         case2_left),
+    )
     reports = []
     passed = True
-    for name in ("d_case1", "d_case2"):
-        region = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
-        result = certify_negative(name, region, max_depth=depth)
+    for name, method, certified, boxes_evaluated, left in rows:
         boxes = []
-        ok = True
-        for b in result.undecided:
+        for b in left:
             expected = _near_degenerate_curve(b)
-            ok = ok and expected
+            passed = passed and expected
             entry = b.to_dict()
             entry["boundary_expected"] = expected
             boxes.append(entry)
-        passed = passed and ok
         reports.append(
             {
                 "expression": name,
-                "region": region.to_dict(),
+                "region": cube[name].to_dict(),
                 "depth": depth,
-                "status": result.status,
-                "boxes_evaluated": result.boxes_evaluated,
+                **method,
+                "status": "certified" if certified else "undetermined",
+                "boxes_evaluated": boxes_evaluated,
                 "undecided_boxes": boxes,
             }
         )
@@ -143,10 +165,8 @@ def _near_degenerate_curve(b) -> bool:
 def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
-    # structure checks need a positive floor: at u = 0 the boundary
-    # expression genuinely reaches zero and nothing certifies
-    structure = verify_case_structure(lo=max(box[0], 0.05), hi=box[1], max_depth=depth)
-    regions, regions_ok = _region_reports(box, depth)
+    structure = verify_case_structure(lo=box[0], hi=box[1], max_depth=depth)
+    regions, regions_ok = _region_reports(box, depth, structure)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),

@@ -379,4 +379,4 @@ def vcosh(x):
 def vsinh_over(x):
     if isinstance(x, (Interval, Dual)):
         return x.sinh_over()
-    return math.sinh(x) / x
+    return math.sinh(x) / x if x else 1.0  # the limit at 0, as Interval.sinh_over

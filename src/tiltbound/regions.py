@@ -9,26 +9,27 @@ proof splits the orthant by how u and v compare with the cap w:
     case 3:  0 < u <= v <= w   (reduces to case 2 by monotonicity in w)
 
 On each region d loses its minimum operator and becomes an explicit
-exp/sinh/cosh formula.  The catalog holds the five closed forms that
-``tiltbound verify-proof`` certifies:
+exp/sinh/cosh formula.  The catalog holds five closed forms:
 
     d_case1            d on case 1
     d_case2            d on case 2
     dv2_case1          second v-derivative of d on case 1 (concavity in v)
     d1_case2           w e^v times the v-slope of d on case 2
-    d_at_v_eq_w_case2  d restricted to v = w on case 2
+    d_at_v_eq_w_case2  d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
 It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
-bisection.
+bisection.  ``tiltbound verify-proof`` bisects all of them but d_case2:
+case 2 follows from d1_case2 < 0 (d decreases in v) and the negative face,
+and case 3 from the face through :func:`verify_case_structure`, whose
+case-3 step is a replayed prover certificate plus an interval enclosure.
+Bisecting d_case2 itself stays available as an independent cross-check.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
 sub-boxes as witnesses.  Every check here, :func:`verify_case_structure`
 included, covers the bounded cube [lo, hi]^3 only; the unbounded tails are
-not covered.  Within the cube the case-3 reduction rests partly on sampled
-checks (a sinh(w)/w grid and a spot check of d along w), not on certified
-enclosures.
+not covered.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .exppoly import parse_expression
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
-from .tilted import d_expr
+from .prover import Outcome, decide_sign, replay
+from .tilted import d_expr  # noqa: F401  (unused here; bench/tracing.py wraps regions.d_expr)
 
 
 class EmptyRegionError(ValueError):
@@ -173,9 +176,13 @@ def _d1_case2(u, v, w):
 
 
 def _d_at_v_eq_w_case2(u, w):
-    return 2 * (
-        u * vsinh(u) + w * vsinh(w) - vsinh_over(w) * ((u * u) * vcosh(w) + (w * w) * vcosh(u))
-    )
+    # 2 u^2 Phi(u, w) with so = sinh(x)/x and
+    #   Phi = so(u) - so(w) cosh(w) - (w sinh(w) / 2) so(u/2)^2,
+    # exactly d(u, w, w) by 1 - cosh(u) = -(u^2 / 2) so(u/2)^2: the face
+    # vanishes at u = 0 through the factor u^2 alone, with no cancellation
+    half = vsinh_over(0.5 * u)
+    phi = vsinh_over(u) - vsinh_over(w) * vcosh(w) - (0.5 * w) * vsinh(w) * (half * half)
+    return 2 * (u * u) * phi
 
 
 CATALOG: dict[str, ProofExpr] = {
@@ -199,7 +206,7 @@ CATALOG: dict[str, ProofExpr] = {
         ),
         ProofExpr(
             "d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2,
-            "d restricted to v = w (vanishes as u -> 0)",
+            "d restricted to v = w, as 2 u^2 Phi(u, w)",
         ),
     )
 }
@@ -302,10 +309,6 @@ class CertifyResult:
     boxes_evaluated: int
     deepest_level: int
 
-    @property
-    def status(self) -> str:
-        return "certified" if self.certified else "undetermined"
-
 
 def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> CertifyResult:
     """Adaptive bisection proof that the expression is negative on the box.
@@ -366,9 +369,12 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
 
 @dataclass(frozen=True)
 class StructureCheck:
+    """One structural fact, with the region certification behind it if any."""
+
     name: str
     passed: bool
     detail: str
+    result: Optional[CertifyResult] = None
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -382,96 +388,65 @@ class CaseStructureReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def check(self, name: str) -> StructureCheck:
+        return next(c for c in self.checks if c.name == name)
+
     def to_dict(self) -> dict:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+# sinh(w)/w increases on w > 0: its derivative is this over w^2
+SINH_OVER_INCREASING = "w*cosh(w) - sinh(w)"
+
+
 def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructureReport:
-    """Certify the structural facts the case analysis rests on.
+    """Certify the structural facts the case analysis rests on, on [lo, hi]^3.
 
     (a) concavity of d in v on case 1 (second v-derivative negative);
-    (b) d decreasing in v on case 2 (the scaled slope d1 negative);
-    (c) case-3 reduction: sinh(w)/w increases while the terms it multiplies
-        are positive, so d decreases in w beyond v and the w = v face
-        dominates;
-    (d) boundary behaviour at v = w: strictly negative for u > 0 and
-        vanishing as u -> 0.
+    (b) d decreasing in v on case 2 (the scaled slope d1 negative), so d is
+        at most its value on the face v = w;
+    (c) case-3 reduction: d depends on w only through sinh(w)/w, which
+        increases (a replayed prover certificate) and multiplies the
+        nonnegative u^2 cosh(v) + v^2 cosh(u), so d(u, v, w) <= d(u, v, v),
+        a point of the face;
+    (d) the face v = w, 2 u^2 Phi(u, w), is negative; it vanishes at u = 0
+        through the factor u^2 alone.
+
+    (a), (b) and (d) are interval bisections whose results ride on their
+    checks; every check passes only on certified or exact evidence.
     """
     checks: list[StructureCheck] = []
 
-    def on_cube(name: str) -> CertifyResult:
+    def on_cube(check: str, name: str, claim: str) -> None:
         cube = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
-        return certify_negative(name, cube, max_depth)
+        result = certify_negative(name, cube, max_depth)
+        detail = f"{claim} on [{lo}, {hi}]^3 via {result.boxes_evaluated} boxes"
+        checks.append(StructureCheck(check, result.certified, detail, result))
 
-    concavity = on_cube("dv2_case1")
-    checks.append(
-        StructureCheck(
-            "case1_concavity_in_v",
-            concavity.certified,
-            f"dv2_case1 < 0 on [{lo}, {hi}]^3 via {concavity.boxes_evaluated} boxes",
-        )
-    )
+    on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
+    on_cube("case2_decreasing_in_v", "d1_case2", "d1_case2 < 0")
 
-    slope = on_cube("d1_case2")
-    checks.append(
-        StructureCheck(
-            "case2_decreasing_in_v",
-            slope.certified,
-            f"d1_case2 < 0 on [{lo}, {hi}]^3 via {slope.boxes_evaluated} boxes",
-        )
-    )
-
-    # (c) sinh(w)/w increasing: forward differences on a grid, then the sign
-    # of the multiplied terms, then a direct monotonicity spot check of d.
-    grid = [0.1 * k for k in range(1, 101)]
-    factor_increasing = all(
-        math.sinh(b) / b > math.sinh(a) / a for a, b in zip(grid, grid[1:])
-    )
+    decision = decide_sign(parse_expression(SINH_OVER_INCREASING))
+    replayed = decision.certificate is not None and replay(decision.certificate)
+    increasing = decision.outcome is Outcome.POSITIVE and replayed is Outcome.POSITIVE
     multiplier = _case3_multiplier_interval(lo, hi)
-    spot = _case3_spot_monotone(lo, hi)
     checks.append(
         StructureCheck(
             "case3_decreasing_in_w",
-            factor_increasing and multiplier.lo > 0.0 and spot,
-            "sinh(w)/w increasing on grid; multiplied term enclosure "
-            f"[{multiplier.lo:.6g}, {multiplier.hi:.6g}] stays positive; "
-            "d(u, v, .) decreasing on sampled w >= v",
+            increasing and multiplier.lo >= 0.0,
+            f"{SINH_OVER_INCREASING} {decision.outcome.value} on w > 0 "
+            "(prover certificate, replayed); multiplied term enclosure "
+            f"[{multiplier.lo:.6g}, {multiplier.hi:.6g}] is nonnegative",
         )
     )
 
-    boundary = on_cube("d_at_v_eq_w_case2")
-    at_zero = d_expr(0.0, 1.0, 1.0)
-    checks.append(
-        StructureCheck(
-            "boundary_v_eq_w",
-            boundary.certified and abs(at_zero) <= 1e-12,
-            f"d|_(v=w) < 0 for u in [{lo}, {hi}] via {boundary.boxes_evaluated} boxes; "
-            f"d(0, 1, 1) = {at_zero:.3e}",
-        )
-    )
-
+    on_cube("boundary_v_eq_w", "d_at_v_eq_w_case2", "d|_(v=w) = 2 u^2 Phi(u, w) < 0")
     return CaseStructureReport(tuple(checks))
 
 
 def _case3_multiplier_interval(lo: float, hi: float) -> Interval:
     # In case 3 both arguments sit below the cap, so the factor multiplies
-    # u^2 cosh(v) + v^2 cosh(u); positivity makes d decreasing in w.
+    # u^2 cosh(v) + v^2 cosh(u); nonnegativity makes d nonincreasing in w.
     u = Interval(lo, hi)
     v = Interval(lo, hi)
     return (u * u) * vcosh(v) + (v * v) * vcosh(u)
-
-
-def _case3_spot_monotone(lo: float, hi: float) -> bool:
-    points = [lo, 0.25, 0.5, 1.0, 2.0, min(4.0, hi)]
-    for u in points:
-        for v in points:
-            if not (lo <= u <= v <= hi):
-                continue
-            previous = None
-            for step in range(6):
-                w = v + step * 0.5
-                value = d_expr(u, v, w)
-                if previous is not None and value >= previous:
-                    return False
-                previous = value
-    return True

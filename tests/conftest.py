@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tiltbound import SymmetricDiscreteDistribution
+from tiltbound.regions import BoxRegion, CaseRegion, certify_negative
 
 
 def random_symmetric_distribution(
@@ -32,3 +33,13 @@ def random_symmetric_distribution(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def boundary_witness():
+    """d_case2 at depth 8 on a box touching the degenerate curve u = 0, v = w.
+
+    Computed once per session: two tests assert on the same leftovers.
+    """
+    box = BoxRegion(u=(0.0, 1.0), v=(0.5, 2.0), w=(0.5, 2.0), case=CaseRegion.CASE2)
+    return certify_negative("d_case2", box, max_depth=8)

@@ -115,10 +115,11 @@ def test_criterion_5_prover_soundness_falsifier():
                 assert (value > 0.0) == want_positive, (entry.name, w, value)
 
 
-def test_criterion_6_region_certification():
+def test_criterion_6_region_certification(boundary_witness):
     with criterion(6, "region certification", 300.0):
-        # one default `tiltbound verify-proof`: battery, case structure, and
-        # d_case1 / d_case2 on [0.05, 8]^3 at depth 18
+        # one default `tiltbound verify-proof`: battery, case structure,
+        # d_case1 by bisection and d_case2 derived from its case-2 links on
+        # [0.05, 8]^3 at depth 18
         stdout = io.StringIO()
         with redirect_stdout(stdout):
             code = cli.main(["verify-proof"])
@@ -138,15 +139,25 @@ def test_criterion_6_region_certification():
                 f"{len(region['undecided_boxes'])} undecided boxes in {case}"
             )
             assert region["undecided_boxes"] == []
+        assert by_name["d_case1"]["method"] == "bisection"
+        assert by_name["d_case2"]["method"] == "derived"
+        assert by_name["d_case2"]["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
+
+        # independent cross-check of the derived claim: bisect d_case2
+        # itself on the same cube at the same depth
+        direct = certify_negative(
+            "d_case2",
+            BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=CaseRegion.CASE2),
+            max_depth=18,
+        )
+        assert direct.certified, f"{len(direct.undecided)} undecided boxes in case2"
+        assert direct.undecided == ()
 
         # a box including the u = 0 edge cannot certify: the expression
         # reaches zero at u = 0, v = w, and the undecided leftovers must
-        # cluster exactly there
-        boundary = certify_negative(
-            "d_case2",
-            BoxRegion(u=(0.0, 1.0), v=(0.5, 2.0), w=(0.5, 2.0), case=CaseRegion.CASE2),
-            max_depth=8,
-        )
+        # cluster exactly there (d_case2 at depth 8 on u in [0, 1] and
+        # v, w in [0.5, 2], shared with test_regions through conftest)
+        boundary = boundary_witness
         assert not boundary.certified
         assert boundary.undecided
         for box in boundary.undecided:

@@ -8,6 +8,7 @@ import pytest
 
 from tiltbound.cli import main
 from tiltbound.prover import BATTERY
+from tiltbound.regions import verify_case_structure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,6 +149,36 @@ class TestVerifyProof:
         assert any(not b["boundary_expected"] for b in leftovers)
         # the boxes hugging the degenerate curve are marked as expected
         assert any(b["boundary_expected"] for b in leftovers)
+
+
+    def test_derived_case2_fails_with_its_link(self, capsys):
+        # on a cube reaching u = 0 the face link cannot certify, so neither
+        # can the case-2 entry derived from it
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        checks = {c["name"]: c for c in payload["case_structure"]["checks"]}
+        region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
+        assert region["method"] == "derived"
+        assert region["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
+        assert not all(checks[name]["passed"] for name in region["links"])
+        assert region["status"] == "undetermined"
+        assert region["undecided_boxes"]
+        # leftovers of the face are reported on v = w
+        assert any(
+            box["v"] == box["w"] and box["u"][0] == 0.0 for box in region["undecided_boxes"]
+        )
+
+    def test_derived_case2_counts_its_links(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0", "--depth", "10")
+        assert code == 0
+        payload = json.loads(out)
+        region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
+        structure = verify_case_structure(lo=0.3, hi=2.0, max_depth=10)
+        links = [structure.check(name).result for name in region["links"]]
+        assert region["boxes_evaluated"] == sum(r.boxes_evaluated for r in links)
+        assert region["status"] == "certified" and region["undecided_boxes"] == []
 
 
 class TestVerifyProofDefaults:

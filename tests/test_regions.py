@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from tiltbound import d_expr
+from tiltbound import d_expr, decide_sign, parse_expression, replay
+from tiltbound.prover import Outcome
 from tiltbound.regions import (
     CATALOG,
+    SINH_OVER_INCREASING,
     BoxRegion,
     CaseRegion,
     EmptyRegionError,
@@ -102,6 +104,24 @@ class TestCatalogFidelity:
             del v
             assert_close(CATALOG["d_at_v_eq_w_case2"].point(u=u, w=w), d_expr(u, w, w))
 
+    def test_factored_face_matches_high_precision(self, rng):
+        # 2 u^2 Phi(u, w) against d(u, w, w) at 50 digits, down to u = 1e-6,
+        # where the unfactored face loses about 4 of its 16 digits (d_expr
+        # is off by 1e-4 relative at u = 1e-6, w = 1)
+        face = CATALOG["d_at_v_eq_w_case2"]
+        points = [(u, w) for u in (1e-6, 1e-4, 1e-2) for w in (0.05, 1.0, 8.0)]
+        points += [tuple(sorted(rng.uniform(0.05, 8.0, size=2))) for _ in range(200)]
+        with mpmath.workdps(50):
+            for u, w in points:
+                want = mp_d(u, w, w)
+                got = face.point(u=float(u), w=float(w))
+                assert abs(got - want) <= 1e-12 * abs(want), (u, w)
+
+    def test_face_vanishes_at_u_zero_through_its_factor(self):
+        face = CATALOG["d_at_v_eq_w_case2"]
+        assert face.point(u=0.0, w=1.0) == 0.0
+        assert face.point(u=1e-6, w=1.0) < 0.0
+
 
 # ---------------------------------------------------------------------------
 # Enclosures
@@ -189,9 +209,9 @@ class TestCertification:
         result = certify_negative("d_case1", box, max_depth=20)
         assert result.certified
 
-    def test_boundary_box_undetermined_and_localized(self):
-        box = BoxRegion(u=(0.0, 1.0), v=(0.5, 2.0), w=(0.5, 2.0), case=CaseRegion.CASE2)
-        result = certify_negative("d_case2", box, max_depth=8)
+    def test_boundary_box_undetermined_and_localized(self, boundary_witness):
+        # d_case2 at depth 8 on u in [0, 1], v, w in [0.5, 2] (see conftest)
+        result = boundary_witness
         assert not result.certified
         assert result.undecided
         for b in result.undecided:
@@ -265,3 +285,26 @@ class TestCaseStructure:
             "case3_decreasing_in_w",
             "boundary_v_eq_w",
         }
+        # the bisected links carry their certifications; case 3 rests on a
+        # prover certificate and an enclosure, not on a bisection
+        for name in ("case1_concavity_in_v", "case2_decreasing_in_v", "boundary_v_eq_w"):
+            result = report.check(name).result
+            assert result.certified and not result.undecided
+        assert report.check("case3_decreasing_in_w").result is None
+
+    def test_case3_step_is_a_replayed_certificate(self):
+        decision = decide_sign(parse_expression(SINH_OVER_INCREASING))
+        assert decision.outcome is Outcome.POSITIVE
+        assert replay(decision.certificate) is Outcome.POSITIVE
+        detail = verify_case_structure(lo=0.3, hi=2.0, max_depth=10).check(
+            "case3_decreasing_in_w"
+        ).detail
+        assert detail.startswith(f"{SINH_OVER_INCREASING} positive on w > 0")
+
+    def test_face_fails_on_a_cube_reaching_u_zero(self):
+        # d(0, w, w) = 0: the face is negative only for u > 0
+        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+        face = report.check("boundary_v_eq_w")
+        assert not face.passed and not report.all_passed
+        assert face.result.undecided
+        assert all(b.u[0] == 0.0 for b in face.result.undecided)
