@@ -54,7 +54,6 @@ from .tilted import (
     bound_factor,
     check_bound,
     d_expr,
-    expected_d,
     g_expr,
     tilted_mean,
     tilted_mean_signed,
@@ -90,7 +89,6 @@ __all__ = [
     "decide_sign",
     "derivative",
     "eval_interval",
-    "expected_d",
     "g_expr",
     "normalize",
     "parse_expression",

@@ -14,10 +14,10 @@ derived from two case-structure links (``CASE2_LINKS``): its status,
 box count and undecided boxes are those of the links, on the same cube.
 
 All reports are deterministic: the same inputs produce byte-identical
-output.  Exit status is 0 exactly when every executed check passed.
-Undecided boxes of a region report that hug the degenerate curve u = 0,
-v = w are marked ``boundary_expected``; the case-structure links must
-certify outright.
+output.  Exit status is 0 exactly when every executed check passed: the
+battery certified, every case-structure check passed and d_case1
+certified.  A region with an undecided box is never certified, so a
+passing run has none.
 """
 
 from __future__ import annotations
@@ -99,80 +99,53 @@ def _cmd_prove(args) -> int:
     return 0 if decision.outcome is not Outcome.UNDETERMINED else 1
 
 
-DEGENERATE_MARGIN = 0.05
-
 # The structure checks whose certifications derive d < 0 on case 2: d
 # decreases in v there, so it is at most its value on the negative face v = w.
 CASE2_LINKS = ("case2_decreasing_in_v", "boundary_v_eq_w")
 
 
 def _region_reports(box: tuple[float, float], depth: int, structure) -> tuple[list[dict], bool]:
-    """d_case1 by bisection; d_case2 derived from the case-2 links of ``structure``."""
-    lo, hi = box
-    cube = {
-        name: BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
-        for name in ("d_case1", "d_case2")
-    }
-    case1 = certify_negative("d_case1", cube["d_case1"], max_depth=depth)
+    """d_case1 by bisection, and whether it certified; d_case2 derived from
+    the case-2 links of ``structure``, whose ``all_passed`` covers them."""
+
+    def cube(name: str) -> BoxRegion:
+        return BoxRegion(u=box, v=box, w=box, case=CATALOG[name].case)
+
+    def entry(name, method, certified, boxes_evaluated, undecided) -> dict:
+        return {
+            "expression": name,
+            "region": cube(name).to_dict(),
+            "depth": depth,
+            **method,
+            "status": "certified" if certified else "undetermined",
+            "boxes_evaluated": boxes_evaluated,
+            "undecided_boxes": [b.to_dict() for b in undecided],
+        }
+
+    case1 = certify_negative("d_case1", cube("d_case1"), max_depth=depth)
     slope, face = (structure.check(name).result for name in CASE2_LINKS)
-    # the face lives on v = w, so its leftovers are reported there
-    case2_left = [*slope.undecided, *(b.replace("v", b.w) for b in face.undecided)]
-    rows = (
-        ("d_case1", {"method": "bisection"}, case1.certified, case1.boxes_evaluated,
-         case1.undecided),
-        ("d_case2", {"method": "derived", "links": list(CASE2_LINKS)},
-         slope.certified and face.certified, slope.boxes_evaluated + face.boxes_evaluated,
-         case2_left),
-    )
-    reports = []
-    passed = True
-    for name, method, certified, boxes_evaluated, left in rows:
-        boxes = []
-        for b in left:
-            expected = _near_degenerate_curve(b)
-            passed = passed and expected
-            entry = b.to_dict()
-            entry["boundary_expected"] = expected
-            boxes.append(entry)
-        reports.append(
-            {
-                "expression": name,
-                "region": cube[name].to_dict(),
-                "depth": depth,
-                **method,
-                "status": "certified" if certified else "undetermined",
-                "boxes_evaluated": boxes_evaluated,
-                "undecided_boxes": boxes,
-            }
-        )
-    return reports, passed
-
-
-def _near_degenerate_curve(b) -> bool:
-    # The comparison expression genuinely reaches zero on the curve u = 0,
-    # v = w, so undecided boxes inside the 0.05 margin around it are
-    # expected at any depth and do not fail a run.  (A cube touching the
-    # origin keeps a wider undecided halo: the expression vanishes to fourth
-    # order there, beyond what a fixed margin can excuse; such runs report
-    # failure and want either a deeper search or a positive lower bound.)
-    return (
-        b.u[0] <= DEGENERATE_MARGIN
-        and b.v[0] - b.w[1] <= DEGENERATE_MARGIN
-        and b.w[0] - b.v[1] <= DEGENERATE_MARGIN
-    )
+    reports = [
+        entry("d_case1", {"method": "bisection"}, case1.certified, case1.boxes_evaluated,
+              case1.undecided),
+        # the face lives on v = w, so its leftovers are reported there
+        entry("d_case2", {"method": "derived", "links": list(CASE2_LINKS)},
+              slope.certified and face.certified, slope.boxes_evaluated + face.boxes_evaluated,
+              [*slope.undecided, *(b.replace("v", b.w) for b in face.undecided)]),
+    ]
+    return reports, case1.certified
 
 
 def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
     structure = verify_case_structure(lo=box[0], hi=box[1], max_depth=depth)
-    regions, regions_ok = _region_reports(box, depth, structure)
+    regions, case1_certified = _region_reports(box, depth, structure)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
         "regions": regions,
     }
-    return payload, battery.all_certified and structure.all_passed and regions_ok
+    return payload, battery.all_certified and structure.all_passed and case1_certified
 
 
 def _cmd_verify_proof(args) -> int:

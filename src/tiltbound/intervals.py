@@ -8,7 +8,8 @@ for exp/sinh/cosh.  The libm functions are not correctly rounded (glibc's
 their error staying below ``LIBM_ULPS`` ulps; tests/test_intervals.py checks
 that against mpmath on a seeded and an adversarial point set.  A product
 with an exactly-zero factor is exact and is not widened, so an interval
-starting at 0 keeps 0 as its lower end through scaling.  The hyperbolic
+starting at 0 keeps 0 as its lower end through scaling; likewise a sum or
+difference that rounds to 0 is exact and is not widened.  The hyperbolic
 functions use monotonicity for tight endpoint images; cosh splits at its
 minimum.  ``sinh(x)/x`` gets a dedicated monotone primitive because
 quotienting the two enclosures separately is catastrophically loose for
@@ -141,12 +142,18 @@ class Interval:
 
     # -- arithmetic: the other operand is an Interval or a real scalar -------
 
+    # A float sum or difference that rounds to 0 is exact: the exact result
+    # is a multiple of the smallest subnormal, so a nonzero one never rounds
+    # to 0.  Such a bound is left unwidened, as an exactly-zero product is.
+
     def __add__(self, o) -> "Interval":
         if type(o) is Interval:
-            return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
-        if isinstance(o, (int, float)):
-            return Interval(_down(self.lo + o), _up(self.hi + o))
-        return NotImplemented
+            lo, hi = self.lo + o.lo, self.hi + o.hi
+        elif isinstance(o, (int, float)):
+            lo, hi = self.lo + o, self.hi + o
+        else:
+            return NotImplemented
+        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
 
     __radd__ = __add__
 
@@ -155,14 +162,17 @@ class Interval:
 
     def __sub__(self, o) -> "Interval":
         if type(o) is Interval:
-            return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
-        if isinstance(o, (int, float)):
-            return Interval(_down(self.lo - o), _up(self.hi - o))
-        return NotImplemented
+            lo, hi = self.lo - o.hi, self.hi - o.lo
+        elif isinstance(o, (int, float)):
+            lo, hi = self.lo - o, self.hi - o
+        else:
+            return NotImplemented
+        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
 
     def __rsub__(self, o) -> "Interval":
         if isinstance(o, (int, float)):
-            return Interval(_down(o - self.hi), _up(o - self.lo))
+            lo, hi = o - self.hi, o - self.lo
+            return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
         return NotImplemented
 
     def __mul__(self, o) -> "Interval":

@@ -10,8 +10,7 @@ s2 in (0, oo) this mean is strictly between 0 and (sinh(hw)/w) * s2, and the
 factor sinh(hw)/w is the smallest possible; for merely zero-mean X the sharp
 factor is the larger (e^{hw} - 1)/w.  This module evaluates the mean, the two
 factors, and the symmetrized comparison expressions g0, g1 and d used by the
-region checker, plus an exact-arithmetic path where exponentials stay
-symbolic so that algebraic identities can be tested without rounding.
+region checker.
 
 Distributions are finite and symmetric: a list of (x, p) with x >= 0, where
 x > 0 contributes mass p/2 at each of +x and -x, and x = 0 contributes mass p
@@ -23,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 WEIGHT_TOLERANCE = 1e-12
@@ -104,11 +102,20 @@ class SymmetricDiscreteDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricDiscreteDistribution":
-        try:
-            atoms = data["atoms"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidDistributionError('expected an object {"atoms": [[x, p], ...]}') from exc
-        return cls((x, p) for x, p in atoms)
+        """The law of ``{"atoms": [[x, p], ...]}`` with numbers x and p.
+
+        Any other shape raises InvalidDistributionError, as the atom
+        constraints themselves do.
+        """
+        atoms = data.get("atoms") if isinstance(data, dict) else None
+        if not isinstance(atoms, (list, tuple)) or not all(
+            isinstance(atom, (list, tuple))
+            and len(atom) == 2
+            and all(type(value) in (int, float) for value in atom)
+            for atom in atoms
+        ):
+            raise InvalidDistributionError('expected an object {"atoms": [[x, p], ...]} of numbers')
+        return cls(atoms)
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricDiscreteDistribution":
@@ -146,26 +153,6 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
         linear.append(xp)
         weights.append(math.exp(a) * p)
     return (math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights)
-
-
-def symmetrized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParams) -> float:
-    """Same moment computed atom-wise through the folded integrands.
-
-    For x >= 0 the folded integrand is (x^j e^{h(x^w)} + (-x)^j e^{-hx}) / 2,
-    with 0^0 = 1.  Agreement with the moment over the signed support is the
-    symmetrization identity used to reduce the bound to the sign of d.
-    """
-    if j not in (0, 1):
-        raise ValueError("moment order j must be 0 or 1")
-    total = 0.0
-    for x, mass in dist.atoms:
-        plus = math.exp(p.h * min(x, p.w))
-        minus = math.exp(-p.h * x)
-        if j == 0:
-            total += mass * 0.5 * (plus + minus)
-        else:
-            total += mass * 0.5 * (x * plus - x * minus)
-    return total
 
 
 def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:
@@ -272,110 +259,3 @@ def d_expr(u: float, v: float, w: float) -> float:
         + g_expr(1, v, w)
         - factor * (g_expr(0, u, w) * v * v + g_expr(0, v, w) * u * u)
     )
-
-
-def expected_d(dist: SymmetricDiscreteDistribution, w: float) -> float:
-    """E d(U, V, w) for U, V independent copies of |X|, by double summation."""
-    total = 0.0
-    for xi, pi in dist.atoms:
-        for xj, pj in dist.atoms:
-            total += pi * pj * d_expr(xi, xj, w)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Exact path: deferred exponentials
-# ---------------------------------------------------------------------------
-
-
-class ExpSum:
-    """Finite sum of c * e^q terms with exact rational c and q.
-
-    Supports just enough arithmetic to state expectation identities exactly:
-    addition, scalar multiplication, and equality of normal forms.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        cleaned: dict[Fraction, Fraction] = {}
-        if terms:
-            for q, c in dict(terms).items():
-                q = Fraction(q)
-                c = Fraction(c)
-                if c:
-                    cleaned[q] = cleaned.get(q, Fraction(0)) + c
-        self._terms = {q: c for q, c in cleaned.items() if c}
-
-    @classmethod
-    def term(cls, coeff, exponent) -> "ExpSum":
-        return cls({Fraction(exponent): Fraction(coeff)})
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        merged = dict(self._terms)
-        for q, c in other._terms.items():
-            merged[q] = merged.get(q, Fraction(0)) + c
-        return ExpSum(merged)
-
-    def scaled(self, factor) -> "ExpSum":
-        factor = Fraction(factor)
-        return ExpSum({q: c * factor for q, c in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*e^({q})" for q, c in sorted(self._terms.items())]
-        return "ExpSum(" + (" + ".join(parts) or "0") + ")"
-
-    def to_float(self) -> float:
-        return math.fsum(float(c) * math.exp(float(q)) for q, c in self._terms.items())
-
-
-RationalAtoms = Sequence[tuple[Fraction, Fraction]]
-
-
-def winsorized_moment_exact(atoms: RationalAtoms, j: int, h, w) -> ExpSum:
-    """Exact E[X^j e^{h (X ^ w)}] over the signed support of rational atoms."""
-    if j not in (0, 1):
-        raise ValueError("moment order j must be 0 or 1")
-    h, w = Fraction(h), Fraction(w)
-    total = ExpSum()
-    for x, mass in atoms:
-        x, mass = Fraction(x), Fraction(mass)
-        if x == 0:
-            if j == 0:
-                total = total + ExpSum.term(mass, 0)
-            continue
-        plus_exponent = h * min(x, w)
-        minus_exponent = h * min(-x, w)  # equals -h*x since x > 0
-        half = mass / 2
-        if j == 0:
-            total = total + ExpSum.term(half, plus_exponent) + ExpSum.term(half, minus_exponent)
-        else:
-            total = total + ExpSum.term(half * x, plus_exponent) + ExpSum.term(
-                -half * x, minus_exponent
-            )
-    return total
-
-
-def symmetrized_moment_exact(atoms: RationalAtoms, j: int, h, w) -> ExpSum:
-    """Exact atom-wise moment through the folded integrands g_j."""
-    if j not in (0, 1):
-        raise ValueError("moment order j must be 0 or 1")
-    h, w = Fraction(h), Fraction(w)
-    total = ExpSum()
-    for x, mass in atoms:
-        x, mass = Fraction(x), Fraction(mass)
-        plus_exponent = h * min(x, w)
-        minus_exponent = -h * x
-        half = Fraction(mass, 2)
-        if j == 0:
-            total = total + ExpSum.term(half, plus_exponent) + ExpSum.term(half, minus_exponent)
-        else:
-            total = total + ExpSum.term(half * x, plus_exponent) + ExpSum.term(
-                -half * x, minus_exponent
-            )
-    return total

@@ -9,6 +9,10 @@ import pytest
 from tiltbound.intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 
 
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
 def sample_in(rng, iv: Interval) -> float:
     return float(rng.uniform(iv.lo, iv.hi))
 
@@ -73,6 +77,21 @@ class TestContainment:
         assert (Interval(0.0, 1.0) * Interval(-2.0, -1.0)).hi == 0.0
         enc = scaled.sinh_over()
         assert enc.contains(1.0) and enc.contains(math.sinh(0.5) / 0.5)
+
+    def test_sum_that_rounds_to_zero_is_not_widened(self):
+        zero = Interval(0.0, 0.0)
+        assert zero + zero == zero
+        assert Interval(1.0, 2.0) + Interval(-1.0, 1.0) == Interval(0.0, _up(3.0))
+        assert zero + 0.0 == zero and 0.0 + zero == zero
+
+    def test_difference_that_rounds_to_zero_is_not_widened(self):
+        zero = Interval(0.0, 0.0)
+        assert zero - zero == zero
+        assert Interval(1.0, 2.0) - Interval(1.0, 1.0) == Interval(0.0, _up(1.0))
+        assert Interval(1.0, 1.0) - 1.0 == zero
+        assert 1.0 - Interval(1.0, 1.0) == zero
+        # a nonzero result is still widened outward
+        assert (Interval(1.0, 2.0) - 0.5).lo < 0.5
 
     def test_point_intervals_stay_tight(self):
         v = Interval.point(1.5)

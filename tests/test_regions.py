@@ -301,6 +301,12 @@ class TestCaseStructure:
         ).detail
         assert detail.startswith(f"{SINH_OVER_INCREASING} positive on w > 0")
 
+    def test_case3_multiplier_keeps_its_exact_zero_at_the_origin(self):
+        # u = v = 0 makes the multiplied term 0 + 0, an exact sum: its
+        # enclosure starts at 0, not at a widened -5e-324
+        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+        assert report.check("case3_decreasing_in_w").passed
+
     def test_face_fails_on_a_cube_reaching_u_zero(self):
         # d(0, w, w) = 0: the face is negative only for u > 0
         report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)

@@ -15,20 +15,130 @@ from tiltbound import (
     bound_factor,
     check_bound,
     d_expr,
-    expected_d,
     g_expr,
     tilted_mean,
     winsorize,
 )
-from tiltbound.tilted import (
-    ExpSum,
-    symmetrized_moment,
-    symmetrized_moment_exact,
-    tilted_mean_signed,
-    winsorized_moment_exact,
-)
+from tiltbound.tilted import tilted_mean_signed
 
 from conftest import random_symmetric_distribution
+
+# ---------------------------------------------------------------------------
+# Oracles: the symmetrization identities, by direct and by exact summation.
+# The library evaluates the mean only over the signed support; these
+# independent routes check it and the reduction of the bound to d.
+# ---------------------------------------------------------------------------
+
+
+def symmetrized_moment(dist: SymmetricDiscreteDistribution, j: int, p: TiltParams) -> float:
+    """E[X^j e^{h (X ^ w)}] computed atom-wise through the folded integrands.
+
+    For x >= 0 the folded integrand is (x^j e^{h(x^w)} + (-x)^j e^{-hx}) / 2,
+    with 0^0 = 1.  Agreement with the moment over the signed support is the
+    symmetrization identity used to reduce the bound to the sign of d.
+    """
+    total = 0.0
+    for x, mass in dist.atoms:
+        plus = math.exp(p.h * min(x, p.w))
+        minus = math.exp(-p.h * x)
+        if j == 0:
+            total += mass * 0.5 * (plus + minus)
+        else:
+            total += mass * 0.5 * (x * plus - x * minus)
+    return total
+
+
+def expected_d(dist: SymmetricDiscreteDistribution, w: float) -> float:
+    """E d(U, V, w) for U, V independent copies of |X|, by double summation."""
+    total = 0.0
+    for xi, pi in dist.atoms:
+        for xj, pj in dist.atoms:
+            total += pi * pj * d_expr(xi, xj, w)
+    return total
+
+
+class ExpSum:
+    """Finite sum of c * e^q terms with exact rational c and q.
+
+    Supports just enough arithmetic to state expectation identities exactly:
+    addition, scalar multiplication, and equality of normal forms.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        cleaned: dict[Fraction, Fraction] = {}
+        for q, c in dict(terms or {}).items():
+            q = Fraction(q)
+            cleaned[q] = cleaned.get(q, Fraction(0)) + Fraction(c)
+        self._terms = {q: c for q, c in cleaned.items() if c}
+
+    @classmethod
+    def term(cls, coeff, exponent) -> "ExpSum":
+        return cls({Fraction(exponent): Fraction(coeff)})
+
+    def __add__(self, other: "ExpSum") -> "ExpSum":
+        merged = dict(self._terms)
+        for q, c in other._terms.items():
+            merged[q] = merged.get(q, Fraction(0)) + c
+        return ExpSum(merged)
+
+    def scaled(self, factor) -> "ExpSum":
+        factor = Fraction(factor)
+        return ExpSum({q: c * factor for q, c in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExpSum):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __repr__(self) -> str:
+        parts = [f"{c}*e^({q})" for q, c in sorted(self._terms.items())]
+        return "ExpSum(" + (" + ".join(parts) or "0") + ")"
+
+    def to_float(self) -> float:
+        return math.fsum(float(c) * math.exp(float(q)) for q, c in self._terms.items())
+
+
+def winsorized_moment_exact(atoms, j: int, h, w) -> ExpSum:
+    """Exact E[X^j e^{h (X ^ w)}] over the signed support of rational atoms."""
+    h, w = Fraction(h), Fraction(w)
+    total = ExpSum()
+    for x, mass in atoms:
+        x, mass = Fraction(x), Fraction(mass)
+        if x == 0:
+            if j == 0:
+                total = total + ExpSum.term(mass, 0)
+            continue
+        plus_exponent = h * min(x, w)
+        minus_exponent = h * min(-x, w)  # equals -h*x since x > 0
+        half = mass / 2
+        if j == 0:
+            total = total + ExpSum.term(half, plus_exponent) + ExpSum.term(half, minus_exponent)
+        else:
+            total = total + ExpSum.term(half * x, plus_exponent) + ExpSum.term(
+                -half * x, minus_exponent
+            )
+    return total
+
+
+def symmetrized_moment_exact(atoms, j: int, h, w) -> ExpSum:
+    """Exact atom-wise moment through the folded integrands g_j."""
+    h, w = Fraction(h), Fraction(w)
+    total = ExpSum()
+    for x, mass in atoms:
+        x, mass = Fraction(x), Fraction(mass)
+        plus_exponent = h * min(x, w)
+        minus_exponent = -h * x
+        half = mass / 2
+        if j == 0:
+            total = total + ExpSum.term(half, plus_exponent) + ExpSum.term(half, minus_exponent)
+        else:
+            total = total + ExpSum.term(half * x, plus_exponent) + ExpSum.term(
+                -half * x, minus_exponent
+            )
+    return total
+
 
 RADEMACHER = SymmetricDiscreteDistribution([(1.0, 1.0)])
 P11 = TiltParams(h=1.0, w=1.0)
@@ -86,6 +196,15 @@ class TestDistributionValidation:
         dist = SymmetricDiscreteDistribution([(0.0, 0.4), (1.5, 0.6)])
         again = SymmetricDiscreteDistribution.from_dict(dist.to_dict())
         assert again == dist
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], {}, {"atoms": 5}, {"atoms": [1.0]}, {"atoms": [[None, 1.0]]},
+         {"atoms": [[1.0, 0.5, 0.5]]}, {"atoms": [["1.0", 1.0]]}, {"atoms": [[True, 1.0]]}],
+    )
+    def test_malformed_atom_list_rejected(self, data):
+        with pytest.raises(InvalidDistributionError):
+            SymmetricDiscreteDistribution.from_dict(data)
 
     def test_second_moment(self):
         dist = SymmetricDiscreteDistribution([(0.0, 0.75), (0.5, 0.25)])
