@@ -3,14 +3,14 @@
 Layers:
 
 * :mod:`tiltbound.tilted` evaluates tilted-capped means of finite symmetric
-  distributions, the sharp bound factors, and the symmetrized comparison
-  expressions.
+  distributions, the two sharp bound factors as plain functions, and the
+  symmetrized comparison expressions.
 * :mod:`tiltbound.prover` certifies one-variable exp-polynomial inequalities
   with exact, replayable certificates.
 * :mod:`tiltbound.regions` certifies the multivariate negativity claims on
   bounded boxes with outward-rounded interval arithmetic.
-* :mod:`tiltbound.extremal` searches constrained distribution families to
-  reproduce the sharpness of the bound factor.
+* :mod:`tiltbound.extremal` searches constrained distribution families, built
+  as signed atoms, to reproduce the sharpness of the bound factor.
 * :mod:`tiltbound.cli` ties everything into reproducible reports.
 """
 
@@ -45,19 +45,17 @@ from .regions import (
 )
 from .tilted import (
     BoundCheck,
-    BoundFactor,
-    BoundKind,
     DegenerateDistributionError,
     InvalidDistributionError,
     SymmetricDiscreteDistribution,
     TiltParams,
-    bound_factor,
     check_bound,
     d_expr,
     g_expr,
+    symmetric_factor,
     tilted_mean,
     tilted_mean_signed,
-    winsorize,
+    zero_mean_factor,
 )
 
 __version__ = "0.1.0"
@@ -65,8 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryReport",
     "BoundCheck",
-    "BoundFactor",
-    "BoundKind",
     "BoxRegion",
     "CATALOG",
     "CaseRegion",
@@ -82,7 +78,6 @@ __all__ = [
     "SignDecision",
     "SymmetricDiscreteDistribution",
     "TiltParams",
-    "bound_factor",
     "certify_negative",
     "check_bound",
     "d_expr",
@@ -97,10 +92,11 @@ __all__ = [
     "scan_to_csv",
     "sup_symmetric",
     "sup_zero_mean",
+    "symmetric_factor",
     "three_point_extremal",
     "tilted_mean",
     "tilted_mean_signed",
     "verify_battery",
     "verify_case_structure",
-    "winsorize",
+    "zero_mean_factor",
 ]

@@ -32,12 +32,12 @@ from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
 from .regions import CATALOG, BoxRegion, certify_negative, verify_case_structure
 from .tilted import (
-    BoundKind,
     SymmetricDiscreteDistribution,
     TiltParams,
-    bound_factor,
     check_bound,
+    symmetric_factor,
     tilted_mean,
+    zero_mean_factor,
 )
 
 DEFAULT_BOX = (0.05, 8.0)
@@ -174,9 +174,7 @@ def _cmd_report(args) -> int:
     factor_rows = []
     for hw in (1.0, 5.0, 10.0, 20.0):
         probe = TiltParams(hw, 1.0)
-        sym = bound_factor(BoundKind.SYMMETRIC, probe).value
-        gen = bound_factor(BoundKind.ZERO_MEAN, probe).value
-        factor_rows.append({"hw": hw, "ratio": sym / gen})
+        factor_rows.append({"hw": hw, "ratio": symmetric_factor(probe) / zero_mean_factor(probe)})
     proof, all_passed = _verify(args.box, args.depth)
     rows = ratio_limit_scan(params, args.sigma or list(DEFAULT_SIGMAS))
     payload = {

@@ -13,7 +13,9 @@ randomness) so scans are reproducible run to run.  For fixed atom positions
 the objective is a ratio of two linear functions of the weights, so over the
 weight polytope cut out by the mass and second-moment constraints the optimum
 sits at a vertex with at most two active support points; the search therefore
-enumerates one- and two-point support families with weights solved exactly.
+enumerates the pair family of :func:`pair_atoms` (one pair plus an atom at
+zero, or two pairs) with weights solved exactly.  Candidates are built as
+signed atoms and go straight to :func:`tilted_mean_signed`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .tilted import (
-    BoundKind,
-    SymmetricDiscreteDistribution,
-    TiltParams,
-    bound_factor,
-    tilted_mean_signed,
-)
+from .tilted import SymmetricDiscreteDistribution, TiltParams, symmetric_factor, tilted_mean_signed
 
 
 def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
@@ -44,37 +40,26 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
     return SymmetricDiscreteDistribution([(0.0, 1.0 - pair), (w, pair)])
 
 
-# -- candidate constructors (weights solved from the constraints) -----------
+# -- candidate laws as signed atoms (weights solved from the constraints) ---
 
 
-def single_pair_distribution(x: float, sigma2: float) -> SymmetricDiscreteDistribution:
-    """Symmetric law on {-x, 0, x} with E[X^2] = sigma2; needs x^2 >= sigma2."""
-    pair = sigma2 / (x * x)
-    if pair > 1.0 + 1e-15:
-        raise ValueError("atom too close to zero for the requested moment")
-    pair = min(pair, 1.0)
-    if pair == 1.0:
-        return SymmetricDiscreteDistribution([(x, 1.0)])
-    return SymmetricDiscreteDistribution([(0.0, 1.0 - pair), (x, pair)])
+def pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[float, float]]:
+    """Signed atoms of the symmetric law on {+-x_low, +-x_high} with E[X^2] = sigma2.
 
-
-def two_pair_distribution(x_low: float, x_high: float, sigma2: float) -> SymmetricDiscreteDistribution:
-    """Symmetric law on {+-x_low, +-x_high} with full mass and E[X^2] = sigma2.
-
-    Feasible when x_low^2 <= sigma2 <= x_high^2 (with x_low < x_high); the two
-    pair weights are then determined.
+    Feasible when 0 <= x_low < x_high and x_low^2 <= sigma2 <= x_high^2; the
+    two pair weights are then determined.  At x_low = 0 the low pair is the
+    single atom (0, q) of the family on {-x_high, 0, x_high}.  A pair of
+    weight 0 is left out, and the order is that of ``signed_atoms()``.
     """
     low2, high2 = x_low * x_low, x_high * x_high
-    if not (x_low < x_high and low2 <= sigma2 <= high2):
-        raise ValueError("infeasible two-pair configuration")
+    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2):
+        raise ValueError("infeasible pair configuration")
     q_high = (sigma2 - low2) / (high2 - low2)
-    q_low = 1.0 - q_high
     atoms = []
-    if q_low > 0:
-        atoms.append((x_low, q_low))
-    if q_high > 0:
-        atoms.append((x_high, q_high))
-    return SymmetricDiscreteDistribution(atoms)
+    for x, q in ((x_low, 1.0 - q_high), (x_high, q_high)):
+        if q > 0:
+            atoms.extend([(0.0, q)] if x == 0.0 else [(-x, q / 2), (x, q / 2)])
+    return atoms
 
 
 def zero_mean_three_atom(
@@ -154,8 +139,8 @@ def _atom_range(sigma2: float, p: TiltParams) -> float:
 def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
 
-    Searches one- and two-pair supports in [-4w, 4w]; the value is a lower
-    bound on the true supremum.
+    Searches :func:`pair_atoms` supports in [-4w, 4w], first with x_low = 0
+    and then with two pairs; the value is a lower bound on the true supremum.
     """
     x_max = _atom_range(sigma2, p)
     sigma = math.sqrt(sigma2)
@@ -163,12 +148,11 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     def single_value(x: float) -> float:
         if x <= 0 or x * x < sigma2:
             return -math.inf
-        dist = single_pair_distribution(x, sigma2)
-        return tilted_mean_signed(dist.signed_atoms(), p.h, p.w)
+        return tilted_mean_signed(pair_atoms(0.0, x, sigma2), p.h, p.w)
 
     extras = [x for x in (p.w, sigma) if sigma <= x <= x_max]
     best_x, best_val = _refine_scalar(single_value, sigma, x_max, extra=extras)
-    best_dist = single_pair_distribution(best_x, sigma2)
+    best_atoms = pair_atoms(0.0, best_x, sigma2)
 
     # The solved pair weights lose precision as sigma shrinks, so the
     # two-pair search runs only for sigma > 1e-9.
@@ -177,8 +161,7 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
         def pair_value(x_low: float, x_high: float) -> float:
             if not (0 < x_low < x_high) or not (x_low**2 <= sigma2 <= x_high**2):
                 return -math.inf
-            dist = two_pair_distribution(x_low, x_high, sigma2)
-            return tilted_mean_signed(dist.signed_atoms(), p.h, p.w)
+            return tilted_mean_signed(pair_atoms(x_low, x_high, sigma2), p.h, p.w)
 
         grid_n = 33
         lows = [sigma * i / grid_n for i in range(1, grid_n + 1)]
@@ -198,9 +181,9 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
             )
         if best_two > best_val:
             best_val = best_two
-            best_dist = two_pair_distribution(best_lo, best_hi, sigma2)
+            best_atoms = pair_atoms(best_lo, best_hi, sigma2)
 
-    return SupSearchResult(best_val, tuple(best_dist.signed_atoms()))
+    return SupSearchResult(best_val, tuple(best_atoms))
 
 
 def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
@@ -276,7 +259,7 @@ def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     Each ratio stays strictly below the bound factor (the bound is strict for
     every positive sigma); the gap column is the remaining distance.
     """
-    factor = bound_factor(BoundKind.SYMMETRIC, p).value
+    factor = symmetric_factor(p)
     rows = []
     for sigma in sigmas:
         if not (0 < sigma < p.w):

@@ -17,7 +17,9 @@ narrow x near zero.
 
 Every Interval is validated when it is built, by the one test
 ``lo <= hi``: it rejects inverted bounds and a NaN at either end.
-Intervals are immutable.
+Intervals are immutable.  A scalar operand must equal a float exactly: NaN
+and an int that no float equals (such as 2**53 + 1) raise ValueError, since
+rounding the int first is an error the one-ulp widening does not cover.
 
 :class:`Dual` carries an interval value together with interval enclosures of
 the partial derivatives (forward mode).  A partial that is exactly zero (a
@@ -91,6 +93,21 @@ def _prod(a: float, b: float) -> float:
     return p if p else math.copysign(_TINY, p)
 
 
+def _scalar(o) -> float:
+    """The float equal to the real scalar operand o.
+
+    Rejects NaN and an int that no float equals: rounding it first would add
+    an error that the one-ulp widening of the operation does not cover.
+    """
+    try:
+        x = float(o)
+    except OverflowError:
+        x = math.nan
+    if x != o:  # NaN != NaN; an int compares with a float exactly
+        raise ValueError(f"scalar operand {o!r} is NaN or not exactly a float")
+    return x
+
+
 def _read_only(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
@@ -150,6 +167,7 @@ class Interval:
         if type(o) is Interval:
             lo, hi = self.lo + o.lo, self.hi + o.hi
         elif isinstance(o, (int, float)):
+            o = _scalar(o)
             lo, hi = self.lo + o, self.hi + o
         else:
             return NotImplemented
@@ -164,6 +182,7 @@ class Interval:
         if type(o) is Interval:
             lo, hi = self.lo - o.hi, self.hi - o.lo
         elif isinstance(o, (int, float)):
+            o = _scalar(o)
             lo, hi = self.lo - o, self.hi - o
         else:
             return NotImplemented
@@ -171,6 +190,7 @@ class Interval:
 
     def __rsub__(self, o) -> "Interval":
         if isinstance(o, (int, float)):
+            o = _scalar(o)
             lo, hi = o - self.hi, o - self.lo
             return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
         return NotImplemented
@@ -179,9 +199,7 @@ class Interval:
         if type(o) is Interval:
             olo, ohi = o.lo, o.hi
         elif isinstance(o, (int, float)):
-            if o != o:
-                raise ValueError("NaN operand")
-            olo = ohi = o
+            olo = ohi = _scalar(o)
         else:
             return NotImplemented
         lo, hi = self.lo, self.hi
@@ -202,9 +220,7 @@ class Interval:
         if type(o) is Interval:
             olo, ohi = o.lo, o.hi
         elif isinstance(o, (int, float)):
-            if o != o:
-                raise ValueError("NaN operand")
-            olo = ohi = o
+            olo = ohi = _scalar(o)
         else:
             return NotImplemented
         if olo <= 0.0 <= ohi:

@@ -135,14 +135,14 @@ class ProofExpr:
     """Closed form from the case analysis, generic over the value type.
 
     ``fn`` accepts floats, Intervals or Duals, in the order given by
-    ``variables``.  ``point`` evaluates at floats.
+    ``variables``.  ``point`` evaluates at floats.  The module docstring
+    says what each catalog form is.
     """
 
     name: str
     variables: tuple[str, ...]
     case: CaseRegion
     fn: Callable
-    description: str
 
     def point(self, **values: float) -> float:
         return self.fn(*(values[name] for name in self.variables))
@@ -188,26 +188,11 @@ def _d_at_v_eq_w_case2(u, w):
 CATALOG: dict[str, ProofExpr] = {
     expr.name: expr
     for expr in (
-        ProofExpr(
-            "d_case1", ("u", "v", "w"), CaseRegion.CASE1, _d_case1,
-            "d with both arguments at or above the cap",
-        ),
-        ProofExpr(
-            "dv2_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv2_case1,
-            "second v-derivative of d in case 1 (concavity in v)",
-        ),
-        ProofExpr(
-            "d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2,
-            "d with u below and v above the cap",
-        ),
-        ProofExpr(
-            "d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2,
-            "w e^v times the v-slope of d in case 2",
-        ),
-        ProofExpr(
-            "d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2,
-            "d restricted to v = w, as 2 u^2 Phi(u, w)",
-        ),
+        ProofExpr("d_case1", ("u", "v", "w"), CaseRegion.CASE1, _d_case1),
+        ProofExpr("dv2_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv2_case1),
+        ProofExpr("d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2),
+        ProofExpr("d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2),
+        ProofExpr("d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2),
     )
 }
 

@@ -9,8 +9,9 @@ where ``^`` is the pointwise minimum.  For a symmetric X with second moment
 s2 in (0, oo) this mean is strictly between 0 and (sinh(hw)/w) * s2, and the
 factor sinh(hw)/w is the smallest possible; for merely zero-mean X the sharp
 factor is the larger (e^{hw} - 1)/w.  This module evaluates the mean, the two
-factors, and the symmetrized comparison expressions g0, g1 and d used by the
-region checker.
+factors as plain floats (:func:`symmetric_factor` and
+:func:`zero_mean_factor`), and the symmetrized comparison expressions g0, g1
+and d used by the region checker.
 
 Distributions are finite and symmetric: a list of (x, p) with x >= 0, where
 x > 0 contributes mass p/2 at each of +x and -x, and x = 0 contributes mass p
@@ -130,13 +131,6 @@ class SymmetricDiscreteDistribution:
         return self._atoms == other._atoms
 
 
-def winsorize(x: float, w: float) -> float:
-    """Cap x at level w from above: min(x, w)."""
-    if w <= 0:
-        raise ValueError("cap level w must be positive")
-    return min(x, w)
-
-
 def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
     """Tilted mean over an explicit signed support; the evaluation core.
 
@@ -160,27 +154,14 @@ def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:
     return tilted_mean_signed(dist.signed_atoms(), p.h, p.w)
 
 
-class BoundKind:
-    SYMMETRIC = "symmetric"
-    ZERO_MEAN = "zero-mean"
+def symmetric_factor(p: TiltParams) -> float:
+    """sinh(hw)/w, the sharp c with mean < c * E[X^2] for symmetric X."""
+    return math.sinh(p.h * p.w) / p.w
 
 
-@dataclass(frozen=True)
-class BoundFactor:
-    """Sharp factor c(h, w) with mean < c * E[X^2] over the matching class."""
-
-    kind: str
-    value: float
-
-
-def bound_factor(kind: str, p: TiltParams) -> BoundFactor:
-    """sinh(hw)/w for the symmetric class, (e^{hw} - 1)/w for zero-mean."""
-    hw = p.h * p.w
-    if kind == BoundKind.SYMMETRIC:
-        return BoundFactor(kind, math.sinh(hw) / p.w)
-    if kind == BoundKind.ZERO_MEAN:
-        return BoundFactor(kind, math.expm1(hw) / p.w)
-    raise ValueError(f"unknown bound kind {kind!r}")
+def zero_mean_factor(p: TiltParams) -> float:
+    """(e^{hw} - 1)/w, the sharp c with mean < c * E[X^2] for zero-mean X."""
+    return math.expm1(p.h * p.w) / p.w
 
 
 @dataclass(frozen=True)
@@ -213,7 +194,7 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
     if s2 <= 0:
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
-    bound = bound_factor(BoundKind.SYMMETRIC, p).value * s2
+    bound = symmetric_factor(p) * s2
     return BoundCheck(mean=mean, bound=bound, margin=bound - mean)
 
 

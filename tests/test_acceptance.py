@@ -16,19 +16,19 @@ import numpy as np
 import pytest
 
 from tiltbound import (
-    BoundKind,
     BoxRegion,
     CaseRegion,
     TiltParams,
-    bound_factor,
     certify_negative,
     check_bound,
     d_expr,
     parse_expression,
     ratio_limit_scan,
     replay,
+    symmetric_factor,
     tilted_mean,
     verify_battery,
+    zero_mean_factor,
 )
 from tiltbound import cli
 from tiltbound.regions import CATALOG
@@ -82,8 +82,8 @@ def test_criterion_3_factor_comparison():
         ratios = {}
         for hw in (1.0, 5.0, 10.0, 20.0):
             p = TiltParams(hw, 1.0)
-            sym = bound_factor(BoundKind.SYMMETRIC, p).value
-            gen = bound_factor(BoundKind.ZERO_MEAN, p).value
+            sym = symmetric_factor(p)
+            gen = zero_mean_factor(p)
             ratios[hw] = sym / gen
         ordered = [ratios[hw] for hw in (1.0, 5.0, 10.0, 20.0)]
         assert all(a > b for a, b in zip(ordered, ordered[1:]))

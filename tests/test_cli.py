@@ -137,6 +137,23 @@ class TestExtremal:
         payload = json.loads(out)
         assert payload["rows"][0]["argmax_atoms"]
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("extremal_default.json", []),
+            (
+                "extremal_h0.5_w2_csv.csv",
+                # the last sigma is below the two-pair cut-off of sup_symmetric
+                ["--h", "0.5", "--w", "2", "--sigma", "1.5", "--sigma", "0.2"]
+                + ["--sigma", "1e-5", "--sigma", "1e-10", "--format", "csv"],
+            ),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "extremal", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestVerifyProof:
     def test_small_run_passes_and_is_deterministic(self, capsys):

@@ -7,22 +7,18 @@ import numpy as np
 import pytest
 
 from tiltbound import (
-    BoundKind,
     TiltParams,
-    bound_factor,
     ratio_limit_scan,
     scan_to_csv,
     sup_symmetric,
     sup_zero_mean,
+    symmetric_factor,
     three_point_extremal,
     tilted_mean,
     tilted_mean_signed,
+    zero_mean_factor,
 )
-from tiltbound.extremal import (
-    single_pair_distribution,
-    two_pair_distribution,
-    zero_mean_three_atom,
-)
+from tiltbound.extremal import pair_atoms, zero_mean_three_atom
 
 P11 = TiltParams(1.0, 1.0)
 
@@ -56,13 +52,17 @@ class TestThreePoint:
         assert tilted_mean(dist, P11) == pytest.approx(three_point_value(0.1, 1, 1), rel=1e-14)
 
 
+def second_moment(atoms) -> float:
+    return math.fsum(x * x * p for x, p in atoms)
+
+
 class TestCandidateConstructors:
     def test_single_pair_moment(self, rng):
         for _ in range(100):
             sigma2 = float(rng.uniform(0.01, 4.0))
             x = float(rng.uniform(math.sqrt(sigma2), 6.0))
-            dist = single_pair_distribution(x, sigma2)
-            assert dist.second_moment() == pytest.approx(sigma2, abs=1e-10)
+            atoms = pair_atoms(0.0, x, sigma2)
+            assert second_moment(atoms) == pytest.approx(sigma2, abs=1e-10)
 
     def test_two_pair_moment(self, rng):
         for _ in range(100):
@@ -72,8 +72,18 @@ class TestCandidateConstructors:
             x_high = float(rng.uniform(sigma, 8.0))
             if x_high <= x_low:
                 continue
-            dist = two_pair_distribution(x_low, x_high, sigma2)
-            assert dist.second_moment() == pytest.approx(sigma2, abs=1e-10)
+            atoms = pair_atoms(x_low, x_high, sigma2)
+            assert second_moment(atoms) == pytest.approx(sigma2, abs=1e-10)
+
+    @pytest.mark.parametrize("sigma, w", [(0.1, 1.0), (0.5, 1.0), (0.2, 2.0), (1e-5, 0.7)])
+    def test_zero_low_pair_is_the_three_point_law(self, sigma, w):
+        assert pair_atoms(0.0, w, sigma**2) == three_point_extremal(sigma, w).signed_atoms()
+
+    def test_signed_atoms_order_and_weights(self):
+        # a pair of weight 0 is dropped, as SymmetricDiscreteDistribution does
+        assert pair_atoms(0.0, 2.0, 4.0) == [(-2.0, 0.5), (2.0, 0.5)]
+        assert pair_atoms(1.0, 2.0, 1.0) == [(-1.0, 0.5), (1.0, 0.5)]
+        assert pair_atoms(1.0, 3.0, 5.0) == [(-1.0, 0.25), (1.0, 0.25), (-3.0, 0.25), (3.0, 0.25)]
 
     def test_zero_mean_constraints(self, rng):
         for _ in range(100):
@@ -90,9 +100,11 @@ class TestCandidateConstructors:
 
     def test_infeasible_configurations_rejected(self):
         with pytest.raises(ValueError):
-            single_pair_distribution(0.5, 1.0)  # x^2 < sigma2
+            pair_atoms(0.0, 0.5, 1.0)  # x^2 < sigma2
         with pytest.raises(ValueError):
-            two_pair_distribution(2.0, 3.0, 1.0)  # sigma2 below both atoms
+            pair_atoms(2.0, 3.0, 1.0)  # sigma2 below both atoms
+        with pytest.raises(ValueError):
+            pair_atoms(-1.0, 3.0, 1.0)  # a negative low pair
         with pytest.raises(ValueError):
             zero_mean_three_atom(0.1, 0.1, 1.0)  # zero mass would be negative
 
@@ -104,7 +116,7 @@ class TestSupSearch:
             assert found.value >= tilted_mean(three_point_extremal(sigma, 1.0), P11) - 1e-15
 
     def test_stays_below_symmetric_bound(self):
-        factor = bound_factor(BoundKind.SYMMETRIC, P11).value
+        factor = symmetric_factor(P11)
         for sigma in (0.5, 0.2, 0.05):
             found = sup_symmetric(sigma * sigma, P11)
             assert found.value / (sigma * sigma) < factor
@@ -117,7 +129,7 @@ class TestSupSearch:
         )
 
     def test_zero_mean_ratio_approaches_sharp_factor(self):
-        factor = bound_factor(BoundKind.ZERO_MEAN, P11).value
+        factor = zero_mean_factor(P11)
         found = sup_zero_mean(1e-4, P11)
         ratio = found.value / 1e-4
         assert ratio < factor
@@ -155,7 +167,7 @@ class TestRatioScan:
         rows = ratio_limit_scan(P11, [0.5, 0.1, 0.01, 0.001])
         ratios = [r.ratio for r in rows]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
-        factor = bound_factor(BoundKind.SYMMETRIC, P11).value
+        factor = symmetric_factor(P11)
         assert all(r.ratio < factor for r in rows)
         assert all(r.gap > 0 for r in rows)
 
@@ -179,7 +191,7 @@ class TestRatioScan:
     def test_other_tilt_parameters(self):
         p = TiltParams(2.0, 0.5)
         rows = ratio_limit_scan(p, [0.1, 0.01])
-        factor = bound_factor(BoundKind.SYMMETRIC, p).value
+        factor = symmetric_factor(p)
         assert rows[-1].ratio == pytest.approx(factor, rel=1e-2)
         assert rows[-1].ratio < factor
 

@@ -93,6 +93,43 @@ class TestContainment:
         # a nonzero result is still widened outward
         assert (Interval(1.0, 2.0) - 0.5).lo < 0.5
 
+    def test_int_sum_operand_that_no_float_equals_is_rejected(self):
+        # 2**53 + 3 would round to 2**53 + 4 before the one-ulp widening,
+        # giving [3.9999999999999996, 4.000000000000001], which misses 3
+        with pytest.raises(ValueError):
+            Interval(-(2.0**53), -(2.0**53)) + (2**53 + 3)
+
+    def test_int_factor_that_no_float_equals_is_rejected(self):
+        with pytest.raises(ValueError):
+            Interval.point(1.7622800824579419) * 9007199254745411
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, o: a + o,
+            lambda a, o: o + a,
+            lambda a, o: a - o,
+            lambda a, o: o - a,
+            lambda a, o: a * o,
+            lambda a, o: o * a,
+            lambda a, o: a / o,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"],
+    )
+    @pytest.mark.parametrize(
+        "operand",
+        [2**53 + 1, -(2**60) - 1, 10**400, math.nan],
+        ids=["2**53+1", "-2**60-1", "10**400", "nan"],
+    )
+    def test_every_scalar_branch_rejects_an_inexact_operand(self, op, operand):
+        with pytest.raises(ValueError):
+            op(Interval(1.0, 2.0), operand)
+
+    def test_int_that_a_float_equals_is_accepted(self):
+        big = 2**60
+        assert (Interval(1.0, 1.0) * big).contains(big)
+        assert (Interval(0.0, 0.0) + big).contains(big)
+
     def test_point_intervals_stay_tight(self):
         v = Interval.point(1.5)
         result = (v * v + v.exp() - v.sinh() / v).width

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from tiltbound import (
-    BoundKind,
     DegenerateDistributionError,
     InvalidDistributionError,
     SymmetricDiscreteDistribution,
     TiltParams,
-    bound_factor,
     check_bound,
     d_expr,
     g_expr,
+    symmetric_factor,
     tilted_mean,
-    winsorize,
+    zero_mean_factor,
 )
 from tiltbound.tilted import tilted_mean_signed
 
@@ -153,21 +152,6 @@ D_111 = -2.5529160411188316
 D_121 = -10.34472038952272  # matches both the folded-sum and case-1 routes
 
 
-class TestWinsorize:
-    def test_caps_above(self):
-        assert winsorize(3.0, 2.0) == 2.0
-
-    def test_passes_below(self):
-        assert winsorize(-1.0, 2.0) == -1.0
-
-    def test_boundary(self):
-        assert winsorize(2.0, 2.0) == 2.0
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            winsorize(1.0, 0.0)
-
-
 class TestTiltParams:
     @pytest.mark.parametrize("h,w", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_strict_positivity(self, h, w):
@@ -234,31 +218,27 @@ class TestTiltedMean:
 
 class TestBoundFactor:
     def test_symmetric_unit(self):
-        assert bound_factor(BoundKind.SYMMETRIC, P11).value == pytest.approx(SINH_1, abs=1e-15)
+        assert symmetric_factor(P11) == pytest.approx(SINH_1, abs=1e-15)
 
     def test_zero_mean_unit(self):
         expected = 1.718281828459045
-        assert bound_factor(BoundKind.ZERO_MEAN, P11).value == pytest.approx(expected, abs=1e-15)
+        assert zero_mean_factor(P11) == pytest.approx(expected, abs=1e-15)
 
     def test_scale_relation(self):
-        factor = bound_factor(BoundKind.SYMMETRIC, TiltParams(h=2.0, w=0.5)).value
+        factor = symmetric_factor(TiltParams(h=2.0, w=0.5))
         assert factor == pytest.approx(2.3504023872876028, abs=1e-15)
 
     def test_symmetric_strictly_smaller(self, rng):
         for _ in range(200):
             p = TiltParams(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
-            sym = bound_factor(BoundKind.SYMMETRIC, p).value
-            gen = bound_factor(BoundKind.ZERO_MEAN, p).value
+            sym = symmetric_factor(p)
+            gen = zero_mean_factor(p)
             assert sym < gen
 
     def test_ratio_approaches_one_half(self):
         ratios = [math.sinh(hw) / math.expm1(hw) for hw in (1.0, 5.0, 10.0, 20.0)]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[2] == pytest.approx(0.5, abs=1e-4)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            bound_factor("bogus", P11)
 
 
 class TestCheckBound:
@@ -351,7 +331,7 @@ class TestTheoremInvariants:
             w = rng.uniform(0.2, 4.0)
             p = TiltParams(1.0, w)
             lhs = expected_d(dist, w)
-            bound = bound_factor(BoundKind.SYMMETRIC, p).value * dist.second_moment()
+            bound = symmetric_factor(p) * dist.second_moment()
             assert (lhs < 0.0) == (tilted_mean(dist, p) < bound)
             assert lhs < 0.0  # and both sides do hold
 
