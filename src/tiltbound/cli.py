@@ -9,15 +9,15 @@ Subcommands map one-to-one onto the library layers:
     extremal      sharpness scan sup/sigma^2 toward sinh(hw)/w
     report        aggregate JSON of everything above
 
-``verify-proof`` reports d_case1 as certified by bisection and d_case2 as
-derived from two case-structure links (``CASE2_LINKS``): its status,
-box count and undecided boxes are those of the links, on the same cube.
+``verify-proof`` reports d_case1 and d_case2 as derived from their
+case-structure links (``CASE1_LINKS`` and ``CASE2_LINKS``): each entry's
+status, box count and undecided boxes are those of its links, on the same
+cube.
 
 All reports are deterministic: the same inputs produce byte-identical
 output.  Exit status is 0 exactly when every executed check passed: the
-battery certified, every case-structure check passed and d_case1
-certified.  A region with an undecided box is never certified, so a
-passing run has none.
+battery certified and every case-structure check passed.  A region with
+an undecided box is never certified, so a passing run has none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import Sequence
 from .exppoly import ExprSyntaxError, parse_expression
 from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
-from .regions import CATALOG, BoxRegion, certify_negative, verify_case_structure
+from .regions import CATALOG, BoxRegion, verify_case_structure
+from .regions import certify_negative  # noqa: F401  (bench/tracing.py wraps cli.certify_negative)
 from .tilted import (
     SymmetricDiscreteDistribution,
     TiltParams,
@@ -99,53 +100,52 @@ def _cmd_prove(args) -> int:
     return 0 if decision.outcome is not Outcome.UNDETERMINED else 1
 
 
-# The structure checks whose certifications derive d < 0 on case 2: d
-# decreases in v there, so it is at most its value on the negative face v = w.
+# The structure checks whose certifications derive d < 0 on each case.  On
+# case 1, d is concave in v, so it lies below its tangent at v = u, whose
+# slope and value (the diagonal) are negative.  On case 2, d decreases in v,
+# so it is at most its value on the negative face v = w.
+CASE1_LINKS = ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal")
 CASE2_LINKS = ("case2_decreasing_in_v", "boundary_v_eq_w")
 
+# Links certified on a plane v = u or v = w report their leftovers there.
+_LINK_PLANES = {"case1_slope_at_v_eq_u": "u", "boundary_v_eq_w": "w"}
 
-def _region_reports(box: tuple[float, float], depth: int, structure) -> tuple[list[dict], bool]:
-    """d_case1 by bisection, and whether it certified; d_case2 derived from
-    the case-2 links of ``structure``, whose ``all_passed`` covers them."""
 
-    def cube(name: str) -> BoxRegion:
-        return BoxRegion(u=box, v=box, w=box, case=CATALOG[name].case)
+def _region_reports(box: tuple[float, float], depth: int, structure) -> list[dict]:
+    """d_case1 and d_case2, each derived from its links in ``structure``."""
 
-    def entry(name, method, certified, boxes_evaluated, undecided) -> dict:
+    def derived(name: str, links: tuple[str, ...]) -> dict:
+        checks = [structure.check(link) for link in links]
+        bisected = [c for c in checks if c.result is not None]
+        leftovers = [
+            b.replace("v", b.interval(_LINK_PLANES[c.name])) if c.name in _LINK_PLANES else b
+            for c in bisected
+            for b in c.result.undecided
+        ]
         return {
             "expression": name,
-            "region": cube(name).to_dict(),
+            "region": BoxRegion(u=box, v=box, w=box, case=CATALOG[name].case).to_dict(),
             "depth": depth,
-            **method,
-            "status": "certified" if certified else "undetermined",
-            "boxes_evaluated": boxes_evaluated,
-            "undecided_boxes": [b.to_dict() for b in undecided],
+            "method": "derived",
+            "links": list(links),
+            "status": "certified" if all(c.passed for c in checks) else "undetermined",
+            "boxes_evaluated": sum(c.result.boxes_evaluated for c in bisected),
+            "undecided_boxes": [b.to_dict() for b in leftovers],
         }
 
-    case1 = certify_negative("d_case1", cube("d_case1"), max_depth=depth)
-    slope, face = (structure.check(name).result for name in CASE2_LINKS)
-    reports = [
-        entry("d_case1", {"method": "bisection"}, case1.certified, case1.boxes_evaluated,
-              case1.undecided),
-        # the face lives on v = w, so its leftovers are reported there
-        entry("d_case2", {"method": "derived", "links": list(CASE2_LINKS)},
-              slope.certified and face.certified, slope.boxes_evaluated + face.boxes_evaluated,
-              [*slope.undecided, *(b.replace("v", b.w) for b in face.undecided)]),
-    ]
-    return reports, case1.certified
+    return [derived("d_case1", CASE1_LINKS), derived("d_case2", CASE2_LINKS)]
 
 
 def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
     structure = verify_case_structure(lo=box[0], hi=box[1], max_depth=depth)
-    regions, case1_certified = _region_reports(box, depth, structure)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
-        "regions": regions,
+        "regions": _region_reports(box, depth, structure),
     }
-    return payload, battery.all_certified and structure.all_passed and case1_certified
+    return payload, battery.all_certified and structure.all_passed
 
 
 def _cmd_verify_proof(args) -> int:

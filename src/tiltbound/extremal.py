@@ -256,8 +256,10 @@ class ScanRow:
 def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     """sup / sigma^2 for each sigma; the ratios climb toward sinh(hw)/w.
 
-    Each ratio stays strictly below the bound factor (the bound is strict for
-    every positive sigma); the gap column is the remaining distance.
+    The true gap to the bound factor is positive (the bound is strict for
+    every positive sigma), but at tiny sigma it can fall below one ulp of
+    the ratio, so the float ratio rounds onto the factor: the gap column,
+    the remaining distance, satisfies gap >= 0.
     """
     factor = symmetric_factor(p)
     rows = []

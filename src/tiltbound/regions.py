@@ -9,21 +9,24 @@ proof splits the orthant by how u and v compare with the cap w:
     case 3:  0 < u <= v <= w   (reduces to case 2 by monotonicity in w)
 
 On each region d loses its minimum operator and becomes an explicit
-exp/sinh/cosh formula.  The catalog holds five closed forms:
+exp/sinh/cosh formula.  The catalog holds six closed forms:
 
-    d_case1            d on case 1
-    d_case2            d on case 2
-    dv2_case1          second v-derivative of d on case 1 (concavity in v)
-    d1_case2           w e^v times the v-slope of d on case 2
-    d_at_v_eq_w_case2  d on the face v = w of case 2, as 2 u^2 Phi(u, w)
+    d_case1             d on case 1
+    dv2_case1           second v-derivative of d on case 1 (concavity in v)
+    dv_at_v_eq_u_case1  v-slope of d on case 1 at v = u
+    d_case2             d on case 2
+    d1_case2            w e^v times the v-slope of d on case 2
+    d_at_v_eq_w_case2   d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
 It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
-bisection.  ``tiltbound verify-proof`` bisects all of them but d_case2:
-case 2 follows from d1_case2 < 0 (d decreases in v) and the negative face,
-and case 3 from the face through :func:`verify_case_structure`, whose
-case-3 step is a replayed prover certificate plus an interval enclosure.
-Bisecting d_case2 itself stays available as an independent cross-check.
+bisection.  ``tiltbound verify-proof`` bisects all of them but d_case1 and
+d_case2, which it derives through :func:`verify_case_structure`: case 1
+from concavity in v, the negative slope at v = u and the exact diagonal
+v = u; case 2 from d1_case2 < 0 (d decreases in v) and the negative face;
+case 3 from the face, by a replayed prover certificate plus an interval
+enclosure.  Bisecting d_case1 and d_case2 themselves stays available as an
+independent cross-check.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -91,8 +94,9 @@ class BoxRegion:
         """Bounding box of the intersection with the case-order constraints.
 
         Only constraints speaking about ``axes`` are applied; a restricted
-        catalog expression (d_at_v_eq_w_case2, with v pinned to w) uses the
-        surviving constraint among its own variables.  Returns None
+        catalog expression (d_at_v_eq_w_case2 with v pinned to w, or
+        dv_at_v_eq_u_case1 with v pinned to u) uses the surviving
+        constraint among its own variables.  Returns None
         when the intersection is empty.
         """
         bounds = {name: list(getattr(self, name)) for name in _AXES}
@@ -162,6 +166,13 @@ def _dv2_case1(u, v, w):
     return vexp(-v) * (2 - v) - vsinh_over(w) * (vexp(-v) * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
 
 
+def _dv_at_v_eq_u_case1(u, w):
+    # the v-derivative of _d_case1, taken at v = u
+    emu = vexp(-u)
+    ew = vexp(w)
+    return (ew - emu) + u * emu - vsinh_over(w) * (2 * u * ew - (u * u) * emu + 2 * u * emu)
+
+
 def _d_case2(u, v, w):
     return (
         2 * u * vsinh(u)
@@ -190,6 +201,7 @@ CATALOG: dict[str, ProofExpr] = {
     for expr in (
         ProofExpr("d_case1", ("u", "v", "w"), CaseRegion.CASE1, _d_case1),
         ProofExpr("dv2_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv2_case1),
+        ProofExpr("dv_at_v_eq_u_case1", ("u", "w"), CaseRegion.CASE1, _dv_at_v_eq_u_case1),
         ProofExpr("d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2),
         ProofExpr("d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2),
         ProofExpr("d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2),
@@ -387,18 +399,27 @@ SINH_OVER_INCREASING = "w*cosh(w) - sinh(w)"
 def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructureReport:
     """Certify the structural facts the case analysis rests on, on [lo, hi]^3.
 
-    (a) concavity of d in v on case 1 (second v-derivative negative);
-    (b) d decreasing in v on case 2 (the scaled slope d1 negative), so d is
+    (a) concavity of d in v on case 1 (second v-derivative negative), so for
+        fixed (u, w) d lies below its tangent at v = u:
+        d(u, v, w) <= d(u, u, w) + d_v(u, u, w) (v - u);
+    (b) the slope d_v(u, u, w) of that tangent is negative;
+    (c) the diagonal d(u, u, w) is negative, by the exact identity
+        d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) with
+        s = (u + w)/2 and so(x) = sinh(x)/x: case 1 gives s <= u and
+        so(w) >= 1, so the bracket is at most sinh(s) - s cosh(s), which
+        is negative for s > 0 because so increases (a replayed prover
+        certificate); d(0, 0, 0) = 0, so this needs lo > 0;
+    (d) d decreasing in v on case 2 (the scaled slope d1 negative), so d is
         at most its value on the face v = w;
-    (c) case-3 reduction: d depends on w only through sinh(w)/w, which
-        increases (a replayed prover certificate) and multiplies the
-        nonnegative u^2 cosh(v) + v^2 cosh(u), so d(u, v, w) <= d(u, v, v),
-        a point of the face;
-    (d) the face v = w, 2 u^2 Phi(u, w), is negative; it vanishes at u = 0
+    (e) case-3 reduction: d depends on w only through so(w), which
+        increases (the same certificate) and multiplies the nonnegative
+        u^2 cosh(v) + v^2 cosh(u), so d(u, v, w) <= d(u, v, v), a point of
+        the face;
+    (f) the face v = w, 2 u^2 Phi(u, w), is negative; it vanishes at u = 0
         through the factor u^2 alone.
 
-    (a), (b) and (d) are interval bisections whose results ride on their
-    checks; every check passes only on certified or exact evidence.
+    (a), (b), (d) and (f) are interval bisections whose results ride on
+    their checks; every check passes only on certified or exact evidence.
     """
     checks: list[StructureCheck] = []
 
@@ -408,19 +429,32 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
         detail = f"{claim} on [{lo}, {hi}]^3 via {result.boxes_evaluated} boxes"
         checks.append(StructureCheck(check, result.certified, detail, result))
 
-    on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
-    on_cube("case2_decreasing_in_v", "d1_case2", "d1_case2 < 0")
-
     decision = decide_sign(parse_expression(SINH_OVER_INCREASING))
     replayed = decision.certificate is not None and replay(decision.certificate)
     increasing = decision.outcome is Outcome.POSITIVE and replayed is Outcome.POSITIVE
+    so_increasing = (
+        f"{SINH_OVER_INCREASING} {decision.outcome.value} on w > 0 (prover certificate, replayed)"
+    )
+
+    on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
+    on_cube("case1_slope_at_v_eq_u", "dv_at_v_eq_u_case1", "d_v|_(v=u) < 0")
+    checks.append(
+        StructureCheck(
+            "case1_diagonal",
+            increasing and lo > 0.0,
+            "d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) exactly, with "
+            "s = (u+w)/2 <= u <= u so(w), so d(u, u, w) <= 4u e^((w-u)/2) (sinh(s) - "
+            f"s cosh(s)), negative for u > 0 by {so_increasing}; the cube starts at u = {lo}",
+        )
+    )
+    on_cube("case2_decreasing_in_v", "d1_case2", "d1_case2 < 0")
+
     multiplier = _case3_multiplier_interval(lo, hi)
     checks.append(
         StructureCheck(
             "case3_decreasing_in_w",
             increasing and multiplier.lo >= 0.0,
-            f"{SINH_OVER_INCREASING} {decision.outcome.value} on w > 0 "
-            "(prover certificate, replayed); multiplied term enclosure "
+            f"{so_increasing}; multiplied term enclosure "
             f"[{multiplier.lo:.6g}, {multiplier.hi:.6g}] is nonnegative",
         )
     )

@@ -117,8 +117,8 @@ def test_criterion_5_prover_soundness_falsifier():
 
 def test_criterion_6_region_certification(boundary_witness):
     with criterion(6, "region certification", 300.0):
-        # one default `tiltbound verify-proof`: battery, case structure,
-        # d_case1 by bisection and d_case2 derived from its case-2 links on
+        # one default `tiltbound verify-proof`: battery, case structure, and
+        # d_case1 and d_case2 derived from their case-structure links on
         # [0.05, 8]^3 at depth 18
         stdout = io.StringIO()
         with redirect_stdout(stdout):
@@ -139,19 +139,22 @@ def test_criterion_6_region_certification(boundary_witness):
                 f"{len(region['undecided_boxes'])} undecided boxes in {case}"
             )
             assert region["undecided_boxes"] == []
-        assert by_name["d_case1"]["method"] == "bisection"
+        assert by_name["d_case1"]["method"] == "derived"
+        assert by_name["d_case1"]["links"] == [
+            "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"
+        ]
         assert by_name["d_case2"]["method"] == "derived"
         assert by_name["d_case2"]["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
 
-        # independent cross-check of the derived claim: bisect d_case2
-        # itself on the same cube at the same depth
-        direct = certify_negative(
-            "d_case2",
-            BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=CaseRegion.CASE2),
-            max_depth=18,
-        )
-        assert direct.certified, f"{len(direct.undecided)} undecided boxes in case2"
-        assert direct.undecided == ()
+        # independent cross-checks of the derived claims: bisect d_case1 and
+        # d_case2 themselves on the same cube at the same depth
+        for name, case in (("d_case1", CaseRegion.CASE1), ("d_case2", CaseRegion.CASE2)):
+            direct = certify_negative(
+                name, BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=case),
+                max_depth=18,
+            )
+            assert direct.certified, f"{len(direct.undecided)} undecided boxes in {case.value}"
+            assert direct.undecided == ()
 
         # a box including the u = 0 edge cannot certify: the expression
         # reaches zero at u = 0, v = w, and the undecided leftovers must
@@ -229,6 +232,7 @@ def _case2_point(rng):
 _FIDELITY_ORACLES = {
     "d_case1": (_case1_point, lambda u, v, w: d_expr(u, v, w)),
     "dv2_case1": (_case1_point, _dv2),
+    "dv_at_v_eq_u_case1": (_case1_point, lambda u, v, w: _dv1(u, u, w)),
     "d_case2": (_case2_point, lambda u, v, w: d_expr(u, v, w)),
     "d1_case2": (_case2_point, lambda u, v, w: w * math.exp(v) * _dv1(u, v, w)),
     "d_at_v_eq_w_case2": (_case2_point, lambda u, v, w: d_expr(u, w, w)),

@@ -9,6 +9,7 @@ import pytest
 from tiltbound.cli import main
 from tiltbound.prover import BATTERY
 from tiltbound.regions import verify_case_structure
+from tiltbound.tilted import d_expr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,6 +198,26 @@ class TestVerifyProof:
             box["v"] == box["w"] and box["u"][0] == 0.0 for box in region["undecided_boxes"]
         )
 
+    def test_derived_case1_fails_with_its_links(self, capsys):
+        # at the origin the slope at v = u vanishes and d(0, 0, 0) = 0, so
+        # the case-1 entry derived from those links cannot certify
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
+        assert code == 1
+        payload = json.loads(out)
+        checks = {c["name"]: c for c in payload["case_structure"]["checks"]}
+        region = {r["expression"]: r for r in payload["regions"]}["d_case1"]
+        assert region["method"] == "derived"
+        assert region["links"] == [
+            "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"
+        ]
+        assert checks["case1_concavity_in_v"]["passed"]
+        assert not checks["case1_slope_at_v_eq_u"]["passed"]
+        assert not checks["case1_diagonal"]["passed"]
+        assert region["status"] == "undetermined"
+        # leftovers of the slope are reported on v = u
+        assert region["undecided_boxes"]
+        assert all(box["v"] == box["u"] for box in region["undecided_boxes"])
+
     def test_derived_case2_counts_its_links(self, capsys):
         code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0", "--depth", "10")
         assert code == 0
@@ -210,7 +231,7 @@ class TestVerifyProof:
 
 @pytest.mark.parametrize(
     "box, depth, exit_code",
-    [("0.3:2.0", "10", 0), ("0:1", "5", 1), ("0.01:0.1", "10", 1)],
+    [("0.3:2.0", "10", 0), ("0:1", "5", 1), ("0.01:0.1", "10", 0)],
 )
 def test_exit_status_is_every_link_certified(capsys, box, depth, exit_code):
     # one pass rule: the battery certified, every structure check passed and
@@ -229,6 +250,17 @@ def test_exit_status_is_every_link_certified(capsys, box, depth, exit_code):
     assert payload["all_passed"] is passed
     undecided = [b for r in payload["regions"] for b in r["undecided_boxes"]]
     assert all(set(b) == {"u", "v", "w", "case"} for b in undecided)
+
+
+def test_cube_near_the_origin_is_negative_where_it_certifies():
+    # --box 0.01:0.1 certifies every link; d itself must then be negative
+    # at every grid point of the case-1 and case-2 parts of that cube
+    axis = [0.01 + 0.09 * k / 24 for k in range(25)]
+    points = [(u, v, w) for u in axis for v in axis for w in axis]
+    case1 = [d_expr(u, v, w) for u, v, w in points if w <= u <= v]
+    case2 = [d_expr(u, v, w) for u, v, w in points if u <= w <= v]
+    assert case1 and case2
+    assert max(case1) < 0.0 and max(case2) < 0.0
 
 
 class TestVerifyProofDefaults:

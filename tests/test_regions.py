@@ -117,6 +117,36 @@ class TestCatalogFidelity:
                 got = face.point(u=float(u), w=float(w))
                 assert abs(got - want) <= 1e-12 * abs(want), (u, w)
 
+    def test_dv_at_v_eq_u_case1_matches_high_precision(self, rng):
+        # the v-slope of d at v = u against mpmath's derivative of the
+        # 50-digit mirror, with w down to 1e-4 (u > w keeps d smooth in v)
+        slope = CATALOG["dv_at_v_eq_u_case1"]
+        with mpmath.workdps(50):
+            for _ in range(200):
+                w = float(10 ** rng.uniform(-4.0, math.log10(4.0)))
+                u = w + float(rng.uniform(1e-3, 4.0))
+                want = mpmath.diff(lambda v: mp_d(u, v, w), u)
+                got = slope.point(u=u, w=w)
+                assert abs(got - want) <= 1e-12 * abs(want), (u, w)
+
+    def test_diagonal_identity_matches_high_precision(self, rng):
+        # the exact step of case1_diagonal, at 50 digits with w down to 1e-4:
+        # d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)), s = (u+w)/2
+        def factored(u, w):
+            u, w = mpmath.mpf(u), mpmath.mpf(w)
+            s = (u + w) / 2
+            so_w = mpmath.sinh(w) / w
+            return 4 * u * mpmath.exp((w - u) / 2) * (mpmath.sinh(s) - u * so_w * mpmath.cosh(s))
+
+        points = [(u, w) for w in (1e-4, 1e-2, 1.0) for u in (w, 2 * w, 8.0)]
+        for _ in range(200):
+            w = float(10 ** rng.uniform(-4.0, math.log10(8.0)))
+            points.append((float(rng.uniform(w, 8.0)), w))
+        with mpmath.workdps(50):
+            for u, w in points:
+                want = mp_d(u, u, w)
+                assert abs(factored(u, w) - want) <= 1e-12 * abs(want), (u, w)
+
     def test_face_vanishes_at_u_zero_through_its_factor(self):
         face = CATALOG["d_at_v_eq_w_case2"]
         assert face.point(u=0.0, w=1.0) == 0.0
@@ -281,15 +311,25 @@ class TestCaseStructure:
         names = {c.name for c in report.checks}
         assert names == {
             "case1_concavity_in_v",
+            "case1_slope_at_v_eq_u",
+            "case1_diagonal",
             "case2_decreasing_in_v",
             "case3_decreasing_in_w",
             "boundary_v_eq_w",
         }
-        # the bisected links carry their certifications; case 3 rests on a
-        # prover certificate and an enclosure, not on a bisection
-        for name in ("case1_concavity_in_v", "case2_decreasing_in_v", "boundary_v_eq_w"):
+        # the bisected links carry their certifications; the case-1 diagonal
+        # and case 3 rest on a prover certificate (and case 3 on an
+        # enclosure), not on a bisection
+        bisected = (
+            "case1_concavity_in_v",
+            "case1_slope_at_v_eq_u",
+            "case2_decreasing_in_v",
+            "boundary_v_eq_w",
+        )
+        for name in bisected:
             result = report.check(name).result
             assert result.certified and not result.undecided
+        assert report.check("case1_diagonal").result is None
         assert report.check("case3_decreasing_in_w").result is None
 
     def test_case3_step_is_a_replayed_certificate(self):
@@ -314,3 +354,14 @@ class TestCaseStructure:
         assert not face.passed and not report.all_passed
         assert face.result.undecided
         assert all(b.u[0] == 0.0 for b in face.result.undecided)
+
+    def test_case1_slope_fails_on_a_cube_reaching_the_origin(self):
+        # at u = w = 0 the slope at v = u is 0 (it is about w - 2u nearby),
+        # and d(0, 0, 0) = 0
+        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+        slope = report.check("case1_slope_at_v_eq_u")
+        assert not slope.passed and not report.all_passed
+        left = slope.result.undecided
+        assert any(b.u[0] == 0.0 and b.w[0] == 0.0 for b in left)
+        assert all(b.u[1] <= 0.1 for b in left)  # clustered at the origin
+        assert not report.check("case1_diagonal").passed
