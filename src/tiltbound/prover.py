@@ -206,9 +206,10 @@ def replay(certificate: SignCertificate) -> Outcome:
 # comparison expression d(u, v, w) across the three case regions.  Each entry
 # is (name, expression text, expected sign, role).  Names follow the
 # auxiliary expressions of the case analysis (d1, d111, the rescaled diagonal
-# dtilde); apart from d1_case2 these have no closed form in the
-# tiltbound.regions catalog, because the one-variable claims are proved here
-# on all of w > 0.  Names and roles appear in the verify-proof JSON.
+# dtilde).  The catalog form d1_case2 of tiltbound.regions is the positive
+# multiple e^-(v+w) d1 of case 2's d1; the other names have no closed form in
+# the catalog, because the one-variable claims are proved here on all of
+# w > 0.  Names and roles appear in the verify-proof JSON.
 
 BATTERY = (
     (

@@ -13,20 +13,22 @@ exp/sinh/cosh formula.  The catalog holds six closed forms:
 
     d_case1             d on case 1
     dv2_case1           second v-derivative of d on case 1 (concavity in v)
-    dv_at_v_eq_u_case1  v-slope of d on case 1 at v = u
+    dv_at_v_eq_u_case1  e^-w times the v-slope of d on case 1 at v = u
     d_case2             d on case 2
-    d1_case2            w e^v times the v-slope of d on case 2
+    d1_case2            w e^-w times the v-slope of d on case 2
     d_at_v_eq_w_case2   d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
 It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
-bisection.  ``tiltbound verify-proof`` bisects all of them but d_case1 and
-d_case2, which it derives through :func:`verify_case_structure`: case 1
-from concavity in v, the negative slope at v = u and the exact diagonal
-v = u; case 2 from d1_case2 < 0 (d decreases in v) and the negative face;
-case 3 from the face, by a replayed prover certificate plus an interval
-enclosure.  Bisecting d_case1 and d_case2 themselves stays available as an
-independent cross-check.
+bisection.  The two slope forms carry a positive factor that keeps their
+sign and cancels their e^w growth, which naive interval evaluation would
+overestimate on wide boxes.  ``tiltbound verify-proof`` bisects all the
+forms but d_case1 and d_case2, which it derives through
+:func:`verify_case_structure`: case 1 from concavity in v, the negative
+slope at v = u and the exact diagonal v = u; case 2 from d1_case2 < 0 (d
+decreases in v) and the negative face; case 3 from the face, by a replayed
+prover certificate plus an interval enclosure.  Bisecting d_case1 and
+d_case2 themselves stays available as an independent cross-check.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -167,10 +169,10 @@ def _dv2_case1(u, v, w):
 
 
 def _dv_at_v_eq_u_case1(u, w):
-    # the v-derivative of _d_case1, taken at v = u
-    emu = vexp(-u)
-    ew = vexp(w)
-    return (ew - emu) + u * emu - vsinh_over(w) * (2 * u * ew - (u * u) * emu + 2 * u * emu)
+    # e^-w times the v-derivative of _d_case1 at v = u,
+    #   (e^w - e^-u) + u e^-u - so(w) (2u e^w - u^2 e^-u + 2u e^-u)
+    e = vexp(-(u + w))
+    return 1 - e + u * e - vsinh_over(w) * (2 * u - (u * u) * e + 2 * u * e)
 
 
 def _d_case2(u, v, w):
@@ -183,7 +185,14 @@ def _d_case2(u, v, w):
 
 
 def _d1_case2(u, v, w):
-    return w * (vexp(v + w) - 1 + v) - vsinh(w) * (4 * v * vexp(v) * vcosh(u) - u * u)
+    # e^-(v+w) times d1 = w (e^(v+w) - 1 + v) - sinh(w) (4v e^v cosh(u) - u^2),
+    # that is w e^-w times the v-slope of d, by 2 sinh(w) e^-w = 1 - e^-2w
+    e = vexp(-(v + w))
+    return (
+        w * (1 - (1 - v) * e)
+        - 2 * v * vcosh(u) * (1 - vexp(-2 * w))
+        + (u * u) * vsinh(w) * e
+    )
 
 
 def _d_at_v_eq_w_case2(u, w):

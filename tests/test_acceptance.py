@@ -232,9 +232,9 @@ def _case2_point(rng):
 _FIDELITY_ORACLES = {
     "d_case1": (_case1_point, lambda u, v, w: d_expr(u, v, w)),
     "dv2_case1": (_case1_point, _dv2),
-    "dv_at_v_eq_u_case1": (_case1_point, lambda u, v, w: _dv1(u, u, w)),
+    "dv_at_v_eq_u_case1": (_case1_point, lambda u, v, w: math.exp(-w) * _dv1(u, u, w)),
     "d_case2": (_case2_point, lambda u, v, w: d_expr(u, v, w)),
-    "d1_case2": (_case2_point, lambda u, v, w: w * math.exp(v) * _dv1(u, v, w)),
+    "d1_case2": (_case2_point, lambda u, v, w: w * math.exp(-w) * _dv1(u, v, w)),
     "d_at_v_eq_w_case2": (_case2_point, lambda u, v, w: d_expr(u, w, w)),
 }
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tiltbound.cli import main
+from tiltbound.cli import DEFAULT_BOX, DEFAULT_DEPTH, main
 from tiltbound.prover import BATTERY
 from tiltbound.regions import verify_case_structure
 from tiltbound.tilted import d_expr
@@ -276,6 +276,15 @@ class TestVerifyProofDefaults:
         for region in payload["regions"]:
             assert region["status"] == "certified"
             assert region["undecided_boxes"] == []
+
+    def test_bisected_links_stay_within_box_budget(self):
+        # box count is the machine-independent cost of the verdict; these
+        # budgets are the counts of the e^-w-rescaled slope forms
+        structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH)
+        boxes = {c.name: c.result.boxes_evaluated for c in structure.checks if c.result}
+        assert boxes["case2_decreasing_in_v"] <= 169
+        assert boxes["case1_slope_at_v_eq_u"] <= 31
+        assert sum(boxes.values()) <= 228
 
 
 class TestReport:

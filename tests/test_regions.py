@@ -96,8 +96,28 @@ class TestCatalogFidelity:
     def test_d1_case2(self, rng):
         for u, v, w in case2_points(rng):
             assert_close(
-                CATALOG["d1_case2"].point(u=u, v=v, w=w), w * math.exp(v) * dv1(u, v, w)
+                CATALOG["d1_case2"].point(u=u, v=v, w=w), w * math.exp(-w) * dv1(u, v, w)
             )
+
+    def test_d1_case2_is_the_rescaled_d1(self, rng):
+        # e^-(v+w) times d1 = w (e^(v+w) - 1 + v) - sinh(w) (4v e^v cosh(u) - u^2)
+        # at 50 digits, with w down to 1e-4
+        def d1(u, v, w):
+            u, v, w = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(w)
+            return w * (mpmath.exp(v + w) - 1 + v) - mpmath.sinh(w) * (
+                4 * v * mpmath.exp(v) * mpmath.cosh(u) - u * u
+            )
+
+        rescaled = CATALOG["d1_case2"]
+        points = [(u, v, w) for w in (1e-4, 1e-2, 1.0) for u in (0.0, w) for v in (w, 8.0)]
+        for _ in range(200):
+            w = float(10 ** rng.uniform(-4.0, math.log10(8.0)))
+            points.append((float(rng.uniform(0.0, w)), float(rng.uniform(w, 8.0)), w))
+        with mpmath.workdps(50):
+            for u, v, w in points:
+                want = mpmath.exp(-(mpmath.mpf(v) + w)) * d1(u, v, w)
+                got = rescaled.point(u=u, v=v, w=w)
+                assert abs(got - want) <= 1e-12 * abs(want), (u, v, w)
 
     def test_d_at_v_eq_w_case2(self, rng):
         for u, v, w in case2_points(rng):
@@ -118,15 +138,35 @@ class TestCatalogFidelity:
                 assert abs(got - want) <= 1e-12 * abs(want), (u, w)
 
     def test_dv_at_v_eq_u_case1_matches_high_precision(self, rng):
-        # the v-slope of d at v = u against mpmath's derivative of the
-        # 50-digit mirror, with w down to 1e-4 (u > w keeps d smooth in v)
+        # e^-w times the v-slope of d at v = u against mpmath's derivative of
+        # the 50-digit mirror, with w down to 1e-4 (u > w keeps d smooth in v)
         slope = CATALOG["dv_at_v_eq_u_case1"]
         with mpmath.workdps(50):
             for _ in range(200):
                 w = float(10 ** rng.uniform(-4.0, math.log10(4.0)))
                 u = w + float(rng.uniform(1e-3, 4.0))
-                want = mpmath.diff(lambda v: mp_d(u, v, w), u)
+                want = mpmath.exp(-w) * mpmath.diff(lambda v: mp_d(u, v, w), u)
                 got = slope.point(u=u, w=w)
+                assert abs(got - want) <= 1e-12 * abs(want), (u, w)
+
+    def test_dv_at_v_eq_u_case1_is_the_rescaled_slope(self, rng):
+        # e^-w times the slope (e^w - e^-u) + u e^-u - so(w) (2u e^w - u^2 e^-u
+        # + 2u e^-u) at 50 digits, with w down to 1e-4
+        def slope(u, w):
+            u, w = mpmath.mpf(u), mpmath.mpf(w)
+            emu, ew = mpmath.exp(-u), mpmath.exp(w)
+            so_w = mpmath.sinh(w) / w
+            return (ew - emu) + u * emu - so_w * (2 * u * ew - u * u * emu + 2 * u * emu)
+
+        rescaled = CATALOG["dv_at_v_eq_u_case1"]
+        points = [(u, w) for w in (1e-4, 1e-2, 1.0) for u in (w, 2 * w, 8.0)]
+        for _ in range(200):
+            w = float(10 ** rng.uniform(-4.0, math.log10(8.0)))
+            points.append((float(rng.uniform(w, 8.0)), w))
+        with mpmath.workdps(50):
+            for u, w in points:
+                want = mpmath.exp(-mpmath.mpf(w)) * slope(u, w)
+                got = rescaled.point(u=u, w=w)
                 assert abs(got - want) <= 1e-12 * abs(want), (u, w)
 
     def test_diagonal_identity_matches_high_precision(self, rng):
