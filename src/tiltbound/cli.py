@@ -11,13 +11,14 @@ Subcommands map one-to-one onto the library layers:
 
 ``verify-proof`` reports d_case1 and d_case2 as derived from their
 case-structure links (``CASE1_LINKS`` and ``CASE2_LINKS``): each entry's
-status, box count and undecided boxes are those of its links, on the same
-cube.
+status is that of its links, and its box count and undecided boxes are
+those of its bisected links, on the same cube.
 
 All reports are deterministic: the same inputs produce byte-identical
 output.  Exit status is 0 exactly when every executed check passed: the
 battery certified and every case-structure check passed.  A region with
-an undecided box is never certified, so a passing run has none.
+an undecided box is never certified, so a passing run has none.  Bad input,
+a float overflow included, exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def _cmd_prove(args) -> int:
 CASE1_LINKS = ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal")
 CASE2_LINKS = ("case2_decreasing_in_v", "boundary_v_eq_w")
 
-# Links certified on a plane v = u or v = w report their leftovers there.
-_LINK_PLANES = {"case1_slope_at_v_eq_u": "u", "boundary_v_eq_w": "w"}
+# Links certified on a plane v = u report their leftovers there.
+_LINK_PLANES = {"case1_slope_at_v_eq_u": "u"}
 
 
 def _region_reports(box: tuple[float, float], depth: int, structure) -> list[dict]:
@@ -139,7 +140,7 @@ def _region_reports(box: tuple[float, float], depth: int, structure) -> list[dic
 def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
-    structure = verify_case_structure(lo=box[0], hi=box[1], max_depth=depth)
+    structure = verify_case_structure(box[0], box[1], depth, battery)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
@@ -258,7 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ExprSyntaxError, json.JSONDecodeError) as exc:
+    except (OSError, OverflowError, ValueError, ExprSyntaxError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,24 +145,20 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     x_max = _atom_range(sigma2, p)
     sigma = math.sqrt(sigma2)
 
-    def single_value(x: float) -> float:
-        if x <= 0 or x * x < sigma2:
+    def pair_value(x_low: float, x_high: float) -> float:
+        try:  # pair_atoms is the one feasibility check
+            atoms = pair_atoms(x_low, x_high, sigma2)
+        except ValueError:
             return -math.inf
-        return tilted_mean_signed(pair_atoms(0.0, x, sigma2), p.h, p.w)
+        return tilted_mean_signed(atoms, p.h, p.w)
 
     extras = [x for x in (p.w, sigma) if sigma <= x <= x_max]
-    best_x, best_val = _refine_scalar(single_value, sigma, x_max, extra=extras)
+    best_x, best_val = _refine_scalar(lambda x: pair_value(0.0, x), sigma, x_max, extra=extras)
     best_atoms = pair_atoms(0.0, best_x, sigma2)
 
     # The solved pair weights lose precision as sigma shrinks, so the
     # two-pair search runs only for sigma > 1e-9.
     if sigma > 1e-9:
-
-        def pair_value(x_low: float, x_high: float) -> float:
-            if not (0 < x_low < x_high) or not (x_low**2 <= sigma2 <= x_high**2):
-                return -math.inf
-            return tilted_mean_signed(pair_atoms(x_low, x_high, sigma2), p.h, p.w)
-
         grid_n = 33
         lows = [sigma * i / grid_n for i in range(1, grid_n + 1)]
         highs = [sigma + (x_max - sigma) * i / (grid_n - 1) for i in range(grid_n)]

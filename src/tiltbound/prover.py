@@ -210,6 +210,7 @@ def replay(certificate: SignCertificate) -> Outcome:
 # multiple e^-(v+w) d1 of case 2's d1; the other names have no closed form in
 # the catalog, because the one-variable claims are proved here on all of
 # w > 0.  Names and roles appear in the verify-proof JSON.
+# tiltbound.regions reads sinh_over_increasing by name in three exact links.
 
 BATTERY = (
     (
@@ -265,6 +266,12 @@ BATTERY = (
         "sinh(w) - w",
         Outcome.POSITIVE,
         "sinh w > w, used twice as a lemma in the case analysis",
+    ),
+    (
+        "sinh_over_increasing",
+        "w*cosh(w) - sinh(w)",
+        Outcome.POSITIVE,
+        "sinh(w)/w increases (this is w^2 times its slope); read by three case links",
     ),
 )
 

@@ -22,13 +22,13 @@ It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
 bisection.  The two slope forms carry a positive factor that keeps their
 sign and cancels their e^w growth, which naive interval evaluation would
-overestimate on wide boxes.  ``tiltbound verify-proof`` bisects all the
-forms but d_case1 and d_case2, which it derives through
-:func:`verify_case_structure`: case 1 from concavity in v, the negative
-slope at v = u and the exact diagonal v = u; case 2 from d1_case2 < 0 (d
-decreases in v) and the negative face; case 3 from the face, by a replayed
-prover certificate plus an interval enclosure.  Bisecting d_case1 and
-d_case2 themselves stays available as an independent cross-check.
+overestimate on wide boxes.  ``tiltbound verify-proof`` bisects dv2_case1,
+dv_at_v_eq_u_case1 and d1_case2, and derives d_case1 and d_case2 through
+:func:`verify_case_structure`: case 1 from concavity in v, the slope at
+v = u and the diagonal v = u; case 2 from d1_case2 < 0 and the face v = w;
+case 3 from the face.  The diagonal, the face and case 3 are exact steps
+from the battery lemma ``sinh_over_increasing``.  Bisecting d_case1,
+d_case2 and d_at_v_eq_w_case2 stays available as independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -44,9 +44,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .exppoly import parse_expression
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
-from .prover import Outcome, decide_sign, replay
+from .prover import BatteryReport
 from .tilted import d_expr  # noqa: F401  (unused here; bench/tracing.py wraps regions.d_expr)
 
 
@@ -401,11 +400,9 @@ class CaseStructureReport:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-# sinh(w)/w increases on w > 0: its derivative is this over w^2
-SINH_OVER_INCREASING = "w*cosh(w) - sinh(w)"
-
-
-def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructureReport:
+def verify_case_structure(
+    lo: float, hi: float, max_depth: int, battery: BatteryReport
+) -> CaseStructureReport:
     """Certify the structural facts the case analysis rests on, on [lo, hi]^3.
 
     (a) concavity of d in v on case 1 (second v-derivative negative), so for
@@ -415,20 +412,21 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
     (c) the diagonal d(u, u, w) is negative, by the exact identity
         d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) with
         s = (u + w)/2 and so(x) = sinh(x)/x: case 1 gives s <= u and
-        so(w) >= 1, so the bracket is at most sinh(s) - s cosh(s), which
-        is negative for s > 0 because so increases (a replayed prover
-        certificate); d(0, 0, 0) = 0, so this needs lo > 0;
+        so(w) >= 1, so the bracket is at most sinh(s) - s cosh(s) < 0, as
+        so increases; d(0, 0, 0) = 0, so this needs lo > 0;
     (d) d decreasing in v on case 2 (the scaled slope d1 negative), so d is
         at most its value on the face v = w;
     (e) case-3 reduction: d depends on w only through so(w), which
-        increases (the same certificate) and multiplies the nonnegative
-        u^2 cosh(v) + v^2 cosh(u), so d(u, v, w) <= d(u, v, v), a point of
-        the face;
-    (f) the face v = w, 2 u^2 Phi(u, w), is negative; it vanishes at u = 0
-        through the factor u^2 alone.
+        increases and multiplies u^2 cosh(v) + v^2 cosh(u), nonnegative by
+        its form, so d(u, v, w) <= d(u, v, v), a point of the face;
+    (f) the face is negative, by the exact identity d(u, w, w) = 2 u^2 Phi
+        with Phi = so(u) - so(w) cosh(w) - (w sinh(w) / 2) so(u/2)^2: u <= w
+        gives so(u) <= so(w), so Phi <= so(w) (1 - cosh(w)) < 0; d(0, w, w)
+        = 0, so this needs lo > 0.
 
-    (a), (b), (d) and (f) are interval bisections whose results ride on
-    their checks; every check passes only on certified or exact evidence.
+    (a), (b) and (d) are interval bisections whose results ride on their
+    checks; (c), (e) and (f) are exact and pass only when ``battery``
+    certified sinh_over_increasing, the lemma that so increases.
     """
     checks: list[StructureCheck] = []
 
@@ -438,11 +436,9 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
         detail = f"{claim} on [{lo}, {hi}]^3 via {result.boxes_evaluated} boxes"
         checks.append(StructureCheck(check, result.certified, detail, result))
 
-    decision = decide_sign(parse_expression(SINH_OVER_INCREASING))
-    replayed = decision.certificate is not None and replay(decision.certificate)
-    increasing = decision.outcome is Outcome.POSITIVE and replayed is Outcome.POSITIVE
+    lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
     so_increasing = (
-        f"{SINH_OVER_INCREASING} {decision.outcome.value} on w > 0 (prover certificate, replayed)"
+        f"{lemma.expression} {lemma.decision.outcome.value} on w > 0 (prover certificate, replayed)"
     )
 
     on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
@@ -450,31 +446,30 @@ def verify_case_structure(lo: float, hi: float, max_depth: int) -> CaseStructure
     checks.append(
         StructureCheck(
             "case1_diagonal",
-            increasing and lo > 0.0,
+            lemma.certified and lo > 0.0,
             "d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) exactly, with "
             "s = (u+w)/2 <= u <= u so(w), so d(u, u, w) <= 4u e^((w-u)/2) (sinh(s) - "
             f"s cosh(s)), negative for u > 0 by {so_increasing}; the cube starts at u = {lo}",
         )
     )
     on_cube("case2_decreasing_in_v", "d1_case2", "d1_case2 < 0")
-
-    multiplier = _case3_multiplier_interval(lo, hi)
     checks.append(
         StructureCheck(
             "case3_decreasing_in_w",
-            increasing and multiplier.lo >= 0.0,
-            f"{so_increasing}; multiplied term enclosure "
-            f"[{multiplier.lo:.6g}, {multiplier.hi:.6g}] is nonnegative",
+            lemma.certified,
+            f"{so_increasing}; on case 3, d = 2 (u sinh(u) + v sinh(v) - so(w) m) with the "
+            "multiplier m = u^2 cosh(v) + v^2 cosh(u) nonnegative by its form, so "
+            "d(u, v, w) <= d(u, v, v), a point of the face v = w",
         )
     )
-
-    on_cube("boundary_v_eq_w", "d_at_v_eq_w_case2", "d|_(v=w) = 2 u^2 Phi(u, w) < 0")
+    checks.append(
+        StructureCheck(
+            "boundary_v_eq_w",
+            lemma.certified and lo > 0.0,
+            "d(u, w, w) = 2 u^2 Phi(u, w) exactly, with Phi = so(u) - so(w) cosh(w) - "
+            "(w sinh(w) / 2) so(u/2)^2; u <= w gives so(u) <= so(w) by "
+            f"{so_increasing}, so d(u, w, w) <= 2 u^2 so(w) (1 - cosh(w)), negative for "
+            f"u > 0 as cosh(w) > 1; the cube starts at u = {lo}",
+        )
+    )
     return CaseStructureReport(tuple(checks))
-
-
-def _case3_multiplier_interval(lo: float, hi: float) -> Interval:
-    # In case 3 both arguments sit below the cap, so the factor multiplies
-    # u^2 cosh(v) + v^2 cosh(u); nonnegativity makes d nonincreasing in w.
-    u = Interval(lo, hi)
-    v = Interval(lo, hi)
-    return (u * u) * vcosh(v) + (v * v) * vcosh(u)

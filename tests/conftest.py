@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tiltbound import SymmetricDiscreteDistribution
+from tiltbound import SymmetricDiscreteDistribution, verify_battery
 from tiltbound.regions import BoxRegion, CaseRegion, certify_negative
 
 
@@ -43,3 +43,9 @@ def boundary_witness():
     """
     box = BoxRegion(u=(0.0, 1.0), v=(0.5, 2.0), w=(0.5, 2.0), case=CaseRegion.CASE2)
     return certify_negative("d_case2", box, max_depth=8)
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The prover battery that verify_case_structure reads, decided once."""
+    return verify_battery()

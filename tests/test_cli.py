@@ -179,9 +179,10 @@ class TestVerifyProof:
         leftovers = [b for r in payload["regions"] for b in r["undecided_boxes"]]
         assert leftovers
 
-    def test_derived_case2_fails_with_its_link(self, capsys):
-        # on a cube reaching u = 0 the face link cannot certify, so neither
-        # can the case-2 entry derived from it
+    def test_derived_case2_fails_with_its_link(self, capsys, battery):
+        # on a cube reaching u = 0 the exact face link fails (d(0, w, w) = 0)
+        # without a box, so the case-2 entry derived from it cannot certify;
+        # its boxes and leftovers are those of its one bisected link
         code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
         assert code == 1
         payload = json.loads(out)
@@ -190,13 +191,12 @@ class TestVerifyProof:
         region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
         assert region["method"] == "derived"
         assert region["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
-        assert not all(checks[name]["passed"] for name in region["links"])
+        assert not checks["boundary_v_eq_w"]["passed"]
+        assert checks["boundary_v_eq_w"]["detail"].endswith("the cube starts at u = 0.0")
         assert region["status"] == "undetermined"
-        assert region["undecided_boxes"]
-        # leftovers of the face are reported on v = w
-        assert any(
-            box["v"] == box["w"] and box["u"][0] == 0.0 for box in region["undecided_boxes"]
-        )
+        slope = verify_case_structure(0.0, 1.0, 5, battery).check("case2_decreasing_in_v")
+        assert region["boxes_evaluated"] == slope.result.boxes_evaluated
+        assert region["undecided_boxes"] == [b.to_dict() for b in slope.result.undecided]
 
     def test_derived_case1_fails_with_its_links(self, capsys):
         # at the origin the slope at v = u vanishes and d(0, 0, 0) = 0, so
@@ -218,14 +218,15 @@ class TestVerifyProof:
         assert region["undecided_boxes"]
         assert all(box["v"] == box["u"] for box in region["undecided_boxes"])
 
-    def test_derived_case2_counts_its_links(self, capsys):
+    def test_derived_case2_counts_its_links(self, capsys, battery):
         code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0", "--depth", "10")
         assert code == 0
         payload = json.loads(out)
         region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
-        structure = verify_case_structure(lo=0.3, hi=2.0, max_depth=10)
+        structure = verify_case_structure(0.3, 2.0, 10, battery)
         links = [structure.check(name).result for name in region["links"]]
-        assert region["boxes_evaluated"] == sum(r.boxes_evaluated for r in links)
+        assert links[1] is None  # the face is exact
+        assert region["boxes_evaluated"] == links[0].boxes_evaluated
         assert region["status"] == "certified" and region["undecided_boxes"] == []
 
 
@@ -277,14 +278,18 @@ class TestVerifyProofDefaults:
             assert region["status"] == "certified"
             assert region["undecided_boxes"] == []
 
-    def test_bisected_links_stay_within_box_budget(self):
+    def test_bisected_links_stay_within_box_budget(self, battery):
         # box count is the machine-independent cost of the verdict; these
-        # budgets are the counts of the e^-w-rescaled slope forms
-        structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH)
+        # budgets are the counts of the e^-w-rescaled slope forms, and the
+        # face is exact
+        structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH, battery)
         boxes = {c.name: c.result.boxes_evaluated for c in structure.checks if c.result}
+        assert set(boxes) == {
+            "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"
+        }
         assert boxes["case2_decreasing_in_v"] <= 169
         assert boxes["case1_slope_at_v_eq_u"] <= 31
-        assert sum(boxes.values()) <= 228
+        assert sum(boxes.values()) <= 201
 
 
 class TestReport:
@@ -303,6 +308,25 @@ class TestReport:
         verify = json.loads(verify)
         for key in ("battery", "case_structure", "regions", "all_passed"):
             assert payload[key] == verify[key]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--h", "800", "--w", "1"),
+        ("bound-check", "--h", "800", "--w", "1"),
+        ("extremal", "--h", "710", "--w", "1"),
+        ("report", "--h", "710", "--w", "1", "--box", "0.3:2.0", "--depth", "8"),
+    ],
+)
+def test_float_overflow_is_a_clean_error(capsys, dist_file, argv):
+    # exp and sinh overflow past hw = 709.8: exit 2 with an error line, not
+    # a traceback, and not bound-check's "bound fails" status 1
+    if argv[0] in ("eval", "bound-check"):
+        argv += ("--dist", dist_file)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestFlags:

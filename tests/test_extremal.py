@@ -115,6 +115,20 @@ class TestSupSearch:
             found = sup_symmetric(sigma * sigma, P11)
             assert found.value >= tilted_mean(three_point_extremal(sigma, 1.0), P11) - 1e-15
 
+    def test_beats_the_three_point_law_with_a_pair_beyond_the_cap(self):
+        # at (h, w, sigma) = (2, 2, 1) the best law puts a pair at +-5.13 > w,
+        # so the three-point closed form is not the supremum there and the
+        # search is still needed
+        p = TiltParams(2.0, 2.0)
+        found = sup_symmetric(1.0, p)
+        three_point = tilted_mean(three_point_extremal(1.0, 2.0), p)
+        assert three_point == pytest.approx(three_point_value(1.0, 2.0, 2.0), rel=1e-12)
+        assert three_point == pytest.approx(1.8008, abs=1e-4)
+        assert found.value == pytest.approx(2.6616, abs=1e-4)
+        outer = max(x for x, _ in found.atoms)
+        assert outer == pytest.approx(5.13, abs=5e-3) and outer > p.w
+        assert found.value < symmetric_factor(p)
+
     def test_stays_below_symmetric_bound(self):
         factor = symmetric_factor(P11)
         for sigma in (0.5, 0.2, 0.05):

@@ -1,16 +1,16 @@
 """Region checker: catalog fidelity, enclosure soundness, certification."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from tiltbound import d_expr, decide_sign, parse_expression, replay
-from tiltbound.prover import Outcome
+from tiltbound import d_expr, replay
+from tiltbound.prover import Outcome, SignDecision
 from tiltbound.regions import (
     CATALOG,
-    SINH_OVER_INCREASING,
     BoxRegion,
     CaseRegion,
     EmptyRegionError,
@@ -345,8 +345,8 @@ class TestClipping:
 
 
 class TestCaseStructure:
-    def test_full_report_passes(self):
-        report = verify_case_structure(lo=0.05, hi=8.0, max_depth=18)
+    def test_full_report_passes(self, battery):
+        report = verify_case_structure(0.05, 8.0, 18, battery)
         assert report.all_passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -357,48 +357,68 @@ class TestCaseStructure:
             "case3_decreasing_in_w",
             "boundary_v_eq_w",
         }
-        # the bisected links carry their certifications; the case-1 diagonal
-        # and case 3 rest on a prover certificate (and case 3 on an
-        # enclosure), not on a bisection
-        bisected = (
-            "case1_concavity_in_v",
-            "case1_slope_at_v_eq_u",
-            "case2_decreasing_in_v",
-            "boundary_v_eq_w",
-        )
-        for name in bisected:
+        # the bisected links carry their certifications; the case-1 diagonal,
+        # case 3 and the face rest on the battery lemma, not on a bisection
+        for name in ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"):
             result = report.check(name).result
             assert result.certified and not result.undecided
-        assert report.check("case1_diagonal").result is None
-        assert report.check("case3_decreasing_in_w").result is None
+        for name in ("case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"):
+            assert report.check(name).result is None
 
-    def test_case3_step_is_a_replayed_certificate(self):
-        decision = decide_sign(parse_expression(SINH_OVER_INCREASING))
-        assert decision.outcome is Outcome.POSITIVE
-        assert replay(decision.certificate) is Outcome.POSITIVE
-        detail = verify_case_structure(lo=0.3, hi=2.0, max_depth=10).check(
+    def test_case3_step_is_a_replayed_certificate(self, battery):
+        lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
+        assert lemma.expression == "w*cosh(w) - sinh(w)"
+        assert lemma.certified and lemma.decision.outcome is Outcome.POSITIVE
+        assert replay(lemma.decision.certificate) is Outcome.POSITIVE
+        detail = verify_case_structure(0.3, 2.0, 10, battery).check(
             "case3_decreasing_in_w"
         ).detail
-        assert detail.startswith(f"{SINH_OVER_INCREASING} positive on w > 0")
+        assert detail.startswith(f"{lemma.expression} positive on w > 0")
+        assert "u^2 cosh(v) + v^2 cosh(u) nonnegative by its form" in detail
 
-    def test_case3_multiplier_keeps_its_exact_zero_at_the_origin(self):
-        # u = v = 0 makes the multiplied term 0 + 0, an exact sum: its
-        # enclosure starts at 0, not at a widened -5e-324
-        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+    def test_case3_passes_on_a_cube_reaching_the_origin(self, battery):
+        # the multiplier u^2 cosh(v) + v^2 cosh(u) is nonnegative everywhere,
+        # so case 3 needs no lo > 0, unlike the diagonal and the face
+        report = verify_case_structure(0.0, 1.0, 5, battery)
         assert report.check("case3_decreasing_in_w").passed
 
-    def test_face_fails_on_a_cube_reaching_u_zero(self):
-        # d(0, w, w) = 0: the face is negative only for u > 0
-        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+    def test_face_fails_on_a_cube_reaching_u_zero(self, battery):
+        # d(0, w, w) = 0: the face is negative only for u > 0, and it is
+        # exact, so it fails on lo = 0 with no bisection behind it
+        report = verify_case_structure(0.0, 1.0, 5, battery)
         face = report.check("boundary_v_eq_w")
         assert not face.passed and not report.all_passed
-        assert face.result.undecided
-        assert all(b.u[0] == 0.0 for b in face.result.undecided)
+        assert face.result is None
+        assert face.detail.endswith("the cube starts at u = 0.0")
+        assert verify_case_structure(0.01, 1.0, 5, battery).check("boundary_v_eq_w").passed
 
-    def test_case1_slope_fails_on_a_cube_reaching_the_origin(self):
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda e: dataclasses.replace(e, replay_matches=False),
+            lambda e: dataclasses.replace(
+                e, decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
+            ),
+            lambda e: dataclasses.replace(e, expected=Outcome.NEGATIVE),
+        ],
+        ids=["no-replay", "undetermined", "wrong-sign"],
+    )
+    def test_exact_links_need_the_battery_lemma(self, battery, spoil):
+        # a battery whose sinh_over_increasing entry is not certified fails
+        # the diagonal, the face and case 3, and only those
+        entries = tuple(
+            spoil(e) if e.name == "sinh_over_increasing" else e for e in battery.entries
+        )
+        spoiled = dataclasses.replace(battery, entries=entries)
+        assert not spoiled.all_certified
+        report = verify_case_structure(0.3, 2.0, 10, spoiled)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"}
+
+    def test_case1_slope_fails_on_a_cube_reaching_the_origin(self, battery):
         # at u = w = 0 the slope at v = u is 0 (it is about w - 2u nearby),
         # and d(0, 0, 0) = 0
-        report = verify_case_structure(lo=0.0, hi=1.0, max_depth=5)
+        report = verify_case_structure(0.0, 1.0, 5, battery)
         slope = report.check("case1_slope_at_v_eq_u")
         assert not slope.passed and not report.all_passed
         left = slope.result.undecided
