@@ -9,11 +9,6 @@ Subcommands map one-to-one onto the library layers:
     extremal      sharpness scan sup/sigma^2 toward sinh(hw)/w
     report        aggregate JSON of everything above
 
-``verify-proof`` reports d_case1 and d_case2 as derived from their
-case-structure links (``CASE1_LINKS`` and ``CASE2_LINKS``): each entry's
-status is that of its links, and its box count and undecided boxes are
-those of its bisected links, on the same cube.
-
 All reports are deterministic: the same inputs produce byte-identical
 output.  Exit status is 0 exactly when every executed check passed: the
 battery certified and every case-structure check passed.  A region with
@@ -31,7 +26,7 @@ from typing import Sequence
 from .exppoly import ExprSyntaxError, parse_expression
 from .extremal import ratio_limit_scan, scan_to_csv
 from .prover import Outcome, decide_sign, verify_battery
-from .regions import CATALOG, BoxRegion, verify_case_structure
+from .regions import verify_case_structure
 from .regions import certify_negative  # noqa: F401  (bench/tracing.py wraps cli.certify_negative)
 from .tilted import (
     SymmetricDiscreteDistribution,
@@ -101,42 +96,6 @@ def _cmd_prove(args) -> int:
     return 0 if decision.outcome is not Outcome.UNDETERMINED else 1
 
 
-# The structure checks whose certifications derive d < 0 on each case.  On
-# case 1, d is concave in v, so it lies below its tangent at v = u, whose
-# slope and value (the diagonal) are negative.  On case 2, d decreases in v,
-# so it is at most its value on the negative face v = w.
-CASE1_LINKS = ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal")
-CASE2_LINKS = ("case2_decreasing_in_v", "boundary_v_eq_w")
-
-# Links certified on a plane v = u report their leftovers there.
-_LINK_PLANES = {"case1_slope_at_v_eq_u": "u"}
-
-
-def _region_reports(box: tuple[float, float], depth: int, structure) -> list[dict]:
-    """d_case1 and d_case2, each derived from its links in ``structure``."""
-
-    def derived(name: str, links: tuple[str, ...]) -> dict:
-        checks = [structure.check(link) for link in links]
-        bisected = [c for c in checks if c.result is not None]
-        leftovers = [
-            b.replace("v", b.interval(_LINK_PLANES[c.name])) if c.name in _LINK_PLANES else b
-            for c in bisected
-            for b in c.result.undecided
-        ]
-        return {
-            "expression": name,
-            "region": BoxRegion(u=box, v=box, w=box, case=CATALOG[name].case).to_dict(),
-            "depth": depth,
-            "method": "derived",
-            "links": list(links),
-            "status": "certified" if all(c.passed for c in checks) else "undetermined",
-            "boxes_evaluated": sum(c.result.boxes_evaluated for c in bisected),
-            "undecided_boxes": [b.to_dict() for b in leftovers],
-        }
-
-    return [derived("d_case1", CASE1_LINKS), derived("d_case2", CASE2_LINKS)]
-
-
 def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
@@ -144,7 +103,7 @@ def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
-        "regions": _region_reports(box, depth, structure),
+        "regions": structure.derived_regions(),
     }
     return payload, battery.all_certified and structure.all_passed
 

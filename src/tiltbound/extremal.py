@@ -192,9 +192,10 @@ def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
     x_max = _atom_range(sigma2, p)
 
     def value(x_pos: float, x_neg: float) -> float:
-        if x_pos <= 0 or x_neg <= 0 or x_pos * x_neg < sigma2 * (1 - 1e-14):
+        try:  # zero_mean_three_atom is the one feasibility check
+            atoms = zero_mean_three_atom(x_pos, x_neg, sigma2)
+        except ValueError:
             return -math.inf
-        atoms = zero_mean_three_atom(x_pos, x_neg, sigma2)
         return tilted_mean_signed(atoms, p.h, p.w)
 
     # x_neg spans many orders of magnitude (the extremal shape pushes it to

@@ -23,12 +23,13 @@ sharpened by a mean-value form, and certifies strict negativity by adaptive
 bisection.  The two slope forms carry a positive factor that keeps their
 sign and cancels their e^w growth, which naive interval evaluation would
 overestimate on wide boxes.  ``tiltbound verify-proof`` bisects dv2_case1,
-dv_at_v_eq_u_case1 and d1_case2, and derives d_case1 and d_case2 through
-:func:`verify_case_structure`: case 1 from concavity in v, the slope at
-v = u and the diagonal v = u; case 2 from d1_case2 < 0 and the face v = w;
-case 3 from the face.  The diagonal, the face and case 3 are exact steps
-from the battery lemma ``sinh_over_increasing``.  Bisecting d_case1,
-d_case2 and d_at_v_eq_w_case2 stays available as independent cross-checks.
+dv_at_v_eq_u_case1 and d1_case2, and derives d_case1 and d_case2 by
+``DERIVATIONS`` from the links of :func:`verify_case_structure`: case 1
+from concavity in v, the slope at v = u and the diagonal v = u; case 2
+from d1_case2 < 0 and the face v = w; case 3 from the face.  The diagonal,
+the face and case 3 are exact steps from the battery lemma
+``sinh_over_increasing``.  Bisecting d_case1, d_case2 and d_at_v_eq_w_case2
+stays available as independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -94,11 +95,10 @@ class BoxRegion:
     def clipped(self, axes: tuple[str, ...] = _AXES) -> Optional["BoxRegion"]:
         """Bounding box of the intersection with the case-order constraints.
 
-        Only constraints speaking about ``axes`` are applied; a restricted
-        catalog expression (d_at_v_eq_w_case2 with v pinned to w, or
-        dv_at_v_eq_u_case1 with v pinned to u) uses the surviving
-        constraint among its own variables.  Returns None
-        when the intersection is empty.
+        Only constraints speaking about ``axes`` are applied.  Without v
+        among ``axes`` the box lies on the lower face of v in its case
+        order (v = u on case 1, v = w on case 2), so v takes that axis's
+        range.  Returns None when the intersection is empty.
         """
         bounds = {name: list(getattr(self, name)) for name in _AXES}
         pairs = [
@@ -111,6 +111,8 @@ class BoxRegion:
         for name in axes:
             if bounds[name][0] > bounds[name][1]:
                 return None
+        if "v" not in axes:
+            bounds["v"] = next(bounds[a] for a, b in _CASE_ORDER[self.case] if b == "v")
         return BoxRegion(
             u=tuple(bounds["u"]), v=tuple(bounds["v"]), w=tuple(bounds["w"]), case=self.case
         )
@@ -385,8 +387,20 @@ class StructureCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+# The checks whose certifications derive d < 0 on each case.  On case 1, d
+# is concave in v, so it lies below its tangent at v = u, whose slope and
+# value (the diagonal) are negative.  On case 2, d decreases in v, so it is
+# at most its value on the negative face v = w.
+DERIVATIONS: dict[str, tuple[str, ...]] = {
+    "d_case1": ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"),
+    "d_case2": ("case2_decreasing_in_v", "boundary_v_eq_w"),
+}
+
+
 @dataclass(frozen=True)
 class CaseStructureReport:
+    cube: tuple[float, float]  # (lo, hi): the checks ran on [lo, hi]^3
+    depth: int  # the bisection depth cap they ran at
     checks: tuple[StructureCheck, ...]
 
     @property
@@ -398,6 +412,29 @@ class CaseStructureReport:
 
     def to_dict(self) -> dict:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
+
+    def derived_regions(self) -> list[dict]:
+        """d_case1 and d_case2, each derived from its links in ``DERIVATIONS``.
+
+        Status from all the links; boxes and leftovers from the bisected ones.
+        """
+
+        def derived(name: str, links: tuple[str, ...]) -> dict:
+            checks = [self.check(link) for link in links]
+            bisected = [c.result for c in checks if c.result is not None]
+            cube = BoxRegion(u=self.cube, v=self.cube, w=self.cube, case=CATALOG[name].case)
+            return {
+                "expression": name,
+                "region": cube.to_dict(),
+                "depth": self.depth,
+                "method": "derived",
+                "links": list(links),
+                "status": "certified" if all(c.passed for c in checks) else "undetermined",
+                "boxes_evaluated": sum(r.boxes_evaluated for r in bisected),
+                "undecided_boxes": [b.to_dict() for r in bisected for b in r.undecided],
+            }
+
+        return [derived(name, links) for name, links in DERIVATIONS.items()]
 
 
 def verify_case_structure(
@@ -439,6 +476,8 @@ def verify_case_structure(
     lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
     so_increasing = (
         f"{lemma.expression} {lemma.decision.outcome.value} on w > 0 (prover certificate, replayed)"
+        if lemma.certified
+        else f"{lemma.expression} > 0 on w > 0, which the battery did not certify"
     )
 
     on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
@@ -472,4 +511,4 @@ def verify_case_structure(
             f"u > 0 as cosh(w) > 1; the cube starts at u = {lo}",
         )
     )
-    return CaseStructureReport(tuple(checks))
+    return CaseStructureReport((lo, hi), max_depth, tuple(checks))

@@ -163,11 +163,24 @@ class TestVerifyProof:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2  # byte-identical reports
-        assert out1 == (GOLDEN / "verify_proof_box_0.3_2.0_depth_10.json").read_text()
         payload = json.loads(out1)
         assert payload["all_passed"] is True
         assert payload["battery"]["all_certified"] is True
         assert {r["status"] for r in payload["regions"]} == {"certified"}
+
+    @pytest.mark.parametrize(
+        "golden, argv, exit_code",
+        [
+            ("verify_proof_default.json", (), 0),
+            ("verify_proof_box_0.3_2.0_depth_10.json", ("--box", "0.3:2.0", "--depth", "10"), 0),
+            # a failing run, whose slope leftovers lie on the plane v = u
+            ("verify_proof_box_0_1_depth_5.json", ("--box", "0:1", "--depth", "5"), 1),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, golden, argv, exit_code):
+        code, out, _ = run_cli(capsys, "verify-proof", *argv)
+        assert code == exit_code
+        assert out == (GOLDEN / golden).read_text()
 
     def test_origin_cube_fails_honestly(self, capsys):
         # a cube touching the origin cannot be fully certified at shallow

@@ -1,16 +1,34 @@
 """Soundness of the outward-rounded interval arithmetic and the gradients."""
 
 import math
+import struct
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from tiltbound.intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
+from tiltbound.intervals import (
+    LIBM_ULPS,
+    Dual,
+    Interval,
+    _libm_down,
+    _libm_up,
+    vcosh,
+    vexp,
+    vsinh,
+    vsinh_over,
+)
 
 
 def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
+
+
+def _ordinal(x: float) -> int:
+    """Position of a finite x on the float line; neighbouring floats differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
 def sample_in(rng, iv: Interval) -> float:
@@ -70,6 +88,20 @@ class TestContainment:
                     cases.append((iv.sinh_over(), mpmath.sinh(mx) / mx))
                 for enclosure, exact in cases:
                     assert enclosure.lo <= exact <= enclosure.hi, (x, enclosure)
+
+    @pytest.mark.parametrize(
+        "x", [1.0, -0.1, 5e-324, -2.5e-310, sys.float_info.max, -sys.float_info.max]
+    )
+    def test_libm_widening_steps_libm_ulps(self, x):
+        # the widening the libm test above relies on is the documented
+        # LIBM_ULPS ulps, also across zero and up to overflow past +-max
+        top = _ordinal(sys.float_info.max)
+        for widen, sign in ((_libm_down, -1), (_libm_up, 1)):
+            got = widen(x)
+            if math.isinf(got):
+                assert got == sign * math.inf and abs(_ordinal(x)) + LIBM_ULPS > top
+            else:
+                assert _ordinal(got) - _ordinal(x) == sign * LIBM_ULPS
 
     def test_product_with_exact_zero_factor_is_not_widened(self):
         scaled = 0.5 * Interval(0.0, 1.0)

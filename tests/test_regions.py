@@ -11,6 +11,7 @@ from tiltbound import d_expr, replay
 from tiltbound.prover import Outcome, SignDecision
 from tiltbound.regions import (
     CATALOG,
+    DERIVATIONS,
     BoxRegion,
     CaseRegion,
     EmptyRegionError,
@@ -341,7 +342,17 @@ class TestClipping:
         box = BoxRegion(u=(0.0, 5.0), v=(0.0, 5.0), w=(1.0, 2.0), case=CaseRegion.CASE2)
         clipped = box.clipped(("u", "w"))
         assert clipped.u == (0.0, 2.0)  # u <= w
-        assert clipped.v == (0.0, 5.0)  # untouched
+        assert clipped.v == clipped.w == (1.0, 2.0)  # on the face v = w
+
+    @pytest.mark.parametrize(
+        "name, plane", [("dv_at_v_eq_u_case1", "u"), ("d_at_v_eq_w_case2", "w")]
+    )
+    def test_restricted_forms_report_boxes_on_their_plane(self, name, plane):
+        # both vanish at the origin, so [0, 1]^3 leaves undecided boxes
+        cube = BoxRegion(u=(0.0, 1.0), v=(0.0, 1.0), w=(0.0, 1.0), case=CATALOG[name].case)
+        result = certify_negative(name, cube, 5)
+        assert result.undecided
+        assert all(b.v == b.interval(plane) for b in result.undecided)
 
 
 class TestCaseStructure:
@@ -414,6 +425,21 @@ class TestCaseStructure:
         report = verify_case_structure(0.3, 2.0, 10, spoiled)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"}
+        # a failing detail never claims the lemma was replayed
+        for name in failed:
+            detail = report.check(name).detail
+            assert "replayed" not in detail and "the battery did not certify" in detail
+
+    def test_derived_regions_name_the_cube_and_depth_of_their_checks(self, battery):
+        report = verify_case_structure(0.3, 2.0, 10, battery)
+        entries = report.derived_regions()
+        assert [e["expression"] for e in entries] == list(DERIVATIONS) == ["d_case1", "d_case2"]
+        for entry in entries:
+            assert entry["links"] == list(DERIVATIONS[entry["expression"]])
+            assert entry["depth"] == report.depth == 10
+            region = entry["region"]
+            assert region["u"] == region["v"] == region["w"] == list(report.cube) == [0.3, 2.0]
+            assert region["case"] == CATALOG[entry["expression"]].case.value
 
     def test_case1_slope_fails_on_a_cube_reaching_the_origin(self, battery):
         # at u = w = 0 the slope at v = u is 0 (it is about w - 2u nearby),
