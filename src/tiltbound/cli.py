@@ -66,6 +66,16 @@ def _parse_box(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected --depth n") from exc
+    if depth < 0:
+        raise argparse.ArgumentTypeError("depth must be nonnegative")
+    return depth
+
+
 def _cmd_eval(args) -> int:
     params = TiltParams(args.h, args.w)
     dist = _load_distribution(args.dist)
@@ -167,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         formats = ("json", "csv", "text") if csv else ("json", "text")
         p.add_argument("--format", choices=formats, default="json", help="output format")
         if region:
-            p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bisection depth cap")
+            p.add_argument(
+                "--depth", type=_parse_depth, default=DEFAULT_DEPTH, help="bisection depth cap"
+            )
             p.add_argument(
                 "--box",
                 type=_parse_box,

@@ -1,19 +1,29 @@
 """Interval arithmetic with outward rounding, plus interval gradients.
 
 :class:`Interval` implements the usual operations with every inexact result
-widened outward: one ulp per arithmetic operation (float +, -, * and / are
+widened outward: one ulp per arithmetic operation (float +, - and * are
 correctly rounded, so one ulp absorbs the rounding), and ``LIBM_ULPS`` ulps
-for exp/sinh/cosh.  The libm functions are not correctly rounded (glibc's
-``math.sinh(0.809034359644837)`` is off by 1.45 ulp), so the code relies on
-their error staying below ``LIBM_ULPS`` ulps; tests/test_intervals.py checks
-that against mpmath on a seeded and an adversarial point set.  A product
-with an exactly-zero factor is exact and is not widened, so an interval
-starting at 0 keeps 0 as its lower end through scaling; likewise a sum or
-difference that rounds to 0 is exact and is not widened.  The hyperbolic
-functions use monotonicity for tight endpoint images; cosh splits at its
-minimum.  ``sinh(x)/x`` gets a dedicated monotone primitive because
-quotienting the two enclosures separately is catastrophically loose for
-narrow x near zero.
+for exp/sinh/cosh.  There is no interval division: no catalog form divides,
+and ``sinh(x)/x`` has its own primitives below.  The libm functions are not
+correctly rounded (glibc's ``math.sinh(0.809034359644837)`` is off by 1.45
+ulp), so the code relies on their error staying below ``LIBM_ULPS`` ulps;
+tests/test_intervals.py checks that against mpmath on a seeded and an
+adversarial point set.  A product with an exactly-zero factor is exact and
+is not widened, so an interval starting at 0 keeps 0 as its lower end
+through scaling; likewise a sum or difference that rounds to 0 is exact and
+is not widened.  The hyperbolic functions use monotonicity for tight
+endpoint images; cosh splits at its minimum.  ``so(x) = sinh(x)/x`` gets a
+dedicated monotone primitive because quotienting the two enclosures
+separately is catastrophically loose for narrow x near zero.
+
+Its slope, which :meth:`Dual.sinh_over` needs, comes from convexity.  The
+series so(x) = sum x^(2k)/(2k+1)! has positive coefficients, so so'' > 0
+and the slope over [lo, hi] is [so'(lo), so'(hi)].  Term by term,
+so'(x) = sum 2k x^(2k-1)/(2k+1)! lies between its first term x/3 and
+x cosh(x)/3 = sum x^(2k-1)/(3 (2k-2)!), since 6k (2k-2)! <= (2k+1)! for
+k >= 1.  Each end so'(x) = (cosh(x) - so(x))/x is enclosed by an interval
+difference and a float quotient stepped one ulp outward, then clipped to
+those two bounds, which stay tight where the difference cancels.
 
 Every Interval is validated when it is built, by the one test
 ``lo <= hi``: it rejects inverted bounds and a NaN at either end.
@@ -216,25 +226,6 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o) -> "Interval":
-        if type(o) is Interval:
-            olo, ohi = o.lo, o.hi
-        elif isinstance(o, (int, float)):
-            olo = ohi = _scalar(o)
-        else:
-            return NotImplemented
-        if olo <= 0.0 <= ohi:
-            # Divisor straddles zero: no finite enclosure exists.
-            return Interval(-_INF, _INF)
-        quotients = [
-            q
-            for q in (self.lo / olo, self.lo / ohi, self.hi / olo, self.hi / ohi)
-            if not math.isnan(q)  # inf/inf; the remaining corners cover the range
-        ]
-        if not quotients:
-            return Interval(-_INF, _INF)
-        return Interval(_down(min(quotients)), _up(max(quotients)))
-
     # -- elementary functions ------------------------------------------------
 
     def exp(self) -> "Interval":
@@ -279,6 +270,23 @@ def _neg_partial(a: Interval) -> Interval:
     return a if a is ZERO else -a
 
 
+def _so_slope(x: float) -> Interval:
+    """Enclosure of so'(x) = (cosh(x) - so(x))/x at a point x >= 0.
+
+    The quotient by the float x is correctly rounded, so one ulp outward
+    covers it; the clip to [x/3, x cosh(x)/3] is the module docstring's.
+    """
+    if x == 0.0:
+        return ZERO
+    point = Interval.point(x)
+    cosh = point.cosh()
+    gap = cosh - point.sinh_over()
+    return Interval(
+        max(_down(x / 3.0), _down(gap.lo / x)),
+        min(_up((point * cosh).hi / 3.0), _up(gap.hi / x)),
+    )
+
+
 class Dual:
     """Interval value with interval partial derivatives (forward mode).
 
@@ -301,11 +309,6 @@ class Dual:
     @classmethod
     def variable(cls, value: Interval, index: int, arity: int) -> "Dual":
         return cls(value, tuple(_ONE if i == index else ZERO for i in range(arity)))
-
-    @classmethod
-    def constant(cls, value, arity: int) -> "Dual":
-        iv = value if isinstance(value, Interval) else Interval.point(float(value))
-        return cls(iv, (ZERO,) * arity)
 
     def __add__(self, o) -> "Dual":
         if type(o) is Dual:
@@ -376,10 +379,10 @@ class Dual:
         return self._chain(self.val.cosh(), self.val.sinh())
 
     def sinh_over(self) -> "Dual":
-        # d/dx sinh(x)/x = cosh(x)/x - sinh(x)/x^2; looseness here only
-        # affects the mean-value correction, which is second order.
+        # so = sinh(x)/x is convex, so its slope over [lo, hi] runs from
+        # so'(lo) to so'(hi)
         x = self.val
-        return self._chain(x.sinh_over(), x.cosh() / x - x.sinh() / (x * x))
+        return self._chain(x.sinh_over(), Interval(_so_slope(x.lo).lo, _so_slope(x.hi).hi))
 
 
 # As for Interval, only __init__ calls these.

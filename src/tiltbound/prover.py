@@ -205,20 +205,16 @@ def replay(certificate: SignCertificate) -> Outcome:
 # One-variable inequalities underpinning the negativity of the symmetrized
 # comparison expression d(u, v, w) across the three case regions.  Each entry
 # is (name, expression text, expected sign, role).  Names follow the
-# auxiliary expressions of the case analysis (d1, d111, the rescaled diagonal
-# dtilde).  The catalog form d1_case2 of tiltbound.regions is the positive
-# multiple e^-(v+w) d1 of case 2's d1; the other names have no closed form in
-# the catalog, because the one-variable claims are proved here on all of
-# w > 0.  Names and roles appear in the verify-proof JSON.
+# auxiliary expressions of the case analysis (d1, d111).  The diagonal v = u
+# is an exact link, and d111_negativity bounds the whole face v = w of case
+# 2's d1, so neither needs a lemma at single points.  The catalog form
+# d1_case2 of tiltbound.regions is the positive multiple e^-(v+w) d1 of case
+# 2's d1; the other names have no closed form in the catalog, because the
+# one-variable claims are proved here on all of w > 0.  Names and roles
+# appear in the verify-proof JSON.
 # tiltbound.regions reads sinh_over_increasing by name in three exact links.
 
 BATTERY = (
-    (
-        "dtilde_diag_slope_at_corner",
-        "1 + exp(w)^2*(w + 2*w*exp(w) - exp(w)^2*(1+w))",
-        Outcome.NEGATIVE,
-        "slope in u of the rescaled case-1 diagonal restriction, at u = w",
-    ),
     (
         "d1_case1_concavity_majorant",
         "2*sinh(w) + exp(w)^2*(w - 2*(2+w)*sinh(w))",
@@ -248,18 +244,6 @@ BATTERY = (
         "exp(w)*w*(cosh(w) - 2*sinh(w)) + (w-1)*w",
         Outcome.NEGATIVE,
         "u-independent part of the case-2 split of d1 at v = w",
-    ),
-    (
-        "d1_case2_at_v_eq_w_u_zero",
-        "(w-1)*w + exp(w)*w*(cosh(w) - 3*sinh(w))",
-        Outcome.NEGATIVE,
-        "d1 of case 2 at v = w in the u -> 0 limit",
-    ),
-    (
-        "d1_case2_at_v_eq_w_u_eq_w",
-        "w + (w + exp(w))*sinh(w) - exp(w)*(4*sinh(w) - 1)*cosh(w) - 1",
-        Outcome.NEGATIVE,
-        "d1 of case 2 at u = v = w, divided by w",
     ),
     (
         "sinh_dominates_identity",

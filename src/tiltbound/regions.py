@@ -22,14 +22,17 @@ It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
 bisection.  The two slope forms carry a positive factor that keeps their
 sign and cancels their e^w growth, which naive interval evaluation would
-overestimate on wide boxes.  ``tiltbound verify-proof`` bisects dv2_case1,
-dv_at_v_eq_u_case1 and d1_case2, and derives d_case1 and d_case2 by
-``DERIVATIONS`` from the links of :func:`verify_case_structure`: case 1
-from concavity in v, the slope at v = u and the diagonal v = u; case 2
-from d1_case2 < 0 and the face v = w; case 3 from the face.  The diagonal,
-the face and case 3 are exact steps from the battery lemma
-``sinh_over_increasing``.  Bisecting d_case1, d_case2 and d_at_v_eq_w_case2
-stays available as independent cross-checks.
+overestimate on wide boxes.  d_case2 is written in exponentials: it has
+-v e^-v where the hyperbolic form has v sinh(v) - v cosh(v), two terms near
+v e^v / 2 whose enclosures cancel only to a width of that size.
+
+``tiltbound verify-proof`` bisects dv2_case1, dv_at_v_eq_u_case1 and
+d1_case2, and derives d_case1 and d_case2 by ``DERIVATIONS`` from the links
+of :func:`verify_case_structure`: case 1 from concavity in v, the slope at
+v = u and the diagonal v = u; case 2 from d1_case2 < 0 and the face v = w;
+case 3 from the face.  The diagonal, the face and case 3 are exact steps
+from the battery lemma ``sinh_over_increasing``.  Bisecting d_case1,
+d_case2 and d_at_v_eq_w_case2 stays available as independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -177,11 +180,13 @@ def _dv_at_v_eq_u_case1(u, w):
 
 
 def _d_case2(u, v, w):
+    # in exponentials: v (sinh(v) - cosh(v)) = -v e^-v, sinh(w) + cosh(w) = e^w
+    ew = vexp(w)
+    env = vexp(-v)
     return (
         2 * u * vsinh(u)
-        + v * (vsinh(v) + vsinh(w) + vcosh(w))
-        - v * vcosh(v)
-        - vsinh_over(w) * ((u * u) * (vexp(-v) + vexp(w)) + 2 * (v * v) * vcosh(u))
+        + v * (ew - env)
+        - vsinh_over(w) * ((u * u) * (env + ew) + 2 * (v * v) * vcosh(u))
     )
 
 
@@ -247,8 +252,7 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     mids = [Interval.point(0.5 * (lo + hi)) for lo, hi in spans]
     mean_value = expr.fn(*mids)
     for index, (lo, hi) in enumerate(spans):
-        mid = 0.5 * (lo + hi)
-        offset = Interval(_dnext(lo - mid), _unext(hi - mid))
+        offset = Interval(lo, hi) - 0.5 * (lo + hi)
         mean_value = mean_value + full.grad[index] * offset
     enclosure = naive.intersect(mean_value)
 
@@ -273,14 +277,6 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
         inf_bound = expr.fn(*lower_faces).lo
         enclosure = Interval(max(enclosure.lo, inf_bound), min(enclosure.hi, sup_bound))
     return enclosure
-
-
-def _dnext(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _unext(x: float) -> float:
-    return math.nextafter(x, math.inf)
 
 
 def _owner(expr: ProofExpr | str, box: BoxRegion) -> ProofExpr:

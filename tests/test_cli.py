@@ -102,6 +102,18 @@ class TestProve:
         "name, text, exit_code",
         [(name, text, 0) for name, text, _, _ in BATTERY]
         + [
+            # lemmas that left the battery, still certified by prove
+            (
+                "dtilde_diag_slope_at_corner",
+                "1 + exp(w)^2*(w + 2*w*exp(w) - exp(w)^2*(1+w))",
+                0,
+            ),
+            ("d1_case2_at_v_eq_w_u_zero", "(w-1)*w + exp(w)*w*(cosh(w) - 3*sinh(w))", 0),
+            (
+                "d1_case2_at_v_eq_w_u_eq_w",
+                "w + (w + exp(w))*sinh(w) - exp(w)*(4*sinh(w) - 1)*cosh(w) - 1",
+                0,
+            ),
             ("exp_w_minus_3", "exp(w) - 3", 1),
             ("golden_ratio_base_case", "-exp(w)^2 + exp(w) + 1", 1),
         ],
@@ -293,16 +305,16 @@ class TestVerifyProofDefaults:
 
     def test_bisected_links_stay_within_box_budget(self, battery):
         # box count is the machine-independent cost of the verdict; these
-        # budgets are the counts of the e^-w-rescaled slope forms, and the
-        # face is exact
+        # budgets are the counts of the e^-w-rescaled slope forms with the
+        # convex sinh(x)/x slope, and the face is exact
         structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH, battery)
         boxes = {c.name: c.result.boxes_evaluated for c in structure.checks if c.result}
         assert set(boxes) == {
             "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"
         }
         assert boxes["case2_decreasing_in_v"] <= 169
-        assert boxes["case1_slope_at_v_eq_u"] <= 31
-        assert sum(boxes.values()) <= 201
+        assert boxes["case1_slope_at_v_eq_u"] <= 27
+        assert sum(boxes.values()) <= 197
 
 
 class TestReport:
@@ -359,5 +371,15 @@ class TestFlags:
     def test_unread_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-proof", "report"])
+    @pytest.mark.parametrize("depth", ["-1", "-18"])
+    def test_bad_depth_is_rejected(self, capsys, command, depth):
+        # a negative cap fails every link that needs a split; it is bad
+        # input, rejected like a bad --box
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--depth", depth])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err

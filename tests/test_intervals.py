@@ -49,8 +49,6 @@ class TestContainment:
             assert (a + b).contains(x + y)
             assert (a - b).contains(x - y)
             assert (a * b).contains(x * y)
-            if b.lo > 0.1 or b.hi < -0.1:
-                assert (a / b).contains(x / y)
 
     def test_scalar_mixing(self, rng):
         for _ in range(100):
@@ -144,9 +142,8 @@ class TestContainment:
             lambda a, o: o - a,
             lambda a, o: a * o,
             lambda a, o: o * a,
-            lambda a, o: a / o,
         ],
-        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
     )
     @pytest.mark.parametrize(
         "operand",
@@ -164,7 +161,7 @@ class TestContainment:
 
     def test_point_intervals_stay_tight(self):
         v = Interval.point(1.5)
-        result = (v * v + v.exp() - v.sinh() / v).width
+        result = (v * v + v.exp() - v.sinh()).width
         assert result < 1e-12
 
 
@@ -173,10 +170,6 @@ class TestStructure:
         enc = Interval(-2.0, 3.0).cosh()
         assert enc.lo == 1.0
         assert enc.contains(math.cosh(0.0)) and enc.contains(math.cosh(3.0))
-
-    def test_division_through_zero_is_unbounded(self):
-        result = Interval(1.0, 2.0) / Interval(-1.0, 1.0)
-        assert result.lo == -math.inf and result.hi == math.inf
 
     def test_sinh_over_is_tight(self):
         # the dedicated primitive must not blow up on narrow intervals
@@ -230,9 +223,34 @@ class TestDual:
             x = [sample_in(rng, s) for s in spans]
             assert enclosure.contains(f(*x))
 
-    def test_constant_has_zero_gradient(self):
-        c = Dual.constant(3.0, 2)
-        assert all(g.lo == 0.0 and g.hi == 0.0 for g in c.grad)
+    def test_sinh_over_slope_contains_the_true_slope(self):
+        # so'(x) = (x cosh(x) - sinh(x)) / x^2 at the ends and inside each
+        # box; the boxes reach 0, subnormal and tiny ends, and past 710,
+        # where cosh overflows
+        def exact(x):
+            if x == 0.0:
+                return 0
+            # the difference cancels 2 log2(1/x) bits for small x
+            with mpmath.workprec(200 + 2 * max(0, -math.frexp(x)[1])):
+                mx = mpmath.mpf(x)
+                return (mx * mpmath.cosh(mx) - mpmath.sinh(mx)) / mx**2
+
+        rng = np.random.default_rng(20261018)
+        boxes = [tuple(sorted(map(float, rng.uniform(0.0, 20.0, size=2)))) for _ in range(300)]
+        boxes += [
+            (0.0, 1.0), (0.0, 5e-324), (5e-324, 5e-324), (5e-324, 1e-300), (0.0, 1e-300),
+            (1e-300, 2.0), (1e-8, 1e-7), (3.0, 3.0), (700.0, 720.0), (0.0, 800.0),
+            (709.0, 711.0), (715.0, 715.0),
+        ]
+        for lo, hi in boxes:
+            slope = Dual.variable(Interval(lo, hi), 0, 1).sinh_over().grad[0]
+            for x in (lo, hi, *map(float, rng.uniform(lo, hi, size=3))):
+                assert slope.lo <= exact(x) <= slope.hi, (lo, hi, x, slope)
+
+    def test_sinh_over_slope_from_zero_is_finite(self):
+        slope = Dual.variable(Interval(0.0, 1.0), 0, 1).sinh_over().grad[0]
+        assert slope.lo == 0.0
+        assert math.isfinite(slope.hi) and slope.hi < 0.5  # so'(1) = 1/e ~ 0.368
 
     def test_unread_axis_has_an_exact_zero_partial(self):
         u, v, w = (Dual.variable(Interval(0.5, 1.5), i, 3) for i in range(3))

@@ -225,6 +225,12 @@ class TestEnclosures:
         enc = eval_interval("d_case2", box)
         assert enc.hi >= 0.0
 
+    def test_case2_enclosure_has_no_cancelling_pair(self):
+        # in hyperbolic form, v sinh(v) - v cosh(v) = -v e^-v is two terms
+        # near 1.2e4 whose intervals cancel to about [-1567, 1324]
+        box = BoxRegion(u=(0.05, 0.1), v=(7.5, 8.0), w=(1.0, 1.1), case=CaseRegion.CASE2)
+        assert eval_interval("d_case2", box).hi < 0.0
+
     def test_soundness_random_points(self, rng):
         for expr in CATALOG.values():
             checked = 0
