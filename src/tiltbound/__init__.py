@@ -8,7 +8,8 @@ Layers:
 * :mod:`tiltbound.prover` certifies one-variable exp-polynomial inequalities
   with exact, replayable certificates.
 * :mod:`tiltbound.regions` certifies the multivariate negativity claims on
-  bounded boxes with outward-rounded interval arithmetic.
+  bounded boxes with outward-rounded interval arithmetic, and checks its
+  exact links by expanding identities in :mod:`tiltbound.identities`.
 * :mod:`tiltbound.extremal` searches constrained distribution families, built
   as signed atoms, to reproduce the sharpness of the bound factor.
 * :mod:`tiltbound.cli` ties everything into reproducible reports.

@@ -278,12 +278,16 @@ def _so_slope(x: float) -> Interval:
     """
     if x == 0.0:
         return ZERO
-    point = Interval.point(x)
-    cosh = point.cosh()
-    gap = cosh - point.sinh_over()
+    # the bounds of Interval.point(x).cosh() and .sinh_over() for x > 0, from
+    # one libm call each, then their outward-rounded difference
+    cosh, so = _cosh(x), _sinh(x) / x
+    cosh_lo, cosh_hi = max(1.0, _libm_down(cosh)), _libm_up(cosh)
+    so_lo, so_hi = max(1.0, _down(_libm_down(so))), max(1.0, _up(_libm_up(so)))
+    gap_lo, gap_hi = cosh_lo - so_hi, cosh_hi - so_lo
+    gap_lo, gap_hi = _down(gap_lo) if gap_lo else 0.0, _up(gap_hi) if gap_hi else 0.0
     return Interval(
-        max(_down(x / 3.0), _down(gap.lo / x)),
-        min(_up((point * cosh).hi / 3.0), _up(gap.hi / x)),
+        max(_down(x / 3.0), _down(gap_lo / x)),
+        min(_up(_up(x * cosh_hi) / 3.0), _up(gap_hi / x)),
     )
 
 
@@ -390,22 +394,23 @@ _set_val = Dual.val.__set__
 _set_grad = Dual.grad.__set__
 
 
-# Generic elementary functions usable with floats, Intervals and Duals.
+# Generic elementary functions: an int or float goes to math, and any other
+# value (Interval, Dual, or the exact identities.Laurent) to its own method.
 
 
 def vexp(x):
-    return x.exp() if isinstance(x, (Interval, Dual)) else math.exp(x)
+    return math.exp(x) if isinstance(x, (int, float)) else x.exp()
 
 
 def vsinh(x):
-    return x.sinh() if isinstance(x, (Interval, Dual)) else math.sinh(x)
+    return math.sinh(x) if isinstance(x, (int, float)) else x.sinh()
 
 
 def vcosh(x):
-    return x.cosh() if isinstance(x, (Interval, Dual)) else math.cosh(x)
+    return math.cosh(x) if isinstance(x, (int, float)) else x.cosh()
 
 
 def vsinh_over(x):
-    if isinstance(x, (Interval, Dual)):
-        return x.sinh_over()
-    return math.sinh(x) / x if x else 1.0  # the limit at 0, as Interval.sinh_over
+    if isinstance(x, (int, float)):
+        return math.sinh(x) / x if x else 1.0  # the limit at 0, as Interval.sinh_over
+    return x.sinh_over()

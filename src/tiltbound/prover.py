@@ -212,7 +212,10 @@ def replay(certificate: SignCertificate) -> Outcome:
 # 2's d1; the other names have no closed form in the catalog, because the
 # one-variable claims are proved here on all of w > 0.  Names and roles
 # appear in the verify-proof JSON.
-# tiltbound.regions reads sinh_over_increasing by name in three exact links.
+# tiltbound.regions reads sinh_over_increasing by name in three exact links,
+# and the case-2 slope link reads d1_case2_concavity_majorant,
+# d1_case2_slope_at_u_zero, d111_negativity and sinh_dominates_identity by
+# name and expands their expressions in its identities.
 
 BATTERY = (
     (

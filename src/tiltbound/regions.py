@@ -26,13 +26,16 @@ overestimate on wide boxes.  d_case2 is written in exponentials: it has
 -v e^-v where the hyperbolic form has v sinh(v) - v cosh(v), two terms near
 v e^v / 2 whose enclosures cancel only to a width of that size.
 
-``tiltbound verify-proof`` bisects dv2_case1, dv_at_v_eq_u_case1 and
-d1_case2, and derives d_case1 and d_case2 by ``DERIVATIONS`` from the links
-of :func:`verify_case_structure`: case 1 from concavity in v, the slope at
-v = u and the diagonal v = u; case 2 from d1_case2 < 0 and the face v = w;
+``tiltbound verify-proof`` bisects dv2_case1 and dv_at_v_eq_u_case1 only,
+and derives d_case1 and d_case2 by ``DERIVATIONS`` from the links of
+:func:`verify_case_structure`: case 1 from concavity in v, the slope at
+v = u and the diagonal v = u; case 2 from its slope in v and the face v = w;
 case 3 from the face.  The diagonal, the face and case 3 are exact steps
-from the battery lemma ``sinh_over_increasing``.  Bisecting d_case1,
-d_case2 and d_at_v_eq_w_case2 stays available as independent cross-checks.
+from the battery lemma ``sinh_over_increasing``.  The case-2 slope is exact
+too: :mod:`tiltbound.identities` expands the catalog's own d_case2 and
+d1_case2 into identities that tie them to the battery lemmas listed in
+``CASE2_SLOPE_LEMMAS``.  Bisecting d_case1, d_case2, d1_case2 and
+d_at_v_eq_w_case2 stays available as independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -48,6 +51,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .exppoly import parse_expression
+from .identities import U, V, W, Laurent
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 from .prover import BatteryReport
 from .tilted import d_expr  # noqa: F401  (unused here; bench/tracing.py wraps regions.d_expr)
@@ -393,6 +398,85 @@ DERIVATIONS: dict[str, tuple[str, ...]] = {
 }
 
 
+# The battery lemmas the exact case-2 slope link reads, by the symbol they
+# stand for in its identities.
+CASE2_SLOPE_LEMMAS = (
+    ("M2", "d1_case2_concavity_majorant"),
+    ("S0", "d1_case2_slope_at_u_zero"),
+    ("D111", "d111_negativity"),
+    ("sinh(w) - w", "sinh_dominates_identity"),
+)
+
+
+def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
+    """(left side, summands of the right side) of each identity of the case-2 slope.
+
+    ``lemmas`` maps each symbol of ``CASE2_SLOPE_LEMMAS`` to its battery
+    expression.  With d1 = e^(v+w) d1_case2 and c = cosh(u) - 1, the
+    identities say d1 = w e^v d_v and
+
+        e^-v d1_vv     = M2 - 4 sinh(w) (c (2 + v) + (v - w)),
+        d1_v(u, w, w)  = S0 - 4 sinh(w) e^w (1 + w) c,
+        d1(u, w, w)    = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w c),
+        e^w - w        = (sinh(w) - w) + cosh(w),
+        c              = e^-u (e^u - 1)^2 / 2.
+
+    On 0 < u <= w <= v: sinh(w) > w > 0, so e^w - w > 0 and c >= 0, and
+    every bracket is nonnegative.  So e^-v d1_vv <= M2 < 0, d1_v(u, w, w)
+    <= S0 < 0 and d1(u, w, w) <= D111 < 0: d1 is concave in v on v >= w and
+    lies below its tangent there, d1 <= d1(u, w, w) + d1_v(u, w, w) (v - w)
+    < 0, and d_v = e^-v d1 / w < 0.
+    """
+    u, v, w = U, V, W
+    d1 = vexp(v + w) * CATALOG["d1_case2"].fn(u, v, w)
+    sw, ew, c = vsinh(w), vexp(w), vcosh(u) - 1
+    return (
+        (d1, (w * vexp(v) * CATALOG["d_case2"].fn(u, v, w).diff("v"),)),
+        (
+            vexp(-v) * d1.diff("v").diff("v"),
+            (lemmas["M2"], -4 * sw * c * (2 + v), -4 * sw * (v - w)),
+        ),
+        (d1.diff("v").at_v_eq_w(), (lemmas["S0"], -4 * sw * ew * (1 + w) * c)),
+        (
+            d1.at_v_eq_w(),
+            (
+                lemmas["D111"],
+                -sw * (w - u) * (w + u),
+                -sw * w * (ew - w),
+                -4 * sw * w * ew * c,
+            ),
+        ),
+        (ew - w, (lemmas["sinh(w) - w"], vcosh(w))),
+        (c, (0.5 * vexp(-u) * (vexp(u) - 1) * (vexp(u) - 1),)),
+    )
+
+
+def _case2_slope_link(lo: float, battery: BatteryReport) -> StructureCheck:
+    """d decreases in v on case 2, from exact identities and battery lemmas."""
+    entries = {e.name: e for e in battery.entries}
+    lemmas = {sym: entries[name] for sym, name in CASE2_SLOPE_LEMMAS}
+    identities = _case2_slope_identities(
+        {sym: Laurent.in_w(parse_expression(e.expression)) for sym, e in lemmas.items()}
+    )
+    zero = sum((lhs - sum(rhs)).is_zero for lhs, rhs in identities)
+    read = ", ".join(
+        f"{sym} = {e.name} {e.decision.outcome.value} "
+        + ("(prover certificate, replayed)" if e.certified else "(the battery did not certify it)")
+        for sym, e in lemmas.items()
+    )
+    return StructureCheck(
+        "case2_decreasing_in_v",
+        zero == len(identities) and all(e.certified for e in lemmas.values()) and lo > 0.0,
+        "d1 = e^(v+w) d1_case2 = w e^v d_v, with e^-v d1_vv = M2 - 4 sinh(w) ((cosh(u) - 1)"
+        "(2 + v) + (v - w)), d1_v(u, w, w) = S0 - 4 sinh(w) e^w (1 + w) (cosh(u) - 1) and "
+        "d1(u, w, w) = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w (cosh(u) - 1)), "
+        "where e^w - w = (sinh(w) - w) + cosh(w) and cosh(u) - 1 = e^-u (e^u - 1)^2 / 2: "
+        f"{zero} of {len(identities)} identities expand to 0; {read} on w > 0; so on "
+        "u <= w <= v, d1 is concave in v and d1 <= d1(u, w, w) + d1_v(u, w, w) (v - w), "
+        f"negative for w > 0; the cube starts at w = {lo}",
+    )
+
+
 @dataclass(frozen=True)
 class CaseStructureReport:
     cube: tuple[float, float]  # (lo, hi): the checks ran on [lo, hi]^3
@@ -447,8 +531,11 @@ def verify_case_structure(
         s = (u + w)/2 and so(x) = sinh(x)/x: case 1 gives s <= u and
         so(w) >= 1, so the bracket is at most sinh(s) - s cosh(s) < 0, as
         so increases; d(0, 0, 0) = 0, so this needs lo > 0;
-    (d) d decreasing in v on case 2 (the scaled slope d1 negative), so d is
-        at most its value on the face v = w;
+    (d) d decreasing in v on case 2, so d is at most its value on the face
+        v = w: d1 = w e^v d_v is concave in v on v >= w and lies below its
+        tangent at v = w, whose value and slope are negative (see
+        :func:`_case2_slope_identities`); d1 = 0 at w = 0, so this needs
+        lo > 0;
     (e) case-3 reduction: d depends on w only through so(w), which
         increases and multiplies u^2 cosh(v) + v^2 cosh(u), nonnegative by
         its form, so d(u, v, w) <= d(u, v, v), a point of the face;
@@ -457,9 +544,11 @@ def verify_case_structure(
         gives so(u) <= so(w), so Phi <= so(w) (1 - cosh(w)) < 0; d(0, w, w)
         = 0, so this needs lo > 0.
 
-    (a), (b) and (d) are interval bisections whose results ride on their
-    checks; (c), (e) and (f) are exact and pass only when ``battery``
-    certified sinh_over_increasing, the lemma that so increases.
+    (a) and (b) are interval bisections whose results ride on their checks;
+    (c), (e) and (f) are exact and pass only when ``battery`` certified
+    sinh_over_increasing, the lemma that so increases; (d) is exact and
+    passes only when every identity expands to 0 and ``battery`` certified
+    each lemma of ``CASE2_SLOPE_LEMMAS``.
     """
     checks: list[StructureCheck] = []
 
@@ -487,7 +576,7 @@ def verify_case_structure(
             f"s cosh(s)), negative for u > 0 by {so_increasing}; the cube starts at u = {lo}",
         )
     )
-    on_cube("case2_decreasing_in_v", "d1_case2", "d1_case2 < 0")
+    checks.append(_case2_slope_link(lo, battery))
     checks.append(
         StructureCheck(
             "case3_decreasing_in_w",

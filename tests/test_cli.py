@@ -205,9 +205,9 @@ class TestVerifyProof:
         assert leftovers
 
     def test_derived_case2_fails_with_its_link(self, capsys, battery):
-        # on a cube reaching u = 0 the exact face link fails (d(0, w, w) = 0)
-        # without a box, so the case-2 entry derived from it cannot certify;
-        # its boxes and leftovers are those of its one bisected link
+        # on a cube reaching u = w = 0 both case-2 links are exact and fail
+        # without a box (d1 = 0 at w = 0 and d(0, w, w) = 0), so the case-2
+        # entry derived from them cannot certify and has no leftovers
         code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
         assert code == 1
         payload = json.loads(out)
@@ -216,12 +216,14 @@ class TestVerifyProof:
         region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
         assert region["method"] == "derived"
         assert region["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
+        assert not checks["case2_decreasing_in_v"]["passed"]
+        assert checks["case2_decreasing_in_v"]["detail"].endswith("the cube starts at w = 0.0")
         assert not checks["boundary_v_eq_w"]["passed"]
         assert checks["boundary_v_eq_w"]["detail"].endswith("the cube starts at u = 0.0")
         assert region["status"] == "undetermined"
-        slope = verify_case_structure(0.0, 1.0, 5, battery).check("case2_decreasing_in_v")
-        assert region["boxes_evaluated"] == slope.result.boxes_evaluated
-        assert region["undecided_boxes"] == [b.to_dict() for b in slope.result.undecided]
+        assert region["boxes_evaluated"] == 0 and region["undecided_boxes"] == []
+        structure = verify_case_structure(0.0, 1.0, 5, battery)
+        assert all(structure.check(name).result is None for name in region["links"])
 
     def test_derived_case1_fails_with_its_links(self, capsys):
         # at the origin the slope at v = u vanishes and d(0, 0, 0) = 0, so
@@ -244,14 +246,14 @@ class TestVerifyProof:
         assert all(box["v"] == box["u"] for box in region["undecided_boxes"])
 
     def test_derived_case2_counts_its_links(self, capsys, battery):
+        # both case-2 links are exact, so the derived entry evaluates no box
         code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0", "--depth", "10")
         assert code == 0
         payload = json.loads(out)
         region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
         structure = verify_case_structure(0.3, 2.0, 10, battery)
-        links = [structure.check(name).result for name in region["links"]]
-        assert links[1] is None  # the face is exact
-        assert region["boxes_evaluated"] == links[0].boxes_evaluated
+        assert [structure.check(name).result for name in region["links"]] == [None, None]
+        assert region["boxes_evaluated"] == 0
         assert region["status"] == "certified" and region["undecided_boxes"] == []
 
 
@@ -305,16 +307,13 @@ class TestVerifyProofDefaults:
 
     def test_bisected_links_stay_within_box_budget(self, battery):
         # box count is the machine-independent cost of the verdict; these
-        # budgets are the counts of the e^-w-rescaled slope forms with the
-        # convex sinh(x)/x slope, and the face is exact
+        # budgets are the counts of the e^-w-rescaled case-1 slope form with
+        # the convex sinh(x)/x slope, and every case-2 link is exact
         structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH, battery)
         boxes = {c.name: c.result.boxes_evaluated for c in structure.checks if c.result}
-        assert set(boxes) == {
-            "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"
-        }
-        assert boxes["case2_decreasing_in_v"] <= 169
+        assert set(boxes) == {"case1_concavity_in_v", "case1_slope_at_v_eq_u"}
         assert boxes["case1_slope_at_v_eq_u"] <= 27
-        assert sum(boxes.values()) <= 197
+        assert sum(boxes.values()) <= 28
 
 
 class TestReport:

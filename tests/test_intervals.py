@@ -14,6 +14,7 @@ from tiltbound.intervals import (
     Interval,
     _libm_down,
     _libm_up,
+    _so_slope,
     vcosh,
     vexp,
     vsinh,
@@ -251,6 +252,28 @@ class TestDual:
         slope = Dual.variable(Interval(0.0, 1.0), 0, 1).sinh_over().grad[0]
         assert slope.lo == 0.0
         assert math.isfinite(slope.hi) and slope.hi < 0.5  # so'(1) = 1/e ~ 0.368
+
+    def test_so_slope_matches_the_point_interval_construction(self):
+        # _so_slope reads cosh and sinh once each; its bounds are bit for bit
+        # those of the construction from point intervals that it replaced
+        def reference(x):
+            if x == 0.0:
+                return Interval(0.0, 0.0)
+            point = Interval.point(x)
+            cosh = point.cosh()
+            gap = cosh - point.sinh_over()
+            return Interval(
+                max(math.nextafter(x / 3.0, -math.inf), math.nextafter(gap.lo / x, -math.inf)),
+                min(_up((point * cosh).hi / 3.0), _up(gap.hi / x)),
+            )
+
+        rng = np.random.default_rng(20261019)
+        points = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 709.0, 710.5, 715.0, 800.0]
+        points += [float(x) for x in rng.uniform(0.0, 20.0, size=500)]
+        points += [float(10.0**e) for e in rng.uniform(-300.0, 2.8, size=500)]
+        for x in points:
+            got, want = _so_slope(x), reference(x)
+            assert (got.lo, got.hi) == (want.lo, want.hi), x
 
     def test_unread_axis_has_an_exact_zero_partial(self):
         u, v, w = (Dual.variable(Interval(0.5, 1.5), i, 3) for i in range(3))

@@ -7,9 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from tiltbound import d_expr, replay
+from tiltbound import d_expr, regions, replay
+from tiltbound.exppoly import parse_expression
+from tiltbound.identities import Laurent
+from tiltbound.intervals import vexp
 from tiltbound.prover import Outcome, SignDecision
 from tiltbound.regions import (
+    CASE2_SLOPE_LEMMAS,
     CATALOG,
     DERIVATIONS,
     BoxRegion,
@@ -295,6 +299,14 @@ class TestCertification:
             assert b.u[0] <= 0.1  # clustered at u -> 0
             assert b.v[0] <= b.w[1] + 1e-12 and b.w[0] <= b.v[1] + 1e-12  # v ~ w
 
+    def test_case2_slope_form_still_certifies_by_bisection(self):
+        # independent of the exact case-2 slope link: bisecting d1_case2 on
+        # the default cube at the default depth certifies it
+        cube = BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=CaseRegion.CASE2)
+        result = certify_negative("d1_case2", cube, max_depth=18)
+        assert result.certified and not result.undecided
+        assert result.boxes_evaluated <= 169
+
     def test_certified_boxes_survive_grid_falsifier(self):
         box = BoxRegion(u=(0.1, 1.0), v=(1.0, 3.0), w=(1.0, 1.0), case=CaseRegion.CASE2)
         assert certify_negative("d_case2", box, max_depth=20).certified
@@ -375,11 +387,14 @@ class TestCaseStructure:
             "boundary_v_eq_w",
         }
         # the bisected links carry their certifications; the case-1 diagonal,
-        # case 3 and the face rest on the battery lemma, not on a bisection
-        for name in ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"):
+        # the case-2 slope, case 3 and the face rest on battery lemmas and
+        # exact identities, not on a bisection
+        for name in ("case1_concavity_in_v", "case1_slope_at_v_eq_u"):
             result = report.check(name).result
             assert result.certified and not result.undecided
-        for name in ("case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"):
+        for name in (
+            "case1_diagonal", "case2_decreasing_in_v", "case3_decreasing_in_w", "boundary_v_eq_w"
+        ):
             assert report.check(name).result is None
 
     def test_case3_step_is_a_replayed_certificate(self, battery):
@@ -435,6 +450,88 @@ class TestCaseStructure:
         for name in failed:
             detail = report.check(name).detail
             assert "replayed" not in detail and "the battery did not certify" in detail
+
+    def test_case2_slope_link_reads_its_lemmas_and_identities(self, battery):
+        link = verify_case_structure(0.05, 8.0, 18, battery).check("case2_decreasing_in_v")
+        assert link.passed and link.result is None
+        assert "6 of 6 identities expand to 0" in link.detail
+        for symbol, name in CASE2_SLOPE_LEMMAS:
+            entry = next(e for e in battery.entries if e.name == name)
+            assert entry.certified
+            outcome = entry.decision.outcome.value
+            assert f"{symbol} = {name} {outcome} (prover certificate, replayed)" in link.detail
+        assert link.detail.endswith("the cube starts at w = 0.05")
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_case2_slope_link_fails_on_a_flipped_sign(self, battery, monkeypatch, index):
+        # every summand of every right-hand side is needed: negating any one
+        # of them leaves a nonzero expansion and fails the link
+        exact = regions._case2_slope_identities
+        lemmas = {
+            symbol: Laurent.in_w(parse_expression(e.expression))
+            for symbol, name in CASE2_SLOPE_LEMMAS
+            for e in battery.entries
+            if e.name == name
+        }
+        summands = len(exact(lemmas)[index][1])
+        assert summands >= 1
+        for flipped in range(summands):
+
+            def mutated(lemmas):
+                identities = list(exact(lemmas))
+                lhs, rhs = identities[index]
+                rhs = tuple(-t if k == flipped else t for k, t in enumerate(rhs))
+                identities[index] = (lhs, rhs)
+                return tuple(identities)
+
+            monkeypatch.setattr(regions, "_case2_slope_identities", mutated)
+            report = verify_case_structure(0.3, 2.0, 10, battery)
+            link = report.check("case2_decreasing_in_v")
+            assert not link.passed and not report.all_passed
+            assert "5 of 6 identities expand to 0" in link.detail
+            assert {c.name for c in report.checks if not c.passed} == {"case2_decreasing_in_v"}
+
+    @pytest.mark.parametrize("name", [name for _, name in CASE2_SLOPE_LEMMAS])
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda e: dataclasses.replace(e, replay_matches=False),
+            lambda e: dataclasses.replace(
+                e, decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
+            ),
+        ],
+        ids=["no-replay", "undetermined"],
+    )
+    def test_case2_slope_link_needs_each_lemma(self, battery, name, spoil):
+        entries = tuple(spoil(e) if e.name == name else e for e in battery.entries)
+        spoiled = dataclasses.replace(battery, entries=entries)
+        report = verify_case_structure(0.3, 2.0, 10, spoiled)
+        link = report.check("case2_decreasing_in_v")
+        assert not link.passed
+        assert {c.name for c in report.checks if not c.passed} == {"case2_decreasing_in_v"}
+        outcome = next(e for e in entries if e.name == name).decision.outcome.value
+        assert f"{name} {outcome} (the battery did not certify it)" in link.detail
+
+    def test_case2_slope_link_fails_on_a_cube_reaching_w_zero(self, battery):
+        # d1 = 0 at w = 0, so the exact link needs lo > 0 and fails without
+        # a bisection behind it
+        link = verify_case_structure(0.0, 1.0, 5, battery).check("case2_decreasing_in_v")
+        assert not link.passed and link.result is None
+        assert "6 of 6 identities expand to 0" in link.detail
+        assert link.detail.endswith("the cube starts at w = 0.0")
+        assert verify_case_structure(0.01, 1.0, 5, battery).check("case2_decreasing_in_v").passed
+
+    @pytest.mark.parametrize("name", ["d_case2", "d1_case2"])
+    def test_case2_slope_link_reads_the_catalog_forms(self, battery, monkeypatch, name):
+        # the identities expand the catalog's own functions: a transcription
+        # slip in either form fails the link
+        form = CATALOG[name]
+        slipped = dataclasses.replace(
+            form, fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * vexp(-v)
+        )
+        monkeypatch.setitem(CATALOG, name, slipped)
+        link = verify_case_structure(0.3, 2.0, 10, battery).check("case2_decreasing_in_v")
+        assert not link.passed
 
     def test_derived_regions_name_the_cube_and_depth_of_their_checks(self, battery):
         report = verify_case_structure(0.3, 2.0, 10, battery)
