@@ -6,31 +6,23 @@ module supplies the exact-arithmetic polynomial type, a small text grammar for
 entering such expressions, symbolic differentiation with respect to w (where
 d/dw t = t), and the sign-preserving normal form used by the prover.
 
-Coefficients are :class:`fractions.Fraction` throughout; floats are rejected
-so that certificates replay bit for bit.
+A coefficient is an ``int``, or a :class:`fractions.Fraction` when it is not
+integral (never ``Fraction(n, 1)``); :func:`normalize` makes all of them ints
+and :func:`derivative` keeps them so.  Floats are rejected so that
+certificates replay bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
-from .rootisolation import positive_content
-
-Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient required, got {type(value).__name__}")
+from .rootisolation import Scalar, exact, primitive
 
 
 class ExpPoly:
-    """Sum of monomials c * w^i * t^k with exact rational c.
+    """Sum of monomials c * w^i * t^k with exact rational c, an int when integral.
 
     Negative t-degrees are permitted (they arise from sinh/cosh expansions)
     until :func:`normalize` clears them.  Instances are immutable by
@@ -40,13 +32,19 @@ class ExpPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, k), c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    cleaned[(int(i), int(k))] = c
-        self._terms = cleaned
+        self._terms: dict[tuple[int, int], Scalar] = {}
+        for (i, k), c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+            if c:
+                self._terms[(int(i), int(k))] = exact(c)
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], Scalar]) -> "ExpPoly":
+        """The result of exact arithmetic on coefficients: drop zeros, make ints canonical."""
+        p = cls.__new__(cls)
+        p._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -56,11 +54,11 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "ExpPoly":
-        return cls({(0, 0): _as_fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def monomial(cls, coeff: Scalar, w_deg: int, t_deg: int) -> "ExpPoly":
-        return cls({(w_deg, t_deg): _as_fraction(coeff)})
+        return cls({(w_deg, t_deg): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -81,17 +79,17 @@ class ExpPoly:
         ks = [k for _, k in self._terms]
         return (min(ks), max(ks))
 
-    def coeff(self, w_deg: int, t_deg: int) -> Fraction:
-        return self._terms.get((w_deg, t_deg), Fraction(0))
+    def coeff(self, w_deg: int, t_deg: int) -> Scalar:
+        return self._terms.get((w_deg, t_deg), 0)
 
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, int, Scalar]]:
         """Yield (w_deg, t_deg, coeff) in canonical (w, t) order."""
         for (i, k) in sorted(self._terms):
             yield i, k, self._terms[(i, k)]
 
-    def eval_at_zero(self) -> Fraction:
+    def eval_at_zero(self) -> Scalar:
         """Exact value of P(w, e^w) at w = 0, i.e. P(0, 1)."""
-        return sum((c for (i, _), c in self._terms.items() if i == 0), Fraction(0))
+        return exact(sum(c for (i, _), c in self._terms.items() if i == 0))
 
     def evaluate(self, w: float) -> float:
         """Floating-point value of P(w, e^w).  May overflow for large w."""
@@ -116,13 +114,13 @@ class ExpPoly:
             return NotImplemented
         merged = dict(self._terms)
         for key, c in rhs._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return ExpPoly(merged)
+            merged[key] = merged.get(key, 0) + c
+        return ExpPoly._of(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly({key: -c for key, c in self._terms.items()})
+        return ExpPoly._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "ExpPoly":
         rhs = self._coerce(other)
@@ -140,12 +138,12 @@ class ExpPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product: dict[tuple[int, int], Fraction] = {}
+        product: dict[tuple[int, int], Scalar] = {}
         for (i1, k1), c1 in self._terms.items():
             for (i2, k2), c2 in rhs._terms.items():
                 key = (i1 + i2, k1 + k2)
-                product[key] = product.get(key, Fraction(0)) + c1 * c2
-        return ExpPoly(product)
+                product[key] = product.get(key, 0) + c1 * c2
+        return ExpPoly._of(product)
 
     __rmul__ = __mul__
 
@@ -191,9 +189,12 @@ class ExpPoly:
 
     @classmethod
     def from_term_list(cls, data) -> "ExpPoly":
+        """Inverse of :meth:`to_term_list`: int degrees and rational strings only."""
         terms = {}
         for i, k, c in data:
-            terms[(int(i), int(k))] = Fraction(c)
+            if type(i) is not int or type(k) is not int or type(c) is not str:
+                raise TypeError(f"term {[i, k, c]!r} needs int degrees and a rational string")
+            terms[(i, k)] = Fraction(c)
         return cls(terms)
 
 
@@ -206,8 +207,8 @@ def normalize(raw: ExpPoly) -> ExpPoly:
 
     Multiplies through by a positive monomial so that the minimum t-degree
     and minimum w-degree are both zero, then rescales by a positive rational
-    so the integer coefficients are coprime.  Both steps preserve the sign of
-    P(w, e^w) pointwise since w > 0 and t = e^w > 0.
+    so the coefficients are coprime integers.  Both steps preserve the sign
+    of P(w, e^w) pointwise since w > 0 and t = e^w > 0.
 
     Raises ValueError on the zero polynomial.
     """
@@ -215,9 +216,8 @@ def normalize(raw: ExpPoly) -> ExpPoly:
         raise ValueError("cannot normalize the zero polynomial")
     min_i = min(i for i, _ in raw._terms)
     min_k = min(k for _, k in raw._terms)
-    shifted = {(i - min_i, k - min_k): c for (i, k), c in raw._terms.items()}
-    content = positive_content(tuple(shifted.values()))
-    return ExpPoly({key: c / content for key, c in shifted.items()})
+    keys = [(i - min_i, k - min_k) for i, k in raw._terms]
+    return ExpPoly._of(dict(zip(keys, primitive(raw._terms.values()))))
 
 
 def derivative(p: ExpPoly) -> ExpPoly:
@@ -225,15 +225,15 @@ def derivative(p: ExpPoly) -> ExpPoly:
 
     Each monomial c w^i t^k maps to c i w^(i-1) t^k + c k w^i t^k.
     """
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], Scalar] = {}
     for (i, k), c in p._terms.items():
         if i:
             key = (i - 1, k)
-            out[key] = out.get(key, Fraction(0)) + c * i
+            out[key] = out.get(key, 0) + c * i
         if k:
             key = (i, k)
-            out[key] = out.get(key, Fraction(0)) + c * k
-    return ExpPoly(out)
+            out[key] = out.get(key, 0) + c * k
+    return ExpPoly._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ class _Parser:
                 const = _constant_value(rhs)
                 if const is None or const == 0:
                     raise ExprSyntaxError("division is only defined by nonzero constants")
-                value = value * (1 / const)
+                value = value * (Fraction(1) / const)
         return value
 
     def factor(self) -> ExpPoly:
@@ -361,7 +361,7 @@ class _Parser:
     def atom(self) -> ExpPoly:
         kind, text = self.advance()
         if kind == "number":
-            return ExpPoly.constant(Fraction(text))
+            return ExpPoly.constant(Fraction(text) if "." in text else int(text))
         if kind == "(":
             inner = self.expr()
             self.expect(")")
@@ -378,9 +378,9 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {text!r}")
 
 
-def _constant_value(p: ExpPoly) -> Fraction | None:
+def _constant_value(p: ExpPoly) -> Scalar | None:
     if p.is_zero:
-        return Fraction(0)
+        return 0
     terms = list(p.terms())
     if len(terms) == 1 and terms[0][0] == 0 and terms[0][1] == 0:
         return terms[0][2]
@@ -392,8 +392,8 @@ def _linear_w_multiple(p: ExpPoly) -> int | None:
     if p.is_zero:
         return 0
     terms = list(p.terms())
-    if len(terms) == 1 and terms[0][:2] == (1, 0) and terms[0][2].denominator == 1:
-        return int(terms[0][2])
+    if len(terms) == 1 and terms[0][:2] == (1, 0) and type(terms[0][2]) is int:
+        return terms[0][2]
     return None
 
 

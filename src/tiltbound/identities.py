@@ -10,8 +10,8 @@ with rational c and integer exponents, negative ones included (so(w) =
 sinh(w)/w needs w^-1).  Since u, v, w and e^u, e^v, e^w are algebraically
 independent, a sum that collects to no monomial is zero as a function, and
 one that does not is not zero as a formal expression.  The check is exact:
-coefficients are :class:`fractions.Fraction`, and a float operand is
-converted exactly.
+a coefficient is an ``int``, and a :class:`fractions.Fraction` only when it
+is not integral, and a float operand is converted exactly.
 
 The operations are + - * (with another Laurent or an exact scalar), the
 formal partial derivative :meth:`Laurent.diff`, the substitution v := w
@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .exppoly import ExpPoly
+from .rootisolation import Scalar, exact
 
 # A monomial u^a v^b w^c e^(p u + q v + r w) is the key (a, b, c, p, q, r).
 Key = tuple[int, int, int, int, int, int]
@@ -37,20 +38,20 @@ _AXES = ("u", "v", "w")
 _LINEAR = {(1, 0, 0, 0, 0, 0): 0, (0, 1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 2}  # key -> axis
 
 
-def _exact(value) -> Fraction:
+def _exact(value) -> Scalar:
     """The rational equal to an int, Fraction or finite float operand."""
     if isinstance(value, (int, Fraction, float)):
-        return Fraction(value)  # exact for a float; raises on NaN and inf
+        return exact(Fraction(value))  # exact for a float; raises on NaN and inf
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
 class Laurent:
-    """A Laurent polynomial over Fraction in u, v, w, e^u, e^v and e^w."""
+    """A Laurent polynomial over the rationals in u, v, w, e^u, e^v and e^w."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Key, Fraction]):
-        self._terms = {key: c for key, c in terms.items() if c}
+    def __init__(self, terms: dict[Key, Scalar]):
+        self._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
 
     @classmethod
     def constant(cls, value) -> "Laurent":
@@ -60,7 +61,7 @@ class Laurent:
     def variable(cls, name: str) -> "Laurent":
         key = [0] * 6
         key[_AXES.index(name)] = 1
-        return cls({tuple(key): Fraction(1)})
+        return cls({tuple(key): 1})
 
     @classmethod
     def in_w(cls, p: ExpPoly) -> "Laurent":
@@ -71,7 +72,7 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Key, Fraction]]:
+    def terms(self) -> Iterator[tuple[Key, Scalar]]:
         """(key, coefficient) of every monomial, in key order."""
         for key in sorted(self._terms):
             yield key, self._terms[key]
@@ -105,7 +106,7 @@ class Laurent:
         return self._coerce(other) + -self
 
     def __mul__(self, other) -> "Laurent":
-        terms: dict[Key, Fraction] = {}
+        terms: dict[Key, Scalar] = {}
         factor = self._coerce(other)._terms.items()
         for a, x in self._terms.items():
             for b, y in factor:
@@ -120,7 +121,7 @@ class Laurent:
     def diff(self, name: str) -> "Laurent":
         """The partial derivative in u, v or w: x^a e^(p x) gives (a/x + p) x^a e^(p x)."""
         axis = _AXES.index(name)
-        terms: dict[Key, Fraction] = {}
+        terms: dict[Key, Scalar] = {}
         for key, c in self._terms.items():
             power, rate = key[axis], key[3 + axis]
             if power:
@@ -132,7 +133,7 @@ class Laurent:
 
     def at_v_eq_w(self) -> "Laurent":
         """The substitution v := w."""
-        terms: dict[Key, Fraction] = {}
+        terms: dict[Key, Scalar] = {}
         for (a, b, c, p, q, r), coeff in self._terms.items():
             key = (a, 0, b + c, p, 0, q + r)
             terms[key] = terms.get(key, 0) + coeff
@@ -145,13 +146,13 @@ class Laurent:
         rates = [0, 0, 0]
         for key, c in self._terms.items():
             axis = _LINEAR.get(key)
-            if axis is None or c.denominator != 1:
+            if axis is None or type(c) is not int:
                 raise ValueError(f"{self!r} is not an integer-linear argument")
-            rates[axis] = int(c)
+            rates[axis] = c
         return rates[0], rates[1], rates[2]
 
     def exp(self) -> "Laurent":
-        return Laurent({(0, 0, 0) + self._rates(): Fraction(1)})
+        return Laurent({(0, 0, 0) + self._rates(): 1})
 
     def sinh(self) -> "Laurent":
         return (self.exp() - (-self).exp()) * Fraction(1, 2)
@@ -165,7 +166,7 @@ class Laurent:
         if len(self._terms) != 1:
             raise ValueError(f"sinh_over needs a multiple of one variable, got {self!r}")
         ((key, k),) = self._terms.items()
-        return self.sinh() * Laurent({tuple(-i for i in key): 1 / k})  # / (k y)
+        return self.sinh() * Laurent({tuple(-i for i in key): Fraction(1, k)})  # / (k y)
 
 
 U, V, W = (Laurent.variable(name) for name in _AXES)

@@ -9,7 +9,8 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
   at the sample point t = 2 is then the sign everywhere.
 
 * Reduction step.  Otherwise the derivative d/dw P is certified recursively
-  after sign-preserving normalization.  If the derivative is strictly
+  after sign-preserving normalization to coprime integer coefficients, so
+  the whole derivation computes with ints.  If the derivative is strictly
   negative on (0, oo) and P(0, 1) <= 0, then P < 0 strictly on (0, oo) by
   integration; symmetrically for positive.  Any other combination, a root in
   the base-case domain, or an exhausted depth cap yields UNDETERMINED, never
@@ -31,6 +32,7 @@ from typing import Optional
 
 from .exppoly import ExpPoly, derivative, normalize, parse_expression
 from . import rootisolation as ri
+from .rootisolation import Scalar, exact
 
 MAX_DEPTH = 32  # decide_sign differentiates at most this many times
 
@@ -45,11 +47,11 @@ class Outcome(enum.Enum):
 class BaseCaseRecord:
     """Sturm evidence that a polynomial in t keeps one sign on (lower, oo)."""
 
-    coefficients: tuple[Fraction, ...]
-    lower: Fraction
+    coefficients: tuple[Scalar, ...]
+    lower: Scalar
     root_count: int
-    sample_point: Fraction
-    sample_value: Fraction
+    sample_point: Scalar
+    sample_value: Scalar
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ReductionStep:
     """One level of the chain: a normalized expression and its value at w = 0."""
 
     expr: ExpPoly
-    boundary_value: Fraction
+    boundary_value: Scalar
 
 
 class CertificateError(ValueError):
@@ -91,30 +93,41 @@ class SignCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignCertificate":
-        """Inverse of :meth:`to_dict`; raises CertificateError on malformed data."""
+        """Inverse of :meth:`to_dict`; raises CertificateError on malformed data.
+
+        Rationals must be strings, degrees and ``root_count`` ints (not bools).
+        """
         try:
             steps = tuple(
                 ReductionStep(
                     expr=ExpPoly.from_term_list(s["terms"]),
-                    boundary_value=Fraction(s["boundary_value"]),
+                    boundary_value=_rational(s["boundary_value"]),
                 )
                 for s in data["steps"]
             )
             base = data["base"]
+            if type(base["root_count"]) is not int:
+                raise TypeError(f"root_count {base['root_count']!r} is not an int")
             record = BaseCaseRecord(
-                coefficients=tuple(Fraction(c) for c in base["coefficients"]),
-                lower=Fraction(base["lower"]),
-                root_count=int(base["root_count"]),
-                sample_point=Fraction(base["sample_point"]),
-                sample_value=Fraction(base["sample_value"]),
+                coefficients=tuple(_rational(c) for c in base["coefficients"]),
+                lower=_rational(base["lower"]),
+                root_count=base["root_count"],
+                sample_point=_rational(base["sample_point"]),
+                sample_value=_rational(base["sample_value"]),
             )
             return cls(claim=Outcome(data["claim"]), steps=steps, base=record)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
-def _frac_str(q: Fraction) -> str:
+def _frac_str(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def _rational(text: str) -> Scalar:
+    if type(text) is not str:
+        raise TypeError(f"rational {text!r} is not a string")
+    return exact(Fraction(text))
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,7 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
         chain.append(normalize(derivative(chain[-1])))
 
     # w > 0 is t = e^w > 1; with no root there, q has its sign at t = 2
-    lower, sample = Fraction(1), Fraction(2)
+    lower, sample = 1, 2
     tail = chain[-1]
     q = ri.make_poly([tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1)])
     count = ri.count_roots_above(q, lower)

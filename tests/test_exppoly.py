@@ -116,6 +116,33 @@ class TestDerivative:
             assert dp.evaluate(w) == pytest.approx(numeric, rel=1e-6)
 
 
+def assert_canonical(p: ExpPoly):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for _, _, c in p.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(p)
+
+
+class TestCanonicalForm:
+    def test_no_integral_fraction_survives(self):
+        p = parse_expression("1/2*w^2 + 0.5*exp(w) - 3/3 + sinh(2*w) + w/2")
+        q = parse_expression("2.0*w - 4/2*exp(w)*cosh(w) + w/2 + w/2")
+        assert q == poly({(1, 0): 3, (0, 2): -1, (0, 0): -1})
+        for r in (
+            p, q, p + q, p - q, p * q, (p + q) ** 3, -p, 2 * p, p * Fraction(2),
+            normalize(p * q), derivative(p), derivative(normalize(p)),
+            ExpPoly.from_term_list(p.to_term_list()), ExpPoly({(0, 0): Fraction(4, 2)}),
+        ):
+            assert_canonical(r)
+
+    def test_chain_after_normalize_is_integral(self):
+        expr = normalize(parse_expression("1/3*w*cosh(w) + (w/7 - 4*(2+w))*sinh(w)"))
+        while expr.w_degree > 0:  # the prover's chain
+            assert all(type(c) is int for _, _, c in expr.terms())
+            expr = derivative(expr)
+            assert all(type(c) is int for _, _, c in expr.terms())
+            expr = normalize(expr)
+
+
 class TestParser:
     def test_plain_polynomial(self):
         assert parse_expression("w^2 - 2*w + 1") == poly({(2, 0): 1, (1, 0): -2, (0, 0): 1})

@@ -104,6 +104,20 @@ class TestFormalOperations:
         assert (W * vsinh_over(W) - vsinh(W)).is_zero
         assert not (vcosh(U) - 1).is_zero
 
+    def test_coefficients_are_canonical(self):
+        # an int unless the coefficient is not integral, never Fraction(n, 1)
+        prover_form = Laurent.in_w(parse_expression("1/2*w*cosh(w) - sinh(w)/3"))
+        for p in (
+            SAMPLE, SAMPLE.diff("u"), SAMPLE.diff("v"), SAMPLE.diff("w"), SAMPLE.at_v_eq_w(),
+            prover_form, 3 * W * vsinh_over(3 * W), vsinh_over(-W), 0.5 * U + 0.5 * U,
+            Fraction(2, 3) * U * 3,
+        ):
+            for _, c in p.terms():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(p)
+        assert dict((0.5 * U + 0.5 * U).terms()) == {(1, 0, 0, 0, 0, 0): 1}
+        # sinh_over(k y) divides by k exactly, not by the float 1 / k
+        assert (3 * W * vsinh_over(3 * W) - vsinh(3 * W)).is_zero
+
     def test_float_operands_convert_exactly(self):
         terms = dict((0.1 * U).terms())
         assert terms == {(1, 0, 0, 0, 0, 0): Fraction(0.1)}

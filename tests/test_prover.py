@@ -174,6 +174,17 @@ class TestCertificates:
             (("steps", 0, "terms", 0), [0, 0]),
             (("base", "root_count"), "none"),
             (("claim",), "sideways"),
+            # degrees and root_count are JSON ints, rationals are strings:
+            # int() and Fraction() would read these as valid
+            (("steps", 0, "terms", 0, 0), 0.9),
+            (("steps", 0, "terms", 0, 1), False),
+            (("steps", 0, "terms", 0, 2), -1),
+            (("steps", 0, "boundary_value"), 0),
+            (("base", "root_count"), 0.7),
+            (("base", "root_count"), False),
+            (("base", "coefficients", 0), -1.0),
+            (("base", "lower"), 1),
+            (("base", "sample_value"), [1, 1]),
         ],
     )
     def test_malformed_json_is_a_certificate_error(self, path, value):
@@ -191,6 +202,14 @@ class TestCertificates:
                 owner[last] = value
         with pytest.raises(CertificateError):
             SignCertificate.from_dict(data)
+
+    def test_integral_values_read_back_as_ints(self):
+        data = decide_sign(parse_expression("sinh(w) - w")).certificate.to_dict()
+        restored = SignCertificate.from_dict(json.loads(json.dumps(data)))
+        values = [restored.base.lower, restored.base.sample_point, *restored.base.coefficients]
+        values += [step.boundary_value for step in restored.steps]
+        values += [c for step in restored.steps for _, _, c in step.expr.terms()]
+        assert all(type(v) is int for v in values)
 
     def test_tampered_boundary_rejected(self):
         decision = decide_sign(parse_expression("exp(w) - 1 - w"))

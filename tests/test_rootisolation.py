@@ -10,7 +10,7 @@ from tiltbound.rootisolation import (
     evaluate,
     isolate_roots_above,
     make_poly,
-    poly_divmod,
+    prem,
     root_magnitude_bound,
     square_free_part,
     sturm_chain,
@@ -32,12 +32,49 @@ def _mul(a, b):
     return make_poly(out)
 
 
+def fraction_rem(a, b):
+    """a mod b by long division over the rationals: the reference for prem."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b) and any(r):
+        factor, shift = r[-1] / b[-1], len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        r.pop()
+    return make_poly(r)
+
+
+def fraction_sturm_chain(p):
+    """The textbook chain p, p', -rem(p, p'), ... over the rationals."""
+    chain = [make_poly(p), make_poly([c * i for i, c in enumerate(p) if i])]
+    while chain[-1]:
+        chain.append(make_poly([-c for c in fraction_rem(chain[-2], chain[-1])]))
+    return chain[:-1]
+
+
+def positive_multiple(p, q):
+    """Whether p = c q for a rational c > 0."""
+    if len(p) != len(q):
+        return False
+    c = Fraction(p[-1]) / q[-1]
+    return c > 0 and all(a == c * b for a, b in zip(p, q))
+
+
 class TestBasics:
-    def test_divmod(self):
-        q, r = poly_divmod(make_poly([1, 1, -1]), make_poly([1, -2]))
-        # 1 + t - t^2 = (1 - 2t)(-1/4 + t/2) + 5/4
-        assert q == make_poly([Fraction(-1, 4), Fraction(1, 2)])
-        assert r == make_poly([Fraction(5, 4)])
+    def test_pseudo_remainder(self):
+        # 1 + t - t^2 = (1 - 2t)(-1/4 + t/2) + 5/4, and lc(b)^2 = 4
+        assert prem(make_poly([1, 1, -1]), make_poly([1, -2])) == (5,)
+        # t^3 = (1 - t^2)(-t) + t: the second step removes a leading 0 and
+        # still multiplies by lc(b) = -1, so the power is (-1)^2
+        assert prem(make_poly([0, 0, 0, 1]), make_poly([1, 0, -1])) == (0, 1)
+
+    def test_pseudo_remainder_matches_rational_division(self, rng):
+        for _ in range(200):
+            a = make_poly([int(x) for x in rng.integers(-9, 10, size=int(rng.integers(1, 8)))])
+            b = make_poly([int(x) for x in rng.integers(-9, 10, size=int(rng.integers(1, 5)))])
+            if not b or len(b) > len(a):
+                continue
+            power = b[-1] ** (len(a) - len(b) + 1)
+            assert prem(a, b) == make_poly([power * c for c in fraction_rem(a, b)])
 
     def test_square_free_part(self):
         squared = _mul(from_roots([2, 2]), from_roots([3]))
@@ -51,6 +88,27 @@ class TestBasics:
     def test_chain_ends_in_constant(self):
         chain = sturm_chain(from_roots([1, 2, 3]))
         assert len(chain[-1]) == 1
+
+    def test_chain_is_the_rational_chain_up_to_positive_factors(self, rng):
+        # negative and rational leads, and zero coefficients that make the
+        # remainder sequence skip degrees, against the textbook chain
+        for _ in range(200):
+            size = int(rng.integers(2, 8))
+            p = make_poly(
+                [
+                    Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+                    if rng.random() < 0.6
+                    else 0
+                    for _ in range(size)
+                ]
+            )
+            reference = fraction_sturm_chain(p) if len(p) > 1 else []
+            if not reference or len(reference[-1]) > 1:
+                continue  # not square-free: the chain is of p / gcd(p, p')
+            chain = sturm_chain(p)
+            assert all(type(c) is int for q in chain for c in q)
+            assert len(chain) == len(reference)
+            assert all(positive_multiple(q, r) for q, r in zip(chain, reference))
 
 
 class TestCounting:
@@ -71,6 +129,13 @@ class TestCounting:
         p = _mul(from_roots([2, 2]), from_roots([2]))
         assert count_roots_above(p, Fraction(1)) == 1
 
+    def test_negative_leads_and_skipped_degrees(self):
+        quartic = make_poly([2, 0, 0, 0, -1])  # -t^4 + 2, roots +-2^(1/4)
+        assert [count_roots_above(quartic, x) for x in (-2, 0, 1, 2)] == [2, 1, 1, 0]
+        cubic = from_roots([2, 2, 3], Fraction(-3, 7))  # -(3/7)(t - 2)^2 (t - 3)
+        assert square_free_part(cubic) == make_poly([-6, 5, -1])
+        assert [count_roots_above(cubic, x) for x in (1, 2, Fraction(5, 2), 3)] == [2, 1, 1, 0]
+
     def test_constructed_factorizations(self, rng):
         # polynomials assembled from known rational roots: an exact oracle
         for _ in range(200):
@@ -79,7 +144,7 @@ class TestCounting:
                 Fraction(int(rng.integers(-40, 60)), int(rng.integers(1, 10)))
                 for _ in range(n)
             ]
-            lead = Fraction(int(rng.integers(1, 5)))
+            lead = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 10)))
             if rng.random() < 0.5:
                 lead = -lead
             p = from_roots(roots, lead)
