@@ -46,7 +46,7 @@ def poly_derivative(p: Poly) -> Poly:
 def primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
     """cs times the positive rational that makes them coprime integers.
 
-    The one content routine of the exact kernels; cs must not all be 0.
+    The one content routine of the exact kernels; cs is empty or not all 0.
     """
     den = lcm(*(c.denominator for c in cs if type(c) is not int))
     if den != 1:
