@@ -5,15 +5,16 @@ Subcommands map one-to-one onto the library layers:
     eval          tilted mean of a distribution file at given (h, w)
     bound-check   mean against the symmetric sharp bound, with margin
     prove         sign certificate for an exp-polynomial inequality
-    verify-proof  inequality battery + case structure + region certification
+    verify-proof  inequality battery + case structure + derived regions
     extremal      sharpness scan sup/sigma^2 toward sinh(hw)/w
     report        aggregate JSON of everything above
 
 All reports are deterministic: the same inputs produce byte-identical
 output.  Exit status is 0 exactly when every executed check passed: the
-battery certified and every case-structure check passed.  A region with
-an undecided box is never certified, so a passing run has none.  Bad input,
-a float overflow included, exits 2 with an ``error:`` line.
+battery certified and every case-structure check passed.  ``verify-proof``
+and ``report`` bisect no region: each derived region takes its status from
+its exact links and evaluates no box.  Bad input, a float overflow or an
+expression nested too deeply included, exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .tilted import (
 )
 
 DEFAULT_BOX = (0.05, 8.0)
-DEFAULT_DEPTH = 18
 DEFAULT_SIGMAS = (0.5, 0.1, 0.01, 0.001)
 
 
@@ -64,16 +64,6 @@ def _parse_box(text: str) -> tuple[float, float]:
     if not (0 <= lo < hi):
         raise argparse.ArgumentTypeError("box bounds must satisfy 0 <= lo < hi")
     return lo, hi
-
-
-def _parse_depth(text: str) -> int:
-    try:
-        depth = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected --depth n") from exc
-    if depth < 0:
-        raise argparse.ArgumentTypeError("depth must be nonnegative")
-    return depth
 
 
 def _cmd_eval(args) -> int:
@@ -106,10 +96,10 @@ def _cmd_prove(args) -> int:
     return 0 if decision.outcome is not Outcome.UNDETERMINED else 1
 
 
-def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
+def _verify(box: tuple[float, float]) -> tuple[dict, bool]:
     """Battery, case structure and regions: their payload and ``all_passed``."""
     battery = verify_battery()
-    structure = verify_case_structure(box[0], box[1], depth, battery)
+    structure = verify_case_structure(box[0], box[1], battery)
     payload = {
         "battery": battery.to_dict(),
         "case_structure": structure.to_dict(),
@@ -119,7 +109,7 @@ def _verify(box: tuple[float, float], depth: int) -> tuple[dict, bool]:
 
 
 def _cmd_verify_proof(args) -> int:
-    payload, all_passed = _verify(args.box, args.depth)
+    payload, all_passed = _verify(args.box)
     payload["all_passed"] = all_passed
     _emit(payload, args.format)
     return 0 if all_passed else 1
@@ -145,7 +135,7 @@ def _cmd_report(args) -> int:
     for hw in (1.0, 5.0, 10.0, 20.0):
         probe = TiltParams(hw, 1.0)
         factor_rows.append({"hw": hw, "ratio": symmetric_factor(probe) / zero_mean_factor(probe)})
-    proof, all_passed = _verify(args.box, args.depth)
+    proof, all_passed = _verify(args.box)
     rows = ratio_limit_scan(params, args.sigma or list(DEFAULT_SIGMAS))
     payload = {
         "factor_comparison": factor_rows,
@@ -177,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         formats = ("json", "csv", "text") if csv else ("json", "text")
         p.add_argument("--format", choices=formats, default="json", help="output format")
         if region:
-            p.add_argument(
-                "--depth", type=_parse_depth, default=DEFAULT_DEPTH, help="bisection depth cap"
-            )
             p.add_argument(
                 "--box",
                 type=_parse_box,

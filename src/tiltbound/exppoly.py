@@ -417,8 +417,12 @@ def parse_expression(text: str) -> ExpPoly:
 
     The only transcendental atoms are exp, sinh and cosh of integer multiples
     of w; everything else must be polynomial.  Raises ExprSyntaxError on any
-    malformed input.
+    malformed input, and on input nested deeper than the recursive descent
+    can follow (such as 400 nested parentheses).
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply") from None

@@ -14,10 +14,11 @@ a coefficient is an ``int``, and a :class:`fractions.Fraction` only when it
 is not integral, and a float operand is converted exactly.
 
 The operations are + - * (with another Laurent or an exact scalar), the
-formal partial derivative :meth:`Laurent.diff`, the substitution v := w
-(:meth:`Laurent.at_v_eq_w`), and exp, sinh, cosh and sinh_over of an
-integer-linear argument such as -(v + w) or 2w (sinh_over only of a multiple
-of one variable, whose division is a monomial).  Anything else raises:
+formal partial derivative :meth:`Laurent.diff`, the substitution of one
+variable by another (:meth:`Laurent.at`, such as v := u, u := w or
+v := w), and exp, sinh, cosh and sinh_over of an integer-linear argument
+such as -(v + w) or 2w (sinh_over only of a multiple of one variable, whose
+division is a monomial).  Anything else raises:
 ``exp(u*u)`` or ``sinh_over(u/2)`` never expands to something else, and a
 Laurent has no truth value.  The generic ``vexp``/``vsinh``/``vcosh``/
 ``vsinh_over`` of :mod:`tiltbound.intervals` call these methods, so a
@@ -27,6 +28,7 @@ catalog form evaluates here exactly as written.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 from .exppoly import ExpPoly
@@ -106,11 +108,13 @@ class Laurent:
         return self._coerce(other) + -self
 
     def __mul__(self, other) -> "Laurent":
+        if type(other) is not Laurent:
+            c = _exact(other)
+            return Laurent({key: x * c for key, x in self._terms.items()})
         terms: dict[Key, Scalar] = {}
-        factor = self._coerce(other)._terms.items()
         for a, x in self._terms.items():
-            for b, y in factor:
-                key = tuple(i + j for i, j in zip(a, b))
+            for b, y in other._terms.items():
+                key = tuple(map(add, a, b))
                 terms[key] = terms.get(key, 0) + x * y
         return Laurent(terms)
 
@@ -131,12 +135,18 @@ class Laurent:
                 terms[key] = terms.get(key, 0) + rate * c
         return Laurent(terms)
 
-    def at_v_eq_w(self) -> "Laurent":
-        """The substitution v := w."""
+    def at(self, name: str, by: str) -> "Laurent":
+        """The substitution name := by, for two distinct axes of u, v, w."""
+        i, j = _AXES.index(name), _AXES.index(by)
+        if i == j:
+            raise ValueError(f"{name} := {by} is no substitution")
         terms: dict[Key, Scalar] = {}
-        for (a, b, c, p, q, r), coeff in self._terms.items():
-            key = (a, 0, b + c, p, 0, q + r)
-            terms[key] = terms.get(key, 0) + coeff
+        for key, coeff in self._terms.items():
+            moved = list(key)
+            for a, b in ((i, j), (3 + i, 3 + j)):  # the power, then the rate
+                moved[a], moved[b] = 0, moved[a] + moved[b]
+            moved = tuple(moved)
+            terms[moved] = terms.get(moved, 0) + coeff
         return Laurent(terms)
 
     # -- elementary functions of an integer-linear argument --------------------

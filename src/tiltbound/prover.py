@@ -152,7 +152,8 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
     # w > 0 is t = e^w > 1; with no root there, q has its sign at t = 2
     lower, sample = 1, 2
     tail = chain[-1]
-    q = ri.make_poly([tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1)])
+    # normalize leaves the tail's coefficients canonical ints, its top one nonzero
+    q = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
     count = ri.count_roots_above(q, lower)
     if count:
         return f"base case has a root on (1, oo): {count} root(s) inside (1, oo)"
@@ -222,13 +223,16 @@ def replay(certificate: SignCertificate) -> Outcome:
 # is an exact link, and d111_negativity bounds the whole face v = w of case
 # 2's d1, so neither needs a lemma at single points.  The catalog form
 # d1_case2 of tiltbound.regions is the positive multiple e^-(v+w) d1 of case
-# 2's d1; the other names have no closed form in the catalog, because the
-# one-variable claims are proved here on all of w > 0.  Names and roles
-# appear in the verify-proof JSON.
+# 2's d1, and case 1's d1 is w e^u times the v-slope of d at v = u; the
+# other names have no closed form in the catalog, because the one-variable
+# claims are proved here on all of w > 0.  Names and roles appear in the
+# verify-proof JSON.
 # tiltbound.regions reads sinh_over_increasing by name in three exact links,
-# and the case-2 slope link reads d1_case2_concavity_majorant,
-# d1_case2_slope_at_u_zero, d111_negativity and sinh_dominates_identity by
-# name and expands their expressions in its identities.
+# and every other entry in its three identity links, by the tables
+# CASE1_CONCAVITY_LEMMAS (sinh_dominates_identity), CASE1_SLOPE_LEMMAS (the
+# three d1_case1 entries and sinh_dominates_identity) and CASE2_SLOPE_LEMMAS
+# (the two d1_case2 entries, d111_negativity and sinh_dominates_identity);
+# the two slope links expand the lemmas' expressions in their identities.
 
 BATTERY = (
     (
@@ -242,6 +246,12 @@ BATTERY = (
         "w*(exp(w)^2 - 1 + w) - sinh(w)*(2*w*exp(w)^2 - w^2 + 2*w)",
         Outcome.NEGATIVE,
         "d1 of case 1 restricted to u = w",
+    ),
+    (
+        "d1_case1_slope_at_corner",
+        "1 - w + w*exp(w) + 2*w*exp(w)^2 + w*exp(w)^3 - exp(w)^4*(1 + w)",
+        Outcome.NEGATIVE,
+        "exp(w) times the u-slope of d1 in case 1 at u = w",
     ),
     (
         "d1_case2_concavity_majorant",
@@ -280,6 +290,7 @@ BATTERY = (
 class BatteryEntry:
     name: str
     expression: str
+    poly: ExpPoly  # the parsed expression, the one decide_sign decided
     expected: Outcome
     role: str
     decision: SignDecision
@@ -331,12 +342,13 @@ def verify_battery() -> BatteryReport:
     """
     entries = []
     for name, text, expected, role in BATTERY:
-        decision = decide_sign(parse_expression(text))
+        poly = parse_expression(text)
+        decision = decide_sign(poly)
         replay_ok = False
         if decision.certificate is not None:
             try:
                 replay_ok = replay(decision.certificate) is decision.outcome
             except CertificateError:
                 replay_ok = False
-        entries.append(BatteryEntry(name, text, expected, role, decision, replay_ok))
+        entries.append(BatteryEntry(name, text, poly, expected, role, decision, replay_ok))
     return BatteryReport(tuple(entries))

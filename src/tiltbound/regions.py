@@ -9,33 +9,34 @@ proof splits the orthant by how u and v compare with the cap w:
     case 3:  0 < u <= v <= w   (reduces to case 2 by monotonicity in w)
 
 On each region d loses its minimum operator and becomes an explicit
-exp/sinh/cosh formula.  The catalog holds six closed forms:
+exp/sinh/cosh formula.  The catalog holds five closed forms:
 
     d_case1             d on case 1
     dv2_case1           second v-derivative of d on case 1 (concavity in v)
-    dv_at_v_eq_u_case1  e^-w times the v-slope of d on case 1 at v = u
     d_case2             d on case 2
     d1_case2            w e^-w times the v-slope of d on case 2
     d_at_v_eq_w_case2   d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
 It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
-bisection.  The two slope forms carry a positive factor that keeps their
-sign and cancels their e^w growth, which naive interval evaluation would
+bisection.  The slope form carries a positive factor that keeps its sign
+and cancels its e^w growth, which naive interval evaluation would
 overestimate on wide boxes.  d_case2 is written in exponentials: it has
 -v e^-v where the hyperbolic form has v sinh(v) - v cosh(v), two terms near
 v e^v / 2 whose enclosures cancel only to a width of that size.
 
-``tiltbound verify-proof`` bisects dv2_case1 and dv_at_v_eq_u_case1 only,
-and derives d_case1 and d_case2 by ``DERIVATIONS`` from the links of
-:func:`verify_case_structure`: case 1 from concavity in v, the slope at
-v = u and the diagonal v = u; case 2 from its slope in v and the face v = w;
-case 3 from the face.  The diagonal, the face and case 3 are exact steps
-from the battery lemma ``sinh_over_increasing``.  The case-2 slope is exact
-too: :mod:`tiltbound.identities` expands the catalog's own d_case2 and
-d1_case2 into identities that tie them to the battery lemmas listed in
-``CASE2_SLOPE_LEMMAS``.  Bisecting d_case1, d_case2, d1_case2 and
-d_at_v_eq_w_case2 stays available as independent cross-checks.
+``tiltbound verify-proof`` bisects nothing.  It derives d_case1 and d_case2
+by ``DERIVATIONS`` from the links of :func:`verify_case_structure`: case 1
+from concavity in v, the slope at v = u and the diagonal v = u; case 2 from
+its slope in v and the face v = w; case 3 from the face.  The diagonal, the
+face and case 3 are exact steps from the battery lemma
+``sinh_over_increasing``.  Concavity and both slopes are identity links:
+:mod:`tiltbound.identities` expands the catalog's own d_case1, dv2_case1,
+d_case2 and d1_case2 into identities that tie them to the battery lemmas
+listed in ``CASE1_CONCAVITY_LEMMAS``, ``CASE1_SLOPE_LEMMAS`` and
+``CASE2_SLOPE_LEMMAS``.  So the verdict reads no interval enclosure.
+Bisecting the five catalog forms stays available as independent
+cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -51,7 +52,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .exppoly import parse_expression
 from .identities import U, V, W, Laurent
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 from .prover import BatteryReport
@@ -177,13 +177,6 @@ def _dv2_case1(u, v, w):
     return vexp(-v) * (2 - v) - vsinh_over(w) * (vexp(-v) * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
 
 
-def _dv_at_v_eq_u_case1(u, w):
-    # e^-w times the v-derivative of _d_case1 at v = u,
-    #   (e^w - e^-u) + u e^-u - so(w) (2u e^w - u^2 e^-u + 2u e^-u)
-    e = vexp(-(u + w))
-    return 1 - e + u * e - vsinh_over(w) * (2 * u - (u * u) * e + 2 * u * e)
-
-
 def _d_case2(u, v, w):
     # in exponentials: v (sinh(v) - cosh(v)) = -v e^-v, sinh(w) + cosh(w) = e^w
     ew = vexp(w)
@@ -221,7 +214,6 @@ CATALOG: dict[str, ProofExpr] = {
     for expr in (
         ProofExpr("d_case1", ("u", "v", "w"), CaseRegion.CASE1, _d_case1),
         ProofExpr("dv2_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv2_case1),
-        ProofExpr("dv_at_v_eq_u_case1", ("u", "w"), CaseRegion.CASE1, _dv_at_v_eq_u_case1),
         ProofExpr("d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2),
         ProofExpr("d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2),
         ProofExpr("d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2),
@@ -377,12 +369,11 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
 
 @dataclass(frozen=True)
 class StructureCheck:
-    """One structural fact, with the region certification behind it if any."""
+    """One structural fact and the reason it holds."""
 
     name: str
     passed: bool
     detail: str
-    result: Optional[CertifyResult] = None
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -398,14 +389,84 @@ DERIVATIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-# The battery lemmas the exact case-2 slope link reads, by the symbol they
-# stand for in its identities.
+# The battery lemmas each identity link reads, by the symbol they stand for
+# in its identities.
+CASE1_CONCAVITY_LEMMAS = (("sinh(w) - w", "sinh_dominates_identity"),)
+CASE1_SLOPE_LEMMAS = (
+    ("M1", "d1_case1_concavity_majorant"),
+    ("C1", "d1_case1_at_corner"),
+    ("L", "d1_case1_slope_at_corner"),
+    ("sinh(w) - w", "sinh_dominates_identity"),
+)
 CASE2_SLOPE_LEMMAS = (
     ("M2", "d1_case2_concavity_majorant"),
     ("S0", "d1_case2_slope_at_u_zero"),
     ("D111", "d111_negativity"),
     ("sinh(w) - w", "sinh_dominates_identity"),
 )
+
+
+def _case1_concavity_identities(lemmas: dict[str, Laurent]) -> tuple:
+    """(left side, summands of the right side) of each identity of case-1 concavity.
+
+    With so(w) = sinh(w)/w they say dv2_case1 = d_vv and
+
+        dv2_case1 = -(e^-v (2e^v - 2 + v) + 2 (so(w) e^w - 1)
+                      + so(w) (e^-v u^2 + 2e^-u)).
+
+    For v >= 0, 2e^v - 2 + v >= 0; sinh(w) - w > 0 on w > 0 (read by name
+    from ``lemmas``, not expanded) gives so(w) >= 1, which holds at w = 0 as
+    a limit, so so(w) e^w - 1 >= 0 and the last bracket is positive.  So
+    d_vv < 0 on u, v, w >= 0: d is concave in v.
+    """
+    u, v, w = U, V, W
+    so = vsinh_over(w)
+    dv2 = CATALOG["dv2_case1"].fn(u, v, w)
+    return (
+        (dv2, (CATALOG["d_case1"].fn(u, v, w).diff("v").diff("v"),)),
+        (
+            dv2,
+            (
+                -vexp(-v) * (2 * vexp(v) - 2 + v),
+                -2 * (so * vexp(w) - 1),
+                -so * (vexp(-v) * (u * u) + 2 * vexp(-u)),
+            ),
+        ),
+    )
+
+
+def _case1_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
+    """(left side, summands of the right side) of each identity of the case-1 slope.
+
+    ``lemmas`` maps each symbol of ``CASE1_SLOPE_LEMMAS`` to its battery
+    expression.  With D1 = w e^u d_v(u, u, w), a function of (u, w), they say
+
+        D1_uu          = M1 - (e^(u+w) - e^(2w)) ((sinh(w) - w) + (3 + 2u) sinh(w))
+                            - 2 e^(2w) (u - w) sinh(w),
+        D1(w, w)       = C1,
+        e^w D1_u(w, w) = L.
+
+    On 0 < w <= u: e^(u+w) >= e^(2w), sinh(w) > w > 0 and u - w >= 0, so
+    every bracket is nonnegative and D1_uu <= M1 < 0; D1(w, w) = C1 < 0 and
+    D1_u(w, w) = e^-w L < 0.  So D1 is concave in u on u >= w and lies below
+    its tangent there, D1 <= D1(w, w) + D1_u(w, w) (u - w) < 0, and
+    d_v(u, u, w) = e^-u D1 / w < 0.
+    """
+    u, w = U, W
+    d1 = w * vexp(u) * CATALOG["d_case1"].fn(u, V, w).diff("v").at("v", "u")
+    sw, e2w = vsinh(w), vexp(2 * w)
+    return (
+        (
+            d1.diff("u").diff("u"),
+            (
+                lemmas["M1"],
+                -(vexp(u + w) - e2w) * (lemmas["sinh(w) - w"] + (3 + 2 * u) * sw),
+                -2 * e2w * (u - w) * sw,
+            ),
+        ),
+        (d1.at("u", "w"), (lemmas["C1"],)),
+        (vexp(w) * d1.diff("u").at("u", "w"), (lemmas["L"],)),
+    )
 
 
 def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
@@ -436,9 +497,9 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
             vexp(-v) * d1.diff("v").diff("v"),
             (lemmas["M2"], -4 * sw * c * (2 + v), -4 * sw * (v - w)),
         ),
-        (d1.diff("v").at_v_eq_w(), (lemmas["S0"], -4 * sw * ew * (1 + w) * c)),
+        (d1.diff("v").at("v", "w"), (lemmas["S0"], -4 * sw * ew * (1 + w) * c)),
         (
-            d1.at_v_eq_w(),
+            d1.at("v", "w"),
             (
                 lemmas["D111"],
                 -sw * (w - u) * (w + u),
@@ -451,36 +512,49 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     )
 
 
-def _case2_slope_link(lo: float, battery: BatteryReport) -> StructureCheck:
-    """d decreases in v on case 2, from exact identities and battery lemmas."""
+def _identity_link(
+    name: str,
+    battery: BatteryReport,
+    table: tuple[tuple[str, str], ...],
+    identities: Callable[[dict[str, Laurent]], tuple],
+    claim: str,
+    conclusion: str,
+    lo: Optional[float] = None,
+) -> StructureCheck:
+    """A link from exact identities and the battery lemmas of ``table``.
+
+    ``identities`` takes each symbol of ``table`` to its lemma in the
+    kernel, read from the polynomial the battery decided.  The link passes
+    when every identity expands to 0 and the battery certified every lemma,
+    and, when ``lo`` is given because the conclusion needs w > 0, when the
+    cube starts at w = lo > 0.
+    """
     entries = {e.name: e for e in battery.entries}
-    lemmas = {sym: entries[name] for sym, name in CASE2_SLOPE_LEMMAS}
-    identities = _case2_slope_identities(
-        {sym: Laurent.in_w(parse_expression(e.expression)) for sym, e in lemmas.items()}
-    )
-    zero = sum((lhs - sum(rhs)).is_zero for lhs, rhs in identities)
+    lemmas = {sym: entries[lemma] for sym, lemma in table}
+    exact = identities({sym: Laurent.in_w(e.poly) for sym, e in lemmas.items()})
+    zero = sum((lhs - sum(rhs)).is_zero for lhs, rhs in exact)
     read = ", ".join(
         f"{sym} = {e.name} {e.decision.outcome.value} "
         + ("(prover certificate, replayed)" if e.certified else "(the battery did not certify it)")
         for sym, e in lemmas.items()
     )
+    detail = (
+        f"{claim}: {zero} of {len(exact)} identities expand to 0; {read} on w > 0; {conclusion}"
+    )
+    if lo is not None:
+        detail += f"; the cube starts at w = {lo}"
     return StructureCheck(
-        "case2_decreasing_in_v",
-        zero == len(identities) and all(e.certified for e in lemmas.values()) and lo > 0.0,
-        "d1 = e^(v+w) d1_case2 = w e^v d_v, with e^-v d1_vv = M2 - 4 sinh(w) ((cosh(u) - 1)"
-        "(2 + v) + (v - w)), d1_v(u, w, w) = S0 - 4 sinh(w) e^w (1 + w) (cosh(u) - 1) and "
-        "d1(u, w, w) = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w (cosh(u) - 1)), "
-        "where e^w - w = (sinh(w) - w) + cosh(w) and cosh(u) - 1 = e^-u (e^u - 1)^2 / 2: "
-        f"{zero} of {len(identities)} identities expand to 0; {read} on w > 0; so on "
-        "u <= w <= v, d1 is concave in v and d1 <= d1(u, w, w) + d1_v(u, w, w) (v - w), "
-        f"negative for w > 0; the cube starts at w = {lo}",
+        name,
+        zero == len(exact)
+        and all(e.certified for e in lemmas.values())
+        and (lo is None or lo > 0.0),
+        detail,
     )
 
 
 @dataclass(frozen=True)
 class CaseStructureReport:
     cube: tuple[float, float]  # (lo, hi): the checks ran on [lo, hi]^3
-    depth: int  # the bisection depth cap they ran at
     checks: tuple[StructureCheck, ...]
 
     @property
@@ -496,36 +570,38 @@ class CaseStructureReport:
     def derived_regions(self) -> list[dict]:
         """d_case1 and d_case2, each derived from its links in ``DERIVATIONS``.
 
-        Status from all the links; boxes and leftovers from the bisected ones.
+        The status is that of the links.  No link bisects, so an entry
+        evaluates no box and leaves none undecided.
         """
 
         def derived(name: str, links: tuple[str, ...]) -> dict:
-            checks = [self.check(link) for link in links]
-            bisected = [c.result for c in checks if c.result is not None]
             cube = BoxRegion(u=self.cube, v=self.cube, w=self.cube, case=CATALOG[name].case)
+            passed = all(self.check(link).passed for link in links)
             return {
                 "expression": name,
                 "region": cube.to_dict(),
-                "depth": self.depth,
                 "method": "derived",
                 "links": list(links),
-                "status": "certified" if all(c.passed for c in checks) else "undetermined",
-                "boxes_evaluated": sum(r.boxes_evaluated for r in bisected),
-                "undecided_boxes": [b.to_dict() for r in bisected for b in r.undecided],
+                "status": "certified" if passed else "undetermined",
+                "boxes_evaluated": 0,
+                "undecided_boxes": [],
             }
 
         return [derived(name, links) for name, links in DERIVATIONS.items()]
 
 
-def verify_case_structure(
-    lo: float, hi: float, max_depth: int, battery: BatteryReport
-) -> CaseStructureReport:
+def verify_case_structure(lo: float, hi: float, battery: BatteryReport) -> CaseStructureReport:
     """Certify the structural facts the case analysis rests on, on [lo, hi]^3.
 
     (a) concavity of d in v on case 1 (second v-derivative negative), so for
         fixed (u, w) d lies below its tangent at v = u:
-        d(u, v, w) <= d(u, u, w) + d_v(u, u, w) (v - u);
-    (b) the slope d_v(u, u, w) of that tangent is negative;
+        d(u, v, w) <= d(u, u, w) + d_v(u, u, w) (v - u) (see
+        :func:`_case1_concavity_identities`);
+    (b) the slope d_v(u, u, w) of that tangent is negative: D1 = w e^u
+        d_v(u, u, w) is concave in u on u >= w and lies below its tangent
+        at u = w, whose value and slope are negative (see
+        :func:`_case1_slope_identities`); D1 = 0 at w = 0, so this needs
+        lo > 0;
     (c) the diagonal d(u, u, w) is negative, by the exact identity
         d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) with
         s = (u + w)/2 and so(x) = sinh(x)/x: case 1 gives s <= u and
@@ -544,49 +620,68 @@ def verify_case_structure(
         gives so(u) <= so(w), so Phi <= so(w) (1 - cosh(w)) < 0; d(0, w, w)
         = 0, so this needs lo > 0.
 
-    (a) and (b) are interval bisections whose results ride on their checks;
-    (c), (e) and (f) are exact and pass only when ``battery`` certified
-    sinh_over_increasing, the lemma that so increases; (d) is exact and
-    passes only when every identity expands to 0 and ``battery`` certified
-    each lemma of ``CASE2_SLOPE_LEMMAS``.
+    Every check is exact and evaluates no interval.  (c), (e) and (f) pass
+    only when ``battery`` certified sinh_over_increasing, the lemma that so
+    increases; (a), (b) and (d) are identity links and pass only when every
+    identity expands to 0 and ``battery`` certified each lemma of their
+    table.
     """
-    checks: list[StructureCheck] = []
-
-    def on_cube(check: str, name: str, claim: str) -> None:
-        cube = BoxRegion(u=(lo, hi), v=(lo, hi), w=(lo, hi), case=CATALOG[name].case)
-        result = certify_negative(name, cube, max_depth)
-        detail = f"{claim} on [{lo}, {hi}]^3 via {result.boxes_evaluated} boxes"
-        checks.append(StructureCheck(check, result.certified, detail, result))
-
     lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
     so_increasing = (
         f"{lemma.expression} {lemma.decision.outcome.value} on w > 0 (prover certificate, replayed)"
         if lemma.certified
         else f"{lemma.expression} > 0 on w > 0, which the battery did not certify"
     )
-
-    on_cube("case1_concavity_in_v", "dv2_case1", "dv2_case1 < 0")
-    on_cube("case1_slope_at_v_eq_u", "dv_at_v_eq_u_case1", "d_v|_(v=u) < 0")
-    checks.append(
+    checks = (
+        _identity_link(
+            "case1_concavity_in_v",
+            battery,
+            CASE1_CONCAVITY_LEMMAS,
+            _case1_concavity_identities,
+            "dv2_case1 = d_vv and dv2_case1 = -(e^-v (2e^v - 2 + v) + 2 (so(w) e^w - 1) + "
+            "so(w) (e^-v u^2 + 2e^-u)) with so(w) = sinh(w)/w",
+            "hence so(w) >= 1, also as the limit at w = 0, and d_vv < 0 for u, v, w >= 0: "
+            "d is concave in v",
+        ),
+        _identity_link(
+            "case1_slope_at_v_eq_u",
+            battery,
+            CASE1_SLOPE_LEMMAS,
+            _case1_slope_identities,
+            "D1 = w e^u d_v(u, u, w), with D1_uu = M1 - (e^(u+w) - e^(2w)) ((sinh(w) - w) + "
+            "(3 + 2u) sinh(w)) - 2 e^(2w) (u - w) sinh(w), D1(w, w) = C1 and "
+            "e^w D1_u(w, w) = L",
+            "so on w <= u, D1 is concave in u and D1 <= D1(w, w) + D1_u(w, w) (u - w), "
+            "negative for w > 0, and d_v(u, u, w) = e^-u D1 / w < 0",
+            lo,
+        ),
         StructureCheck(
             "case1_diagonal",
             lemma.certified and lo > 0.0,
             "d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) exactly, with "
             "s = (u+w)/2 <= u <= u so(w), so d(u, u, w) <= 4u e^((w-u)/2) (sinh(s) - "
             f"s cosh(s)), negative for u > 0 by {so_increasing}; the cube starts at u = {lo}",
-        )
-    )
-    checks.append(_case2_slope_link(lo, battery))
-    checks.append(
+        ),
+        _identity_link(
+            "case2_decreasing_in_v",
+            battery,
+            CASE2_SLOPE_LEMMAS,
+            _case2_slope_identities,
+            "d1 = e^(v+w) d1_case2 = w e^v d_v, with e^-v d1_vv = M2 - 4 sinh(w) ((cosh(u) - 1)"
+            "(2 + v) + (v - w)), d1_v(u, w, w) = S0 - 4 sinh(w) e^w (1 + w) (cosh(u) - 1) and "
+            "d1(u, w, w) = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w (cosh(u) - 1)), "
+            "where e^w - w = (sinh(w) - w) + cosh(w) and cosh(u) - 1 = e^-u (e^u - 1)^2 / 2",
+            "so on u <= w <= v, d1 is concave in v and d1 <= d1(u, w, w) + d1_v(u, w, w) (v - w), "
+            "negative for w > 0",
+            lo,
+        ),
         StructureCheck(
             "case3_decreasing_in_w",
             lemma.certified,
             f"{so_increasing}; on case 3, d = 2 (u sinh(u) + v sinh(v) - so(w) m) with the "
             "multiplier m = u^2 cosh(v) + v^2 cosh(u) nonnegative by its form, so "
             "d(u, v, w) <= d(u, v, v), a point of the face v = w",
-        )
-    )
-    checks.append(
+        ),
         StructureCheck(
             "boundary_v_eq_w",
             lemma.certified and lo > 0.0,
@@ -594,6 +689,6 @@ def verify_case_structure(
             "(w sinh(w) / 2) so(u/2)^2; u <= w gives so(u) <= so(w) by "
             f"{so_increasing}, so d(u, w, w) <= 2 u^2 so(w) (1 - cosh(w)), negative for "
             f"u > 0 as cosh(w) > 1; the cube starts at u = {lo}",
-        )
+        ),
     )
-    return CaseStructureReport((lo, hi), max_depth, tuple(checks))
+    return CaseStructureReport((lo, hi), checks)

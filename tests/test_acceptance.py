@@ -119,7 +119,7 @@ def test_criterion_6_region_certification(boundary_witness):
     with criterion(6, "region certification", 300.0):
         # one default `tiltbound verify-proof`: battery, case structure, and
         # d_case1 and d_case2 derived from their case-structure links on
-        # [0.05, 8]^3 at depth 18
+        # [0.05, 8]^3, with no box evaluated
         stdout = io.StringIO()
         with redirect_stdout(stdout):
             code = cli.main(["verify-proof"])
@@ -134,11 +134,11 @@ def test_criterion_6_region_certification(boundary_witness):
         for name, case in (("d_case1", "case1"), ("d_case2", "case2")):
             region = by_name[name]
             assert region["region"] == {"u": cube, "v": cube, "w": cube, "case": case}
-            assert region["depth"] == 18
             assert region["status"] == "certified", (
                 f"{len(region['undecided_boxes'])} undecided boxes in {case}"
             )
             assert region["undecided_boxes"] == []
+            assert region["boxes_evaluated"] == 0
         assert by_name["d_case1"]["method"] == "derived"
         assert by_name["d_case1"]["links"] == [
             "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"
@@ -147,7 +147,7 @@ def test_criterion_6_region_certification(boundary_witness):
         assert by_name["d_case2"]["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
 
         # independent cross-checks of the derived claims: bisect d_case1 and
-        # d_case2 themselves on the same cube at the same depth
+        # d_case2 themselves on the same cube at depth 18
         for name, case in (("d_case1", CaseRegion.CASE1), ("d_case2", CaseRegion.CASE2)):
             direct = certify_negative(
                 name, BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=case),
@@ -232,7 +232,6 @@ def _case2_point(rng):
 _FIDELITY_ORACLES = {
     "d_case1": (_case1_point, lambda u, v, w: d_expr(u, v, w)),
     "dv2_case1": (_case1_point, _dv2),
-    "dv_at_v_eq_u_case1": (_case1_point, lambda u, v, w: math.exp(-w) * _dv1(u, u, w)),
     "d_case2": (_case2_point, lambda u, v, w: d_expr(u, v, w)),
     "d1_case2": (_case2_point, lambda u, v, w: w * math.exp(-w) * _dv1(u, v, w)),
     "d_at_v_eq_w_case2": (_case2_point, lambda u, v, w: d_expr(u, w, w)),

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from tiltbound.cli import DEFAULT_BOX, DEFAULT_DEPTH, main
+from tiltbound import regions
+from tiltbound.cli import main
 from tiltbound.prover import BATTERY
-from tiltbound.regions import verify_case_structure
 from tiltbound.tilted import d_expr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,7 +90,7 @@ class TestProve:
 
     def test_long_chain_uses_the_prover_default_cap(self, capsys):
         # e^w minus its degree-19 Taylor polynomial needs a 20-step chain,
-        # longer than the bisection depth default of 18
+        # within the prover's fixed cap of 32
         taylor = " + ".join(f"1/{math.factorial(k)}*w^{k}" for k in range(20))
         code, out, _ = run_cli(capsys, "prove", "--expr", f"exp(w) - ({taylor})")
         assert code == 0
@@ -127,6 +127,18 @@ class TestProve:
         code, _, err = run_cli(capsys, "prove", "--expr", "exp(w^2)")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--expr", "(" * 400 + "w" + ")" * 400), ("--expr=" + "-" * 1200 + "w",)],
+        ids=["400-parentheses", "1200-unary-minus"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, capsys, argv):
+        # too deep for the recursive descent: bad input (exit 2), not the
+        # status 1 that means UNDETERMINED, and no traceback
+        code, out, err = run_cli(capsys, "prove", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: expression nests too deeply\n"
 
 
 class TestExtremal:
@@ -170,7 +182,7 @@ class TestExtremal:
 
 class TestVerifyProof:
     def test_small_run_passes_and_is_deterministic(self, capsys):
-        argv = ("verify-proof", "--box", "0.3:2.0", "--depth", "10")
+        argv = ("verify-proof", "--box", "0.3:2.0")
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
@@ -184,9 +196,9 @@ class TestVerifyProof:
         "golden, argv, exit_code",
         [
             ("verify_proof_default.json", (), 0),
-            ("verify_proof_box_0.3_2.0_depth_10.json", ("--box", "0.3:2.0", "--depth", "10"), 0),
-            # a failing run, whose slope leftovers lie on the plane v = u
-            ("verify_proof_box_0_1_depth_5.json", ("--box", "0:1", "--depth", "5"), 1),
+            ("verify_proof_box_0.3_2.0.json", ("--box", "0.3:2.0"), 0),
+            # a failing run: the links that need lo > 0 fail, with no box
+            ("verify_proof_box_0_1.json", ("--box", "0:1"), 1),
         ],
     )
     def test_stdout_matches_golden(self, capsys, golden, argv, exit_code):
@@ -195,20 +207,20 @@ class TestVerifyProof:
         assert out == (GOLDEN / golden).read_text()
 
     def test_origin_cube_fails_honestly(self, capsys):
-        # a cube touching the origin cannot be fully certified at shallow
-        # depth; the run must report the undecided boxes and exit nonzero
-        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1.0", "--depth", "5")
+        # d(0, 0, 0) = 0, so a cube touching the origin cannot be certified;
+        # the run must say so, name no box and exit nonzero
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1.0")
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
-        leftovers = [b for r in payload["regions"] for b in r["undecided_boxes"]]
-        assert leftovers
+        assert {r["status"] for r in payload["regions"]} == {"undetermined"}
+        assert all(r["undecided_boxes"] == [] for r in payload["regions"])
 
-    def test_derived_case2_fails_with_its_link(self, capsys, battery):
+    def test_derived_case2_fails_with_its_link(self, capsys):
         # on a cube reaching u = w = 0 both case-2 links are exact and fail
         # without a box (d1 = 0 at w = 0 and d(0, w, w) = 0), so the case-2
         # entry derived from them cannot certify and has no leftovers
-        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1")
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
@@ -222,13 +234,12 @@ class TestVerifyProof:
         assert checks["boundary_v_eq_w"]["detail"].endswith("the cube starts at u = 0.0")
         assert region["status"] == "undetermined"
         assert region["boxes_evaluated"] == 0 and region["undecided_boxes"] == []
-        structure = verify_case_structure(0.0, 1.0, 5, battery)
-        assert all(structure.check(name).result is None for name in region["links"])
 
     def test_derived_case1_fails_with_its_links(self, capsys):
         # at the origin the slope at v = u vanishes and d(0, 0, 0) = 0, so
-        # the case-1 entry derived from those links cannot certify
-        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1", "--depth", "5")
+        # the case-1 entry derived from those links cannot certify; the
+        # links are exact, so it fails with no box
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0:1")
         assert code == 1
         payload = json.loads(out)
         checks = {c["name"]: c for c in payload["case_structure"]["checks"]}
@@ -237,34 +248,32 @@ class TestVerifyProof:
         assert region["links"] == [
             "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"
         ]
+        # so(w) >= 1 holds at w = 0 as a limit, so concavity needs no lo > 0
         assert checks["case1_concavity_in_v"]["passed"]
+        assert "the cube starts" not in checks["case1_concavity_in_v"]["detail"]
         assert not checks["case1_slope_at_v_eq_u"]["passed"]
+        assert checks["case1_slope_at_v_eq_u"]["detail"].endswith("the cube starts at w = 0.0")
         assert not checks["case1_diagonal"]["passed"]
         assert region["status"] == "undetermined"
-        # leftovers of the slope are reported on v = u
-        assert region["undecided_boxes"]
-        assert all(box["v"] == box["u"] for box in region["undecided_boxes"])
+        assert region["boxes_evaluated"] == 0 and region["undecided_boxes"] == []
 
-    def test_derived_case2_counts_its_links(self, capsys, battery):
+    def test_derived_case2_counts_its_links(self, capsys):
         # both case-2 links are exact, so the derived entry evaluates no box
-        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0", "--depth", "10")
+        code, out, _ = run_cli(capsys, "verify-proof", "--box", "0.3:2.0")
         assert code == 0
         payload = json.loads(out)
         region = {r["expression"]: r for r in payload["regions"]}["d_case2"]
-        structure = verify_case_structure(0.3, 2.0, 10, battery)
-        assert [structure.check(name).result for name in region["links"]] == [None, None]
         assert region["boxes_evaluated"] == 0
         assert region["status"] == "certified" and region["undecided_boxes"] == []
 
 
 @pytest.mark.parametrize(
-    "box, depth, exit_code",
-    [("0.3:2.0", "10", 0), ("0:1", "5", 1), ("0.01:0.1", "10", 0)],
+    "box, exit_code", [("0.3:2.0", 0), ("0:1", 1), ("0.01:0.1", 0)]
 )
-def test_exit_status_is_every_link_certified(capsys, box, depth, exit_code):
+def test_exit_status_is_every_link_certified(capsys, box, exit_code):
     # one pass rule: the battery certified, every structure check passed and
     # every region certified with no undecided box; nothing is excused
-    code, out, _ = run_cli(capsys, "verify-proof", "--box", box, "--depth", depth)
+    code, out, _ = run_cli(capsys, "verify-proof", "--box", box)
     payload = json.loads(out)
     regions_certified = all(
         r["status"] == "certified" and not r["undecided_boxes"] for r in payload["regions"]
@@ -294,7 +303,7 @@ def test_cube_near_the_origin_is_negative_where_it_certifies():
 class TestVerifyProofDefaults:
     def test_full_default_run_passes(self, capsys):
         # the stock configuration: battery, case structure, and both case
-        # regions on [0.05, 8]^3 at depth 18; everything must certify
+        # regions on [0.05, 8]^3; everything must certify
         code, out, _ = run_cli(capsys, "verify-proof")
         assert code == 0
         payload = json.loads(out)
@@ -305,20 +314,26 @@ class TestVerifyProofDefaults:
             assert region["status"] == "certified"
             assert region["undecided_boxes"] == []
 
-    def test_bisected_links_stay_within_box_budget(self, battery):
-        # box count is the machine-independent cost of the verdict; these
-        # budgets are the counts of the e^-w-rescaled case-1 slope form with
-        # the convex sinh(x)/x slope, and every case-2 link is exact
-        structure = verify_case_structure(*DEFAULT_BOX, DEFAULT_DEPTH, battery)
-        boxes = {c.name: c.result.boxes_evaluated for c in structure.checks if c.result}
-        assert set(boxes) == {"case1_concavity_in_v", "case1_slope_at_v_eq_u"}
-        assert boxes["case1_slope_at_v_eq_u"] <= 27
-        assert sum(boxes.values()) <= 28
+    def test_verdict_reads_no_interval_enclosure(self, capsys, monkeypatch):
+        # every link is exact: with bisection and the enclosure routine
+        # disabled, the default run still passes and evaluates no box
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the verdict path evaluated an interval enclosure")
+
+        monkeypatch.setattr(regions, "certify_negative", unreachable)
+        monkeypatch.setattr(regions, "_enclosure", unreachable)
+        code, out, _ = run_cli(capsys, "verify-proof")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        for region in payload["regions"]:
+            assert region["boxes_evaluated"] == 0
+            assert region["undecided_boxes"] == []
 
 
 class TestReport:
     def test_aggregate_shape(self, capsys):
-        flags = ("--box", "0.3:2.0", "--depth", "8")
+        flags = ("--box", "0.3:2.0")
         code, out, _ = run_cli(capsys, "report", *flags, "--sigma", "0.1")
         assert code == 0
         payload = json.loads(out)
@@ -340,7 +355,7 @@ class TestReport:
         ("eval", "--h", "800", "--w", "1"),
         ("bound-check", "--h", "800", "--w", "1"),
         ("extremal", "--h", "710", "--w", "1"),
-        ("report", "--h", "710", "--w", "1", "--box", "0.3:2.0", "--depth", "8"),
+        ("report", "--h", "710", "--w", "1", "--box", "0.3:2.0"),
     ],
 )
 def test_float_overflow_is_a_clean_error(capsys, dist_file, argv):
@@ -376,9 +391,10 @@ class TestFlags:
     @pytest.mark.parametrize("command", ["verify-proof", "report"])
     @pytest.mark.parametrize("depth", ["-1", "-18"])
     def test_bad_depth_is_rejected(self, capsys, command, depth):
-        # a negative cap fails every link that needs a split; it is bad
-        # input, rejected like a bad --box
+        # no link bisects, so neither command has a --depth flag: any value
+        # is an unread flag, rejected like a bad --box
         with pytest.raises(SystemExit) as exc:
             main([command, "--depth", depth])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "unrecognized arguments: --depth" in err

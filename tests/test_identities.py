@@ -60,11 +60,26 @@ class TestFormalOperations:
                 assert close(mp_value(derivative, *point), numeric, numeric)
 
     def test_v_eq_w_substitution_matches_mpmath(self, points):
-        restricted = SAMPLE.at_v_eq_w()
+        restricted = SAMPLE.at("v", "w")
         assert all(key[1] == 0 and key[4] == 0 for key, _ in restricted.terms())
         with mpmath.workdps(DIGITS):
             for u, _, w in points:
                 assert close(mp_value(restricted, u, 0, w), mp_value(SAMPLE, u, w, w))
+
+    @pytest.mark.parametrize("name, by", [("v", "u"), ("u", "w"), ("w", "v")])
+    def test_substitution_matches_mpmath(self, points, name, by):
+        i, j = "uvw".index(name), "uvw".index(by)
+        restricted = SAMPLE.at(name, by)
+        assert all(key[i] == 0 and key[3 + i] == 0 for key, _ in restricted.terms())
+        with mpmath.workdps(DIGITS):
+            for point in points:
+                moved = list(point)
+                moved[i] = point[j]
+                assert close(mp_value(restricted, *point), mp_value(SAMPLE, *moved))
+
+    def test_substitution_needs_two_axes(self):
+        with pytest.raises(ValueError):
+            SAMPLE.at("v", "v")
 
     @pytest.mark.parametrize(
         "method, reference",
@@ -108,7 +123,8 @@ class TestFormalOperations:
         # an int unless the coefficient is not integral, never Fraction(n, 1)
         prover_form = Laurent.in_w(parse_expression("1/2*w*cosh(w) - sinh(w)/3"))
         for p in (
-            SAMPLE, SAMPLE.diff("u"), SAMPLE.diff("v"), SAMPLE.diff("w"), SAMPLE.at_v_eq_w(),
+            SAMPLE, SAMPLE.diff("u"), SAMPLE.diff("v"), SAMPLE.diff("w"), SAMPLE.at("v", "w"),
+            SAMPLE.at("v", "u"), SAMPLE.at("u", "w"),
             prover_form, 3 * W * vsinh_over(3 * W), vsinh_over(-W), 0.5 * U + 0.5 * U,
             Fraction(2, 3) * U * 3,
         ):
@@ -125,7 +141,7 @@ class TestFormalOperations:
 
 
 class TestCatalogInTheKernel:
-    @pytest.mark.parametrize("name", ["d_case2", "d1_case2"])
+    @pytest.mark.parametrize("name", ["d_case1", "dv2_case1", "d_case2", "d1_case2"])
     def test_kernel_value_equals_the_float_form(self, points, name):
         expr = CATALOG[name]
         kernel = expr.fn(U, V, W)

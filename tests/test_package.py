@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import importlib
+import json
 from pathlib import Path
 
 import tiltbound
@@ -26,3 +27,24 @@ def test_benchmark_span_points_resolve(monkeypatch):
     prover = importlib.import_module("tiltbound.prover")
     missing += [f"prover.ri.{fn}" for fn in tracing.RI_FUNCTIONS if not hasattr(prover.ri, fn)]
     assert not missing
+
+
+def test_verify_proof_json_has_the_keys_the_benchmark_reads(capsys):
+    # bench/workloads.py gates every verify-default round on these keys of
+    # the default `tiltbound verify-proof` report; one that goes missing
+    # fails every round with KeyError
+    from tiltbound.cli import main
+
+    assert main(["verify-proof"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_passed"] is True
+    entries = payload["battery"]["entries"]
+    assert entries
+    for entry in entries:
+        assert {"name", "outcome", "expected", "replay_matches"} <= set(entry)
+    assert payload["regions"]
+    for region in payload["regions"]:
+        assert {
+            "expression", "region", "status", "undecided_boxes", "boxes_evaluated"
+        } <= set(region)
+        assert {"u", "v", "w", "case"} <= set(region["region"])  # read by its falsifier

@@ -9,10 +9,12 @@ import pytest
 
 from tiltbound import d_expr, regions, replay
 from tiltbound.exppoly import parse_expression
-from tiltbound.identities import Laurent
-from tiltbound.intervals import vexp
-from tiltbound.prover import Outcome, SignDecision
+from tiltbound.identities import U, V, W, Laurent
+from tiltbound.intervals import vexp, vsinh
+from tiltbound.prover import BATTERY, Outcome, SignDecision
 from tiltbound.regions import (
+    CASE1_CONCAVITY_LEMMAS,
+    CASE1_SLOPE_LEMMAS,
     CASE2_SLOPE_LEMMAS,
     CATALOG,
     DERIVATIONS,
@@ -143,36 +145,37 @@ class TestCatalogFidelity:
                 assert abs(got - want) <= 1e-12 * abs(want), (u, w)
 
     def test_dv_at_v_eq_u_case1_matches_high_precision(self, rng):
-        # e^-w times the v-slope of d at v = u against mpmath's derivative of
-        # the 50-digit mirror, with w down to 1e-4 (u > w keeps d smooth in v)
-        slope = CATALOG["dv_at_v_eq_u_case1"]
+        # the v-slope of d at v = u that the case-1 slope link expands in the
+        # identity kernel from d_case1, against mpmath's derivative of the
+        # 50-digit mirror, with w down to 1e-4 (u > w keeps d smooth in v)
+        slope = CATALOG["d_case1"].fn(U, V, W).diff("v").at("v", "u")
+        assert all(key[1] == key[4] == 0 for key, _ in slope.terms())  # no v left
+
+        def kernel(u, w):
+            return mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator
+                * u**a * w**e * mpmath.exp(p * u + r * w)
+                for (a, _, e, p, _, r), c in slope.terms()
+            )
+
         with mpmath.workdps(50):
             for _ in range(200):
-                w = float(10 ** rng.uniform(-4.0, math.log10(4.0)))
-                u = w + float(rng.uniform(1e-3, 4.0))
-                want = mpmath.exp(-w) * mpmath.diff(lambda v: mp_d(u, v, w), u)
-                got = slope.point(u=u, w=w)
-                assert abs(got - want) <= 1e-12 * abs(want), (u, w)
+                w = mpmath.mpf(float(10 ** rng.uniform(-4.0, math.log10(4.0))))
+                u = w + mpmath.mpf(float(rng.uniform(1e-3, 4.0)))
+                want = mpmath.diff(lambda v: mp_d(u, v, w), u)
+                assert abs(kernel(u, w) - want) <= 1e-12 * abs(want), (u, w)
 
-    def test_dv_at_v_eq_u_case1_is_the_rescaled_slope(self, rng):
-        # e^-w times the slope (e^w - e^-u) + u e^-u - so(w) (2u e^w - u^2 e^-u
-        # + 2u e^-u) at 50 digits, with w down to 1e-4
-        def slope(u, w):
-            u, w = mpmath.mpf(u), mpmath.mpf(w)
-            emu, ew = mpmath.exp(-u), mpmath.exp(w)
-            so_w = mpmath.sinh(w) / w
-            return (ew - emu) + u * emu - so_w * (2 * u * ew - u * u * emu + 2 * u * emu)
-
-        rescaled = CATALOG["dv_at_v_eq_u_case1"]
-        points = [(u, w) for w in (1e-4, 1e-2, 1.0) for u in (w, 2 * w, 8.0)]
-        for _ in range(200):
-            w = float(10 ** rng.uniform(-4.0, math.log10(8.0)))
-            points.append((float(rng.uniform(w, 8.0)), w))
-        with mpmath.workdps(50):
-            for u, w in points:
-                want = mpmath.exp(-mpmath.mpf(w)) * slope(u, w)
-                got = rescaled.point(u=u, w=w)
-                assert abs(got - want) <= 1e-12 * abs(want), (u, w)
+    def test_dv_at_v_eq_u_case1_is_the_rescaled_slope(self):
+        # the link's D1 = w e^u d_v(u, u, w) is, exactly,
+        #   w (e^(u+w) - 1 + u) - sinh(w) (2u e^(u+w) - u^2 + 2u),
+        # the d1 of case 1 whose value at u = w is the battery's corner lemma
+        d1 = W * vexp(U) * CATALOG["d_case1"].fn(U, V, W).diff("v").at("v", "u")
+        closed = W * (vexp(U + W) - 1 + U) - vsinh(W) * (
+            2 * U * vexp(U + W) - U * U + 2 * U
+        )
+        assert (d1 - closed).is_zero
+        corner = next(text for name, text, *_ in BATTERY if name == "d1_case1_at_corner")
+        assert (closed.at("u", "w") - Laurent.in_w(parse_expression(corner))).is_zero
 
     def test_diagonal_identity_matches_high_precision(self, rng):
         # the exact step of case1_diagonal, at 50 digits with w down to 1e-4:
@@ -362,20 +365,33 @@ class TestClipping:
         assert clipped.u == (0.0, 2.0)  # u <= w
         assert clipped.v == clipped.w == (1.0, 2.0)  # on the face v = w
 
-    @pytest.mark.parametrize(
-        "name, plane", [("dv_at_v_eq_u_case1", "u"), ("d_at_v_eq_w_case2", "w")]
-    )
+    @pytest.mark.parametrize("name, plane", [("d_at_v_eq_w_case2", "w")])
     def test_restricted_forms_report_boxes_on_their_plane(self, name, plane):
-        # both vanish at the origin, so [0, 1]^3 leaves undecided boxes
+        # the face vanishes at the origin, so [0, 1]^3 leaves undecided boxes
         cube = BoxRegion(u=(0.0, 1.0), v=(0.0, 1.0), w=(0.0, 1.0), case=CATALOG[name].case)
         result = certify_negative(name, cube, 5)
         assert result.undecided
         assert all(b.v == b.interval(plane) for b in result.undecided)
 
 
+# battery entry -> the case-structure links that read it
+LEMMA_READERS = {
+    "d1_case1_concavity_majorant": {"case1_slope_at_v_eq_u"},
+    "d1_case1_at_corner": {"case1_slope_at_v_eq_u"},
+    "d1_case1_slope_at_corner": {"case1_slope_at_v_eq_u"},
+    "d1_case2_concavity_majorant": {"case2_decreasing_in_v"},
+    "d1_case2_slope_at_u_zero": {"case2_decreasing_in_v"},
+    "d111_negativity": {"case2_decreasing_in_v"},
+    "sinh_dominates_identity": {
+        "case1_concavity_in_v", "case1_slope_at_v_eq_u", "case2_decreasing_in_v"
+    },
+    "sinh_over_increasing": {"case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"},
+}
+
+
 class TestCaseStructure:
     def test_full_report_passes(self, battery):
-        report = verify_case_structure(0.05, 8.0, 18, battery)
+        report = verify_case_structure(0.05, 8.0, battery)
         assert report.all_passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -386,23 +402,19 @@ class TestCaseStructure:
             "case3_decreasing_in_w",
             "boundary_v_eq_w",
         }
-        # the bisected links carry their certifications; the case-1 diagonal,
-        # the case-2 slope, case 3 and the face rest on battery lemmas and
-        # exact identities, not on a bisection
-        for name in ("case1_concavity_in_v", "case1_slope_at_v_eq_u"):
-            result = report.check(name).result
-            assert result.certified and not result.undecided
-        for name in (
-            "case1_diagonal", "case2_decreasing_in_v", "case3_decreasing_in_w", "boundary_v_eq_w"
+        # every link rests on battery lemmas and exact steps; the three
+        # identity links say how many identities expanded to 0
+        for name, count in (
+            ("case1_concavity_in_v", 2), ("case1_slope_at_v_eq_u", 3), ("case2_decreasing_in_v", 6)
         ):
-            assert report.check(name).result is None
+            assert f"{count} of {count} identities expand to 0" in report.check(name).detail
 
     def test_case3_step_is_a_replayed_certificate(self, battery):
         lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
         assert lemma.expression == "w*cosh(w) - sinh(w)"
         assert lemma.certified and lemma.decision.outcome is Outcome.POSITIVE
         assert replay(lemma.decision.certificate) is Outcome.POSITIVE
-        detail = verify_case_structure(0.3, 2.0, 10, battery).check(
+        detail = verify_case_structure(0.3, 2.0, battery).check(
             "case3_decreasing_in_w"
         ).detail
         assert detail.startswith(f"{lemma.expression} positive on w > 0")
@@ -411,18 +423,17 @@ class TestCaseStructure:
     def test_case3_passes_on_a_cube_reaching_the_origin(self, battery):
         # the multiplier u^2 cosh(v) + v^2 cosh(u) is nonnegative everywhere,
         # so case 3 needs no lo > 0, unlike the diagonal and the face
-        report = verify_case_structure(0.0, 1.0, 5, battery)
+        report = verify_case_structure(0.0, 1.0, battery)
         assert report.check("case3_decreasing_in_w").passed
 
     def test_face_fails_on_a_cube_reaching_u_zero(self, battery):
         # d(0, w, w) = 0: the face is negative only for u > 0, and it is
         # exact, so it fails on lo = 0 with no bisection behind it
-        report = verify_case_structure(0.0, 1.0, 5, battery)
+        report = verify_case_structure(0.0, 1.0, battery)
         face = report.check("boundary_v_eq_w")
         assert not face.passed and not report.all_passed
-        assert face.result is None
         assert face.detail.endswith("the cube starts at u = 0.0")
-        assert verify_case_structure(0.01, 1.0, 5, battery).check("boundary_v_eq_w").passed
+        assert verify_case_structure(0.01, 1.0, battery).check("boundary_v_eq_w").passed
 
     @pytest.mark.parametrize(
         "spoil",
@@ -443,7 +454,7 @@ class TestCaseStructure:
         )
         spoiled = dataclasses.replace(battery, entries=entries)
         assert not spoiled.all_certified
-        report = verify_case_structure(0.3, 2.0, 10, spoiled)
+        report = verify_case_structure(0.3, 2.0, spoiled)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"case1_diagonal", "case3_decreasing_in_w", "boundary_v_eq_w"}
         # a failing detail never claims the lemma was replayed
@@ -452,8 +463,8 @@ class TestCaseStructure:
             assert "replayed" not in detail and "the battery did not certify" in detail
 
     def test_case2_slope_link_reads_its_lemmas_and_identities(self, battery):
-        link = verify_case_structure(0.05, 8.0, 18, battery).check("case2_decreasing_in_v")
-        assert link.passed and link.result is None
+        link = verify_case_structure(0.05, 8.0, battery).check("case2_decreasing_in_v")
+        assert link.passed
         assert "6 of 6 identities expand to 0" in link.detail
         for symbol, name in CASE2_SLOPE_LEMMAS:
             entry = next(e for e in battery.entries if e.name == name)
@@ -485,7 +496,7 @@ class TestCaseStructure:
                 return tuple(identities)
 
             monkeypatch.setattr(regions, "_case2_slope_identities", mutated)
-            report = verify_case_structure(0.3, 2.0, 10, battery)
+            report = verify_case_structure(0.3, 2.0, battery)
             link = report.check("case2_decreasing_in_v")
             assert not link.passed and not report.all_passed
             assert "5 of 6 identities expand to 0" in link.detail
@@ -503,23 +514,25 @@ class TestCaseStructure:
         ids=["no-replay", "undetermined"],
     )
     def test_case2_slope_link_needs_each_lemma(self, battery, name, spoil):
+        # each lemma fails exactly the links that read it: sinh(w) > w is
+        # read by both case-1 identity links too
         entries = tuple(spoil(e) if e.name == name else e for e in battery.entries)
         spoiled = dataclasses.replace(battery, entries=entries)
-        report = verify_case_structure(0.3, 2.0, 10, spoiled)
+        report = verify_case_structure(0.3, 2.0, spoiled)
         link = report.check("case2_decreasing_in_v")
         assert not link.passed
-        assert {c.name for c in report.checks if not c.passed} == {"case2_decreasing_in_v"}
+        assert {c.name for c in report.checks if not c.passed} == LEMMA_READERS[name]
         outcome = next(e for e in entries if e.name == name).decision.outcome.value
         assert f"{name} {outcome} (the battery did not certify it)" in link.detail
 
     def test_case2_slope_link_fails_on_a_cube_reaching_w_zero(self, battery):
         # d1 = 0 at w = 0, so the exact link needs lo > 0 and fails without
         # a bisection behind it
-        link = verify_case_structure(0.0, 1.0, 5, battery).check("case2_decreasing_in_v")
-        assert not link.passed and link.result is None
+        link = verify_case_structure(0.0, 1.0, battery).check("case2_decreasing_in_v")
+        assert not link.passed
         assert "6 of 6 identities expand to 0" in link.detail
         assert link.detail.endswith("the cube starts at w = 0.0")
-        assert verify_case_structure(0.01, 1.0, 5, battery).check("case2_decreasing_in_v").passed
+        assert verify_case_structure(0.01, 1.0, battery).check("case2_decreasing_in_v").passed
 
     @pytest.mark.parametrize("name", ["d_case2", "d1_case2"])
     def test_case2_slope_link_reads_the_catalog_forms(self, battery, monkeypatch, name):
@@ -530,27 +543,101 @@ class TestCaseStructure:
             form, fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * vexp(-v)
         )
         monkeypatch.setitem(CATALOG, name, slipped)
-        link = verify_case_structure(0.3, 2.0, 10, battery).check("case2_decreasing_in_v")
+        link = verify_case_structure(0.3, 2.0, battery).check("case2_decreasing_in_v")
         assert not link.passed
 
-    def test_derived_regions_name_the_cube_and_depth_of_their_checks(self, battery):
-        report = verify_case_structure(0.3, 2.0, 10, battery)
+    def test_derived_regions_name_the_cube_of_their_checks(self, battery):
+        # no link bisects, so an entry names no depth and evaluates no box
+        report = verify_case_structure(0.3, 2.0, battery)
         entries = report.derived_regions()
         assert [e["expression"] for e in entries] == list(DERIVATIONS) == ["d_case1", "d_case2"]
         for entry in entries:
             assert entry["links"] == list(DERIVATIONS[entry["expression"]])
-            assert entry["depth"] == report.depth == 10
+            assert "depth" not in entry
+            assert entry["boxes_evaluated"] == 0 and entry["undecided_boxes"] == []
             region = entry["region"]
             assert region["u"] == region["v"] == region["w"] == list(report.cube) == [0.3, 2.0]
             assert region["case"] == CATALOG[entry["expression"]].case.value
 
     def test_case1_slope_fails_on_a_cube_reaching_the_origin(self, battery):
-        # at u = w = 0 the slope at v = u is 0 (it is about w - 2u nearby),
-        # and d(0, 0, 0) = 0
-        report = verify_case_structure(0.0, 1.0, 5, battery)
+        # D1 = w e^u d_v(u, u, w) = 0 at w = 0, so the exact slope link
+        # needs lo > 0; at u = w = 0 the slope itself is 0, and d(0, 0, 0) = 0
+        report = verify_case_structure(0.0, 1.0, battery)
         slope = report.check("case1_slope_at_v_eq_u")
         assert not slope.passed and not report.all_passed
-        left = slope.result.undecided
-        assert any(b.u[0] == 0.0 and b.w[0] == 0.0 for b in left)
-        assert all(b.u[1] <= 0.1 for b in left)  # clustered at the origin
+        assert "3 of 3 identities expand to 0" in slope.detail
+        assert slope.detail.endswith("the cube starts at w = 0.0")
         assert not report.check("case1_diagonal").passed
+        assert verify_case_structure(0.01, 1.0, battery).check("case1_slope_at_v_eq_u").passed
+
+    def test_every_battery_lemma_is_read_by_a_link(self, battery):
+        # a lemma that no link reads is certified for nothing: spoiling any
+        # battery entry must fail some link, and exactly the links that
+        # read it
+        assert [e.name for e in battery.entries] == [name for name, *_ in BATTERY]
+        assert set(LEMMA_READERS) == {name for name, *_ in BATTERY}
+        for name in LEMMA_READERS:
+            entries = tuple(
+                dataclasses.replace(e, replay_matches=False) if e.name == name else e
+                for e in battery.entries
+            )
+            report = verify_case_structure(0.3, 2.0, dataclasses.replace(battery, entries=entries))
+            failed = {c.name for c in report.checks if not c.passed}
+            assert failed, f"no link reads {name}"
+            assert failed == LEMMA_READERS[name], name
+            # a failing detail never claims the lemma was replayed
+            for link in failed:
+                assert "did not certify" in report.check(link).detail, (name, link)
+
+    @pytest.mark.parametrize(
+        "link, identities, count",
+        [
+            ("case1_concavity_in_v", "_case1_concavity_identities", 2),
+            ("case1_slope_at_v_eq_u", "_case1_slope_identities", 3),
+        ],
+    )
+    def test_case1_link_fails_on_a_flipped_sign(
+        self, battery, monkeypatch, link, identities, count
+    ):
+        # every summand of every right-hand side is needed: negating any one
+        # of them fails that link and no other
+        exact = getattr(regions, identities)
+        entries = {e.name: e for e in battery.entries}
+        lemmas = {
+            symbol: Laurent.in_w(entries[name].poly)
+            for symbol, name in CASE1_CONCAVITY_LEMMAS + CASE1_SLOPE_LEMMAS
+        }
+        assert len(exact(lemmas)) == count
+        for index in range(count):
+            for flipped in range(len(exact(lemmas)[index][1])):
+
+                def mutated(lemmas, index=index, flipped=flipped):
+                    table = list(exact(lemmas))
+                    lhs, rhs = table[index]
+                    rhs = tuple(-t if k == flipped else t for k, t in enumerate(rhs))
+                    table[index] = (lhs, rhs)
+                    return tuple(table)
+
+                monkeypatch.setattr(regions, identities, mutated)
+                report = verify_case_structure(0.3, 2.0, battery)
+                assert f"{count - 1} of {count} identities expand to 0" in report.check(link).detail
+                assert {c.name for c in report.checks if not c.passed} == {link}
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "name, failed",
+        [
+            # the slope expands d_case1's v-derivative too
+            ("d_case1", {"case1_concavity_in_v", "case1_slope_at_v_eq_u"}),
+            ("dv2_case1", {"case1_concavity_in_v"}),
+        ],
+    )
+    def test_case1_links_read_the_catalog_forms(self, battery, monkeypatch, name, failed):
+        # a transcription slip in a form fails exactly the links expanding it
+        form = CATALOG[name]
+        slipped = dataclasses.replace(
+            form, fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * v * vexp(-v)
+        )
+        monkeypatch.setitem(CATALOG, name, slipped)
+        report = verify_case_structure(0.3, 2.0, battery)
+        assert {c.name for c in report.checks if not c.passed} == failed
