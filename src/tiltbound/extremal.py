@@ -14,8 +14,9 @@ the objective is a ratio of two linear functions of the weights, so over the
 weight polytope cut out by the mass and second-moment constraints the optimum
 sits at a vertex with at most two active support points; the search therefore
 enumerates the pair family of :func:`pair_atoms` (one pair plus an atom at
-zero, or two pairs) with weights solved exactly.  Candidates are built as
-signed atoms and go straight to :func:`tilted_mean_signed`.
+zero, or two pairs) with weights solved exactly.  A private pair objective
+evaluates each candidate to the same float as :func:`tilted_mean_signed` of
+its :func:`pair_atoms`, from exponentials computed once per support point.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
 # -- candidate laws as signed atoms (weights solved from the constraints) ---
 
 
+def _high_pair_weight(x_low: float, x_high: float, sigma2: float) -> float:
+    """Weight q_high of the +-x_high pair in :func:`pair_atoms`; the one feasibility rule.
+
+    Feasible when 0 <= x_low < x_high and x_low^2 <= sigma2 <= x_high^2;
+    anything else raises ValueError.
+    """
+    low2, high2 = x_low * x_low, x_high * x_high
+    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2):
+        raise ValueError("infeasible pair configuration")
+    return (sigma2 - low2) / (high2 - low2)
+
+
 def pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[float, float]]:
     """Signed atoms of the symmetric law on {+-x_low, +-x_high} with E[X^2] = sigma2.
 
@@ -51,15 +64,61 @@ def pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[float, 
     single atom (0, q) of the family on {-x_high, 0, x_high}.  A pair of
     weight 0 is left out, and the order is that of ``signed_atoms()``.
     """
-    low2, high2 = x_low * x_low, x_high * x_high
-    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2):
-        raise ValueError("infeasible pair configuration")
-    q_high = (sigma2 - low2) / (high2 - low2)
+    q_high = _high_pair_weight(x_low, x_high, sigma2)
     atoms = []
     for x, q in ((x_low, 1.0 - q_high), (x_high, q_high)):
         if q > 0:
             atoms.extend([(0.0, q)] if x == 0.0 else [(-x, q / 2), (x, q / 2)])
     return atoms
+
+
+def _pair_objective(sigma2: float, p: TiltParams) -> Callable[[float, float], float]:
+    """(x_low, x_high) -> tilted_mean_signed(pair_atoms(x_low, x_high, sigma2), p.h, p.w).
+
+    The same float, with -inf for an infeasible pair: every summand is the
+    reference's, computed by the same float operations.  The exponentials
+    e^{h min(+-x, w)} - 1 and e^{h min(+-x, w)} depend on the support point x
+    alone, so each point's are computed once, and every x >= w shares those
+    of the cap h w.  The reference's sum of the x p terms is exactly 0.0 for
+    symmetric atoms, since (-x) p == -(x p), and the atom at zero adds only
+    its weight, e^0 q = q.
+    """
+    h, w = p.h, p.w
+    cap = h * w
+    cap_tilt = (math.expm1(cap), math.exp(cap))
+    tilts: dict[float, tuple[float, float, float, float]] = {}
+
+    def pair_terms(x: float, q: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Summands of the atoms (-x, q/2), (x, q/2) for x > 0: shifted, then weights."""
+        tilt = tilts.get(x)
+        if tilt is None:
+            low = -(h * x)  # h min(-x, w), as -x < 0 < w
+            high = (math.expm1(h * x), math.exp(h * x)) if x < w else cap_tilt
+            tilt = tilts[x] = (math.expm1(low), math.exp(low), *high)
+        expm1_low, exp_low, expm1_high, exp_high = tilt
+        half = q / 2
+        xp = x * half
+        return (-xp * expm1_low, xp * expm1_high), (exp_low * half, exp_high * half)
+
+    def value(x_low: float, x_high: float) -> float:
+        try:
+            q_high = _high_pair_weight(x_low, x_high, sigma2)
+        except ValueError:
+            return -math.inf
+        q_low = 1.0 - q_high
+        shifted, weights = (), ()
+        if q_low > 0:
+            if x_low == 0.0:
+                weights = (q_low,)
+            else:
+                shifted, weights = pair_terms(x_low, q_low)
+        if q_high > 0:
+            high_shifted, high_weights = pair_terms(x_high, q_high)
+            shifted += high_shifted
+            weights += high_weights
+        return (math.fsum(shifted) + 0.0) / math.fsum(weights)
+
+    return value
 
 
 def zero_mean_three_atom(
@@ -126,10 +185,15 @@ def _atom_range(sigma2: float, p: TiltParams) -> float:
     """The searches place atoms in [-4w, 4w]; sigma2 must fit inside.
 
     A subnormal sigma2 is rejected: the weights solved from it lose their
-    precision, and the search then reports ratios above sinh(hw)/w.
+    precision, and the search then reports ratios above sinh(hw)/w.  So is a
+    subnormal bound scale sinh(hw)/w * sigma2, which the mean found is near:
+    it loses its precision too (``extremal --h 1e-320`` printed ratios 8.7%
+    above the factor, and 0.0).
     """
     if not (math.isfinite(sigma2) and sigma2 >= sys.float_info.min):
         raise ValueError("sigma2 must be finite and at least the smallest normal float")
+    if symmetric_factor(p) * sigma2 < sys.float_info.min:
+        raise ValueError("sinh(hw)/w * sigma2 must be at least the smallest normal float")
     x_max = 4.0 * p.w
     if sigma2 > x_max * x_max:
         raise ValueError("infeasible: sigma exceeds the atom range")
@@ -144,13 +208,7 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """
     x_max = _atom_range(sigma2, p)
     sigma = math.sqrt(sigma2)
-
-    def pair_value(x_low: float, x_high: float) -> float:
-        try:  # pair_atoms is the one feasibility check
-            atoms = pair_atoms(x_low, x_high, sigma2)
-        except ValueError:
-            return -math.inf
-        return tilted_mean_signed(atoms, p.h, p.w)
+    pair_value = _pair_objective(sigma2, p)
 
     extras = [x for x in (p.w, sigma) if sigma <= x <= x_max]
     best_x, best_val = _refine_scalar(lambda x: pair_value(0.0, x), sigma, x_max, extra=extras)
@@ -254,9 +312,10 @@ def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     """sup / sigma^2 for each sigma; the ratios climb toward sinh(hw)/w.
 
     The true gap to the bound factor is positive (the bound is strict for
-    every positive sigma), but at tiny sigma it can fall below one ulp of
-    the ratio, so the float ratio rounds onto the factor: the gap column,
-    the remaining distance, satisfies gap >= 0.
+    every positive sigma), but it can fall below the rounding error of the
+    float ratio, so the gap column, factor - ratio in floats, is within a
+    few ulps of 0 on either side there (``extremal --w 1e-150 --sigma
+    5e-151`` prints -2.2e-16).  An exact gap is ROADMAP open item 7.
     """
     factor = symmetric_factor(p)
     rows = []

@@ -156,6 +156,13 @@ class TestExtremal:
         assert code == 2
         assert "error:" in err
 
+    def test_subnormal_bound_scale_is_a_clean_error(self, capsys):
+        # sinh(hw)/w = 1e-320 is subnormal: exit 2 with one error line, not a
+        # scan of ratios 8.7% above the factor and 0.0
+        code, out, err = run_cli(capsys, "extremal", "--h", "1e-320")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json_includes_argmax(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--sigma", "0.1")
         assert code == 0

@@ -18,7 +18,7 @@ from tiltbound import (
     tilted_mean_signed,
     zero_mean_factor,
 )
-from tiltbound.extremal import pair_atoms, zero_mean_three_atom
+from tiltbound.extremal import _pair_objective, pair_atoms, zero_mean_three_atom
 
 P11 = TiltParams(1.0, 1.0)
 
@@ -109,6 +109,63 @@ class TestCandidateConstructors:
             zero_mean_three_atom(0.1, 0.1, 1.0)  # zero mass would be negative
 
 
+class TestPairObjective:
+    def test_equals_the_reference_mean_bit_for_bit(self, rng):
+        # every ordered pair of a seeded point set, including 0, -0.25, nan,
+        # points on both sides of w and w itself, under sigma2 = s * s for
+        # each admissible point s, so sigma2 == x_low**2 (q_high = 0) and
+        # sigma2 == x_high**2 (q_low = 0) occur exactly
+        seen = set()
+        for h, w in [(1.0, 1.0), (0.5, 2.0), *(tuple(rng.uniform(0.05, 3.0, 2)) for _ in range(3))]:
+            h, w = float(h), float(w)
+            free = [float(x) for x in rng.uniform(0.0, 4.0 * w, 6)]
+            points = [0.0, 0.1 * w, w, 1.7 * w, 4.0 * w, *free]
+            for s in points:
+                sigma2 = s * s
+                value = _pair_objective(sigma2, TiltParams(h, w))
+                for x_low in [-0.25, math.nan, *points]:
+                    for x_high in [math.nan, *points]:
+                        try:
+                            reference = tilted_mean_signed(pair_atoms(x_low, x_high, sigma2), h, w)
+                        except ValueError:
+                            reference = -math.inf
+                            seen.add("infeasible")
+                        else:
+                            seen.update(
+                                name
+                                for name, hit in [
+                                    ("x_low = 0", x_low == 0.0),
+                                    ("q_high = 0", sigma2 == x_low * x_low),
+                                    ("q_low = 0", sigma2 == x_high * x_high),
+                                    ("x_low < w < x_high", 0 < x_low < w < x_high),
+                                    ("both beyond w", w < x_low),
+                                    ("both below w", x_high < w),
+                                ]
+                                if hit
+                            )
+                        assert value(x_low, x_high) == reference, (h, w, sigma2, x_low, x_high)
+        assert seen == {
+            "infeasible", "x_low = 0", "q_high = 0", "q_low = 0",
+            "x_low < w < x_high", "both beyond w", "both below w",
+        }
+
+    def test_each_exponential_is_computed_once(self, monkeypatch):
+        # deterministic cost guard: the pair family's exponentials depend on
+        # the support point alone, and every point at or beyond w shares the
+        # cap's, so no expm1 argument repeats within one search
+        calls = []
+        expm1 = math.expm1
+
+        def recording(x):
+            calls.append(x)
+            return expm1(x)
+
+        monkeypatch.setattr(math, "expm1", recording)
+        sup_symmetric(0.01, P11)
+        assert calls
+        assert len(set(calls)) == len(calls)
+
+
 class TestSupSearch:
     def test_dominates_three_point_candidate(self):
         for sigma in (0.5, 0.1, 0.01):
@@ -167,6 +224,15 @@ class TestSupSearch:
             for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
                 with pytest.raises(ValueError):
                     search(sigma2, P11)
+
+    def test_subnormal_bound_scale_rejected(self):
+        # sinh(hw)/w * sigma2 is the scale of the mean found; below the
+        # smallest normal float the search printed ratios off the factor
+        for search in (sup_symmetric, sup_zero_mean):
+            for params, sigma2 in [(TiltParams(1e-320, 1.0), 0.01), (TiltParams(1e-300, 1.0), 1e-9)]:
+                with pytest.raises(ValueError, match="sinh"):
+                    search(sigma2, params)
+        assert sup_symmetric(0.25, TiltParams(1e-300, 1.0)).value > 0
 
 
 class TestRatioScan:
