@@ -2,9 +2,10 @@
 
 Every inequality handled by the prover has the shape ``P(w, e^w) < 0`` (or
 ``> 0``) on w in (0, oo) for a polynomial P with rational coefficients.  This
-module supplies the exact-arithmetic polynomial type, a small text grammar for
-entering such expressions, symbolic differentiation with respect to w (where
-d/dw t = t), and the sign-preserving normal form used by the prover.
+module supplies the exact-arithmetic polynomial type, a small ASCII text
+grammar for entering such expressions (parsed in integer arithmetic over one
+denominator per subexpression), symbolic differentiation with respect to w
+(where d/dw t = t), and the sign-preserving normal form used by the prover.
 
 A coefficient is an ``int``, or a :class:`fractions.Fraction` when it is not
 integral (never ``Fraction(n, 1)``); :func:`normalize` makes all of them ints
@@ -15,6 +16,8 @@ certificates replay bit for bit.
 from __future__ import annotations
 
 import math
+import re
+import string
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -247,169 +250,162 @@ def derivative(p: ExpPoly) -> ExpPoly:
 #   atom   := NUMBER | 'w' | FUNC '(' expr ')' | '(' expr ')'
 #   FUNC   := 'exp' | 'sinh' | 'cosh'               argument must be n*w
 #
-# Numbers may be integers or decimal literals; both parse exactly.
+# NUMBER is ASCII digits with an optional decimal part, [0-9]+(.[0-9]*)?, and
+# INTEGER is ASCII digits alone; names are ASCII letters, blanks are ASCII
+# whitespace, and any other character is a syntax error.
+#
+# The parser computes in ints.  A subexpression is a pair (terms, den): the
+# polynomial sum(c w^i t^k for (i, k), c in terms) / den, with int c (zeros
+# allowed) and int den > 0.  A decimal is its digits over a power of ten,
+# dividing by the constant c/d scales by d and multiplies den by c, and sinh
+# and cosh carry den 2.  Only the result gets Fractions, one for each
+# coefficient that den does not divide.
 
 
 class ExprSyntaxError(ValueError):
     """Raised when an expression string cannot be parsed."""
 
 
+_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|[A-Za-z]+|\S", re.ASCII)
+_TOKEN_STARTS = frozenset(string.ascii_letters + string.digits + "+-*/^()")
 _FUNCTIONS = ("exp", "sinh", "cosh")
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos < n and text[pos] == ".":
-                pos += 1
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-            tokens.append(("number", text[start:pos]))
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < n and text[pos].isalpha():
-                pos += 1
-            tokens.append(("name", text[start:pos]))
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} at position {pos}")
-    tokens.append(("end", ""))
-    return tokens
+_Value = tuple[dict[tuple[int, int], int], int]  # (int terms, den > 0)
 
 
-class _Parser:
+def _add(a: _Value, b: _Value, sign: int) -> _Value:
+    """a + sign * b over the least common denominator."""
+    (x, den), (y, yden) = a, b
+    if den == yden:
+        out = x.copy()
+    else:
+        g = math.gcd(den, yden)
+        scale, sign = yden // g, sign * (den // g)
+        out = {key: c * scale for key, c in x.items()}
+        den *= scale
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out, den
+
+
+def _mul(a: _Value, b: _Value) -> _Value:
+    (x, xden), (y, yden) = a, b
+    if len(x) == 1 and (0, 0) in x:
+        x, y = y, x
+    if len(y) == 1 and (0, 0) in y:  # a constant factor scales the other
+        c = y[0, 0]
+        return {key: v * c for key, v in x.items()}, xden * yden
+    out: dict[tuple[int, int], int] = {}
+    for (i, k), u in x.items():
+        for (j, m), v in y.items():
+            key = (i + j, k + m)
+            out[key] = out.get(key, 0) + u * v
+    return out, xden * yden
+
+
+def _power(base: _Value, n: int) -> _Value:
+    terms, den = base
+    if len(terms) == 1:
+        (((i, k), c),) = terms.items()
+        return {(i * n, k * n): c**n}, den**n
+    result: _Value = ({(0, 0): 1}, 1)
+    while n:  # by squaring
+        if n & 1:
+            result = _mul(result, base)
+        n >>= 1
+        if n:
+            base = _mul(base, base)
+    return result
+
+
+def _multiple(terms: dict[tuple[int, int], int], den: int, key: tuple[int, int]) -> int | None:
+    """n when the terms over den are n times the monomial key for an int n, else None."""
+    n = 0
+    for other, c in terms.items():
+        if c:
+            if other != key or c % den:
+                return None
+            n = c // den
+    return n
+
+
+class _Descent:
+    """Recursive descent over the tokens of one text; factor reads power and atom too."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        tokens = _TOKEN.findall(text)
+        if not {tok[0] for tok in tokens} <= _TOKEN_STARTS:
+            bad = next(m for m in _TOKEN.finditer(text) if m[0][0] not in _TOKEN_STARTS)
+            raise ExprSyntaxError(f"unexpected character {bad[0]!r} at position {bad.start()}")
+        self.tokens, self.pos = tokens + [""], 0  # "" ends the text
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
+    def expect(self, tok: str) -> None:
+        found = self.tokens[self.pos]
+        self.pos += 1
+        if found != tok:
+            raise ExprSyntaxError(f"expected {tok!r}, found {found!r}")
 
-    def advance(self) -> tuple[str, str]:
+    def expr(self) -> _Value:
+        value = self.term()
+        while (op := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            value = _add(value, self.term(), 1 if op == "+" else -1)
+        return value
+
+    def term(self) -> _Value:
+        value = self.factor()
+        while (op := self.tokens[self.pos]) in ("*", "/"):
+            self.pos += 1
+            rhs, d = self.factor()
+            if op == "*":
+                value = _mul(value, (rhs, d))
+                continue
+            c = _multiple(rhs, 1, (0, 0))  # c when rhs is the constant c/d
+            if not c:
+                raise ExprSyntaxError("division is only defined by nonzero constants")
+            d = d if c > 0 else -d
+            value = {key: x * d for key, x in value[0].items()}, value[1] * abs(c)
+        return value
+
+    def factor(self) -> _Value:
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
-
-    def parse(self) -> ExpPoly:
-        value = self.expr()
-        if self.peek()[0] != "end":
-            raise ExprSyntaxError(f"trailing input at {self.peek()[1]!r}")
-        return value
-
-    def expr(self) -> ExpPoly:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> ExpPoly:
-        value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                const = _constant_value(rhs)
-                if const is None or const == 0:
-                    raise ExprSyntaxError("division is only defined by nonzero constants")
-                value = value * (Fraction(1) / const)
-        return value
-
-    def factor(self) -> ExpPoly:
-        kind, _ = self.peek()
-        if kind == "+":
-            self.advance()
+        if tok == "-":
+            terms, den = self.factor()
+            return {key: -c for key, c in terms.items()}, den
+        if tok == "+":
             return self.factor()
-        if kind == "-":
-            self.advance()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> ExpPoly:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("number")
-            if "." in tok[1]:
-                raise ExprSyntaxError("exponent must be an integer")
-            return base ** int(tok[1])
-        return base
-
-    def atom(self) -> ExpPoly:
-        kind, text = self.advance()
-        if kind == "number":
-            return ExpPoly.constant(Fraction(text) if "." in text else int(text))
-        if kind == "(":
-            inner = self.expr()
+        if tok == "w":
+            value = {(1, 0): 1}, 1
+        elif tok[:1].isdigit():
+            whole, _, decimals = tok.partition(".")
+            value = {(0, 0): int(whole + decimals)}, 10 ** len(decimals)
+        elif tok == "(":
+            value = self.expr()
             self.expect(")")
-            return inner
-        if kind == "name":
-            if text == "w":
-                return W
-            if text in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _apply_function(text, arg)
-            raise ExprSyntaxError(f"unknown name {text!r}")
-        raise ExprSyntaxError(f"unexpected token {text!r}")
-
-
-def _constant_value(p: ExpPoly) -> Scalar | None:
-    if p.is_zero:
-        return 0
-    terms = list(p.terms())
-    if len(terms) == 1 and terms[0][0] == 0 and terms[0][1] == 0:
-        return terms[0][2]
-    return None
-
-
-def _linear_w_multiple(p: ExpPoly) -> int | None:
-    """Return n when p == n*w for integer n (0 for the zero polynomial)."""
-    if p.is_zero:
-        return 0
-    terms = list(p.terms())
-    if len(terms) == 1 and terms[0][:2] == (1, 0) and type(terms[0][2]) is int:
-        return terms[0][2]
-    return None
-
-
-def _apply_function(name: str, arg: ExpPoly) -> ExpPoly:
-    n = _linear_w_multiple(arg)
-    if n is None:
-        raise ExprSyntaxError(f"{name}() argument must be an integer multiple of w")
-    if name == "exp":
-        return ExpPoly.monomial(1, 0, n)
-    half = Fraction(1, 2)
-    if name == "sinh":
-        return ExpPoly({(0, n): half, (0, -n): -half})
-    # cosh
-    if n == 0:
-        return ExpPoly.constant(1)
-    return ExpPoly({(0, n): half, (0, -n): half})
+        elif tok in _FUNCTIONS:
+            self.expect("(")
+            n = _multiple(*self.expr(), (1, 0))
+            self.expect(")")
+            if n is None:
+                raise ExprSyntaxError(f"{tok}() argument must be an integer multiple of w")
+            if tok == "exp":
+                value = {(0, n): 1}, 1
+            elif n == 0:  # sinh(0) = 0, cosh(0) = 1
+                value = {(0, 0): int(tok == "cosh")}, 1
+            else:
+                value = {(0, n): 1, (0, -n): 1 if tok == "cosh" else -1}, 2
+        elif tok[:1].isalpha():
+            raise ExprSyntaxError(f"unknown name {tok!r}")
+        else:
+            raise ExprSyntaxError(f"unexpected token {tok!r}")
+        if self.tokens[self.pos] != "^":
+            return value
+        exponent = self.tokens[self.pos + 1]
+        self.pos += 2
+        if not exponent.isdigit():
+            raise ExprSyntaxError(f"exponent must be an integer, found {exponent!r}")
+        return _power(value, int(exponent))
 
 
 def parse_expression(text: str) -> ExpPoly:
@@ -422,7 +418,11 @@ def parse_expression(text: str) -> ExpPoly:
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression")
+    parser = _Descent(text)
     try:
-        return _Parser(text).parse()
+        terms, den = parser.expr()
     except RecursionError:
         raise ExprSyntaxError("expression nests too deeply") from None
+    if parser.tokens[parser.pos]:
+        raise ExprSyntaxError(f"trailing input at {parser.tokens[parser.pos]!r}")
+    return ExpPoly._of({key: Fraction(c, den) if c % den else c // den for key, c in terms.items()})

@@ -47,11 +47,12 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
 def _high_pair_weight(x_low: float, x_high: float, sigma2: float) -> float:
     """Weight q_high of the +-x_high pair in :func:`pair_atoms`; the one feasibility rule.
 
-    Feasible when 0 <= x_low < x_high and x_low^2 <= sigma2 <= x_high^2;
-    anything else raises ValueError.
+    Feasible when 0 <= x_low < x_high and x_low^2 <= sigma2 <= x_high^2 with
+    the two squares distinct as floats (both underflow to 0.0 for points
+    such as 1e-170 and 2e-170); anything else raises ValueError.
     """
     low2, high2 = x_low * x_low, x_high * x_high
-    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2):
+    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2 and low2 < high2):
         raise ValueError("infeasible pair configuration")
     return (sigma2 - low2) / (high2 - low2)
 
@@ -226,13 +227,16 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
                 val = pair_value(xl, xh)
                 if val > best_two:
                     best_lo, best_hi, best_two = xl, xh, val
-        for _ in range(3):  # coordinate refinement
+        for _ in range(3):  # coordinate refinement, up to its fixed point
             best_lo, best_two = _refine_scalar(
                 lambda x: pair_value(x, best_hi), sigma / grid_n, sigma, points=65, rounds=2
             )
+            last_hi = best_hi
             best_hi, best_two = _refine_scalar(
                 lambda x: pair_value(best_lo, x), sigma, x_max, extra=[p.w], points=65, rounds=2
             )
+            if best_hi == last_hi:  # a further round would repeat this one
+                break
         if best_two > best_val:
             best_val = best_two
             best_atoms = pair_atoms(best_lo, best_hi, sigma2)
@@ -275,14 +279,17 @@ def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
             if val > best[0]:
                 best = (val, xp, xn)
     _, best_pos, best_neg = best
-    for _ in range(3):
+    for _ in range(3):  # coordinate refinement, up to its fixed point
         best_pos, _ = _refine_scalar(
             lambda x: value(x, best_neg), sigma2 / x_max, x_max, extra=[p.w], points=65, rounds=2
         )
         floor = sigma2 / best_pos
+        last_neg = best_neg
         best_neg, best_value = _refine_scalar(
             lambda x: value(best_pos, x), floor, x_max, extra=[floor], points=65, rounds=2
         )
+        if best_neg == last_neg:  # a further round would repeat this one
+            break
     return SupSearchResult(best_value, tuple(zero_mean_three_atom(best_pos, best_neg, sigma2)))
 
 

@@ -128,6 +128,14 @@ class TestProve:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0663*w"])
+    def test_numbers_are_ascii_digits(self, capsys, text):
+        # the superscript two leaked int()'s error, and the Arabic-Indic
+        # three was proven as 3*w
+        code, out, err = run_cli(capsys, "prove", "--expr", text)
+        assert code == 2 and out == ""
+        assert err == f"error: unexpected character {text[0]!r} at position 0\n"
+
     @pytest.mark.parametrize(
         "argv",
         [("--expr", "(" * 400 + "w" + ")" * 400), ("--expr=" + "-" * 1200 + "w",)],

@@ -1,6 +1,7 @@
 """ExpPoly algebra, the expression grammar, and the normal form."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -188,9 +189,135 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_expression(text)
 
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0663*w", "w^\u00b3", "1\u00a0+ w"])
+    def test_numbers_and_blanks_are_ascii(self, text):
+        # str.isdigit accepts the superscripts and the Arabic-Indic three:
+        # int() then leaked a ValueError for the one and read the other as 3
+        with pytest.raises(ExprSyntaxError, match="unexpected character"):
+            parse_expression(text)
+
+    def test_hyperbolics_at_zero(self):
+        # the half-sums (t^0 - t^0)/2 and (t^0 + t^0)/2
+        assert parse_expression("sinh(0*w)") == ExpPoly.zero()
+        assert parse_expression("cosh(w - w)") == ExpPoly.constant(1)
+
     def test_round_trip_against_float_eval(self, rng):
         p = parse_expression("w*cosh(w) + (w - 4*(2+w))*sinh(w)")
         for _ in range(20):
             w = float(rng.uniform(0.1, 3.0))
             direct = w * math.cosh(w) + (w - 4 * (2 + w)) * math.sinh(w)
             assert p.evaluate(w) == pytest.approx(direct, rel=1e-12)
+
+
+
+# -- an independent oracle: random expression trees, rendered and evaluated ---
+
+# Function arguments as text, with the multiple n of w that each denotes.
+ARGUMENTS = (
+    ("w", 1), ("3*w", 3), ("0*w", 0), ("-2*w", -2), ("4*w/2", 2), ("0", 0),
+    ("-w", -1), ("2.0*w", 2), ("w + w - 3*w", -1), ("6*w/3 - w", 1),
+)
+NUMBERS = ("0", "1", "2", "7", "12", "007", "0.5", "2.25", "3.", "10.0", "0.125")
+BLANKS = ("", " ", "  ", "\t")
+STRAY = ("\u00b2", "\u0663", "$", "#", "\u00a0", "!", "=", "[", "_", "'")
+
+
+def _exp(n: int) -> ExpPoly:
+    return ExpPoly.monomial(1, 0, n)
+
+
+FUNCTIONS = {
+    "exp": _exp,
+    "sinh": lambda n: (_exp(n) - _exp(-n)) * Fraction(1, 2),
+    "cosh": lambda n: (_exp(n) + _exp(-n)) * Fraction(1, 2),
+}
+
+
+def pick(rng, options):
+    return options[int(rng.integers(0, len(options)))]
+
+
+def _wrap(node, level: int) -> str:
+    """The node's text, parenthesized when it binds looser than level."""
+    text, precedence, _ = node
+    return text if precedence >= level else f"({text})"
+
+
+def random_tree(rng, depth: int, constant: bool = False):
+    """(text, precedence, value): a rendered expression and its ExpPoly.
+
+    Precedence is 1 for a sum, 2 a product, 3 a signed factor, 4 a power and
+    5 an atom.  A child is parenthesized only where the grammar needs it,
+    so the parser's precedence and associativity are exercised.  A constant
+    tree has no w and no function.
+    """
+    kind = int(rng.integers(0, 3 if depth <= 0 else 10))
+    if kind == 0 or (constant and kind in (1, 2)):
+        text = pick(rng, NUMBERS)
+        return text, 5, ExpPoly.constant(Fraction(text))
+    if kind == 1:
+        return "w", 5, W
+    if kind == 2:
+        name, (arg, n) = pick(rng, list(FUNCTIONS)), pick(rng, ARGUMENTS)
+        return f"{name}({pick(rng, BLANKS)}{arg})", 5, FUNCTIONS[name](n)
+    a = random_tree(rng, depth - 1, constant)
+    if kind == 3:
+        return f"({a[0]}{pick(rng, BLANKS)})", 5, a[2]
+    if kind == 4:  # one to three stacked unary signs
+        text, value = _wrap(a, 3), a[2]
+        for _ in range(int(rng.integers(1, 4))):
+            sign = pick(rng, "+-")
+            text, value = sign + pick(rng, BLANKS) + text, value if sign == "+" else -value
+        return text, 3, value
+    if kind == 5:
+        n = int(rng.integers(0, 4))
+        return f"{_wrap(a, 5)}{pick(rng, BLANKS)}^{n}", 4, a[2] ** n
+    if kind == 6:  # division by a nonzero constant
+        d = random_tree(rng, 1, constant=True)
+        if d[2].is_zero:
+            d = ("7", 5, ExpPoly.constant(7))
+        value = a[2] * (1 / Fraction(d[2].coeff(0, 0)))
+        return f"{_wrap(a, 2)}{pick(rng, BLANKS)}/{_wrap(d, 3)}", 2, value
+    op = "*+-"[kind - 7]
+    b = random_tree(rng, depth - 1, constant)
+    if op == "*":
+        return f"{_wrap(a, 2)}*{pick(rng, BLANKS)}{_wrap(b, 3)}", 2, a[2] * b[2]
+    value = a[2] + b[2] if op == "+" else a[2] - b[2]
+    return f"{_wrap(a, 1)}{pick(rng, BLANKS)}{op} {_wrap(b, 2)}", 1, value
+
+
+def random_texts(rng, count: int) -> list[tuple[str, ExpPoly]]:
+    return [random_tree(rng, 4)[::2] for _ in range(count)]
+
+
+class TestParserOracle:
+    def test_parse_equals_the_tree_evaluated_with_exppoly_operators(self, rng):
+        seen = set()
+        for text, value in random_texts(rng, 400):
+            assert parse_expression(text) == value, text
+            seen.update(
+                feature
+                for feature, pattern in [
+                    ("decimal", r"[0-9]\.[0-9]"),
+                    ("division", r"/\(?[0-9]"),
+                    ("stacked signs", r"[-+]\s*[-+]"),
+                    ("sinh(0*w)", r"sinh\(\s*0\*w"),
+                    ("(-2*w)", r"\(\s*-2\*w"),
+                    ("(4*w/2)", r"\(\s*4\*w/2"),
+                    ("power", r"\^"),
+                ]
+                if re.search(pattern, text)
+            )
+        assert len(seen) == 7, seen
+
+    def test_mutated_texts_raise_syntax_errors_only(self, rng):
+        for text, _ in random_texts(rng, 200):
+            mutants = [f"{text} * sinh(w/2)", f"1/w - ({text})", f"{text} + w^1.5"]
+            if ")" in text:  # drop one closing parenthesis
+                i = pick(rng, [i for i, ch in enumerate(text) if ch == ")"])
+                mutants.append(text[:i] + text[i + 1 :])
+            i = int(rng.integers(0, len(text) + 1))
+            mutants.append(text[:i] + pick(rng, STRAY) + text[i:])
+            for mutant in mutants:
+                with pytest.raises(ExprSyntaxError):
+                    parse_expression(mutant)

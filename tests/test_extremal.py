@@ -18,6 +18,7 @@ from tiltbound import (
     tilted_mean_signed,
     zero_mean_factor,
 )
+from tiltbound import extremal
 from tiltbound.extremal import _pair_objective, pair_atoms, zero_mean_three_atom
 
 P11 = TiltParams(1.0, 1.0)
@@ -107,6 +108,14 @@ class TestCandidateConstructors:
             pair_atoms(-1.0, 3.0, 1.0)  # a negative low pair
         with pytest.raises(ValueError):
             zero_mean_three_atom(0.1, 0.1, 1.0)  # zero mass would be negative
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.0])
+    def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
+        # 1e-170 < 2e-170, but both squares underflow to 0.0, so the weight
+        # solve would divide by zero (it raised ZeroDivisionError)
+        with pytest.raises(ValueError):
+            pair_atoms(1e-170, 2e-170, sigma2)
+        assert _pair_objective(sigma2, P11)(1e-170, 2e-170) == -math.inf
 
 
 class TestPairObjective:
@@ -224,6 +233,53 @@ class TestSupSearch:
             for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
                 with pytest.raises(ValueError):
                     search(sigma2, P11)
+
+    def test_refinement_stops_at_its_fixed_point(self, monkeypatch):
+        # deterministic cost guard: a coordinate-refinement round that ends
+        # on the point it started from would be repeated call for call by
+        # the next, so both searches stop there; at P11 sup_symmetric stops
+        # after round 2 of 3 and sup_zero_mean after round 1 (running all
+        # three rounds took 2,909 and 5,402 objective evaluations)
+        calls, found = [], []
+        objective, refine = extremal._pair_objective, extremal._refine_scalar
+
+        def counting_objective(sigma2, p):
+            value = objective(sigma2, p)
+
+            def counted(x_low, x_high):
+                calls.append((x_low, x_high))
+                return value(x_low, x_high)
+
+            return counted
+
+        def recording_refine(*args, **kwargs):
+            best = refine(*args, **kwargs)
+            found.append(best[0])
+            return best
+
+        monkeypatch.setattr(extremal, "_pair_objective", counting_objective)
+        monkeypatch.setattr(extremal, "_refine_scalar", recording_refine)
+        sup_symmetric(0.01, P11)
+        # 129 + 2 extra + 4 * 129 points with x_low = 0, then a 33 x 33 grid
+        # (so far 1,736 calls), then rounds of 3 * 65 points for x_low and
+        # 3 * 65 + 1 extra for x_high
+        grid_end, per_round = 647 + 33 * 33, 2 * (3 * 65) + 1
+        assert len(calls) == grid_end + 2 * per_round
+        _, _, high_1, _, high_2 = found
+        assert high_1 != calls[grid_end][1]  # round 1 moved x_high off the grid's best
+        assert high_2 == high_1  # round 2 did not, so round 3 would repeat it
+
+        evaluations = []
+
+        def counting_atoms(*args):
+            evaluations.append(args)
+            return zero_mean_three_atom(*args)
+
+        monkeypatch.setattr(extremal, "zero_mean_three_atom", counting_atoms)
+        sup_zero_mean(0.01, P11)
+        # a 65 x 65 grid, one round of 3 * 65 + 1 points per coordinate, and
+        # the atoms of the result
+        assert len(evaluations) == 65 * 65 + 2 * (3 * 65 + 1) + 1
 
     def test_subnormal_bound_scale_rejected(self):
         # sinh(hw)/w * sigma2 is the scale of the mean found; below the
