@@ -4,8 +4,11 @@ Every inequality handled by the prover has the shape ``P(w, e^w) < 0`` (or
 ``> 0``) on w in (0, oo) for a polynomial P with rational coefficients.  This
 module supplies the exact-arithmetic polynomial type, a small ASCII text
 grammar for entering such expressions (parsed in integer arithmetic over one
-denominator per subexpression), symbolic differentiation with respect to w
-(where d/dw t = t), and the sign-preserving normal form used by the prover.
+denominator per subexpression, with fixed caps on what a text builds),
+symbolic differentiation with respect to w (where d/dw t = t), the
+sign-preserving normal form used by the prover, and the "num/den" text of
+the rationals in a certificate.  :class:`ExpPoly` shares its arithmetic and
+derivative rule (:class:`SparsePoly`) with :class:`tiltbound.identities.Laurent`.
 
 A coefficient is an ``int``, or a :class:`fractions.Fraction` when it is not
 integral (never ``Fraction(n, 1)``); :func:`normalize` makes all of them ints
@@ -19,20 +22,121 @@ import math
 import re
 import string
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping
 
 from .rootisolation import Scalar, exact, primitive
 
 
-class ExpPoly:
-    """Sum of monomials c * w^i * t^k with exact rational c, an int when integral.
+class SparsePoly:
+    """Sum of monomials c * x^key with int-tuple keys and exact c, immutable by convention.
 
-    Negative t-degrees are permitted (they arise from sinh/cosh expansions)
-    until :func:`normalize` clears them.  Instances are immutable by
-    convention; all arithmetic returns new objects.
+    The arithmetic and derivative rule of :class:`ExpPoly` and :class:`~.identities.Laurent`.
+    ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or a scalar
+    that ``_scalar`` takes; anything else, the other kernel included, raises TypeError.
     """
 
     __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[tuple[int, ...], Scalar]):
+        self._terms = self._of(terms)._terms
+
+    @classmethod
+    def _of(cls, terms: Mapping[tuple[int, ...], Scalar]):
+        """The result of exact arithmetic on coefficients: drop zeros, make ints canonical."""
+        p = cls.__new__(cls)
+        p._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
+        return p
+
+    @staticmethod
+    def _scalar(value) -> Scalar | None:
+        """The coefficient a scalar operand stands for, None if not a scalar: an int or Fraction."""
+        return value if isinstance(value, (int, Fraction)) else None
+
+    @classmethod
+    def constant(cls, value):
+        if (c := cls._scalar(value)) is None:
+            raise TypeError(f"exact scalar required, got {type(value).__name__}")
+        return cls._of({cls._ONE: c})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if (c := self._scalar(other)) is None:
+                return NotImplemented
+            other = self._of({self._ONE: c})
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._of(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if (c := self._scalar(other)) is None:
+                return NotImplemented
+            return self._of({key: x * c for key, x in self._terms.items()})
+        terms: dict[tuple[int, ...], Scalar] = {}
+        for a, x in self._terms.items():
+            for b, y in other._terms.items():
+                key = tuple(map(add, a, b))
+                terms[key] = terms.get(key, 0) + x * y
+        return self._of(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._of({self._ONE: 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        return self._terms == other._terms if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(sorted(self._terms.items())))
+
+    def _diff(self, power_axis: int, rate_axis: int):
+        """d/dx: x^a e^(r x) -> (a/x + r) x^a e^(r x), a = key[power_axis], r = key[rate_axis]."""
+        terms: dict[tuple[int, ...], Scalar] = {}
+        for key, c in self._terms.items():
+            power, rate = key[power_axis], key[rate_axis]
+            if power:
+                lowered = list(key)
+                lowered[power_axis] = power - 1
+                lowered = tuple(lowered)
+                terms[lowered] = terms.get(lowered, 0) + power * c
+            if rate:
+                terms[key] = terms.get(key, 0) + rate * c
+        return self._of(terms)
+
+
+class ExpPoly(SparsePoly):
+    """Sum of monomials c * w^i * t^k with exact rational c, an int when integral.
+
+    Negative t-degrees are permitted (they arise from sinh/cosh expansions)
+    until :func:`normalize` clears them.  A scalar operand is an int or a
+    Fraction; a float raises TypeError.
+    """
+
+    __slots__ = ()
+    _ONE = (0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         self._terms: dict[tuple[int, int], Scalar] = {}
@@ -42,13 +146,6 @@ class ExpPoly:
             if c:
                 self._terms[(int(i), int(k))] = exact(c)
 
-    @classmethod
-    def _of(cls, terms: dict[tuple[int, int], Scalar]) -> "ExpPoly":
-        """The result of exact arithmetic on coefficients: drop zeros, make ints canonical."""
-        p = cls.__new__(cls)
-        p._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
-        return p
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -56,18 +153,10 @@ class ExpPoly:
         return cls()
 
     @classmethod
-    def constant(cls, value: Scalar) -> "ExpPoly":
-        return cls({(0, 0): value})
-
-    @classmethod
     def monomial(cls, coeff: Scalar, w_deg: int, t_deg: int) -> "ExpPoly":
         return cls({(w_deg, t_deg): coeff})
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def w_degree(self) -> int:
@@ -77,9 +166,7 @@ class ExpPoly:
     @property
     def t_degrees(self) -> tuple[int, int]:
         """(min, max) power of t; (0, 0) for the zero polynomial."""
-        if not self._terms:
-            return (0, 0)
-        ks = [k for _, k in self._terms]
+        ks = [k for _, k in self._terms] or [0]
         return (min(ks), max(ks))
 
     def coeff(self, w_deg: int, t_deg: int) -> Scalar:
@@ -102,75 +189,6 @@ class ExpPoly:
             total += float(c) * w**i * t**k
         return total
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "ExpPoly | None":
-        if isinstance(other, ExpPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExpPoly.constant(other)
-        return None
-
-    def __add__(self, other) -> "ExpPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, c in rhs._terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return ExpPoly._of(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly._of({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other) -> "ExpPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "ExpPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other) -> "ExpPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        product: dict[tuple[int, int], Scalar] = {}
-        for (i1, k1), c1 in self._terms.items():
-            for (i2, k2), c2 in rhs._terms.items():
-                key = (i1 + i2, k1 + k2)
-                product[key] = product.get(key, 0) + c1 * c2
-        return ExpPoly._of(product)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ExpPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ExpPoly.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "ExpPoly(0)"
@@ -188,17 +206,29 @@ class ExpPoly:
 
     def to_term_list(self) -> list[list]:
         """Canonical [[w_deg, t_deg, "num/den"], ...] representation."""
-        return [[i, k, f"{c.numerator}/{c.denominator}"] for i, k, c in self.terms()]
+        return [[i, k, rational_str(c)] for i, k, c in self.terms()]
 
     @classmethod
     def from_term_list(cls, data) -> "ExpPoly":
         """Inverse of :meth:`to_term_list`: int degrees and rational strings only."""
         terms = {}
         for i, k, c in data:
-            if type(i) is not int or type(k) is not int or type(c) is not str:
+            if type(i) is not int or type(k) is not int:
                 raise TypeError(f"term {[i, k, c]!r} needs int degrees and a rational string")
-            terms[(i, k)] = Fraction(c)
+            terms[(i, k)] = parse_rational(c)
         return cls(terms)
+
+
+def rational_str(q: Scalar) -> str:
+    """The text "num/den" of a rational, the one form certificates store."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+def parse_rational(text: str) -> Scalar:
+    """Inverse of :func:`rational_str`: a string only, never a float or an int."""
+    if type(text) is not str:
+        raise TypeError(f"rational {text!r} is not a string")
+    return exact(Fraction(text))
 
 
 W = ExpPoly.monomial(1, 1, 0)
@@ -228,15 +258,7 @@ def derivative(p: ExpPoly) -> ExpPoly:
 
     Each monomial c w^i t^k maps to c i w^(i-1) t^k + c k w^i t^k.
     """
-    out: dict[tuple[int, int], Scalar] = {}
-    for (i, k), c in p._terms.items():
-        if i:
-            key = (i - 1, k)
-            out[key] = out.get(key, 0) + c * i
-        if k:
-            key = (i, k)
-            out[key] = out.get(key, 0) + c * k
-    return ExpPoly._of(out)
+    return p._diff(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +294,13 @@ _FUNCTIONS = ("exp", "sinh", "cosh")
 
 _Value = tuple[dict[tuple[int, int], int], int]  # (int terms, den > 0)
 
+# Caps on what one text builds, far above what the battery and the benchmark's
+# claims need, so that no short text takes unbounded time or memory.
+MAX_EXPONENT = 64  # of one '^'
+MAX_POWER_BITS = 256  # the exponent times the bits of the base's largest int
+MAX_DEGREE = 40  # i + |k| of each monomial w^i t^k of the result
+MAX_PRODUCT = 4096  # term pairs multiplied out by one product
+
 
 def _add(a: _Value, b: _Value, sign: int) -> _Value:
     """a + sign * b over the least common denominator."""
@@ -295,6 +324,8 @@ def _mul(a: _Value, b: _Value) -> _Value:
     if len(y) == 1 and (0, 0) in y:  # a constant factor scales the other
         c = y[0, 0]
         return {key: v * c for key, v in x.items()}, xden * yden
+    if len(x) * len(y) > MAX_PRODUCT:
+        raise ExprSyntaxError(f"a product of {len(x)} by {len(y)} terms: over {MAX_PRODUCT} pairs")
     out: dict[tuple[int, int], int] = {}
     for (i, k), u in x.items():
         for (j, m), v in y.items():
@@ -305,6 +336,8 @@ def _mul(a: _Value, b: _Value) -> _Value:
 
 def _power(base: _Value, n: int) -> _Value:
     terms, den = base
+    if n > MAX_EXPONENT or n * max(den, *map(abs, terms.values())).bit_length() > MAX_POWER_BITS:
+        raise ExprSyntaxError(f"^{n}: exponent over {MAX_EXPONENT} or over {MAX_POWER_BITS} bits")
     if len(terms) == 1:
         (((i, k), c),) = terms.items()
         return {(i * n, k * n): c**n}, den**n
@@ -413,8 +446,9 @@ def parse_expression(text: str) -> ExpPoly:
 
     The only transcendental atoms are exp, sinh and cosh of integer multiples
     of w; everything else must be polynomial.  Raises ExprSyntaxError on any
-    malformed input, and on input nested deeper than the recursive descent
-    can follow (such as 400 nested parentheses).
+    malformed input, on input nested deeper than the recursive descent can
+    follow (such as 400 nested parentheses), and on input that builds past a
+    cap above, such as ``(1+w+exp(w))^200``.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression")
@@ -425,4 +459,6 @@ def parse_expression(text: str) -> ExpPoly:
         raise ExprSyntaxError("expression nests too deeply") from None
     if parser.tokens[parser.pos]:
         raise ExprSyntaxError(f"trailing input at {parser.tokens[parser.pos]!r}")
+    if any(c and i + abs(k) > MAX_DEGREE for (i, k), c in terms.items()):
+        raise ExprSyntaxError(f"a monomial w^i exp(w)^k with i + |k| above {MAX_DEGREE}")
     return ExpPoly._of({key: Fraction(c, den) if c % den else c // den for key, c in terms.items()})

@@ -13,8 +13,9 @@ one that does not is not zero as a formal expression.  The check is exact:
 a coefficient is an ``int``, and a :class:`fractions.Fraction` only when it
 is not integral, and a float operand is converted exactly.
 
-The operations are + - * (with another Laurent or an exact scalar), the
-formal partial derivative :meth:`Laurent.diff`, the substitution of one
+The operations are + - * ** == (with another Laurent or an exact scalar)
+and the formal partial derivative :meth:`Laurent.diff`, shared with the
+prover through :class:`~tiltbound.exppoly.SparsePoly`; the substitution of one
 variable by another (:meth:`Laurent.at`, such as v := u, u := w or
 v := w), and exp, sinh, cosh and sinh_over of an integer-linear argument
 such as -(v + w) or 2w (sinh_over only of a multiple of one variable, whose
@@ -28,10 +29,9 @@ catalog form evaluates here exactly as written.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Iterator
 
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, SparsePoly
 from .rootisolation import Scalar, exact
 
 # A monomial u^a v^b w^c e^(p u + q v + r w) is the key (a, b, c, p, q, r).
@@ -40,39 +40,25 @@ _AXES = ("u", "v", "w")
 _LINEAR = {(1, 0, 0, 0, 0, 0): 0, (0, 1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 2}  # key -> axis
 
 
-def _exact(value) -> Scalar:
-    """The rational equal to an int, Fraction or finite float operand."""
-    if isinstance(value, (int, Fraction, float)):
-        return exact(Fraction(value))  # exact for a float; raises on NaN and inf
-    raise TypeError(f"exact scalar required, got {type(value).__name__}")
-
-
-class Laurent:
+class Laurent(SparsePoly):
     """A Laurent polynomial over the rationals in u, v, w, e^u, e^v and e^w."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0, 0, 0)
 
-    def __init__(self, terms: dict[Key, Scalar]):
-        self._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
-
-    @classmethod
-    def constant(cls, value) -> "Laurent":
-        return cls({(0, 0, 0, 0, 0, 0): _exact(value)})
+    @staticmethod
+    def _scalar(value) -> Scalar | None:
+        """The rational equal to an int, Fraction or float (NaN and inf raise), else None."""
+        return exact(Fraction(value)) if isinstance(value, (int, Fraction, float)) else None
 
     @classmethod
     def variable(cls, name: str) -> "Laurent":
-        key = [0] * 6
-        key[_AXES.index(name)] = 1
-        return cls({tuple(key): 1})
+        return cls({tuple(int(axis == name) for axis in _AXES) + (0, 0, 0): 1})
 
     @classmethod
     def in_w(cls, p: ExpPoly) -> "Laurent":
         """The prover's P(w, t) read at t = e^w."""
         return cls({(0, 0, i, 0, 0, k): c for i, k, c in p.terms()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def terms(self) -> Iterator[tuple[Key, Scalar]]:
         """(key, coefficient) of every monomial, in key order."""
@@ -85,55 +71,12 @@ class Laurent:
     def __bool__(self) -> bool:
         raise TypeError("a Laurent polynomial has no truth value; use is_zero")
 
-    # -- arithmetic: the other operand is a Laurent or an exact scalar ------
-
-    def _coerce(self, other) -> "Laurent":
-        return other if type(other) is Laurent else Laurent.constant(other)
-
-    def __add__(self, other) -> "Laurent":
-        terms = dict(self._terms)
-        for key, c in self._coerce(other)._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return Laurent(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other) -> "Laurent":
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other) -> "Laurent":
-        return self._coerce(other) + -self
-
-    def __mul__(self, other) -> "Laurent":
-        if type(other) is not Laurent:
-            c = _exact(other)
-            return Laurent({key: x * c for key, x in self._terms.items()})
-        terms: dict[Key, Scalar] = {}
-        for a, x in self._terms.items():
-            for b, y in other._terms.items():
-                key = tuple(map(add, a, b))
-                terms[key] = terms.get(key, 0) + x * y
-        return Laurent(terms)
-
-    __rmul__ = __mul__
-
     # -- formal operations ----------------------------------------------------
 
     def diff(self, name: str) -> "Laurent":
         """The partial derivative in u, v or w: x^a e^(p x) gives (a/x + p) x^a e^(p x)."""
         axis = _AXES.index(name)
-        terms: dict[Key, Scalar] = {}
-        for key, c in self._terms.items():
-            power, rate = key[axis], key[3 + axis]
-            if power:
-                lowered = key[:axis] + (power - 1,) + key[axis + 1:]
-                terms[lowered] = terms.get(lowered, 0) + power * c
-            if rate:
-                terms[key] = terms.get(key, 0) + rate * c
-        return Laurent(terms)
+        return self._diff(axis, 3 + axis)
 
     def at(self, name: str, by: str) -> "Laurent":
         """The substitution name := by, for two distinct axes of u, v, w."""
@@ -147,7 +90,7 @@ class Laurent:
                 moved[a], moved[b] = 0, moved[a] + moved[b]
             moved = tuple(moved)
             terms[moved] = terms.get(moved, 0) + coeff
-        return Laurent(terms)
+        return self._of(terms)
 
     # -- elementary functions of an integer-linear argument --------------------
 

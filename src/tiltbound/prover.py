@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .exppoly import ExpPoly, derivative, normalize, parse_expression
+from .exppoly import ExpPoly, derivative, normalize, parse_expression, parse_rational, rational_str
 from . import rootisolation as ri
-from .rootisolation import Scalar, exact
+from .rootisolation import Scalar
 
 MAX_DEPTH = 32  # decide_sign differentiates at most this many times
 
@@ -78,16 +77,16 @@ class SignCertificate:
             "steps": [
                 {
                     "terms": step.expr.to_term_list(),
-                    "boundary_value": _frac_str(step.boundary_value),
+                    "boundary_value": rational_str(step.boundary_value),
                 }
                 for step in self.steps
             ],
             "base": {
-                "coefficients": [_frac_str(c) for c in self.base.coefficients],
-                "lower": _frac_str(self.base.lower),
+                "coefficients": [rational_str(c) for c in self.base.coefficients],
+                "lower": rational_str(self.base.lower),
                 "root_count": self.base.root_count,
-                "sample_point": _frac_str(self.base.sample_point),
-                "sample_value": _frac_str(self.base.sample_value),
+                "sample_point": rational_str(self.base.sample_point),
+                "sample_value": rational_str(self.base.sample_value),
             },
         }
 
@@ -101,7 +100,7 @@ class SignCertificate:
             steps = tuple(
                 ReductionStep(
                     expr=ExpPoly.from_term_list(s["terms"]),
-                    boundary_value=_rational(s["boundary_value"]),
+                    boundary_value=parse_rational(s["boundary_value"]),
                 )
                 for s in data["steps"]
             )
@@ -109,25 +108,15 @@ class SignCertificate:
             if type(base["root_count"]) is not int:
                 raise TypeError(f"root_count {base['root_count']!r} is not an int")
             record = BaseCaseRecord(
-                coefficients=tuple(_rational(c) for c in base["coefficients"]),
-                lower=_rational(base["lower"]),
+                coefficients=tuple(parse_rational(c) for c in base["coefficients"]),
+                lower=parse_rational(base["lower"]),
                 root_count=base["root_count"],
-                sample_point=_rational(base["sample_point"]),
-                sample_value=_rational(base["sample_value"]),
+                sample_point=parse_rational(base["sample_point"]),
+                sample_value=parse_rational(base["sample_value"]),
             )
             return cls(claim=Outcome(data["claim"]), steps=steps, base=record)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc
-
-
-def _frac_str(q: Scalar) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _rational(text: str) -> Scalar:
-    if type(text) is not str:
-        raise TypeError(f"rational {text!r} is not a string")
-    return exact(Fraction(text))
 
 
 @dataclass(frozen=True)

@@ -156,10 +156,8 @@ def isolate_roots_above(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar]]:
     exact rationals.  A diagnostic: it locates the roots that keep a base
     case from a verdict.
     """
-    total = count_roots_above(p, lower)
-    if total == 0:
-        return []
     chain = sturm_chain(p)
+    total = variations_at(chain, lower) - _variations(q[-1] for q in chain)  # count_roots_above
     upper = max(root_magnitude_bound(p), lower + 1)
     intervals: list[tuple[Scalar, Scalar]] = []
     stack = [(lower, upper, total)]

@@ -137,6 +137,21 @@ class TestProve:
         assert err == f"error: unexpected character {text[0]!r} at position 0\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(1+w+exp(w))^200", "error: ^200: exponent over 64 or over 256 bits\n"),
+            ("exp(w)^100000 - 2", "error: ^100000: exponent over 64 or over 256 bits\n"),
+            ("exp(41*w) - 2", "error: a monomial w^i exp(w)^k with i + |k| above 40\n"),
+            ("(1+w+exp(w))^32", "error: a product of 153 by 153 terms: over 4096 pairs\n"),
+        ],
+    )
+    def test_capped_input_is_a_parse_error(self, capsys, text, message):
+        # these took 15 s to parse, or the prover over 100 s to decide
+        code, out, err = run_cli(capsys, "prove", "--expr", text)
+        assert code == 2 and out == ""
+        assert err == message
+
+    @pytest.mark.parametrize(
         "argv",
         [("--expr", "(" * 400 + "w" + ")" * 400), ("--expr=" + "-" * 1200 + "w",)],
         ids=["400-parentheses", "1200-unary-minus"],

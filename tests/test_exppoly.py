@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from tiltbound.exppoly import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_PRODUCT,
     ExpPoly,
     ExprSyntaxError,
     T,
@@ -15,6 +18,8 @@ from tiltbound.exppoly import (
     derivative,
     normalize,
     parse_expression,
+    parse_rational,
+    rational_str,
 )
 
 
@@ -51,6 +56,30 @@ class TestArithmetic:
     def test_serialization_round_trip(self):
         p = poly({(0, -1): Fraction(-1, 2), (0, 1): Fraction(1, 2), (1, 0): -1})
         assert ExpPoly.from_term_list(p.to_term_list()) == p
+
+    def test_rational_text_codec(self):
+        for q in (0, 7, -3, Fraction(-1, 2), Fraction(10**30 + 1, 3)):
+            text = rational_str(q)
+            assert text == f"{q.numerator}/{q.denominator}"
+            back = parse_rational(text)
+            assert back == q and type(back) is type(q)
+        assert type(parse_rational("4/2")) is int
+        for bad in (0.5, 1, None, [1, 2]):
+            with pytest.raises(TypeError):
+                parse_rational(bad)
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1/0")
+        with pytest.raises(TypeError):
+            ExpPoly.from_term_list([[0, 0, 0.5]])
+
+    @pytest.mark.parametrize("operand", [0.5, 1e300, math.nan])
+    def test_float_operands_raise(self, operand):
+        for combine in (
+            lambda: W + operand, lambda: operand + W, lambda: W - operand,
+            lambda: operand - W, lambda: W * operand, lambda: operand * W,
+        ):
+            with pytest.raises(TypeError):
+                combine()
 
 
 class TestNormalize:
@@ -208,6 +237,47 @@ class TestParser:
             direct = w * math.cosh(w) + (w - 4 * (2 + w)) * math.sinh(w)
             assert p.evaluate(w) == pytest.approx(direct, rel=1e-12)
 
+
+
+def _dense(extra: str = "") -> str:
+    """The square of 64 (65 with extra) monomials w^i e^(kw) of degree at most 14."""
+    return "(" + "+".join(f"w^{i}*exp({k}*w)" for i in range(8) for k in range(8)) + extra + ")^2"
+
+
+class TestCaps:
+    """What one text may build is capped; a text over a cap is refused before it is built."""
+
+    @pytest.mark.parametrize(
+        "text, fragment",  # of the error message, naming the cap
+        [
+            ("(1+w+exp(w))^200", "exponent over"),  # 20,301 terms
+            ("exp(w)^20000 - 2", "exponent over"),  # a degree-20,000 Sturm base case
+            ("exp(w)^100000 - 2", "exponent over"),
+            (f"w^{MAX_EXPONENT + 1}", "exponent over"),
+            ("((2^32)^32)^32", "256 bits"),  # unchecked, each level multiplies the bits by 32
+            ("(2^16)^16", "256 bits"),  # 17 bits times 16
+            ("(1+w+exp(w))^32", "4096 pairs"),  # squares 153 terms
+            (_dense("+exp(-w)"), "4096 pairs"),  # 65 x 65
+            (f"exp({MAX_DEGREE + 1}*w) - 2", "i + |k| above"),
+            (f"w^{MAX_DEGREE + 1}", "i + |k| above"),
+            (f"1 + w^20*exp(-{MAX_DEGREE - 19}*w)", "i + |k| above"),
+            (f"cosh({MAX_DEGREE + 1}*w)", "i + |k| above"),
+        ],
+    )
+    def test_rejected(self, text, fragment):
+        with pytest.raises(ExprSyntaxError, match=re.escape(fragment)):
+            parse_expression(text)
+
+    def test_accepted_at_the_caps(self):
+        assert parse_expression(f"2^{MAX_EXPONENT}") == ExpPoly.constant(2**MAX_EXPONENT)
+        assert parse_expression("(2^16)^15") == ExpPoly.constant(2**240)
+        assert parse_expression(f"exp({MAX_DEGREE}*w)") == ExpPoly.monomial(1, 0, MAX_DEGREE)
+        assert parse_expression(f"w^20*exp(-{MAX_DEGREE - 20}*w)").t_degrees == (-20, -20)
+        assert 64 * 64 == MAX_PRODUCT and len(parse_expression(_dense())._terms) == 15 * 15
+        assert len(parse_expression("(1+w+exp(w))^16")._terms) == 153
+        # a monomial that cancels is not in the result
+        text = f"w^{MAX_DEGREE + 1} - w^{MAX_DEGREE + 1} + 1"
+        assert parse_expression(text) == ExpPoly.constant(1)
 
 
 # -- an independent oracle: random expression trees, rendered and evaluated ---

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tiltbound.exppoly import parse_expression
+from tiltbound.exppoly import ExpPoly, derivative, parse_expression
 from tiltbound.identities import U, V, W, Laurent
 from tiltbound.intervals import Interval, vcosh, vexp, vsinh, vsinh_over
 from tiltbound.regions import CATALOG
@@ -180,3 +180,48 @@ class TestRejection:
             bool(U)
         with pytest.raises(ValueError):
             U + math.nan
+
+
+def random_exppoly(rng) -> ExpPoly:
+    """A seeded ExpPoly with up to five terms, negative t-degrees and Fractions."""
+    return ExpPoly({
+        (int(rng.integers(0, 4)), int(rng.integers(-3, 4))):
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+        for _ in range(int(rng.integers(0, 6)))
+    })
+
+
+class TestOneArithmetic:
+    """ExpPoly and Laurent share one arithmetic and one derivative rule."""
+
+    def test_in_w_commutes_with_the_operations(self, rng):
+        for _ in range(200):
+            p, q = random_exppoly(rng), random_exppoly(rng)
+            lp, lq = Laurent.in_w(p), Laurent.in_w(q)
+            n = int(rng.integers(0, 4))
+            assert Laurent.in_w(p + q) == lp + lq
+            assert Laurent.in_w(p - q) == lp - lq
+            assert Laurent.in_w(p * q) == lp * lq
+            assert Laurent.in_w(-p) == -lp
+            assert Laurent.in_w(p**n) == lp**n
+            assert Laurent.in_w(derivative(p)) == lp.diff("w")
+
+    def test_mixing_the_kernels_raises(self):
+        p = parse_expression("w*exp(w) - 1")
+        for combine in (
+            lambda: p + W, lambda: W + p, lambda: p - W, lambda: W - p,
+            lambda: p * W, lambda: W * p,
+        ):
+            with pytest.raises(TypeError):
+                combine()
+        assert p != Laurent.in_w(p) and Laurent.in_w(p) != p
+        assert ExpPoly.zero() != Laurent.constant(0)  # the same empty term dict
+
+    def test_scalar_rules(self):
+        # ExpPoly refuses floats (test_exppoly.py); Laurent takes them exactly
+        assert dict(Laurent.constant(0.1).terms()) == {(0,) * 6: Fraction(0.1)}
+        for bad in (math.nan, math.inf):  # no rational equals them
+            with pytest.raises((ValueError, OverflowError)):
+                Laurent.constant(bad)
+        with pytest.raises(TypeError):
+            Laurent.constant("1")

@@ -14,6 +14,21 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+def test_exact_kernels_share_one_arithmetic():
+    # ExpPoly and Laurent take + - * ** ==, their reflected forms and the
+    # derivative rule from SparsePoly; a copy in either class body fails here
+    from tiltbound.exppoly import ExpPoly, SparsePoly
+    from tiltbound.identities import Laurent
+
+    shared = {
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+        "__pow__", "__eq__", "__hash__", "_of", "_diff",
+    }
+    for kernel in (ExpPoly, Laurent):
+        assert kernel.__bases__ == (SparsePoly,)
+        assert not shared & set(vars(kernel)), kernel
+
+
 def test_benchmark_span_points_resolve(monkeypatch):
     # the traced benchmark re-binds these (module, attribute) names; one that
     # no longer exists makes a traced run fail with AttributeError

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tiltbound import rootisolation
 from tiltbound.rootisolation import (
     count_roots_above,
     evaluate,
@@ -201,3 +202,16 @@ class TestIsolation:
     def test_no_roots_gives_empty(self):
         p = make_poly([1, 0, 1])  # t^2 + 1
         assert isolate_roots_above(p, Fraction(1)) == []
+
+    def test_builds_the_sturm_chain_once(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return sturm_chain(p)
+
+        monkeypatch.setattr(rootisolation, "sturm_chain", counted)
+        for roots, inside in (([2, 3, 5], 3), ([Fraction(1, 2)], 0)):
+            calls.clear()
+            assert len(isolate_roots_above(from_roots(roots), Fraction(1))) == inside
+            assert len(calls) == 1
