@@ -334,10 +334,15 @@ def _mul(a: _Value, b: _Value) -> _Value:
     return out, xden * yden
 
 
-def _power(base: _Value, n: int) -> _Value:
+def _power(base: _Value, digits: str) -> _Value:
+    """base^n for the exponent n written as ``digits``, with no leading zero."""
     terms, den = base
+    # with more digits than MAX_EXPONENT, n is over it; int() never reads such a text
+    n = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
     if n > MAX_EXPONENT or n * max(den, *map(abs, terms.values())).bit_length() > MAX_POWER_BITS:
-        raise ExprSyntaxError(f"^{n}: exponent over {MAX_EXPONENT} or over {MAX_POWER_BITS} bits")
+        raise ExprSyntaxError(
+            f"^{digits}: exponent over {MAX_EXPONENT} or over {MAX_POWER_BITS} bits"
+        )
     if len(terms) == 1:
         (((i, k), c),) = terms.items()
         return {(i * n, k * n): c**n}, den**n
@@ -412,7 +417,11 @@ class _Descent:
             value = {(1, 0): 1}, 1
         elif tok[:1].isdigit():
             whole, _, decimals = tok.partition(".")
-            value = {(0, 0): int(whole + decimals)}, 10 ** len(decimals)
+            digits = whole + decimals
+            try:
+                value = {(0, 0): int(digits)}, 10 ** len(decimals)
+            except ValueError:  # more digits than int() reads
+                raise ExprSyntaxError(f"a number of {len(digits)} digits: too long") from None
         elif tok == "(":
             value = self.expr()
             self.expect(")")
@@ -438,7 +447,7 @@ class _Descent:
         self.pos += 2
         if not exponent.isdigit():
             raise ExprSyntaxError(f"exponent must be an integer, found {exponent!r}")
-        return _power(value, int(exponent))
+        return _power(value, exponent.lstrip("0") or "0")
 
 
 def parse_expression(text: str) -> ExpPoly:
@@ -447,8 +456,9 @@ def parse_expression(text: str) -> ExpPoly:
     The only transcendental atoms are exp, sinh and cosh of integer multiples
     of w; everything else must be polynomial.  Raises ExprSyntaxError on any
     malformed input, on input nested deeper than the recursive descent can
-    follow (such as 400 nested parentheses), and on input that builds past a
-    cap above, such as ``(1+w+exp(w))^200``.
+    follow (such as 400 nested parentheses), on a number of more digits than
+    int() reads, and on input that builds past a cap above, such as
+    ``(1+w+exp(w))^200``.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression")

@@ -216,12 +216,7 @@ def replay(certificate: SignCertificate) -> Outcome:
 # other names have no closed form in the catalog, because the one-variable
 # claims are proved here on all of w > 0.  Names and roles appear in the
 # verify-proof JSON.
-# tiltbound.regions reads sinh_over_increasing by name in three exact links,
-# and every other entry in its three identity links, by the tables
-# CASE1_CONCAVITY_LEMMAS (sinh_dominates_identity), CASE1_SLOPE_LEMMAS (the
-# three d1_case1 entries and sinh_dominates_identity) and CASE2_SLOPE_LEMMAS
-# (the two d1_case2 entries, d111_negativity and sinh_dominates_identity);
-# the two slope links expand the lemmas' expressions in their identities.
+# tiltbound.regions.LINKS names the lemmas each link of the case analysis reads.
 
 BATTERY = (
     (

@@ -25,18 +25,18 @@ overestimate on wide boxes.  d_case2 is written in exponentials: it has
 -v e^-v where the hyperbolic form has v sinh(v) - v cosh(v), two terms near
 v e^v / 2 whose enclosures cancel only to a width of that size.
 
-``tiltbound verify-proof`` bisects nothing.  It derives d_case1 and d_case2
-by ``DERIVATIONS`` from the links of :func:`verify_case_structure`: case 1
-from concavity in v, the slope at v = u and the diagonal v = u; case 2 from
-its slope in v and the face v = w; case 3 from the face.  The diagonal, the
-face and case 3 are exact steps from the battery lemma
-``sinh_over_increasing``.  Concavity and both slopes are identity links:
-:mod:`tiltbound.identities` expands the catalog's own d_case1, dv2_case1,
-d_case2 and d1_case2 into identities that tie them to the battery lemmas
-listed in ``CASE1_CONCAVITY_LEMMAS``, ``CASE1_SLOPE_LEMMAS`` and
-``CASE2_SLOPE_LEMMAS``.  So the verdict reads no interval enclosure.
-Bisecting the five catalog forms stays available as independent
-cross-checks.
+``tiltbound verify-proof`` bisects nothing.  Its case analysis is one
+table, ``LINKS``: each row names a link, the case it derives, the battery
+lemmas it reads, the identities it expands and whether it needs the cube
+to start above 0, and :func:`verify_case_structure` checks every row by one
+rule.  Case 1 is derived from concavity in v, the slope at v = u and the
+diagonal v = u; case 2 from its slope in v and the face v = w; case 3 from
+the face.  The diagonal, the face and case 3 are exact steps from the
+battery lemma ``sinh_over_increasing``.  Concavity and both slopes expand
+the catalog's own d_case1, dv2_case1, d_case2 and d1_case2 in
+:mod:`tiltbound.identities` into identities that tie them to their battery
+lemmas.  So the verdict reads no interval enclosure.  Bisecting the five
+catalog forms stays available as independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -379,33 +379,6 @@ class StructureCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-# The checks whose certifications derive d < 0 on each case.  On case 1, d
-# is concave in v, so it lies below its tangent at v = u, whose slope and
-# value (the diagonal) are negative.  On case 2, d decreases in v, so it is
-# at most its value on the negative face v = w.
-DERIVATIONS: dict[str, tuple[str, ...]] = {
-    "d_case1": ("case1_concavity_in_v", "case1_slope_at_v_eq_u", "case1_diagonal"),
-    "d_case2": ("case2_decreasing_in_v", "boundary_v_eq_w"),
-}
-
-
-# The battery lemmas each identity link reads, by the symbol they stand for
-# in its identities.
-CASE1_CONCAVITY_LEMMAS = (("sinh(w) - w", "sinh_dominates_identity"),)
-CASE1_SLOPE_LEMMAS = (
-    ("M1", "d1_case1_concavity_majorant"),
-    ("C1", "d1_case1_at_corner"),
-    ("L", "d1_case1_slope_at_corner"),
-    ("sinh(w) - w", "sinh_dominates_identity"),
-)
-CASE2_SLOPE_LEMMAS = (
-    ("M2", "d1_case2_concavity_majorant"),
-    ("S0", "d1_case2_slope_at_u_zero"),
-    ("D111", "d111_negativity"),
-    ("sinh(w) - w", "sinh_dominates_identity"),
-)
-
-
 def _case1_concavity_identities(lemmas: dict[str, Laurent]) -> tuple:
     """(left side, summands of the right side) of each identity of case-1 concavity.
 
@@ -438,7 +411,7 @@ def _case1_concavity_identities(lemmas: dict[str, Laurent]) -> tuple:
 def _case1_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     """(left side, summands of the right side) of each identity of the case-1 slope.
 
-    ``lemmas`` maps each symbol of ``CASE1_SLOPE_LEMMAS`` to its battery
+    ``lemmas`` maps each symbol its ``LINKS`` row reads to the battery
     expression.  With D1 = w e^u d_v(u, u, w), a function of (u, w), they say
 
         D1_uu          = M1 - (e^(u+w) - e^(2w)) ((sinh(w) - w) + (3 + 2u) sinh(w))
@@ -472,7 +445,7 @@ def _case1_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
 def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     """(left side, summands of the right side) of each identity of the case-2 slope.
 
-    ``lemmas`` maps each symbol of ``CASE2_SLOPE_LEMMAS`` to its battery
+    ``lemmas`` maps each symbol its ``LINKS`` row reads to the battery
     expression.  With d1 = e^(v+w) d1_case2 and c = cosh(u) - 1, the
     identities say d1 = w e^v d_v and
 
@@ -512,44 +485,80 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     )
 
 
-def _identity_link(
-    name: str,
-    battery: BatteryReport,
-    table: tuple[tuple[str, str], ...],
-    identities: Callable[[dict[str, Laurent]], tuple],
-    claim: str,
-    conclusion: str,
-    lo: Optional[float] = None,
-) -> StructureCheck:
-    """A link from exact identities and the battery lemmas of ``table``.
+@dataclass(frozen=True)
+class Link:
+    """One link of the case analysis, as :func:`verify_case_structure` checks it.
 
-    ``identities`` takes each symbol of ``table`` to its lemma in the
-    kernel, read from the polynomial the battery decided.  The link passes
-    when every identity expands to 0 and the battery certified every lemma,
-    and, when ``lo`` is given because the conclusion needs w > 0, when the
-    cube starts at w = lo > 0.
+    ``lemmas`` pairs each battery entry the link reads with the symbol that
+    stands for it in ``identities`` and in ``detail``; ``identities`` builds
+    the link's (left side, summands of the right side) pairs from those
+    lemmas, or is None for a link that expands none.  ``detail`` states the
+    link with the slots ``{identities}``, ``{lemmas}`` and ``{lo}``.
     """
-    entries = {e.name: e for e in battery.entries}
-    lemmas = {sym: entries[lemma] for sym, lemma in table}
-    exact = identities({sym: Laurent.in_w(e.poly) for sym, e in lemmas.items()})
-    zero = sum((lhs - sum(rhs)).is_zero for lhs, rhs in exact)
-    read = ", ".join(
-        f"{sym} = {e.name} {e.decision.outcome.value} "
-        + ("(prover certificate, replayed)" if e.certified else "(the battery did not certify it)")
-        for sym, e in lemmas.items()
-    )
-    detail = (
-        f"{claim}: {zero} of {len(exact)} identities expand to 0; {read} on w > 0; {conclusion}"
-    )
-    if lo is not None:
-        detail += f"; the cube starts at w = {lo}"
-    return StructureCheck(
-        name,
-        zero == len(exact)
-        and all(e.certified for e in lemmas.values())
-        and (lo is None or lo > 0.0),
-        detail,
-    )
+
+    name: str
+    derives: Optional[str]  # the catalog form whose case the link derives
+    lemmas: tuple[tuple[str, str], ...]
+    identities: Optional[Callable[[dict[str, Laurent]], tuple]]
+    needs_lo: bool  # the conclusion holds only above 0, so the cube must start there
+    detail: str
+
+
+# On case 1, d is concave in v, so it lies below its tangent at v = u, whose
+# slope and value (the diagonal) are negative.  On case 2, d decreases in v,
+# so it is at most its value on the negative face v = w.  Case 3 reduces to
+# the face by monotonicity in w.  so(x) = sinh(x)/x throughout.
+_SO_INCREASING = (("w*cosh(w) - sinh(w)", "sinh_over_increasing"),)
+_SINH_DOMINATES = ("sinh(w) - w", "sinh_dominates_identity")
+LINKS: tuple[Link, ...] = (
+    Link(
+        "case1_concavity_in_v", "d_case1", (_SINH_DOMINATES,), _case1_concavity_identities, False,
+        "dv2_case1 = d_vv and dv2_case1 = -(e^-v (2e^v - 2 + v) + 2 (so(w) e^w - 1) + so(w) "
+        "(e^-v u^2 + 2e^-u)) with so(w) = sinh(w)/w: {identities}; {lemmas} on w > 0; hence "
+        "so(w) >= 1, also as the limit at w = 0, and d_vv < 0 for u, v, w >= 0: d is concave in v",
+    ),
+    Link(
+        "case1_slope_at_v_eq_u", "d_case1",
+        (("M1", "d1_case1_concavity_majorant"), ("C1", "d1_case1_at_corner"),
+         ("L", "d1_case1_slope_at_corner"), _SINH_DOMINATES),
+        _case1_slope_identities, True,
+        "D1 = w e^u d_v(u, u, w), with D1_uu = M1 - (e^(u+w) - e^(2w)) ((sinh(w) - w) + "
+        "(3 + 2u) sinh(w)) - 2 e^(2w) (u - w) sinh(w), D1(w, w) = C1 and e^w D1_u(w, w) = L: "
+        "{identities}; {lemmas} on w > 0; so on w <= u, D1 is concave in u and D1 <= D1(w, w) + "
+        "D1_u(w, w) (u - w), negative for w > 0, and d_v(u, u, w) = e^-u D1 / w < 0; the cube "
+        "starts at w = {lo}",
+    ),
+    Link(
+        "case1_diagonal", "d_case1", _SO_INCREASING, None, True,
+        "d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) exactly, with s = (u+w)/2 <= u "
+        "<= u so(w), so d(u, u, w) <= 4u e^((w-u)/2) (sinh(s) - s cosh(s)), negative for u > 0 "
+        "by {lemmas} on w > 0; the cube starts at u = {lo}",
+    ),
+    Link(
+        "case2_decreasing_in_v", "d_case2",
+        (("M2", "d1_case2_concavity_majorant"), ("S0", "d1_case2_slope_at_u_zero"),
+         ("D111", "d111_negativity"), _SINH_DOMINATES),
+        _case2_slope_identities, True,
+        "d1 = e^(v+w) d1_case2 = w e^v d_v, with e^-v d1_vv = M2 - 4 sinh(w) ((cosh(u) - 1)"
+        "(2 + v) + (v - w)), d1_v(u, w, w) = S0 - 4 sinh(w) e^w (1 + w) (cosh(u) - 1) and "
+        "d1(u, w, w) = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w (cosh(u) - 1)), "
+        "where e^w - w = (sinh(w) - w) + cosh(w) and cosh(u) - 1 = e^-u (e^u - 1)^2 / 2: "
+        "{identities}; {lemmas} on w > 0; so on u <= w <= v, d1 is concave in v and d1 <= "
+        "d1(u, w, w) + d1_v(u, w, w) (v - w), negative for w > 0; the cube starts at w = {lo}",
+    ),
+    Link(
+        "case3_decreasing_in_w", None, _SO_INCREASING, None, False,
+        "{lemmas} on w > 0; on case 3, d = 2 (u sinh(u) + v sinh(v) - so(w) m) with the "
+        "multiplier m = u^2 cosh(v) + v^2 cosh(u) nonnegative by its form, so d(u, v, w) <= "
+        "d(u, v, v), a point of the face v = w",
+    ),
+    Link(
+        "boundary_v_eq_w", "d_case2", _SO_INCREASING, None, True,
+        "d(u, w, w) = 2 u^2 Phi(u, w) exactly, with Phi = so(u) - so(w) cosh(w) - (w sinh(w) / 2) "
+        "so(u/2)^2; u <= w gives so(u) <= so(w) by {lemmas} on w > 0, so d(u, w, w) <= 2 u^2 "
+        "so(w) (1 - cosh(w)), negative for u > 0 as cosh(w) > 1; the cube starts at u = {lo}",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -568,127 +577,56 @@ class CaseStructureReport:
         return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
 
     def derived_regions(self) -> list[dict]:
-        """d_case1 and d_case2, each derived from its links in ``DERIVATIONS``.
+        """d_case1 and d_case2, each derived from the ``LINKS`` rows that derive it.
 
         The status is that of the links.  No link bisects, so an entry
         evaluates no box and leaves none undecided.
         """
+        derivations: dict[str, list[str]] = {}
+        for link in LINKS:
+            if link.derives is not None:
+                derivations.setdefault(link.derives, []).append(link.name)
 
-        def derived(name: str, links: tuple[str, ...]) -> dict:
+        def derived(name: str, links: list[str]) -> dict:
             cube = BoxRegion(u=self.cube, v=self.cube, w=self.cube, case=CATALOG[name].case)
             passed = all(self.check(link).passed for link in links)
             return {
                 "expression": name,
                 "region": cube.to_dict(),
                 "method": "derived",
-                "links": list(links),
+                "links": links,
                 "status": "certified" if passed else "undetermined",
                 "boxes_evaluated": 0,
                 "undecided_boxes": [],
             }
 
-        return [derived(name, links) for name, links in DERIVATIONS.items()]
+        return [derived(name, links) for name, links in derivations.items()]
 
 
 def verify_case_structure(lo: float, hi: float, battery: BatteryReport) -> CaseStructureReport:
-    """Certify the structural facts the case analysis rests on, on [lo, hi]^3.
+    """Check every row of ``LINKS`` on [lo, hi]^3 by one rule.
 
-    (a) concavity of d in v on case 1 (second v-derivative negative), so for
-        fixed (u, w) d lies below its tangent at v = u:
-        d(u, v, w) <= d(u, u, w) + d_v(u, u, w) (v - u) (see
-        :func:`_case1_concavity_identities`);
-    (b) the slope d_v(u, u, w) of that tangent is negative: D1 = w e^u
-        d_v(u, u, w) is concave in u on u >= w and lies below its tangent
-        at u = w, whose value and slope are negative (see
-        :func:`_case1_slope_identities`); D1 = 0 at w = 0, so this needs
-        lo > 0;
-    (c) the diagonal d(u, u, w) is negative, by the exact identity
-        d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) with
-        s = (u + w)/2 and so(x) = sinh(x)/x: case 1 gives s <= u and
-        so(w) >= 1, so the bracket is at most sinh(s) - s cosh(s) < 0, as
-        so increases; d(0, 0, 0) = 0, so this needs lo > 0;
-    (d) d decreasing in v on case 2, so d is at most its value on the face
-        v = w: d1 = w e^v d_v is concave in v on v >= w and lies below its
-        tangent at v = w, whose value and slope are negative (see
-        :func:`_case2_slope_identities`); d1 = 0 at w = 0, so this needs
-        lo > 0;
-    (e) case-3 reduction: d depends on w only through so(w), which
-        increases and multiplies u^2 cosh(v) + v^2 cosh(u), nonnegative by
-        its form, so d(u, v, w) <= d(u, v, v), a point of the face;
-    (f) the face is negative, by the exact identity d(u, w, w) = 2 u^2 Phi
-        with Phi = so(u) - so(w) cosh(w) - (w sinh(w) / 2) so(u/2)^2: u <= w
-        gives so(u) <= so(w), so Phi <= so(w) (1 - cosh(w)) < 0; d(0, w, w)
-        = 0, so this needs lo > 0.
-
-    Every check is exact and evaluates no interval.  (c), (e) and (f) pass
-    only when ``battery`` certified sinh_over_increasing, the lemma that so
-    increases; (a), (b) and (d) are identity links and pass only when every
-    identity expands to 0 and ``battery`` certified each lemma of their
-    table.
+    A link passes when each of its identities expands to 0, ``battery``
+    certified each lemma it reads (taken from the polynomial the battery
+    decided, ``BatteryEntry.poly``), and, if it needs lo, lo > 0.  No link
+    evaluates an interval.
     """
-    lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
-    so_increasing = (
-        f"{lemma.expression} {lemma.decision.outcome.value} on w > 0 (prover certificate, replayed)"
-        if lemma.certified
-        else f"{lemma.expression} > 0 on w > 0, which the battery did not certify"
-    )
-    checks = (
-        _identity_link(
-            "case1_concavity_in_v",
-            battery,
-            CASE1_CONCAVITY_LEMMAS,
-            _case1_concavity_identities,
-            "dv2_case1 = d_vv and dv2_case1 = -(e^-v (2e^v - 2 + v) + 2 (so(w) e^w - 1) + "
-            "so(w) (e^-v u^2 + 2e^-u)) with so(w) = sinh(w)/w",
-            "hence so(w) >= 1, also as the limit at w = 0, and d_vv < 0 for u, v, w >= 0: "
-            "d is concave in v",
-        ),
-        _identity_link(
-            "case1_slope_at_v_eq_u",
-            battery,
-            CASE1_SLOPE_LEMMAS,
-            _case1_slope_identities,
-            "D1 = w e^u d_v(u, u, w), with D1_uu = M1 - (e^(u+w) - e^(2w)) ((sinh(w) - w) + "
-            "(3 + 2u) sinh(w)) - 2 e^(2w) (u - w) sinh(w), D1(w, w) = C1 and "
-            "e^w D1_u(w, w) = L",
-            "so on w <= u, D1 is concave in u and D1 <= D1(w, w) + D1_u(w, w) (u - w), "
-            "negative for w > 0, and d_v(u, u, w) = e^-u D1 / w < 0",
-            lo,
-        ),
-        StructureCheck(
-            "case1_diagonal",
-            lemma.certified and lo > 0.0,
-            "d(u, u, w) = 4u e^((w-u)/2) (sinh(s) - u so(w) cosh(s)) exactly, with "
-            "s = (u+w)/2 <= u <= u so(w), so d(u, u, w) <= 4u e^((w-u)/2) (sinh(s) - "
-            f"s cosh(s)), negative for u > 0 by {so_increasing}; the cube starts at u = {lo}",
-        ),
-        _identity_link(
-            "case2_decreasing_in_v",
-            battery,
-            CASE2_SLOPE_LEMMAS,
-            _case2_slope_identities,
-            "d1 = e^(v+w) d1_case2 = w e^v d_v, with e^-v d1_vv = M2 - 4 sinh(w) ((cosh(u) - 1)"
-            "(2 + v) + (v - w)), d1_v(u, w, w) = S0 - 4 sinh(w) e^w (1 + w) (cosh(u) - 1) and "
-            "d1(u, w, w) = D111 - sinh(w) ((w - u)(w + u) + w (e^w - w) + 4w e^w (cosh(u) - 1)), "
-            "where e^w - w = (sinh(w) - w) + cosh(w) and cosh(u) - 1 = e^-u (e^u - 1)^2 / 2",
-            "so on u <= w <= v, d1 is concave in v and d1 <= d1(u, w, w) + d1_v(u, w, w) (v - w), "
-            "negative for w > 0",
-            lo,
-        ),
-        StructureCheck(
-            "case3_decreasing_in_w",
-            lemma.certified,
-            f"{so_increasing}; on case 3, d = 2 (u sinh(u) + v sinh(v) - so(w) m) with the "
-            "multiplier m = u^2 cosh(v) + v^2 cosh(u) nonnegative by its form, so "
-            "d(u, v, w) <= d(u, v, v), a point of the face v = w",
-        ),
-        StructureCheck(
-            "boundary_v_eq_w",
-            lemma.certified and lo > 0.0,
-            "d(u, w, w) = 2 u^2 Phi(u, w) exactly, with Phi = so(u) - so(w) cosh(w) - "
-            "(w sinh(w) / 2) so(u/2)^2; u <= w gives so(u) <= so(w) by "
-            f"{so_increasing}, so d(u, w, w) <= 2 u^2 so(w) (1 - cosh(w)), negative for "
-            f"u > 0 as cosh(w) > 1; the cube starts at u = {lo}",
-        ),
-    )
-    return CaseStructureReport((lo, hi), checks)
+    entries = {e.name: e for e in battery.entries}
+    checks = []
+    for link in LINKS:
+        lemmas = {sym: entries[name] for sym, name in link.lemmas}
+        exact = () if link.identities is None else link.identities(
+            {sym: Laurent.in_w(e.poly) for sym, e in lemmas.items()}
+        )
+        zero = sum((lhs - sum(rhs)).is_zero for lhs, rhs in exact)
+        read = ", ".join(
+            f"{sym} = {e.name} {e.decision.outcome.value} "
+            + ("(prover certificate, replayed)" if e.certified else "(the battery did not certify it)")
+            for sym, e in lemmas.items()
+        )
+        certified = all(e.certified for e in lemmas.values())
+        passed = zero == len(exact) and certified and (lo > 0.0 or not link.needs_lo)
+        identities = f"{zero} of {len(exact)} identities expand to 0"
+        detail = link.detail.format(identities=identities, lemmas=read, lo=lo)
+        checks.append(StructureCheck(link.name, passed, detail))
+    return CaseStructureReport((lo, hi), tuple(checks))

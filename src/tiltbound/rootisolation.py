@@ -119,12 +119,6 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def square_free_part(p: Poly) -> Poly:
-    """p / gcd(p, p') as a primitive integer polynomial with the sign of p's lead."""
-    chain = sturm_chain(p)
-    return chain[0] if chain else ()
-
-
 def _variations(values) -> int:
     signs = [v > 0 for v in values if v != 0]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)

@@ -143,6 +143,18 @@ class TestProve:
             ("exp(w)^100000 - 2", "error: ^100000: exponent over 64 or over 256 bits\n"),
             ("exp(41*w) - 2", "error: a monomial w^i exp(w)^k with i + |k| above 40\n"),
             ("(1+w+exp(w))^32", "error: a product of 153 by 153 terms: over 4096 pairs\n"),
+            # int() reads at most 4,300 digits, and its error named an
+            # interpreter setting
+            pytest.param(
+                "w^" + "9" * 5000,
+                "error: ^" + "9" * 5000 + ": exponent over 64 or over 256 bits\n",
+                id="exponent-of-5000-digits",
+            ),
+            pytest.param(
+                "9" * 5000 + "*w",
+                "error: a number of 5000 digits: too long\n",
+                id="number-of-5000-digits",
+            ),
         ],
     )
     def test_capped_input_is_a_parse_error(self, capsys, text, message):

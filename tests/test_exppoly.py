@@ -262,6 +262,10 @@ class TestCaps:
             (f"w^{MAX_DEGREE + 1}", "i + |k| above"),
             (f"1 + w^20*exp(-{MAX_DEGREE - 19}*w)", "i + |k| above"),
             (f"cosh({MAX_DEGREE + 1}*w)", "i + |k| above"),
+            # past the 4,300 digits int() reads, which raised its own
+            # ValueError naming an interpreter setting
+            pytest.param("w^" + "9" * 5000, "exponent over", id="exponent-of-5000-digits"),
+            pytest.param("9" * 5000 + "*w", "5000 digits: too long", id="number-of-5000-digits"),
         ],
     )
     def test_rejected(self, text, fragment):
@@ -275,6 +279,8 @@ class TestCaps:
         assert parse_expression(f"w^20*exp(-{MAX_DEGREE - 20}*w)").t_degrees == (-20, -20)
         assert 64 * 64 == MAX_PRODUCT and len(parse_expression(_dense())._terms) == 15 * 15
         assert len(parse_expression("(1+w+exp(w))^16")._terms) == 153
+        # leading zeros of an exponent are not digits of its value
+        assert parse_expression("w^" + "0" * 5000 + "7") == ExpPoly.monomial(1, 7, 0)
         # a monomial that cancels is not in the result
         text = f"w^{MAX_DEGREE + 1} - w^{MAX_DEGREE + 1} + 1"
         assert parse_expression(text) == ExpPoly.constant(1)

@@ -13,11 +13,8 @@ from tiltbound.identities import U, V, W, Laurent
 from tiltbound.intervals import vexp, vsinh
 from tiltbound.prover import BATTERY, Outcome, SignDecision
 from tiltbound.regions import (
-    CASE1_CONCAVITY_LEMMAS,
-    CASE1_SLOPE_LEMMAS,
-    CASE2_SLOPE_LEMMAS,
     CATALOG,
-    DERIVATIONS,
+    LINKS,
     BoxRegion,
     CaseRegion,
     EmptyRegionError,
@@ -374,6 +371,18 @@ class TestClipping:
         assert all(b.v == b.interval(plane) for b in result.undecided)
 
 
+def row(name):
+    return next(link for link in LINKS if link.name == name)
+
+
+def with_identities(name, mutated):
+    # LINKS with the named row's identity builder swapped for ``mutated``
+    return tuple(
+        dataclasses.replace(link, identities=mutated) if link.name == name else link
+        for link in LINKS
+    )
+
+
 # battery entry -> the case-structure links that read it
 LEMMA_READERS = {
     "d1_case1_concavity_majorant": {"case1_slope_at_v_eq_u"},
@@ -409,6 +418,25 @@ class TestCaseStructure:
         ):
             assert f"{count} of {count} identities expand to 0" in report.check(name).detail
 
+    @pytest.mark.parametrize("spoiled", [False, True], ids=["full", "spoiled"])
+    @pytest.mark.parametrize("cube", [(0.3, 2.0), (0.0, 1.0)], ids=["0.3:2", "0:1"])
+    def test_every_detail_fills_its_slots(self, battery, spoiled, cube):
+        # each template slot is filled, whether the link passes or not
+        if spoiled:
+            battery = dataclasses.replace(
+                battery,
+                entries=tuple(
+                    dataclasses.replace(e, replay_matches=False)
+                    if e.name == "sinh_over_increasing"
+                    else e
+                    for e in battery.entries
+                ),
+            )
+        report = verify_case_structure(*cube, battery)
+        assert [c.name for c in report.checks] == [link.name for link in LINKS]
+        for check in report.checks:
+            assert "{" not in check.detail and "}" not in check.detail, check.name
+
     def test_case3_step_is_a_replayed_certificate(self, battery):
         lemma = next(e for e in battery.entries if e.name == "sinh_over_increasing")
         assert lemma.expression == "w*cosh(w) - sinh(w)"
@@ -417,7 +445,10 @@ class TestCaseStructure:
         detail = verify_case_structure(0.3, 2.0, battery).check(
             "case3_decreasing_in_w"
         ).detail
-        assert detail.startswith(f"{lemma.expression} positive on w > 0")
+        assert detail.startswith(
+            f"{lemma.expression} = sinh_over_increasing positive (prover certificate, replayed)"
+            " on w > 0"
+        )
         assert "u^2 cosh(v) + v^2 cosh(u) nonnegative by its form" in detail
 
     def test_case3_passes_on_a_cube_reaching_the_origin(self, battery):
@@ -466,7 +497,7 @@ class TestCaseStructure:
         link = verify_case_structure(0.05, 8.0, battery).check("case2_decreasing_in_v")
         assert link.passed
         assert "6 of 6 identities expand to 0" in link.detail
-        for symbol, name in CASE2_SLOPE_LEMMAS:
+        for symbol, name in row("case2_decreasing_in_v").lemmas:
             entry = next(e for e in battery.entries if e.name == name)
             assert entry.certified
             outcome = entry.decision.outcome.value
@@ -477,10 +508,10 @@ class TestCaseStructure:
     def test_case2_slope_link_fails_on_a_flipped_sign(self, battery, monkeypatch, index):
         # every summand of every right-hand side is needed: negating any one
         # of them leaves a nonzero expansion and fails the link
-        exact = regions._case2_slope_identities
+        exact = row("case2_decreasing_in_v").identities
         lemmas = {
             symbol: Laurent.in_w(parse_expression(e.expression))
-            for symbol, name in CASE2_SLOPE_LEMMAS
+            for symbol, name in row("case2_decreasing_in_v").lemmas
             for e in battery.entries
             if e.name == name
         }
@@ -495,14 +526,14 @@ class TestCaseStructure:
                 identities[index] = (lhs, rhs)
                 return tuple(identities)
 
-            monkeypatch.setattr(regions, "_case2_slope_identities", mutated)
+            monkeypatch.setattr(regions, "LINKS", with_identities("case2_decreasing_in_v", mutated))
             report = verify_case_structure(0.3, 2.0, battery)
             link = report.check("case2_decreasing_in_v")
             assert not link.passed and not report.all_passed
             assert "5 of 6 identities expand to 0" in link.detail
             assert {c.name for c in report.checks if not c.passed} == {"case2_decreasing_in_v"}
 
-    @pytest.mark.parametrize("name", [name for _, name in CASE2_SLOPE_LEMMAS])
+    @pytest.mark.parametrize("name", [name for _, name in row("case2_decreasing_in_v").lemmas])
     @pytest.mark.parametrize(
         "spoil",
         [
@@ -550,9 +581,11 @@ class TestCaseStructure:
         # no link bisects, so an entry names no depth and evaluates no box
         report = verify_case_structure(0.3, 2.0, battery)
         entries = report.derived_regions()
-        assert [e["expression"] for e in entries] == list(DERIVATIONS) == ["d_case1", "d_case2"]
+        assert [e["expression"] for e in entries] == ["d_case1", "d_case2"]
         for entry in entries:
-            assert entry["links"] == list(DERIVATIONS[entry["expression"]])
+            assert entry["links"] == [
+                link.name for link in LINKS if link.derives == entry["expression"]
+            ]
             assert "depth" not in entry
             assert entry["boxes_evaluated"] == 0 and entry["undecided_boxes"] == []
             region = entry["region"]
@@ -601,12 +634,10 @@ class TestCaseStructure:
     ):
         # every summand of every right-hand side is needed: negating any one
         # of them fails that link and no other
-        exact = getattr(regions, identities)
+        exact = row(link).identities
+        assert exact is getattr(regions, identities)
         entries = {e.name: e for e in battery.entries}
-        lemmas = {
-            symbol: Laurent.in_w(entries[name].poly)
-            for symbol, name in CASE1_CONCAVITY_LEMMAS + CASE1_SLOPE_LEMMAS
-        }
+        lemmas = {symbol: Laurent.in_w(entries[name].poly) for symbol, name in row(link).lemmas}
         assert len(exact(lemmas)) == count
         for index in range(count):
             for flipped in range(len(exact(lemmas)[index][1])):
@@ -618,7 +649,7 @@ class TestCaseStructure:
                     table[index] = (lhs, rhs)
                     return tuple(table)
 
-                monkeypatch.setattr(regions, identities, mutated)
+                monkeypatch.setattr(regions, "LINKS", with_identities(link, mutated))
                 report = verify_case_structure(0.3, 2.0, battery)
                 assert f"{count - 1} of {count} identities expand to 0" in report.check(link).detail
                 assert {c.name for c in report.checks if not c.passed} == {link}

@@ -13,7 +13,6 @@ from tiltbound.rootisolation import (
     make_poly,
     prem,
     root_magnitude_bound,
-    square_free_part,
     sturm_chain,
 )
 
@@ -79,7 +78,8 @@ class TestBasics:
 
     def test_square_free_part(self):
         squared = _mul(from_roots([2, 2]), from_roots([3]))
-        assert square_free_part(squared) == from_roots([2, 3])
+        # the chain starts from p / gcd(p, p'), primitive with p's leading sign
+        assert sturm_chain(squared)[0] == from_roots([2, 3])
 
     def test_cauchy_bound_dominates_roots(self):
         p = from_roots([Fraction(7, 2), -5, Fraction(1, 3)])
@@ -134,7 +134,7 @@ class TestCounting:
         quartic = make_poly([2, 0, 0, 0, -1])  # -t^4 + 2, roots +-2^(1/4)
         assert [count_roots_above(quartic, x) for x in (-2, 0, 1, 2)] == [2, 1, 1, 0]
         cubic = from_roots([2, 2, 3], Fraction(-3, 7))  # -(3/7)(t - 2)^2 (t - 3)
-        assert square_free_part(cubic) == make_poly([-6, 5, -1])
+        assert sturm_chain(cubic)[0] == make_poly([-6, 5, -1])
         assert [count_roots_above(cubic, x) for x in (1, 2, Fraction(5, 2), 3)] == [2, 1, 1, 0]
 
     def test_constructed_factorizations(self, rng):
