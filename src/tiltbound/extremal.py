@@ -322,7 +322,7 @@ def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     every positive sigma), but it can fall below the rounding error of the
     float ratio, so the gap column, factor - ratio in floats, is within a
     few ulps of 0 on either side there (``extremal --w 1e-150 --sigma
-    5e-151`` prints -2.2e-16).  An exact gap is ROADMAP open item 7.
+    5e-151`` prints -2.2e-16).  An exact gap is ROADMAP open item 6.
     """
     factor = symmetric_factor(p)
     rows = []

@@ -11,9 +11,9 @@ proof splits the orthant by how u and v compare with the cap w:
 On each region d loses its minimum operator and becomes an explicit
 exp/sinh/cosh formula.  The catalog holds five closed forms:
 
-    d_case1             d on case 1
+    d_case1             tilted.d with u and v capped at w (case 1)
     dv2_case1           second v-derivative of d on case 1 (concavity in v)
-    d_case2             d on case 2
+    d_case2             tilted.d with v capped at w and u not (case 2)
     d1_case2            w e^-w times the v-slope of d on case 2
     d_at_v_eq_w_case2   d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
@@ -21,9 +21,12 @@ It bounds their ranges over boxes with outward-rounded interval arithmetic
 sharpened by a mean-value form, and certifies strict negativity by adaptive
 bisection.  The slope form carries a positive factor that keeps its sign
 and cancels its e^w growth, which naive interval evaluation would
-overestimate on wide boxes.  d_case2 is written in exponentials: it has
--v e^-v where the hyperbolic form has v sinh(v) - v cosh(v), two terms near
-v e^v / 2 whose enclosures cancel only to a width of that size.
+overestimate on wide boxes.  d_case1 and d_case2 are no transcriptions:
+they evaluate :func:`tiltbound.tilted.d`, the one definition of d, which
+writes a capped side in exponentials and an uncapped side in sinh and
+cosh.  So d_case2 has -v e^-v where a hyperbolic form of the capped v
+would have v sinh(v) - v cosh(v), two terms near v e^v / 2 whose
+enclosures cancel only to a width of that size.
 
 ``tiltbound verify-proof`` bisects nothing.  Its case analysis is one
 table, ``LINKS``: each row names a link, the case it derives, the battery
@@ -35,8 +38,10 @@ the face.  The diagonal, the face and case 3 are exact steps from the
 battery lemma ``sinh_over_increasing``.  Concavity and both slopes expand
 the catalog's own d_case1, dv2_case1, d_case2 and d1_case2 in
 :mod:`tiltbound.identities` into identities that tie them to their battery
-lemmas.  So the verdict reads no interval enclosure.  Bisecting the five
-catalog forms stays available as independent cross-checks.
+lemmas, so the identities expand the same d that the bisection encloses
+and :func:`tiltbound.tilted.d_expr` evaluates.  The verdict reads no
+interval enclosure.  Bisecting the five catalog forms stays available as
+independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
@@ -50,12 +55,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .identities import U, V, W, Laurent
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 from .prover import BatteryReport
-from .tilted import d_expr  # noqa: F401  (unused here; bench/tracing.py wraps regions.d_expr)
+from .tilted import d, d_expr  # noqa: F401  (bench/tracing.py wraps regions.d_expr)
 
 
 class EmptyRegionError(ValueError):
@@ -149,7 +155,7 @@ class BoxRegion:
 class ProofExpr:
     """Closed form from the case analysis, generic over the value type.
 
-    ``fn`` accepts floats, Intervals or Duals, in the order given by
+    ``fn`` accepts floats, Intervals, Duals or Laurents, in the order given by
     ``variables``.  ``point`` evaluates at floats.  The module docstring
     says what each catalog form is.
     """
@@ -163,29 +169,8 @@ class ProofExpr:
         return self.fn(*(values[name] for name in self.variables))
 
 
-def _d_case1(u, v, w):
-    f = vsinh_over(w)
-    ew = vexp(w)
-    return (
-        (ew - vexp(-u)) * u
-        + (ew - vexp(-v)) * v
-        - f * (ew * (u * u + v * v) + vexp(-v) * (u * u) + vexp(-u) * (v * v))
-    )
-
-
 def _dv2_case1(u, v, w):
     return vexp(-v) * (2 - v) - vsinh_over(w) * (vexp(-v) * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
-
-
-def _d_case2(u, v, w):
-    # in exponentials: v (sinh(v) - cosh(v)) = -v e^-v, sinh(w) + cosh(w) = e^w
-    ew = vexp(w)
-    env = vexp(-v)
-    return (
-        2 * u * vsinh(u)
-        + v * (ew - env)
-        - vsinh_over(w) * ((u * u) * (env + ew) + 2 * (v * v) * vcosh(u))
-    )
 
 
 def _d1_case2(u, v, w):
@@ -212,9 +197,13 @@ def _d_at_v_eq_w_case2(u, w):
 CATALOG: dict[str, ProofExpr] = {
     expr.name: expr
     for expr in (
-        ProofExpr("d_case1", ("u", "v", "w"), CaseRegion.CASE1, _d_case1),
+        ProofExpr(
+            "d_case1", ("u", "v", "w"), CaseRegion.CASE1, partial(d, u_capped=True, v_capped=True)
+        ),
         ProofExpr("dv2_case1", ("u", "v", "w"), CaseRegion.CASE1, _dv2_case1),
-        ProofExpr("d_case2", ("u", "v", "w"), CaseRegion.CASE2, _d_case2),
+        ProofExpr(
+            "d_case2", ("u", "v", "w"), CaseRegion.CASE2, partial(d, u_capped=False, v_capped=True)
+        ),
         ProofExpr("d1_case2", ("u", "v", "w"), CaseRegion.CASE2, _d1_case2),
         ProofExpr("d_at_v_eq_w_case2", ("u", "w"), CaseRegion.CASE2, _d_at_v_eq_w_case2),
     )

@@ -13,6 +13,14 @@ factors as plain floats (:func:`symmetric_factor` and
 :func:`zero_mean_factor`), and the symmetrized comparison expressions g0, g1
 and d used by the region checker.
 
+d has one definition, :func:`d`, generic over float, Interval, Dual and
+Laurent through the ``v*`` functions of :mod:`tiltbound.intervals`.  A flag
+per argument resolves min(x, w): a capped side (x >= w) is written in
+exponentials, (2 g0, 2 g1) = (e^w + e^-x, x (e^w - e^-x)), and an uncapped
+one as (2 cosh(x), 2 x sinh(x)), which keeps x sinh(x) accurate for small x.
+The float functions :func:`g_expr` and :func:`d_expr` set the flags from
+x >= w, and the region catalog's d_case1 and d_case2 fix them by the case.
+
 Distributions are finite and symmetric: a list of (x, p) with x >= 0, where
 x > 0 contributes mass p/2 at each of +x and -x, and x = 0 contributes mass p
 at zero.  Expectations are finite sums, so no quadrature error enters.
@@ -24,6 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .intervals import vcosh, vexp, vsinh, vsinh_over
 
 WEIGHT_TOLERANCE = 1e-12
 STRICTNESS_SLACK = 1e-12
@@ -203,12 +213,39 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
 # ---------------------------------------------------------------------------
 
 
+def _g(x, w, capped: bool):
+    """(2 g0(x), 2 g1(x)), with min(x, w) resolved to w if ``capped``, else to x."""
+    if capped:
+        ew, enx = vexp(w), vexp(-x)
+        return ew + enx, x * (ew - enx)
+    return 2 * vcosh(x), 2 * x * vsinh(x)
+
+
+def d(u, v, w, u_capped: bool, v_capped: bool):
+    """d(u, v, w) = 2g1(u) + 2g1(v) - so(w) (2g0(u) v^2 + 2g0(v) u^2), so(w) = sinh(w)/w.
+
+    Generic over float, Interval, Dual and Laurent.  ``u_capped`` and
+    ``v_capped`` resolve each min(x, w): a capped side (x >= w) is written
+    in exponentials, an uncapped one in sinh and cosh.
+    """
+    gu0, gu1 = _g(u, w, u_capped)
+    gv0, gv1 = _g(v, w, v_capped)
+    return gu1 + gv1 - vsinh_over(w) * (gu0 * (v * v) + gv0 * (u * u))
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise OverflowError("result out of float range")
+    return value
+
+
 def g_expr(j: int, x: float, w: float) -> float:
     """Folded integrand g_j(x) = (f_j(x) + f_j(-x)) / 2 at tilt rate 1.
 
     Here f_j(x) = x^j e^{x ^ w} with the convention 0^0 = 1, so
     g0(x) = (e^{x^w} + e^{-x}) / 2 and g1(x) = x (e^{x^w} - e^{-x}) / 2.
-    Callers pass x = |X| >= 0; negative x is an input error.
+    Callers pass x = |X| >= 0; negative x is an input error.  A result
+    out of float range raises OverflowError.
     """
     if j not in (0, 1):
         raise ValueError("index j must be 0 or 1")
@@ -216,27 +253,19 @@ def g_expr(j: int, x: float, w: float) -> float:
         raise ValueError("g is defined for nonnegative arguments; pass |x|")
     if w <= 0:
         raise ValueError("cap level w must be positive")
-    plus = math.exp(min(x, w))
-    minus = math.exp(-x)
-    if j == 0:
-        return 0.5 * (plus + minus)
-    return 0.5 * x * (plus - minus)
+    return _finite(0.5 * _g(x, w, x >= w)[j])
 
 
 def d_expr(u: float, v: float, w: float) -> float:
     """Comparison expression whose negativity implies the symmetric bound.
 
     d(u, v, w) = 2 [g1(u) + g1(v) - (sinh w / w)(g0(u) v^2 + g0(v) u^2)],
-    at tilt rate 1 (general rates reduce to this by rescaling).  Boundary
-    inputs u = 0 or v = 0 are allowed and return the continuous limit.
+    at tilt rate 1 (general rates reduce to this by rescaling), evaluated
+    by :func:`d`.  Boundary inputs u = 0 or v = 0 are allowed and return
+    the continuous limit.  A result out of float range raises OverflowError.
     """
     if u < 0 or v < 0:
         raise ValueError("u and v must be >= 0")
     if w <= 0:
         raise ValueError("cap level w must be positive")
-    factor = math.sinh(w) / w
-    return 2.0 * (
-        g_expr(1, u, w)
-        + g_expr(1, v, w)
-        - factor * (g_expr(0, u, w) * v * v + g_expr(0, v, w) * u * u)
-    )
+    return _finite(d(u, v, w, u >= w, v >= w))

@@ -147,14 +147,18 @@ def test_criterion_6_region_certification(boundary_witness):
         assert by_name["d_case2"]["links"] == ["case2_decreasing_in_v", "boundary_v_eq_w"]
 
         # independent cross-checks of the derived claims: bisect d_case1 and
-        # d_case2 themselves on the same cube at depth 18
-        for name, case in (("d_case1", CaseRegion.CASE1), ("d_case2", CaseRegion.CASE2)):
+        # d_case2 themselves on the same cube at depth 18, within the box
+        # counts they take today
+        for name, case, most in (
+            ("d_case1", CaseRegion.CASE1, 2083), ("d_case2", CaseRegion.CASE2, 51537)
+        ):
             direct = certify_negative(
                 name, BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=case),
                 max_depth=18,
             )
             assert direct.certified, f"{len(direct.undecided)} undecided boxes in {case.value}"
             assert direct.undecided == ()
+            assert direct.boxes_evaluated <= most, (name, direct.boxes_evaluated)
 
         # a box including the u = 0 edge cannot certify: the expression
         # reaches zero at u = 0, v = w, and the undecided leftovers must

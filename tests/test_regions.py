@@ -10,7 +10,7 @@ import pytest
 from tiltbound import d_expr, regions, replay
 from tiltbound.exppoly import parse_expression
 from tiltbound.identities import U, V, W, Laurent
-from tiltbound.intervals import vexp, vsinh
+from tiltbound.intervals import vcosh, vexp, vsinh, vsinh_over
 from tiltbound.prover import BATTERY, Outcome, SignDecision
 from tiltbound.regions import (
     CATALOG,
@@ -22,6 +22,7 @@ from tiltbound.regions import (
     eval_interval,
     verify_case_structure,
 )
+from tiltbound.tilted import d
 
 # ---------------------------------------------------------------------------
 # Catalog fidelity: every transcription must reproduce finite differences of
@@ -64,6 +65,23 @@ def test_high_precision_mirror_matches_d_expr(rng):
         assert float(mp_d(u, v, w)) == pytest.approx(d_expr(u, v, w), rel=1e-13, abs=1e-13)
 
 
+def test_d_expr_sign_at_small_arguments():
+    # with x sinh(x) formed as x (e^x - e^-x) / 2, d_expr gave +5.12e-23 here
+    u, v, w = 1.2996915631709963e-06, 1.4759214878183688e-06, 2.4076439519936488e-06
+    want = float(mp_d(u, v, w))
+    assert want < 0.0
+    assert d_expr(u, v, w) == pytest.approx(want, rel=1e-4, abs=0.0)
+
+
+def test_d_expr_sign_on_small_case3_points():
+    # u <= v <= w log-uniform in [1e-6, 1e-2]; with x sinh(x) formed from
+    # exponentials, 6 of these 1,000 signs came out wrong
+    rng = np.random.default_rng(11)
+    points = np.sort(10.0 ** rng.uniform(-6.0, -2.0, size=(1000, 3)), axis=1)
+    wrong = [p for p in points.tolist() if (d_expr(*p) < 0.0) != (mp_d(*p) < 0)]
+    assert wrong == []
+
+
 def case1_points(rng, n=100):
     for _ in range(n):
         w = rng.uniform(0.2, 2.0)
@@ -85,13 +103,15 @@ def assert_close(got, want):
 
 
 class TestCatalogFidelity:
+    # d_case1, d_case2 and d_expr evaluate one definition, tilted.d, so the
+    # two case forms are checked against the mirror, not against d_expr
     def test_d_case1(self, rng):
         for u, v, w in case1_points(rng):
-            assert_close(CATALOG["d_case1"].point(u=u, v=v, w=w), d_expr(u, v, w))
+            assert_close(CATALOG["d_case1"].point(u=u, v=v, w=w), float(mp_d(u, v, w)))
 
     def test_d_case2(self, rng):
         for u, v, w in case2_points(rng):
-            assert_close(CATALOG["d_case2"].point(u=u, v=v, w=w), d_expr(u, v, w))
+            assert_close(CATALOG["d_case2"].point(u=u, v=v, w=w), float(mp_d(u, v, w)))
 
     def test_dv2_case1(self, rng):
         for u, v, w in case1_points(rng):
@@ -456,6 +476,16 @@ class TestCaseStructure:
         # so case 3 needs no lo > 0, unlike the diagonal and the face
         report = verify_case_structure(0.0, 1.0, battery)
         assert report.check("case3_decreasing_in_w").passed
+
+    def test_case3_formula_is_d_with_neither_side_capped(self, battery):
+        # the case-3 detail states d = 2 (u sinh(u) + v sinh(v) - so(w) m);
+        # tilted's one definition of d expands to it term for term
+        m = U * U * vcosh(V) + V * V * vcosh(U)
+        stated = 2 * (U * vsinh(U) + V * vsinh(V) - vsinh_over(W) * m)
+        assert d(U, V, W, u_capped=False, v_capped=False) == stated
+        detail = verify_case_structure(0.3, 2.0, battery).check("case3_decreasing_in_w").detail
+        assert "d = 2 (u sinh(u) + v sinh(v) - so(w) m)" in detail
+        assert "m = u^2 cosh(v) + v^2 cosh(u)" in detail
 
     def test_face_fails_on_a_cube_reaching_u_zero(self, battery):
         # d(0, w, w) = 0: the face is negative only for u > 0, and it is

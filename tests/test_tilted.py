@@ -294,6 +294,20 @@ class TestDExpr:
             u, v, w = rng.uniform(0.01, 6.0, size=3)
             assert d_expr(u, v, w) < 0.0
 
+    @pytest.mark.parametrize(
+        "f, args",
+        [
+            (d_expr, (700, 705, 709)),  # inf - inf
+            (d_expr, (709, 709.5, 710)),  # inf - inf
+            (d_expr, (1, 2, 711)),  # e^w
+            (d_expr, (709.9, 709.95, 710.3)),  # cosh and sinh stay finite, products do not
+            (g_expr, (1, 710, 711)),  # 2 x sinh(x)
+        ],
+    )
+    def test_overflow_raises(self, f, args):
+        with pytest.raises(OverflowError):
+            f(*args)
+
 
 class TestTheoremInvariants:
     def test_bound_holds_on_random_distributions(self, rng):
