@@ -16,11 +16,12 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
   the base-case domain, or an exhausted depth cap yields UNDETERMINED, never
   a wrong sign.
 
-Every certified claim carries a :class:`SignCertificate`: the full chain of
-normalized expressions with exact boundary values, plus the Sturm root count
-and sample of the base case.  :func:`replay` re-derives the certificate from
-its first expression with the same routine :func:`decide_sign` uses and
-requires the stored certificate to equal the derivation, field for field.
+Every certified claim carries a :class:`SignCertificate`: the claimed sign
+and the full chain of normalized expressions with exact boundary values.  The
+last expression of the chain determines the base case, so the certificate
+records nothing else.  :func:`replay` re-derives the certificate from its
+first expression with the same routine :func:`decide_sign` uses and requires
+the stored certificate to equal the derivation, field for field.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .exppoly import ExpPoly, derivative, normalize, parse_expression, parse_rational, rational_str
+from .exppoly import (
+    MAX_DEGREE, ExpPoly, derivative, normalize, parse_expression, parse_rational, rational_str
+)
 from . import rootisolation as ri
 from .rootisolation import Scalar
 
@@ -40,17 +43,6 @@ class Outcome(enum.Enum):
     NEGATIVE = "negative"
     POSITIVE = "positive"
     UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class BaseCaseRecord:
-    """Sturm evidence that a polynomial in t keeps one sign on (lower, oo)."""
-
-    coefficients: tuple[Scalar, ...]
-    lower: Scalar
-    root_count: int
-    sample_point: Scalar
-    sample_value: Scalar
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,6 @@ class CertificateError(ValueError):
 class SignCertificate:
     claim: Outcome
     steps: tuple[ReductionStep, ...]
-    base: BaseCaseRecord
 
     def to_dict(self) -> dict:
         return {
@@ -81,40 +72,32 @@ class SignCertificate:
                 }
                 for step in self.steps
             ],
-            "base": {
-                "coefficients": [rational_str(c) for c in self.base.coefficients],
-                "lower": rational_str(self.base.lower),
-                "root_count": self.base.root_count,
-                "sample_point": rational_str(self.base.sample_point),
-                "sample_value": rational_str(self.base.sample_value),
-            },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignCertificate":
         """Inverse of :meth:`to_dict`; raises CertificateError on malformed data.
 
-        Rationals must be strings, degrees and ``root_count`` ints (not bools).
+        The keys are exactly ``claim`` and ``steps``, and a step's exactly
+        ``terms`` and ``boundary_value``.  Rationals are strings and degrees
+        ints (not bools): w-degrees in ``[0, MAX_DEGREE]`` and t-degrees in
+        ``[0, 2 * MAX_DEGREE]``.  Every chain of a parsed text fits, and the
+        cap bounds replay time, which grows with the degree.  Coefficient size
+        is not capped.
         """
         try:
-            steps = tuple(
-                ReductionStep(
-                    expr=ExpPoly.from_term_list(s["terms"]),
-                    boundary_value=parse_rational(s["boundary_value"]),
-                )
-                for s in data["steps"]
-            )
-            base = data["base"]
-            if type(base["root_count"]) is not int:
-                raise TypeError(f"root_count {base['root_count']!r} is not an int")
-            record = BaseCaseRecord(
-                coefficients=tuple(parse_rational(c) for c in base["coefficients"]),
-                lower=parse_rational(base["lower"]),
-                root_count=base["root_count"],
-                sample_point=parse_rational(base["sample_point"]),
-                sample_value=parse_rational(base["sample_value"]),
-            )
-            return cls(claim=Outcome(data["claim"]), steps=steps, base=record)
+            if set(data) != {"claim", "steps"}:
+                raise KeyError(f"keys {sorted(data)} are not claim and steps")
+            steps = []
+            for step in data["steps"]:
+                if set(step) != {"terms", "boundary_value"}:
+                    raise KeyError(f"step keys {sorted(step)} are not terms and boundary_value")
+                expr = ExpPoly.from_term_list(step["terms"])
+                for i, k, _ in step["terms"]:
+                    if not (0 <= i <= MAX_DEGREE and 0 <= k <= 2 * MAX_DEGREE):
+                        raise ValueError(f"term degrees ({i}, {k}) out of range")
+                steps.append(ReductionStep(expr, parse_rational(step["boundary_value"])))
+            return cls(claim=Outcome(data["claim"]), steps=tuple(steps))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
@@ -139,15 +122,13 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
         chain.append(normalize(derivative(chain[-1])))
 
     # w > 0 is t = e^w > 1; with no root there, q has its sign at t = 2
-    lower, sample = 1, 2
     tail = chain[-1]
     # normalize leaves the tail's coefficients canonical ints, its top one nonzero
     q = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
-    count = ri.count_roots_above(q, lower)
+    count = ri.count_roots_above(q, 1)
     if count:
         return f"base case has a root on (1, oo): {count} root(s) inside (1, oo)"
-    value = ri.evaluate(q, sample)
-    sign = Outcome.POSITIVE if value > 0 else Outcome.NEGATIVE
+    sign = Outcome.POSITIVE if ri.evaluate(q, 2) > 0 else Outcome.NEGATIVE
 
     steps = tuple(ReductionStep(expr, expr.eval_at_zero()) for expr in chain)
     for level in range(len(steps) - 2, -1, -1):
@@ -158,8 +139,7 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
                 f"level {level}: boundary value {boundary_value} is inconsistent "
                 f"with derivative sign {sign.value}"
             )
-    base = BaseCaseRecord(q, lower, count, sample, value)
-    return SignCertificate(claim=sign, steps=steps, base=base)
+    return SignCertificate(claim=sign, steps=steps)
 
 
 def decide_sign(p: ExpPoly) -> SignDecision:
@@ -181,9 +161,9 @@ def replay(certificate: SignCertificate) -> Outcome:
     """Re-derive a certificate from its first expression and return its claim.
 
     The derivation is the one :func:`decide_sign` runs: every derivative,
-    normalization and boundary value, and the base case on t = e^w > 1.
-    Raises CertificateError unless the stored certificate equals it field
-    for field.
+    normalization and boundary value, and the base case on t = e^w > 1 that
+    the last step determines.  Raises CertificateError unless the stored
+    steps and claim equal it.
     """
     steps = certificate.steps
     if not steps or steps[0].expr.is_zero:
@@ -191,13 +171,8 @@ def replay(certificate: SignCertificate) -> Outcome:
     derived = _derive(steps[0].expr)
     if isinstance(derived, str):
         raise CertificateError(f"certificate proves nothing: {derived}")
-    for name, stored, expected in (
-        ("steps", steps, derived.steps),
-        ("base case", certificate.base, derived.base),
-        ("claim", certificate.claim, derived.claim),
-    ):
-        if stored != expected:
-            raise CertificateError(f"stored {name} and re-derivation differ")
+    if certificate != derived:
+        raise CertificateError("stored steps or claim and re-derivation differ")
     return derived.claim
 
 

@@ -147,8 +147,8 @@ def isolate_roots_above(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar]]:
     """Disjoint open intervals in (lower, oo) each containing one root of p.
 
     Intervals are half-open on the left in the Sturm sense; endpoints are
-    exact rationals.  A diagnostic: it locates the roots that keep a base
-    case from a verdict.
+    exact rationals.  A diagnostic that locates the roots keeping a base
+    case from a verdict; nothing in the package calls it.
     """
     chain = sturm_chain(p)
     total = variations_at(chain, lower) - _variations(q[-1] for q in chain)  # count_roots_above

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from tiltbound.exppoly import ExpPoly, normalize, parse_expression
 from tiltbound.prover import (
     BATTERY,
-    BaseCaseRecord,
     CertificateError,
     Outcome,
     ReductionStep,
@@ -19,6 +19,31 @@ from tiltbound.prover import (
     replay,
     verify_battery,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the base-case block of the older certificate format, which from_dict rejects
+_STALE_BASE = {
+    "coefficients": ["-1/1", "1/1"],
+    "lower": "1/1",
+    "root_count": 0,
+    "sample_point": "2/1",
+    "sample_value": "1/1",
+}
+
+
+def _printed_certificates():
+    """(expression, certificate dict, outcome) of every prove golden and battery certificate."""
+    for path in sorted(GOLDEN.glob("prove_*.json")):
+        golden = json.loads(path.read_text())
+        if golden["certificate"]:
+            yield pytest.param(
+                golden["expression"], golden["certificate"], golden["outcome"], id=path.stem
+            )
+    for entry in verify_battery().entries:
+        certificate = entry.decision.certificate.to_dict()
+        yield pytest.param(entry.expression, certificate, entry.expected.value, id=entry.name)
 
 
 def mp_value(p: ExpPoly, w) -> mpmath.mpf:
@@ -36,8 +61,10 @@ class TestBaseCase:
     def test_linear_positive(self):
         decision = decide_sign(parse_expression("exp(w) - 1"))  # t - 1, root at t = 1 excluded
         assert decision.outcome is Outcome.POSITIVE
-        one, two = Fraction(1), Fraction(2)
-        assert decision.certificate.base == BaseCaseRecord((-one, one), one, 0, two, one)
+        assert decision.certificate.to_dict() == {
+            "claim": "positive",
+            "steps": [{"terms": [[0, 0, "-1/1"], [0, 1, "1/1"]], "boundary_value": "0/1"}],
+        }
 
     def test_golden_ratio_blocks(self):
         decision = decide_sign(parse_expression("-exp(w)^2 + exp(w) + 1"))  # root (1 + 5^.5)/2
@@ -51,9 +78,8 @@ class TestBaseCase:
 
     def test_zero_rejected(self):
         zero = ReductionStep(ExpPoly.zero(), Fraction(0))
-        base = BaseCaseRecord((), Fraction(1), 0, Fraction(2), Fraction(0))
         with pytest.raises(CertificateError):
-            replay(SignCertificate(Outcome.POSITIVE, (zero,), base))
+            replay(SignCertificate(Outcome.POSITIVE, (zero,)))
 
 
 class TestDecideSign:
@@ -139,27 +165,25 @@ class TestCertificates:
             replay(SignCertificate.from_dict(data))
 
     @staticmethod
-    def _forged(text, claim, lower, sample_point):
-        """A one-step certificate for a polynomial in t = e^w, base case as given."""
+    def _forged(text, claim):
+        """A one-step certificate for a polynomial in t = e^w, with the claim as given."""
         expr = normalize(parse_expression(text))
-        q = [expr.coeff(0, k) for k in range(expr.t_degrees[1] + 1)]
-        sample_point = Fraction(sample_point)
-        value = sum(c * sample_point**k for k, c in enumerate(q))
-        base = BaseCaseRecord(tuple(q), Fraction(lower), 0, sample_point, value)
         steps = (ReductionStep(expr, expr.eval_at_zero()),)
-        data = SignCertificate(Outcome(claim), steps, base).to_dict()
+        data = SignCertificate(Outcome(claim), steps).to_dict()
         return SignCertificate.from_dict(json.loads(json.dumps(data)))
 
     def test_sample_point_outside_the_domain_rejected(self):
-        # 2e^w - 1 > 0 on w > 0, but 2t - 1 is negative at t = 0
-        forged = self._forged("2*exp(w) - 1", "negative", 1, 0)
+        # 2e^w - 1 > 0 on w > 0, but 2t - 1 is negative at t = 0; the
+        # certificate names no sample point, and replay samples t = 2
+        forged = self._forged("2*exp(w) - 1", "negative")
         with pytest.raises(CertificateError):
             replay(forged)
 
     def test_base_case_on_a_shifted_ray_rejected(self):
-        # e^w - 3 changes sign at w = ln 3, yet t - 3 has no root on t > 100
+        # e^w - 3 changes sign at w = ln 3, yet t - 3 has no root on t > 100;
+        # the certificate names no ray, and replay counts roots on t > 1
         assert decide_sign(parse_expression("exp(w) - 3")).outcome is Outcome.UNDETERMINED
-        forged = self._forged("exp(w) - 3", "positive", 100, 101)
+        forged = self._forged("exp(w) - 3", "positive")
         with pytest.raises(CertificateError):
             replay(forged)
 
@@ -168,23 +192,26 @@ class TestCertificates:
         [
             ((), {}),
             ((), []),
-            (("base", "coefficients"), ...),
+            (("foo",), "bar"),  # a key that is not read
             (("steps",), 5),
             (("steps", 0, "boundary_value"), "1/0"),
             (("steps", 0, "terms", 0), [0, 0]),
-            (("base", "root_count"), "none"),
+            (("steps", 0, "foo"), "bar"),
             (("claim",), "sideways"),
-            # degrees and root_count are JSON ints, rationals are strings:
+            # degrees are JSON ints, rationals are strings:
             # int() and Fraction() would read these as valid
             (("steps", 0, "terms", 0, 0), 0.9),
             (("steps", 0, "terms", 0, 1), False),
             (("steps", 0, "terms", 0, 2), -1),
             (("steps", 0, "boundary_value"), 0),
-            (("base", "root_count"), 0.7),
-            (("base", "root_count"), False),
-            (("base", "coefficients", 0), -1.0),
-            (("base", "lower"), 1),
-            (("base", "sample_value"), [1, 1]),
+            # a stale base-case block: the last step determines the base case
+            (("base",), _STALE_BASE),
+            # degrees outside [0, 40] x [0, 80], the range of any parsed text
+            (("steps", 0, "terms", 0, 1), -1),
+            (("steps", 0, "terms", 0, 0), 41),
+            (("steps", 0, "terms", 0, 1), 81),
+            (("steps", 0, "terms", 0, 0), -1),
+            (("claim",), ...),
         ],
     )
     def test_malformed_json_is_a_certificate_error(self, path, value):
@@ -206,10 +233,30 @@ class TestCertificates:
     def test_integral_values_read_back_as_ints(self):
         data = decide_sign(parse_expression("sinh(w) - w")).certificate.to_dict()
         restored = SignCertificate.from_dict(json.loads(json.dumps(data)))
-        values = [restored.base.lower, restored.base.sample_point, *restored.base.coefficients]
-        values += [step.boundary_value for step in restored.steps]
+        values = [step.boundary_value for step in restored.steps]
         values += [c for step in restored.steps for _, _, c in step.expr.terms()]
         assert all(type(v) is int for v in values)
+
+    def test_degree_past_the_cap_is_a_prompt_error(self):
+        # a 10^6-degree base case would take the Sturm chain far longer to replay
+        step = {"terms": [[0, 0, "1/1"], [0, 10**6, "1/1"]], "boundary_value": "2/1"}
+        data = {"claim": "positive", "steps": [step]}
+        with pytest.raises(CertificateError, match="degree"):
+            SignCertificate.from_dict(data)
+
+    def test_degree_at_the_cap_round_trips(self):
+        # the largest t-degree a parsed text reaches: exp(40w) shifted by normalize
+        certificate = decide_sign(parse_expression("exp(40*w) - exp(-40*w)")).certificate
+        assert certificate.steps[0].expr.t_degrees == (0, 80)
+        restored = SignCertificate.from_dict(json.loads(json.dumps(certificate.to_dict())))
+        assert restored == certificate
+        assert replay(restored) is Outcome.POSITIVE
+
+    @pytest.mark.parametrize("text, certificate, outcome", list(_printed_certificates()))
+    def test_printed_certificates_read_back(self, text, certificate, outcome):
+        restored = SignCertificate.from_dict(json.loads(json.dumps(certificate)))
+        assert restored.steps[0].expr == normalize(parse_expression(text))
+        assert replay(restored).value == outcome
 
     def test_tampered_boundary_rejected(self):
         decision = decide_sign(parse_expression("exp(w) - 1 - w"))
