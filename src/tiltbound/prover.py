@@ -4,17 +4,18 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
 (or ``> 0``) by a degree-reduction induction:
 
 * Base case.  If P has w-degree zero it is a plain polynomial q(t) evaluated
-  at t = e^w, and w > 0 is equivalent to t > 1.  Exact Sturm root counting
-  (:mod:`tiltbound.rootisolation`) shows q has no root on (1, oo); the sign
-  at the sample point t = 2 is then the sign everywhere.
+  at t = e^w, and w > 0 is equivalent to t > 1.  Descartes' rule of signs
+  over exact integer Taylor shifts (:mod:`tiltbound.rootisolation`) shows q
+  has no root on (1, oo); the sign at the sample point t = 2 is then the
+  sign everywhere.
 
 * Reduction step.  Otherwise the derivative d/dw P is certified recursively
   after sign-preserving normalization to coprime integer coefficients, so
   the whole derivation computes with ints.  If the derivative is strictly
   negative on (0, oo) and P(0, 1) <= 0, then P < 0 strictly on (0, oo) by
   integration; symmetrically for positive.  Any other combination, a root in
-  the base-case domain, or an exhausted depth cap yields UNDETERMINED, never
-  a wrong sign.
+  the base-case domain, a base case the root count cannot resolve, or an
+  exhausted depth cap yields UNDETERMINED, never a wrong sign.
 
 Every certified claim carries a :class:`SignCertificate`: the claimed sign
 and the full chain of normalized expressions with exact boundary values.  The
@@ -125,7 +126,10 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
     tail = chain[-1]
     # normalize leaves the tail's coefficients canonical ints, its top one nonzero
     q = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
-    count = ri.count_roots_above(q, 1)
+    try:
+        count = ri.count_roots_above(q, 1)
+    except ArithmeticError as exc:
+        return f"unresolved base case: {exc}"
     if count:
         return f"base case has a root on (1, oo): {count} root(s) inside (1, oo)"
     sign = Outcome.POSITIVE if ri.evaluate(q, 2) > 0 else Outcome.NEGATIVE

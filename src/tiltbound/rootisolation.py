@@ -1,12 +1,13 @@
-"""Exact real-root counting for rational polynomials via Sturm chains.
+"""Exact real-root counting for rational polynomials by Descartes' rule of signs.
 
 Polynomials are tuples of ints (Fractions where not integral) in ascending
 degree order.  Everything here is exact: the counts returned are theorems
-about the polynomial, not numerical estimates.  The Sturm chain clears
-denominators once and runs a primitive pseudo-remainder sequence over the
-integers (Brown 1971).  Used by the prover's base case to certify that a
-polynomial in t has no root on an open interval (a, oo), which pins its
-sign there.
+about the polynomial, not numerical estimates.  One routine, Vincent-Collins-
+Akritas bisection by Moebius transforms (Collins & Akritas 1976; Rouillier &
+Zimmermann 2004), covers (lower, oo) with leaves: it moves the interval to
+(0, oo) by an exact Taylor shift and reads the sign variations of the
+coefficients.  Used by the prover's base case to certify that a polynomial in
+t has no root on an open interval (a, oo), which pins its sign there.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 Poly = tuple[Scalar, ...]
+
+MAX_LEVELS = 256  # one branch of the bisection splits at most this many times
 
 
 def exact(value: Scalar) -> Scalar:
@@ -39,10 +42,6 @@ def evaluate(p: Poly, x: Scalar) -> Scalar:
     return acc
 
 
-def poly_derivative(p: Poly) -> Poly:
-    return tuple(c * i for i, c in enumerate(p) if i)
-
-
 def primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
     """cs times the positive rational that makes them coprime integers.
 
@@ -55,68 +54,13 @@ def primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
     return tuple(cs) if g == 1 else tuple(c // g for c in cs)
 
 
-def prem(a: Poly, b: Poly) -> Poly:
-    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * (a mod b) of integer a, b.
-
-    Each of the deg a - deg b + 1 steps multiplies by lc(b), also when the
-    leading term it removes is already 0, so the power is exact.
-    """
-    r, low, lead = list(a), b[:-1], b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        top = r.pop()
-        r = [lead * c for c in r]
-        if top:
-            for i, c in enumerate(low):
-                r[shift + i] -= top * c
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
-
-
-def _remainders(p: Poly) -> list[Poly]:
-    """The Sturm sequence p, p', -rem, ... of a primitive integer p, each member primitive.
-
-    prem(a, b) is lc(b)^e * rem(a, b) with e = deg a - deg b + 1, so the next
-    member -rem(a, b), up to a positive factor, is -prem unless lc(b)^e < 0.
-    The last member is gcd(p, p') up to a constant factor.
-    """
-    chain, b = [p], primitive(poly_derivative(p))
-    while b:
-        a = chain[-1]
-        chain.append(b)
-        r = prem(a, b)
-        if not r:
-            break
-        r = primitive(r)
-        b = r if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else tuple(-c for c in r)
-    return chain
-
-
-def _quotient(a: Poly, b: Poly) -> Poly:
-    """a / b over the integers, for an integer b that divides a."""
-    q, r = [0] * (len(a) - len(b) + 1), list(a)
-    for shift in range(len(q) - 1, -1, -1):
-        q[shift], rest = divmod(r[shift + len(b) - 1], b[-1])
-        if rest:
-            raise ArithmeticError("the divisor does not divide the polynomial")
-        for i, c in enumerate(b):
-            r[shift + i] -= q[shift] * c
-    return tuple(q)
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of the square-free part of p, as primitive integer polynomials.
-
-    The chain of p itself ends in g = gcd(p, p'); when g is not constant the
-    chain is rerun on p / g, an exact integer division by Gauss's lemma.
-    Positive factors never change sign variation counts.
-    """
-    p = primitive(make_poly(p))
-    chain = _remainders(p) if p else []
-    if chain and len(chain[-1]) > 1:
-        g = chain[-1]
-        chain = _remainders(_quotient(p, g if g[-1] > 0 else tuple(-c for c in g)))
-    return chain
+def _shift(p: Sequence[Scalar], a: Scalar) -> list[Scalar]:
+    """The coefficients of p(x + a), by the O(n^2) Taylor shift."""
+    cs = list(p)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
 
 
 def _variations(values) -> int:
@@ -124,14 +68,56 @@ def _variations(values) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def variations_at(chain: Sequence[Poly], x: Scalar) -> int:
-    return _variations(evaluate(p, x) for p in chain)
+def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
+    """One Moebius map (a, b, c, d) per distinct real root of p on (lower, oo).
+
+    A node is q(x), x > 0, with t = (a x + b) / (c x + d), so its root lies
+    between b/d and a/c (oo when c = 0).  With 0 sign variations q has no
+    root on x > 0, with 1 it has one simple root there.  With more the node
+    splits at x = s, after dividing out a root at s (a leaf with both ends
+    at it): into q(s + x) on the right, where s doubles, and into
+    (1 + x)^n q(s / (1 + x)) on the left, where s is 1 again.  A run of right
+    children passes every root in O(log) splits.  A rational root r is met
+    as a split point, so a repeated one is counted once: if r + 1 = m/n in
+    lowest terms at the start of a run, the left child that ends the run (at
+    s = 2^k) makes r + 1 = 2^k n / (m - 2^k n), whose numerator plus
+    denominator is at most m < m + n.
+
+    Raises ArithmeticError when a branch splits ``MAX_LEVELS`` times, as it
+    does near an irrational multiple root, whose variations never fall to 1.
+    """
+    leaves = []
+    shifted = primitive(make_poly(_shift(primitive(make_poly(p)), lower)))  # p(lower + x)
+    stack = [(shifted, 1, (1, lower, 0, 1), 0)]
+    while stack:
+        q, s, (a, b, c, d), level = stack.pop()
+        count = _variations(q)
+        if count == 1:
+            leaves.append((a, b, c, d))
+        if count < 2:
+            continue
+        if level == MAX_LEVELS:
+            raise ArithmeticError(f"a branch of the root count split {MAX_LEVELS} times")
+        if evaluate(q, s) == 0:
+            leaves.append((a * s + b,) * 2 + (c * s + d,) * 2)
+            while evaluate(q, s) == 0:  # divide by (x - s), by Horner's scheme
+                quotient = [q[-1]]
+                for coeff in q[-2:0:-1]:
+                    quotient.append(coeff + s * quotient[-1])
+                q = tuple(reversed(quotient))
+        flipped = [coeff * s**i for i, coeff in enumerate(q)][::-1]  # x^n q(s / x)
+        stack.append((primitive(_shift(flipped, 1)), 1, (b, a * s + b, d, c * s + d), level + 1))
+        stack.append((primitive(_shift(q, s)), 2 * s, (a, a * s + b, c, c * s + d), level + 1))
+    return leaves
 
 
 def count_roots_above(p: Poly, lower: Scalar) -> int:
-    """Number of distinct real roots of p in the open interval (lower, oo)."""
-    chain = sturm_chain(p)
-    return variations_at(chain, lower) - _variations(q[-1] for q in chain)
+    """Number of distinct real roots of p in the open interval (lower, oo).
+
+    Raises ArithmeticError when the bisection does not resolve the roots
+    (see ``_leaves``).
+    """
+    return len(_leaves(p, lower))
 
 
 def root_magnitude_bound(p: Poly) -> Scalar:
@@ -144,24 +130,17 @@ def root_magnitude_bound(p: Poly) -> Scalar:
 
 
 def isolate_roots_above(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar]]:
-    """Disjoint open intervals in (lower, oo) each containing one root of p.
+    """Sorted intervals (lo, hi) in (lower, oo), each holding one root of p.
 
-    Intervals are half-open on the left in the Sturm sense; endpoints are
-    exact rationals.  A diagnostic that locates the roots keeping a base
-    case from a verdict; nothing in the package calls it.
+    The leaves :func:`count_roots_above` counts: an open interval with
+    exact rational ends, or (r, r) for a rational root r met as a split
+    point.  The unbounded right end is closed by :func:`root_magnitude_bound`.
+    A diagnostic that locates the roots keeping a base case from a verdict;
+    nothing in the package calls it, and ``bench/tracing.py`` wraps it by name.
     """
-    chain = sturm_chain(p)
-    total = variations_at(chain, lower) - _variations(q[-1] for q in chain)  # count_roots_above
-    upper = max(root_magnitude_bound(p), lower + 1)
-    intervals: list[tuple[Scalar, Scalar]] = []
-    stack = [(lower, upper, total)]
-    while stack:
-        a, b, n = stack.pop()
-        if n == 1:
-            intervals.append((a, b))
-        elif n:
-            mid = exact(Fraction(a + b) / 2)
-            left = variations_at(chain, a) - variations_at(chain, mid)
-            stack += [(mid, b, n - left), (a, mid, left)]
-    intervals.sort()
-    return intervals
+    bound = root_magnitude_bound(p)
+
+    def at(num: Scalar, den: int) -> Scalar:
+        return exact(Fraction(num) / den) if den else bound
+
+    return sorted(tuple(sorted((at(b, d), at(a, c)))) for a, b, c, d in _leaves(p, lower))

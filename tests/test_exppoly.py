@@ -251,7 +251,7 @@ class TestCaps:
         "text, fragment",  # of the error message, naming the cap
         [
             ("(1+w+exp(w))^200", "exponent over"),  # 20,301 terms
-            ("exp(w)^20000 - 2", "exponent over"),  # a degree-20,000 Sturm base case
+            ("exp(w)^20000 - 2", "exponent over"),  # a degree-20,000 base case
             ("exp(w)^100000 - 2", "exponent over"),
             (f"w^{MAX_EXPONENT + 1}", "exponent over"),
             ("((2^32)^32)^32", "256 bits"),  # unchecked, each level multiplies the bits by 32

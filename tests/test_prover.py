@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +76,21 @@ class TestBaseCase:
         # only roots on t > 1 block: t^3 - 3t has one at sqrt 3, 2t^2 - 1 none
         assert decide_sign(parse_expression("exp(w)^3 - 3*exp(w)")).outcome is Outcome.UNDETERMINED
         assert decide_sign(parse_expression("2*exp(w)^3 - exp(w)")).outcome is Outcome.POSITIVE
+        # t^2 - 3t + 3 has none, but q(1 + s) = s^2 - s + 1 has two sign
+        # variations, so the count must split (1, oo)
+        assert decide_sign(parse_expression("exp(2*w) - 3*exp(w) + 3")).outcome is Outcome.POSITIVE
+
+    def test_unresolved_base_case_is_undetermined(self):
+        # (t^2 - 2t - 1)^2: the double root 1 + sqrt 2 keeps two sign
+        # variations in every interval around it, down to the split cap
+        p = parse_expression("(exp(2*w) - 2*exp(w) - 1)^2")
+        decision = decide_sign(p)
+        assert decision.outcome is Outcome.UNDETERMINED
+        assert decision.certificate is None
+        assert decision.reason.startswith("unresolved base case")
+        step = ReductionStep(normalize(p), normalize(p).eval_at_zero())
+        with pytest.raises(CertificateError, match="unresolved base case"):
+            replay(SignCertificate(Outcome.POSITIVE, (step,)))
 
     def test_zero_rejected(self):
         zero = ReductionStep(ExpPoly.zero(), Fraction(0))
@@ -105,6 +121,13 @@ class TestDecideSign:
         decision = decide_sign(parse_expression("w - 1"))  # negative then positive
         assert decision.outcome is Outcome.UNDETERMINED
         assert "inconsistent" in decision.reason
+
+    def test_large_coefficients(self):
+        # 81 terms R^8 e^(kw), k = -40..40, with 31-bit R, plus 1: a degree-80
+        # base case with 248-bit coefficients, all positive after the shift
+        rng = random.Random(2026)
+        text = "+".join(f"{rng.getrandbits(31) | 1 << 30}^8*exp({k}*w)" for k in range(-40, 41))
+        assert decide_sign(parse_expression(text + " + 1")).outcome is Outcome.POSITIVE
 
     def test_depth_cap(self):
         # e^w minus its degree-n Taylor polynomial needs n derivatives: 32 is
@@ -238,7 +261,7 @@ class TestCertificates:
         assert all(type(v) is int for v in values)
 
     def test_degree_past_the_cap_is_a_prompt_error(self):
-        # a 10^6-degree base case would take the Sturm chain far longer to replay
+        # a 10^6-degree base case would take its root count far longer to replay
         step = {"terms": [[0, 0, "1/1"], [0, 10**6, "1/1"]], "boundary_value": "2/1"}
         data = {"claim": "positive", "steps": [step]}
         with pytest.raises(CertificateError, match="degree"):

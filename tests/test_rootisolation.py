@@ -1,19 +1,16 @@
-"""Sturm-chain root counting against polynomials with known factorizations."""
+"""Descartes root counting against textbook Sturm chains and known factorizations."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from tiltbound import rootisolation
 from tiltbound.rootisolation import (
+    MAX_LEVELS,
     count_roots_above,
     evaluate,
     isolate_roots_above,
     make_poly,
-    prem,
     root_magnitude_bound,
-    sturm_chain,
 )
 
 
@@ -33,7 +30,7 @@ def _mul(a, b):
 
 
 def fraction_rem(a, b):
-    """a mod b by long division over the rationals: the reference for prem."""
+    """a mod b by long division over the rationals."""
     r = [Fraction(c) for c in a]
     while len(r) >= len(b) and any(r):
         factor, shift = r[-1] / b[-1], len(r) - len(b)
@@ -51,48 +48,26 @@ def fraction_sturm_chain(p):
     return chain[:-1]
 
 
-def positive_multiple(p, q):
-    """Whether p = c q for a rational c > 0."""
-    if len(p) != len(q):
-        return False
-    c = Fraction(p[-1]) / q[-1]
-    return c > 0 and all(a == c * b for a, b in zip(p, q))
+def sturm_count_above(chain, lower):
+    """Sturm's theorem: the distinct roots of a square-free chain[0] on (lower, oo)."""
+
+    def variations(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+    return variations(evaluate(q, lower) for q in chain) - variations(q[-1] for q in chain)
 
 
 class TestBasics:
-    def test_pseudo_remainder(self):
-        # 1 + t - t^2 = (1 - 2t)(-1/4 + t/2) + 5/4, and lc(b)^2 = 4
-        assert prem(make_poly([1, 1, -1]), make_poly([1, -2])) == (5,)
-        # t^3 = (1 - t^2)(-t) + t: the second step removes a leading 0 and
-        # still multiplies by lc(b) = -1, so the power is (-1)^2
-        assert prem(make_poly([0, 0, 0, 1]), make_poly([1, 0, -1])) == (0, 1)
-
-    def test_pseudo_remainder_matches_rational_division(self, rng):
-        for _ in range(200):
-            a = make_poly([int(x) for x in rng.integers(-9, 10, size=int(rng.integers(1, 8)))])
-            b = make_poly([int(x) for x in rng.integers(-9, 10, size=int(rng.integers(1, 5)))])
-            if not b or len(b) > len(a):
-                continue
-            power = b[-1] ** (len(a) - len(b) + 1)
-            assert prem(a, b) == make_poly([power * c for c in fraction_rem(a, b)])
-
-    def test_square_free_part(self):
-        squared = _mul(from_roots([2, 2]), from_roots([3]))
-        # the chain starts from p / gcd(p, p'), primitive with p's leading sign
-        assert sturm_chain(squared)[0] == from_roots([2, 3])
-
     def test_cauchy_bound_dominates_roots(self):
         p = from_roots([Fraction(7, 2), -5, Fraction(1, 3)])
         bound = root_magnitude_bound(p)
         assert bound > 5
 
-    def test_chain_ends_in_constant(self):
-        chain = sturm_chain(from_roots([1, 2, 3]))
-        assert len(chain[-1]) == 1
-
     def test_chain_is_the_rational_chain_up_to_positive_factors(self, rng):
-        # negative and rational leads, and zero coefficients that make the
-        # remainder sequence skip degrees, against the textbook chain
+        # the count against the textbook rational Sturm chain: negative and
+        # rational leads, zero coefficients that make the remainder sequence
+        # skip degrees, and complex roots, which no constructed factorization has
         for _ in range(200):
             size = int(rng.integers(2, 8))
             p = make_poly(
@@ -105,11 +80,9 @@ class TestBasics:
             )
             reference = fraction_sturm_chain(p) if len(p) > 1 else []
             if not reference or len(reference[-1]) > 1:
-                continue  # not square-free: the chain is of p / gcd(p, p')
-            chain = sturm_chain(p)
-            assert all(type(c) is int for q in chain for c in q)
-            assert len(chain) == len(reference)
-            assert all(positive_multiple(q, r) for q, r in zip(chain, reference))
+                continue  # not square-free: Sturm's theorem needs gcd(p, p') constant
+            for lower in (-3, Fraction(-1, 2), 0, 1, Fraction(7, 3)):
+                assert count_roots_above(p, lower) == sturm_count_above(reference, lower)
 
 
 class TestCounting:
@@ -120,6 +93,13 @@ class TestCounting:
     def test_golden_ratio_quadratic(self):
         p = make_poly([1, 1, -1])  # roots (1 +- sqrt 5)/2
         assert count_roots_above(p, Fraction(1)) == 1
+        # quadratics far from 1 or with close roots, which the count must split to settle
+        for p, count in (
+            (make_poly([1000001, -2000, 1]), 0),  # (t - 1000)^2 + 1: a far complex pair
+            (make_poly([10**6 + 1, -2 * 10**6, 10**6]), 0),  # (t - 1)^2 + 10^-6
+            (from_roots([1000, 1001]), 2),  # two far roots one apart
+        ):
+            assert count_roots_above(p, Fraction(1)) == count
 
     def test_depressed_cubic(self):
         p = make_poly([0, -3, 0, 1])  # roots 0, +-sqrt(3)
@@ -129,12 +109,23 @@ class TestCounting:
     def test_repeated_roots_counted_once(self):
         p = _mul(from_roots([2, 2]), from_roots([2]))
         assert count_roots_above(p, Fraction(1)) == 1
+        # (3t - 7)^2 (t - 5): a double root that is not dyadic, met as a split point
+        p = _mul(from_roots([Fraction(7, 3)] * 2, Fraction(9)), from_roots([5]))
+        assert count_roots_above(p, Fraction(1)) == 2
+        # right children that scaled, q(s(1 + x)), would cycle around 16 = 1 + 15
+        assert count_roots_above(from_roots([16, 16, 20]), Fraction(1)) == 2
+
+    def test_unresolved_multiple_root_raises(self):
+        # (t^2 - 2t - 1)^2: the double root 1 + sqrt 2 is no split point, and
+        # the variations around it never fall below 2
+        p = _mul(make_poly([-1, -2, 1]), make_poly([-1, -2, 1]))
+        with pytest.raises(ArithmeticError, match=f"split {MAX_LEVELS} times"):
+            count_roots_above(p, Fraction(1))
 
     def test_negative_leads_and_skipped_degrees(self):
         quartic = make_poly([2, 0, 0, 0, -1])  # -t^4 + 2, roots +-2^(1/4)
         assert [count_roots_above(quartic, x) for x in (-2, 0, 1, 2)] == [2, 1, 1, 0]
         cubic = from_roots([2, 2, 3], Fraction(-3, 7))  # -(3/7)(t - 2)^2 (t - 3)
-        assert sturm_chain(cubic)[0] == make_poly([-6, 5, -1])
         assert [count_roots_above(cubic, x) for x in (1, 2, Fraction(5, 2), 3)] == [2, 1, 1, 0]
 
     def test_constructed_factorizations(self, rng):
@@ -202,16 +193,3 @@ class TestIsolation:
     def test_no_roots_gives_empty(self):
         p = make_poly([1, 0, 1])  # t^2 + 1
         assert isolate_roots_above(p, Fraction(1)) == []
-
-    def test_builds_the_sturm_chain_once(self, monkeypatch):
-        calls = []
-
-        def counted(p):
-            calls.append(p)
-            return sturm_chain(p)
-
-        monkeypatch.setattr(rootisolation, "sturm_chain", counted)
-        for roots, inside in (([2, 3, 5], 3), ([Fraction(1, 2)], 0)):
-            calls.clear()
-            assert len(isolate_roots_above(from_roots(roots), Fraction(1))) == inside
-            assert len(calls) == 1
