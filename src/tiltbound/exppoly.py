@@ -10,10 +10,13 @@ sign-preserving normal form used by the prover, and the "num/den" text of
 the rationals in a certificate.  :class:`ExpPoly` shares its arithmetic and
 derivative rule (:class:`SparsePoly`) with :class:`tiltbound.identities.Laurent`.
 
-A coefficient is an ``int``, or a :class:`fractions.Fraction` when it is not
-integral (never ``Fraction(n, 1)``); :func:`normalize` makes all of them ints
-and :func:`derivative` keeps them so.  Floats are rejected so that
-certificates replay bit for bit.
+A polynomial is stored as int numerators over one positive int denominator,
+reduced, and its arithmetic computes with ints alone; :func:`normalize`
+makes the denominator 1 and :func:`derivative` keeps it so.  Only reading a
+coefficient (``terms()``, ``coeff()``, ``eval_at_zero()``) yields a rational:
+an ``int``, or a :class:`fractions.Fraction` when it is not integral (never
+``Fraction(n, 1)``).  Floats are rejected so that certificates replay bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,35 +32,51 @@ from .rootisolation import Scalar, exact, primitive
 
 
 class SparsePoly:
-    """Sum of monomials c * x^key with int-tuple keys and exact c, immutable by convention.
+    """Sum of monomials (n / den) x^key with int-tuple keys, immutable by convention.
 
     The arithmetic and derivative rule of :class:`ExpPoly` and :class:`~.identities.Laurent`.
-    ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or a scalar
-    that ``_scalar`` takes; anything else, the other kernel included, raises TypeError.
+    ``_terms`` maps each key to a nonzero int numerator and ``_den`` is one positive int
+    denominator with ``gcd(den, *numerators) == 1``, so ``==`` and ``hash`` are structural.
+    ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or a scalar that
+    ``_scalar`` takes; anything else, the other kernel included, raises TypeError.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Scalar]):
-        self._terms = self._of(terms)._terms
+    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        nums = {tuple(map(int, key)): c.numerator * (den // c.denominator) for key, c in terms.items()}
+        self._terms, self._den = (reduced := self._of(nums, den))._terms, reduced._den
 
     @classmethod
-    def _of(cls, terms: Mapping[tuple[int, ...], Scalar]):
-        """The result of exact arithmetic on coefficients: drop zeros, make ints canonical."""
+    def _of(cls, terms: dict, den: int):
+        """The polynomial sum(n x^key) / den for int n (zeros dropped) and int den > 0, reduced."""
         p = cls.__new__(cls)
-        p._terms = {key: c if type(c) is int else exact(c) for key, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+            terms, den = {key: c // g for key, c in terms.items()}, den // g
+        p._terms, p._den = terms, den
         return p
 
     @staticmethod
-    def _scalar(value) -> Scalar | None:
-        """The coefficient a scalar operand stands for, None if not a scalar: an int or Fraction."""
-        return value if isinstance(value, (int, Fraction)) else None
+    def _scalar(value) -> tuple[int, int] | None:
+        """(numerator, denominator > 0) of a scalar operand, None if not one: an int or Fraction."""
+        return value.as_integer_ratio() if isinstance(value, (int, Fraction)) else None
+
+    def _rational(self, n: int) -> Scalar:
+        """n / den as a canonical rational: an int when integral, else a Fraction."""
+        return n if self._den == 1 else exact(Fraction(n, self._den))
 
     @classmethod
     def constant(cls, value):
-        if (c := cls._scalar(value)) is None:
+        if (ratio := cls._scalar(value)) is None:
             raise TypeError(f"exact scalar required, got {type(value).__name__}")
-        return cls._of({cls._ONE: c})
+        return cls._of({cls._ONE: ratio[0]}, ratio[1])
 
     @property
     def is_zero(self) -> bool:
@@ -65,18 +84,22 @@ class SparsePoly:
 
     def __add__(self, other):
         if type(other) is not type(self):
-            if (c := self._scalar(other)) is None:
+            if (ratio := self._scalar(other)) is None:
                 return NotImplemented
-            other = self._of({self._ONE: c})
-        terms = dict(self._terms)
+            other = self._of({self._ONE: ratio[0]}, ratio[1])
+        g = math.gcd(self._den, other._den)  # over the least common denominator
+        scale, oscale = other._den // g, self._den // g
+        terms = self._terms.copy() if scale == 1 else {k: c * scale for k, c in self._terms.items()}
         for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return self._of(terms)
+            terms[key] = terms.get(key, 0) + c * oscale
+        return self._of(terms, self._den * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of({key: -c for key, c in self._terms.items()})
+        p = self.__new__(type(self))
+        p._terms, p._den = {key: -c for key, c in self._terms.items()}, self._den
+        return p
 
     def __sub__(self, other):
         return self + -other
@@ -86,35 +109,38 @@ class SparsePoly:
 
     def __mul__(self, other):
         if type(other) is not type(self):
-            if (c := self._scalar(other)) is None:
+            if (ratio := self._scalar(other)) is None:
                 return NotImplemented
-            return self._of({key: x * c for key, x in self._terms.items()})
-        terms: dict[tuple[int, ...], Scalar] = {}
+            n, den = ratio
+            return self._of({key: x * n for key, x in self._terms.items()}, self._den * den)
+        terms: dict[tuple[int, ...], int] = {}
         for a, x in self._terms.items():
             for b, y in other._terms.items():
                 key = tuple(map(add, a, b))
                 terms[key] = terms.get(key, 0) + x * y
-        return self._of(terms)
+        return self._of(terms, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self._of({self._ONE: 1})
+        result = self._of({self._ONE: 1}, 1)
         for _ in range(exponent):
             result = result * self
         return result
 
     def __eq__(self, other) -> bool:
-        return self._terms == other._terms if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._den, tuple(sorted(self._terms.items()))))
 
     def _diff(self, power_axis: int, rate_axis: int):
         """d/dx: x^a e^(r x) -> (a/x + r) x^a e^(r x), a = key[power_axis], r = key[rate_axis]."""
-        terms: dict[tuple[int, ...], Scalar] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for key, c in self._terms.items():
             power, rate = key[power_axis], key[rate_axis]
             if power:
@@ -124,11 +150,11 @@ class SparsePoly:
                 terms[lowered] = terms.get(lowered, 0) + power * c
             if rate:
                 terms[key] = terms.get(key, 0) + rate * c
-        return self._of(terms)
+        return self._of(terms, self._den)
 
 
 class ExpPoly(SparsePoly):
-    """Sum of monomials c * w^i * t^k with exact rational c, an int when integral.
+    """Sum of monomials c * w^i * t^k with exact rational c.
 
     Negative t-degrees are permitted (they arise from sinh/cosh expansions)
     until :func:`normalize` clears them.  A scalar operand is an int or a
@@ -137,14 +163,6 @@ class ExpPoly(SparsePoly):
 
     __slots__ = ()
     _ONE = (0, 0)
-
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        self._terms: dict[tuple[int, int], Scalar] = {}
-        for (i, k), c in (terms or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-            if c:
-                self._terms[(int(i), int(k))] = exact(c)
 
     # -- constructors ------------------------------------------------------
 
@@ -170,23 +188,23 @@ class ExpPoly(SparsePoly):
         return (min(ks), max(ks))
 
     def coeff(self, w_deg: int, t_deg: int) -> Scalar:
-        return self._terms.get((w_deg, t_deg), 0)
+        return self._rational(self._terms.get((w_deg, t_deg), 0))
 
     def terms(self) -> Iterator[tuple[int, int, Scalar]]:
         """Yield (w_deg, t_deg, coeff) in canonical (w, t) order."""
         for (i, k) in sorted(self._terms):
-            yield i, k, self._terms[(i, k)]
+            yield i, k, self._rational(self._terms[(i, k)])
 
     def eval_at_zero(self) -> Scalar:
         """Exact value of P(w, e^w) at w = 0, i.e. P(0, 1)."""
-        return exact(sum(c for (i, _), c in self._terms.items() if i == 0))
+        return self._rational(sum(c for (i, _), c in self._terms.items() if i == 0))
 
     def evaluate(self, w: float) -> float:
         """Floating-point value of P(w, e^w).  May overflow for large w."""
         t = math.exp(w)
         total = 0.0
         for (i, k), c in self._terms.items():
-            total += float(c) * w**i * t**k
+            total += c / self._den * w**i * t**k
         return total
 
     def __repr__(self) -> str:
@@ -250,7 +268,7 @@ def normalize(raw: ExpPoly) -> ExpPoly:
     min_i = min(i for i, _ in raw._terms)
     min_k = min(k for _, k in raw._terms)
     keys = [(i - min_i, k - min_k) for i, k in raw._terms]
-    return ExpPoly._of(dict(zip(keys, primitive(raw._terms.values()))))
+    return ExpPoly._of(dict(zip(keys, primitive(raw._terms.values()))), 1)
 
 
 def derivative(p: ExpPoly) -> ExpPoly:
@@ -280,8 +298,7 @@ def derivative(p: ExpPoly) -> ExpPoly:
 # polynomial sum(c w^i t^k for (i, k), c in terms) / den, with int c (zeros
 # allowed) and int den > 0.  A decimal is its digits over a power of ten,
 # dividing by the constant c/d scales by d and multiplies den by c, and sinh
-# and cosh carry den 2.  Only the result gets Fractions, one for each
-# coefficient that den does not divide.
+# and cosh carry den 2.  The result is the ExpPoly of the same (terms, den).
 
 
 class ExprSyntaxError(ValueError):
@@ -471,4 +488,4 @@ def parse_expression(text: str) -> ExpPoly:
         raise ExprSyntaxError(f"trailing input at {parser.tokens[parser.pos]!r}")
     if any(c and i + abs(k) > MAX_DEGREE for (i, k), c in terms.items()):
         raise ExprSyntaxError(f"a monomial w^i exp(w)^k with i + |k| above {MAX_DEGREE}")
-    return ExpPoly._of({key: Fraction(c, den) if c % den else c // den for key, c in terms.items()})
+    return ExpPoly._of(terms, den)

@@ -10,8 +10,11 @@ with rational c and integer exponents, negative ones included (so(w) =
 sinh(w)/w needs w^-1).  Since u, v, w and e^u, e^v, e^w are algebraically
 independent, a sum that collects to no monomial is zero as a function, and
 one that does not is not zero as a formal expression.  The check is exact:
-a coefficient is an ``int``, and a :class:`fractions.Fraction` only when it
-is not integral, and a float operand is converted exactly.
+the coefficients are int numerators over one reduced int denominator (exp,
+sinh and cosh build theirs over 1 or 2, sinh_over over 2|k|), a float
+operand is read exactly through ``as_integer_ratio()``, and ``terms()``
+yields an ``int``, or a :class:`fractions.Fraction` only when it is not
+integral.
 
 The operations are + - * ** == (with another Laurent or an exact scalar)
 and the formal partial derivative :meth:`Laurent.diff`, shared with the
@@ -29,10 +32,11 @@ catalog form evaluates here exactly as written.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
 from .exppoly import ExpPoly, SparsePoly
-from .rootisolation import Scalar, exact
+from .rootisolation import Scalar
 
 # A monomial u^a v^b w^c e^(p u + q v + r w) is the key (a, b, c, p, q, r).
 Key = tuple[int, int, int, int, int, int]
@@ -47,9 +51,9 @@ class Laurent(SparsePoly):
     _ONE = (0, 0, 0, 0, 0, 0)
 
     @staticmethod
-    def _scalar(value) -> Scalar | None:
-        """The rational equal to an int, Fraction or float (NaN and inf raise), else None."""
-        return exact(Fraction(value)) if isinstance(value, (int, Fraction, float)) else None
+    def _scalar(value) -> tuple[int, int] | None:
+        """(numerator, denominator) of an int, Fraction or float (NaN and inf raise), else None."""
+        return value.as_integer_ratio() if isinstance(value, (int, Fraction, float)) else None
 
     @classmethod
     def variable(cls, name: str) -> "Laurent":
@@ -58,12 +62,12 @@ class Laurent(SparsePoly):
     @classmethod
     def in_w(cls, p: ExpPoly) -> "Laurent":
         """The prover's P(w, t) read at t = e^w."""
-        return cls({(0, 0, i, 0, 0, k): c for i, k, c in p.terms()})
+        return cls._of({(0, 0, i, 0, 0, k): c for (i, k), c in p._terms.items()}, p._den)
 
     def terms(self) -> Iterator[tuple[Key, Scalar]]:
         """(key, coefficient) of every monomial, in key order."""
         for key in sorted(self._terms):
-            yield key, self._terms[key]
+            yield key, self._rational(self._terms[key])
 
     def __repr__(self) -> str:
         return f"Laurent({dict(self.terms())!r})"
@@ -83,14 +87,14 @@ class Laurent(SparsePoly):
         i, j = _AXES.index(name), _AXES.index(by)
         if i == j:
             raise ValueError(f"{name} := {by} is no substitution")
-        terms: dict[Key, Scalar] = {}
+        terms: dict[Key, int] = {}
         for key, coeff in self._terms.items():
             moved = list(key)
             for a, b in ((i, j), (3 + i, 3 + j)):  # the power, then the rate
                 moved[a], moved[b] = 0, moved[a] + moved[b]
             moved = tuple(moved)
             terms[moved] = terms.get(moved, 0) + coeff
-        return self._of(terms)
+        return self._of(terms, self._den)
 
     # -- elementary functions of an integer-linear argument --------------------
 
@@ -99,27 +103,34 @@ class Laurent(SparsePoly):
         rates = [0, 0, 0]
         for key, c in self._terms.items():
             axis = _LINEAR.get(key)
-            if axis is None or type(c) is not int:
+            if axis is None or self._den != 1:
                 raise ValueError(f"{self!r} is not an integer-linear argument")
             rates[axis] = c
         return rates[0], rates[1], rates[2]
 
     def exp(self) -> "Laurent":
-        return Laurent({(0, 0, 0) + self._rates(): 1})
+        return Laurent._of({(0, 0, 0) + self._rates(): 1}, 1)
+
+    def _half(self, sign: int) -> "Laurent":
+        """(e^x + sign e^-x) / 2: two monomials over denominator 2, one when x = 0."""
+        up = (0, 0, 0) + self._rates()
+        down = up[:3] + tuple(-r for r in up[3:])
+        return Laurent._of({up: 1 + sign} if up == down else {up: 1, down: sign}, 2)
 
     def sinh(self) -> "Laurent":
-        return (self.exp() - (-self).exp()) * Fraction(1, 2)
+        return self._half(-1)
 
     def cosh(self) -> "Laurent":
-        return (self.exp() + (-self).exp()) * Fraction(1, 2)
+        return self._half(1)
 
     def sinh_over(self) -> "Laurent":
         """sinh(x)/x for x = k y with y one of u, v, w and k a nonzero integer."""
-        self._rates()
+        sinh = self.sinh()
         if len(self._terms) != 1:
             raise ValueError(f"sinh_over needs a multiple of one variable, got {self!r}")
         ((key, k),) = self._terms.items()
-        return self.sinh() * Laurent({tuple(-i for i in key): Fraction(1, k)})  # / (k y)
+        terms = {tuple(map(sub, m, key)): c if k > 0 else -c for m, c in sinh._terms.items()}
+        return Laurent._of(terms, 2 * abs(k))  # / (k y)
 
 
 U, V, W = (Laurent.variable(name) for name in _AXES)

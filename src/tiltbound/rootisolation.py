@@ -5,7 +5,8 @@ degree order.  Everything here is exact: the counts returned are theorems
 about the polynomial, not numerical estimates.  One routine, Vincent-Collins-
 Akritas bisection by Moebius transforms (Collins & Akritas 1976; Rouillier &
 Zimmermann 2004), covers (lower, oo) with leaves: it moves the interval to
-(0, oo) by an exact Taylor shift and reads the sign variations of the
+(0, oo) by an exact Taylor shift, clears the denominators once, and from
+then on computes with ints alone, reading the sign variations of the
 coefficients.  Used by the prover's base case to certify that a polynomial in
 t has no root on an open interval (a, oo), which pins its sign there.
 """
@@ -19,7 +20,11 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 Poly = tuple[Scalar, ...]
 
-MAX_LEVELS = 256  # one branch of the bisection splits at most this many times
+# The splits of one root count may cost at most this much work.  A node q that
+# splits charges len(q) times the sum over its coefficients of their bits plus
+# 1,024, in proportion to the time of its two Taylor shifts: each coefficient
+# is added about len(q) times, and an addition costs about as much as 1,024 bits.
+MAX_WORK = 2**26
 
 
 def exact(value: Scalar) -> Scalar:
@@ -42,14 +47,11 @@ def evaluate(p: Poly, x: Scalar) -> Scalar:
     return acc
 
 
-def primitive(cs: Sequence[Scalar]) -> tuple[int, ...]:
-    """cs times the positive rational that makes them coprime integers.
+def primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs divided by their content, so coprime; cs is empty or not all 0.
 
-    The one content routine of the exact kernels; cs is empty or not all 0.
+    The one content routine of the exact kernels.
     """
-    den = lcm(*(c.denominator for c in cs if type(c) is not int))
-    if den != 1:
-        cs = [c.numerator * (den // c.denominator) for c in cs]
     g = gcd(*cs)
     return tuple(cs) if g == 1 else tuple(c // g for c in cs)
 
@@ -83,21 +85,24 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
     s = 2^k) makes r + 1 = 2^k n / (m - 2^k n), whose numerator plus
     denominator is at most m < m + n.
 
-    Raises ArithmeticError when a branch splits ``MAX_LEVELS`` times, as it
-    does near an irrational multiple root, whose variations never fall to 1.
+    Raises ArithmeticError when the splits pass ``MAX_WORK``, as they do
+    near an irrational multiple root, whose variations never fall to 1.
     """
-    leaves = []
-    shifted = primitive(make_poly(_shift(primitive(make_poly(p)), lower)))  # p(lower + x)
-    stack = [(shifted, 1, (1, lower, 0, 1), 0)]
+    leaves, work = [], 0
+    shifted = _shift(make_poly(p), lower)  # p(lower + x), then over one denominator
+    den = lcm(*(c.denominator for c in shifted))
+    shifted = primitive([c.numerator * (den // c.denominator) for c in shifted])
+    stack = [(shifted, 1, (1, lower, 0, 1))]
     while stack:
-        q, s, (a, b, c, d), level = stack.pop()
+        q, s, (a, b, c, d) = stack.pop()
         count = _variations(q)
         if count == 1:
             leaves.append((a, b, c, d))
         if count < 2:
             continue
-        if level == MAX_LEVELS:
-            raise ArithmeticError(f"a branch of the root count split {MAX_LEVELS} times")
+        work += len(q) * sum(coeff.bit_length() + 1024 for coeff in q)
+        if work > MAX_WORK:
+            raise ArithmeticError(f"the root count took over {MAX_WORK} units of work")
         if evaluate(q, s) == 0:
             leaves.append((a * s + b,) * 2 + (c * s + d,) * 2)
             while evaluate(q, s) == 0:  # divide by (x - s), by Horner's scheme
@@ -106,8 +111,8 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
                     quotient.append(coeff + s * quotient[-1])
                 q = tuple(reversed(quotient))
         flipped = [coeff * s**i for i, coeff in enumerate(q)][::-1]  # x^n q(s / x)
-        stack.append((primitive(_shift(flipped, 1)), 1, (b, a * s + b, d, c * s + d), level + 1))
-        stack.append((primitive(_shift(q, s)), 2 * s, (a, a * s + b, c, c * s + d), level + 1))
+        stack.append((primitive(_shift(flipped, 1)), 1, (b, a * s + b, d, c * s + d)))
+        stack.append((primitive(_shift(q, s)), 2 * s, (a, a * s + b, c, c * s + d)))
     return leaves
 
 
@@ -125,7 +130,6 @@ def root_magnitude_bound(p: Poly) -> Scalar:
     p = make_poly(p)
     if len(p) < 2:
         return 1
-    p = primitive(p)
     return exact(1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1])))
 
 

@@ -15,14 +15,15 @@ def test_every_exported_name_resolves():
 
 
 def test_exact_kernels_share_one_arithmetic():
-    # ExpPoly and Laurent take + - * ** ==, their reflected forms and the
-    # derivative rule from SparsePoly; a copy in either class body fails here
+    # ExpPoly and Laurent take their constructor, + - * ** ==, the reflected
+    # forms, the derivative rule and the reading of a numerator as a rational
+    # from SparsePoly; a copy in either class body fails here
     from tiltbound.exppoly import ExpPoly, SparsePoly
     from tiltbound.identities import Laurent
 
     shared = {
-        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
-        "__pow__", "__eq__", "__hash__", "_of", "_diff",
+        "__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__neg__", "__pow__", "__eq__", "__hash__", "_of", "_rational", "_diff",
     }
     for kernel in (ExpPoly, Laurent):
         assert kernel.__bases__ == (SparsePoly,)

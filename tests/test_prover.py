@@ -82,7 +82,7 @@ class TestBaseCase:
 
     def test_unresolved_base_case_is_undetermined(self):
         # (t^2 - 2t - 1)^2: the double root 1 + sqrt 2 keeps two sign
-        # variations in every interval around it, down to the split cap
+        # variations in every interval around it, up to the work cap
         p = parse_expression("(exp(2*w) - 2*exp(w) - 1)^2")
         decision = decide_sign(p)
         assert decision.outcome is Outcome.UNDETERMINED
@@ -91,6 +91,23 @@ class TestBaseCase:
         step = ReductionStep(normalize(p), normalize(p).eval_at_zero())
         with pytest.raises(CertificateError, match="unresolved base case"):
             replay(SignCertificate(Outcome.POSITIVE, (step,)))
+
+    def test_base_case_work_is_capped(self):
+        # degree 80: (t^2 - 2t - 1)^2 times 38 seeded quadratics with 20-bit
+        # coefficients; the double root 1 + sqrt 2 never settles, and the
+        # Taylor shifts of growing integers stop at the work cap, not after
+        # 256 levels of them
+        rng = random.Random(60)
+        q = [1, 4, 2, -4, 1]
+        for _ in range(38):
+            factor = [rng.randint(-(2**20), 2**20) for _ in range(3)]
+            q = [
+                sum(q[i] * factor[k - i] for i in range(len(q)) if 0 <= k - i < 3)
+                for k in range(len(q) + 2)
+            ]
+        decision = decide_sign(ExpPoly({(0, k): c for k, c in enumerate(q)}))
+        assert decision.outcome is Outcome.UNDETERMINED and decision.certificate is None
+        assert decision.reason.startswith("unresolved base case: the root count took over")
 
     def test_zero_rejected(self):
         zero = ReductionStep(ExpPoly.zero(), Fraction(0))

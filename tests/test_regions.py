@@ -360,6 +360,18 @@ class TestCertification:
         result = certify_negative("d_case2", box, max_depth=18)
         assert result.certified and result.boxes_evaluated == 0
 
+    def test_box_budget_ends_undecided(self, monkeypatch):
+        # d1_case2 certifies on the default cube in 169 boxes; with a budget
+        # of 100 the boxes still pending are undecided and nothing certifies
+        cube = BoxRegion(u=(0.05, 8.0), v=(0.05, 8.0), w=(0.05, 8.0), case=CaseRegion.CASE2)
+        monkeypatch.setattr(regions, "MAX_BOXES", 100)
+        result = certify_negative("d1_case2", cube, max_depth=18)
+        assert not result.certified and result.undecided
+        assert result.boxes_evaluated == 100
+        assert result.undecided == tuple(sorted(result.undecided, key=lambda b: b.sort_key()))
+        monkeypatch.setattr(regions, "MAX_BOXES", 169)
+        assert certify_negative("d1_case2", cube, max_depth=18).certified
+
     def test_deterministic_output(self):
         box = BoxRegion(u=(0.0, 1.0), v=(0.5, 1.5), w=(0.5, 1.5), case=CaseRegion.CASE2)
         a = certify_negative("d_case2", box, max_depth=6)

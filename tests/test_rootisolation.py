@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tiltbound.rootisolation import (
-    MAX_LEVELS,
+    MAX_WORK,
     count_roots_above,
     evaluate,
     isolate_roots_above,
@@ -119,7 +119,7 @@ class TestCounting:
         # (t^2 - 2t - 1)^2: the double root 1 + sqrt 2 is no split point, and
         # the variations around it never fall below 2
         p = _mul(make_poly([-1, -2, 1]), make_poly([-1, -2, 1]))
-        with pytest.raises(ArithmeticError, match=f"split {MAX_LEVELS} times"):
+        with pytest.raises(ArithmeticError, match=f"over {MAX_WORK} units of work"):
             count_roots_above(p, Fraction(1))
 
     def test_negative_leads_and_skipped_degrees(self):
