@@ -15,11 +15,17 @@ battery certified and every case-structure check passed.  ``verify-proof``
 and ``report`` bisect no region: each derived region takes its status from
 its exact links and evaluates no box.  Bad input, a float overflow or an
 expression nested too deeply included, exits 2 with an ``error:`` line.
+
+:func:`main` builds its argument parser on its first call and reuses it for
+every later call in the same process; parsing leaves no state on a parser.
+Only the parser is shared: each call parses the battery, decides and replays
+every lemma, expands every identity and builds its report anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -212,9 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: built on first use, not at import."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, OverflowError, ValueError, ExprSyntaxError, json.JSONDecodeError) as exc:

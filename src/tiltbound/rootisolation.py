@@ -24,7 +24,10 @@ Poly = tuple[Scalar, ...]
 # splits charges len(q) times the sum over its coefficients of their bits plus
 # 1,024, in proportion to the time of its two Taylor shifts: each coefficient
 # is added about len(q) times, and an addition costs about as much as 1,024 bits.
+# It also charges NODE_WORK for the interpreter's fixed cost of a node, which
+# dominates a small q: a quartic stops after a few hundred splits, not thousands.
 MAX_WORK = 2**26
+NODE_WORK = 2**17
 
 
 def exact(value: Scalar) -> Scalar:
@@ -100,7 +103,7 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
             leaves.append((a, b, c, d))
         if count < 2:
             continue
-        work += len(q) * sum(coeff.bit_length() + 1024 for coeff in q)
+        work += NODE_WORK + len(q) * sum(coeff.bit_length() + 1024 for coeff in q)
         if work > MAX_WORK:
             raise ArithmeticError(f"the root count took over {MAX_WORK} units of work")
         if evaluate(q, s) == 0:

@@ -213,12 +213,12 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
 # ---------------------------------------------------------------------------
 
 
-def _g(x, w, capped: bool):
-    """(2 g0(x), 2 g1(x)), with min(x, w) resolved to w if ``capped``, else to x."""
-    if capped:
-        ew, enx = vexp(w), vexp(-x)
-        return ew + enx, x * (ew - enx)
-    return 2 * vcosh(x), 2 * x * vsinh(x)
+def _g(x, ew):
+    """(2 g0(x), 2 g1(x)), with min(x, w) resolved to w if ``ew`` is e^w, to x if it is None."""
+    if ew is None:
+        return 2 * vcosh(x), 2 * x * vsinh(x)
+    enx = vexp(-x)
+    return ew + enx, x * (ew - enx)
 
 
 def d(u, v, w, u_capped: bool, v_capped: bool):
@@ -226,10 +226,12 @@ def d(u, v, w, u_capped: bool, v_capped: bool):
 
     Generic over float, Interval, Dual and Laurent.  ``u_capped`` and
     ``v_capped`` resolve each min(x, w): a capped side (x >= w) is written
-    in exponentials, an uncapped one in sinh and cosh.
+    in exponentials, an uncapped one in sinh and cosh; e^w is computed
+    once and shared by both capped sides.
     """
-    gu0, gu1 = _g(u, w, u_capped)
-    gv0, gv1 = _g(v, w, v_capped)
+    ew = vexp(w) if u_capped or v_capped else None
+    gu0, gu1 = _g(u, ew if u_capped else None)
+    gv0, gv1 = _g(v, ew if v_capped else None)
     return gu1 + gv1 - vsinh_over(w) * (gu0 * (v * v) + gv0 * (u * u))
 
 
@@ -253,7 +255,7 @@ def g_expr(j: int, x: float, w: float) -> float:
         raise ValueError("g is defined for nonnegative arguments; pass |x|")
     if w <= 0:
         raise ValueError("cap level w must be positive")
-    return _finite(0.5 * _g(x, w, x >= w)[j])
+    return _finite(0.5 * _g(x, math.exp(w) if x >= w else None)[j])
 
 
 def d_expr(u: float, v: float, w: float) -> float:

@@ -1,13 +1,14 @@
 """CLI behavior: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from tiltbound import regions
-from tiltbound.cli import main
+from tiltbound import cli, prover, regions
+from tiltbound.cli import build_parser, main
 from tiltbound.prover import BATTERY
 from tiltbound.tilted import d_expr
 
@@ -440,3 +441,64 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "unrecognized arguments: --depth" in err
+
+
+class TestSharedParser:
+    def test_second_call_builds_no_parser_and_rederives_the_battery(self, capsys, monkeypatch):
+        # main reuses its parser and nothing else: every call decides and
+        # replays all 8 battery lemmas, 16 derivations
+        parsers, derivations = [], []
+        init, derive = argparse.ArgumentParser.__init__, prover._derive
+
+        def counting_init(self, *args, **kwargs):
+            parsers.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counting_derive(p):
+            derivations.append(p)
+            return derive(p)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(prover, "_derive", counting_derive)
+        build_parser()  # public, and fresh: the counter sees the top parser and 6 subcommands
+        assert len(parsers) == 7
+        cli._parser.cache_clear()
+        counts, outputs = [], []
+        for _ in range(2):
+            parsers.clear()
+            derivations.clear()
+            code, out, _ = run_cli(capsys, "verify-proof")
+            assert code == 0
+            counts.append((len(parsers), len(derivations)))
+            outputs.append(out)
+        assert counts == [(7, 16), (0, 16)]
+        assert outputs[0] == outputs[1] == (GOLDEN / "verify_proof_default.json").read_text()
+
+    @pytest.mark.parametrize(
+        "first, second, golden",
+        [
+            (
+                ("extremal", "--sigma", "0.3"),
+                ("extremal",),
+                "extremal_default.json",
+            ),
+            (
+                ("verify-proof", "--box", "0.7:5"),
+                ("verify-proof",),
+                "verify_proof_default.json",
+            ),
+            (
+                ("verify-proof", "--box", "0.3:2.0", "--format", "text"),
+                ("verify-proof", "--box", "0.3:2.0"),
+                "verify_proof_box_0.3_2.0.json",
+            ),
+        ],
+        ids=["sigma", "box", "format"],
+    )
+    def test_no_state_carries_between_calls(self, capsys, first, second, golden):
+        # a value parsed by one call (an appended sigma, a box, a format)
+        # is not the default of the next
+        _, before, _ = run_cli(capsys, *first)
+        code, out, _ = run_cli(capsys, *second)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text() != before

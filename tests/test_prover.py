@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from tiltbound import rootisolation
 from tiltbound.exppoly import ExpPoly, normalize, parse_expression
 from tiltbound.prover import (
     BATTERY,
@@ -92,11 +93,14 @@ class TestBaseCase:
         with pytest.raises(CertificateError, match="unresolved base case"):
             replay(SignCertificate(Outcome.POSITIVE, (step,)))
 
-    def test_base_case_work_is_capped(self):
+    def test_base_case_work_is_capped(self, monkeypatch):
         # degree 80: (t^2 - 2t - 1)^2 times 38 seeded quadratics with 20-bit
         # coefficients; the double root 1 + sqrt 2 never settles, and the
-        # Taylor shifts of growing integers stop at the work cap, not after
-        # 256 levels of them
+        # Taylor shifts of growing integers stop at the work cap after a few
+        # splits, not after 256 levels of them
+        shifts = []
+        shift = rootisolation._shift
+        monkeypatch.setattr(rootisolation, "_shift", lambda p, a: shifts.append(a) or shift(p, a))
         rng = random.Random(60)
         q = [1, 4, 2, -4, 1]
         for _ in range(38):
@@ -108,6 +112,7 @@ class TestBaseCase:
         decision = decide_sign(ExpPoly({(0, k): c for k, c in enumerate(q)}))
         assert decision.outcome is Outcome.UNDETERMINED and decision.certificate is None
         assert decision.reason.startswith("unresolved base case: the root count took over")
+        assert (len(shifts) - 1) // 2 <= 8  # splits: 5
 
     def test_zero_rejected(self):
         zero = ReductionStep(ExpPoly.zero(), Fraction(0))

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from tiltbound import rootisolation
 from tiltbound.rootisolation import (
     MAX_WORK,
+    NODE_WORK,
     count_roots_above,
     evaluate,
     isolate_roots_above,
@@ -121,6 +123,18 @@ class TestCounting:
         p = _mul(make_poly([-1, -2, 1]), make_poly([-1, -2, 1]))
         with pytest.raises(ArithmeticError, match=f"over {MAX_WORK} units of work"):
             count_roots_above(p, Fraction(1))
+
+    def test_every_split_pays_the_node_charge(self, monkeypatch):
+        # the unresolved quartic's nodes are cheap to shift but not to visit:
+        # NODE_WORK stops it after 428 splits, where the shifts alone allowed 2,612
+        shifts = []
+        shift = rootisolation._shift
+        monkeypatch.setattr(rootisolation, "_shift", lambda p, a: shifts.append(a) or shift(p, a))
+        p = _mul(make_poly([-1, -2, 1]), make_poly([-1, -2, 1]))
+        with pytest.raises(ArithmeticError):
+            count_roots_above(p, Fraction(1))
+        splits = (len(shifts) - 1) // 2  # the root node's shift, then two per split
+        assert 0 < splits <= MAX_WORK // NODE_WORK
 
     def test_negative_leads_and_skipped_degrees(self):
         quartic = make_poly([2, 0, 0, 0, -1])  # -t^4 + 2, roots +-2^(1/4)
