@@ -3,12 +3,16 @@
 Every inequality handled by the prover has the shape ``P(w, e^w) < 0`` (or
 ``> 0``) on w in (0, oo) for a polynomial P with rational coefficients.  This
 module supplies the exact-arithmetic polynomial type, a small ASCII text
-grammar for entering such expressions (parsed in integer arithmetic over one
-denominator per subexpression, with fixed caps on what a text builds),
-symbolic differentiation with respect to w (where d/dw t = t), the
+grammar for entering such expressions (with fixed caps on what a text
+builds), symbolic differentiation with respect to w (where d/dw t = t), the
 sign-preserving normal form used by the prover, and the "num/den" text of
 the rationals in a certificate.  :class:`ExpPoly` shares its arithmetic and
 derivative rule (:class:`SparsePoly`) with :class:`tiltbound.identities.Laurent`.
+
+The arithmetic is one set of private routines on (int terms, den) pairs: add,
+multiply, power by squaring, reading the integer coefficients of a linear
+argument, and (e^x +- e^-x)/2.  :class:`SparsePoly`'s operators, the
+parser and the elementary functions of ``Laurent`` all call them.
 
 A polynomial is stored as int numerators over one positive int denominator,
 reduced, and its arithmetic computes with ints alone; :func:`normalize`
@@ -25,10 +29,80 @@ import math
 import re
 import string
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Iterator, Mapping
 
 from .rootisolation import Scalar, exact, primitive
+
+
+# The one arithmetic of the exact kernels, on pairs (terms, den): the polynomial
+# sum(c x^key for key, c in terms) / den with int c (zeros allowed) and int
+# den > 0, not reduced, keys of any one length that add component by component.
+# SparsePoly reduces each result with _of; parse_expression reduces only its
+# result, so its caps read each pair as built.
+
+
+def _add(a: tuple[dict, int], b: tuple[dict, int], sign: int = 1) -> tuple[dict, int]:
+    """a + sign * b over the least common denominator."""
+    (x, den), (y, yden) = a, b
+    g = math.gcd(den, yden)
+    scale, sign = yden // g, sign * (den // g)
+    out = x.copy() if scale == 1 else {key: c * scale for key, c in x.items()}
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out, den * scale
+
+
+def _mul(a: tuple[dict, int], b: tuple[dict, int], one: tuple, limit: float = math.inf):
+    """a * b with ``one`` the key of 1; over ``limit`` term pairs of two non-constants raises."""
+    (x, xden), (y, yden) = a, b
+    if len(x) == 1 and one in x:
+        x, y = y, x
+    if len(y) == 1 and one in y:  # a constant factor scales the other
+        c = y[one]
+        return {key: v * c for key, v in x.items()}, xden * yden
+    if len(x) * len(y) > limit:
+        raise ExprSyntaxError(f"a product of {len(x)} by {len(y)} terms: over {limit} pairs")
+    out: dict[tuple[int, ...], int] = {}
+    for xkey, u in x.items():
+        for ykey, v in y.items():
+            key = tuple(map(add, xkey, ykey))
+            out[key] = out.get(key, 0) + u * v
+    return out, xden * yden
+
+
+def _power(base: tuple[dict, int], n: int, one: tuple, limit: float = math.inf):
+    """base^n for an int n >= 0 by squaring, with ``one`` and ``limit`` as for :func:`_mul`."""
+    terms, den = base
+    if len(terms) == 1:  # a one-term base is raised by its exponents
+        ((key, c),) = terms.items()
+        return {tuple([e * n for e in key]): c**n}, den**n
+    result = {one: 1}, 1
+    while n:
+        if n & 1:
+            result = _mul(result, base, one, limit)
+        n >>= 1
+        if n:
+            base = _mul(base, base, one, limit)
+    return result
+
+
+def _linear(pair: tuple[dict, int], units: dict[tuple, int]) -> tuple[int, ...] | None:
+    """The ints n with pair = sum(n[i] x^key for key, i in units.items()), else None."""
+    terms, den = pair
+    rates = [0] * len(units)
+    for key, c in terms.items():
+        if c:
+            if (i := units.get(key)) is None or c % den:
+                return None
+            rates[i] = c // den
+    return tuple(rates)
+
+
+def _half_sum(up: tuple[int, ...], sign: int) -> tuple[dict, int]:
+    """(e^x + sign e^-x) / 2 for the key ``up`` of e^x: over 2, or the constant over 1 at x = 0."""
+    down = tuple(map(neg, up))
+    return ({up: (1 + sign) // 2}, 1) if up == down else ({up: 1, down: sign}, 2)
 
 
 class SparsePoly:
@@ -82,17 +156,17 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _pair(self, other) -> tuple[dict, int] | None:
+        """(terms, den) of an operand of this type or of a scalar ``_scalar`` takes, else None."""
+        if type(other) is type(self):
+            return other._terms, other._den
+        ratio = self._scalar(other)
+        return None if ratio is None else ({self._ONE: ratio[0]}, ratio[1])
+
     def __add__(self, other):
-        if type(other) is not type(self):
-            if (ratio := self._scalar(other)) is None:
-                return NotImplemented
-            other = self._of({self._ONE: ratio[0]}, ratio[1])
-        g = math.gcd(self._den, other._den)  # over the least common denominator
-        scale, oscale = other._den // g, self._den // g
-        terms = self._terms.copy() if scale == 1 else {k: c * scale for k, c in self._terms.items()}
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c * oscale
-        return self._of(terms, self._den * scale)
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return self._of(*_add((self._terms, self._den), pair))
 
     __radd__ = __add__
 
@@ -102,33 +176,26 @@ class SparsePoly:
         return p
 
     def __sub__(self, other):
-        return self + -other
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return self._of(*_add((self._terms, self._den), pair, -1))
 
     def __rsub__(self, other):
-        return -self + other
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return self._of(*_add(pair, (self._terms, self._den), -1))
 
     def __mul__(self, other):
-        if type(other) is not type(self):
-            if (ratio := self._scalar(other)) is None:
-                return NotImplemented
-            n, den = ratio
-            return self._of({key: x * n for key, x in self._terms.items()}, self._den * den)
-        terms: dict[tuple[int, ...], int] = {}
-        for a, x in self._terms.items():
-            for b, y in other._terms.items():
-                key = tuple(map(add, a, b))
-                terms[key] = terms.get(key, 0) + x * y
-        return self._of(terms, self._den * other._den)
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return self._of(*_mul((self._terms, self._den), pair, self._ONE))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self._of({self._ONE: 1}, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return self._of(*_power((self._terms, self._den), exponent, self._ONE))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -294,11 +361,11 @@ def derivative(p: ExpPoly) -> ExpPoly:
 # INTEGER is ASCII digits alone; names are ASCII letters, blanks are ASCII
 # whitespace, and any other character is a syntax error.
 #
-# The parser computes in ints.  A subexpression is a pair (terms, den): the
-# polynomial sum(c w^i t^k for (i, k), c in terms) / den, with int c (zeros
-# allowed) and int den > 0.  A decimal is its digits over a power of ten,
-# dividing by the constant c/d scales by d and multiplies den by c, and sinh
-# and cosh carry den 2.  The result is the ExpPoly of the same (terms, den).
+# The parser computes with the pair routines above: a subexpression is a pair
+# (terms, den) with keys (i, k) for w^i t^k.  A decimal is its digits over a
+# power of ten, dividing by the constant c/d multiplies by the constant d/c,
+# and sinh and cosh carry den 2.  The result is the ExpPoly of the same
+# (terms, den); the caps below are the parser's own.
 
 
 class ExprSyntaxError(ValueError):
@@ -309,79 +376,12 @@ _TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|[A-Za-z]+|\S", re.ASCII)
 _TOKEN_STARTS = frozenset(string.ascii_letters + string.digits + "+-*/^()")
 _FUNCTIONS = ("exp", "sinh", "cosh")
 
-_Value = tuple[dict[tuple[int, int], int], int]  # (int terms, den > 0)
-
 # Caps on what one text builds, far above what the battery and the benchmark's
 # claims need, so that no short text takes unbounded time or memory.
 MAX_EXPONENT = 64  # of one '^'
 MAX_POWER_BITS = 256  # the exponent times the bits of the base's largest int
 MAX_DEGREE = 40  # i + |k| of each monomial w^i t^k of the result
 MAX_PRODUCT = 4096  # term pairs multiplied out by one product
-
-
-def _add(a: _Value, b: _Value, sign: int) -> _Value:
-    """a + sign * b over the least common denominator."""
-    (x, den), (y, yden) = a, b
-    if den == yden:
-        out = x.copy()
-    else:
-        g = math.gcd(den, yden)
-        scale, sign = yden // g, sign * (den // g)
-        out = {key: c * scale for key, c in x.items()}
-        den *= scale
-    for key, c in y.items():
-        out[key] = out.get(key, 0) + sign * c
-    return out, den
-
-
-def _mul(a: _Value, b: _Value) -> _Value:
-    (x, xden), (y, yden) = a, b
-    if len(x) == 1 and (0, 0) in x:
-        x, y = y, x
-    if len(y) == 1 and (0, 0) in y:  # a constant factor scales the other
-        c = y[0, 0]
-        return {key: v * c for key, v in x.items()}, xden * yden
-    if len(x) * len(y) > MAX_PRODUCT:
-        raise ExprSyntaxError(f"a product of {len(x)} by {len(y)} terms: over {MAX_PRODUCT} pairs")
-    out: dict[tuple[int, int], int] = {}
-    for (i, k), u in x.items():
-        for (j, m), v in y.items():
-            key = (i + j, k + m)
-            out[key] = out.get(key, 0) + u * v
-    return out, xden * yden
-
-
-def _power(base: _Value, digits: str) -> _Value:
-    """base^n for the exponent n written as ``digits``, with no leading zero."""
-    terms, den = base
-    # with more digits than MAX_EXPONENT, n is over it; int() never reads such a text
-    n = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
-    if n > MAX_EXPONENT or n * max(den, *map(abs, terms.values())).bit_length() > MAX_POWER_BITS:
-        raise ExprSyntaxError(
-            f"^{digits}: exponent over {MAX_EXPONENT} or over {MAX_POWER_BITS} bits"
-        )
-    if len(terms) == 1:
-        (((i, k), c),) = terms.items()
-        return {(i * n, k * n): c**n}, den**n
-    result: _Value = ({(0, 0): 1}, 1)
-    while n:  # by squaring
-        if n & 1:
-            result = _mul(result, base)
-        n >>= 1
-        if n:
-            base = _mul(base, base)
-    return result
-
-
-def _multiple(terms: dict[tuple[int, int], int], den: int, key: tuple[int, int]) -> int | None:
-    """n when the terms over den are n times the monomial key for an int n, else None."""
-    n = 0
-    for other, c in terms.items():
-        if c:
-            if other != key or c % den:
-                return None
-            n = c // den
-    return n
 
 
 class _Descent:
@@ -400,29 +400,28 @@ class _Descent:
         if found != tok:
             raise ExprSyntaxError(f"expected {tok!r}, found {found!r}")
 
-    def expr(self) -> _Value:
+    def expr(self) -> tuple[dict, int]:
         value = self.term()
         while (op := self.tokens[self.pos]) in ("+", "-"):
             self.pos += 1
             value = _add(value, self.term(), 1 if op == "+" else -1)
         return value
 
-    def term(self) -> _Value:
+    def term(self) -> tuple[dict, int]:
         value = self.factor()
         while (op := self.tokens[self.pos]) in ("*", "/"):
             self.pos += 1
             rhs, d = self.factor()
             if op == "*":
-                value = _mul(value, (rhs, d))
+                value = _mul(value, (rhs, d), (0, 0), MAX_PRODUCT)
                 continue
-            c = _multiple(rhs, 1, (0, 0))  # c when rhs is the constant c/d
-            if not c:
+            if {key for key, c in rhs.items() if c} != {(0, 0)}:
                 raise ExprSyntaxError("division is only defined by nonzero constants")
-            d = d if c > 0 else -d
-            value = {key: x * d for key, x in value[0].items()}, value[1] * abs(c)
+            c = rhs[0, 0]  # the divisor is c / d
+            value = _mul(value, ({(0, 0): d if c > 0 else -d}, abs(c)), (0, 0))
         return value
 
-    def factor(self) -> _Value:
+    def factor(self) -> tuple[dict, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok == "-":
@@ -444,16 +443,12 @@ class _Descent:
             self.expect(")")
         elif tok in _FUNCTIONS:
             self.expect("(")
-            n = _multiple(*self.expr(), (1, 0))
+            rate = _linear(self.expr(), {(1, 0): 0})  # (n,) when the argument is n*w
             self.expect(")")
-            if n is None:
+            if rate is None:
                 raise ExprSyntaxError(f"{tok}() argument must be an integer multiple of w")
-            if tok == "exp":
-                value = {(0, n): 1}, 1
-            elif n == 0:  # sinh(0) = 0, cosh(0) = 1
-                value = {(0, 0): int(tok == "cosh")}, 1
-            else:
-                value = {(0, n): 1, (0, -n): 1 if tok == "cosh" else -1}, 2
+            up = (0, *rate)  # the key of e^(n w)
+            value = ({up: 1}, 1) if tok == "exp" else _half_sum(up, 1 if tok == "cosh" else -1)
         elif tok[:1].isalpha():
             raise ExprSyntaxError(f"unknown name {tok!r}")
         else:
@@ -464,7 +459,15 @@ class _Descent:
         self.pos += 2
         if not exponent.isdigit():
             raise ExprSyntaxError(f"exponent must be an integer, found {exponent!r}")
-        return _power(value, exponent.lstrip("0") or "0")
+        digits = exponent.lstrip("0") or "0"
+        # with more digits than MAX_EXPONENT, n is over it; int() never reads such a text
+        n = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+        terms, den = value
+        if n > MAX_EXPONENT or n * max(den, *map(abs, terms.values())).bit_length() > MAX_POWER_BITS:
+            raise ExprSyntaxError(
+                f"^{digits}: exponent over {MAX_EXPONENT} or over {MAX_POWER_BITS} bits"
+            )
+        return _power(value, n, (0, 0), MAX_PRODUCT)
 
 
 def parse_expression(text: str) -> ExpPoly:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Iterator
 
-from .exppoly import ExpPoly, SparsePoly
+from .exppoly import ExpPoly, SparsePoly, _half_sum, _linear
 from .rootisolation import Scalar
 
 # A monomial u^a v^b w^c e^(p u + q v + r w) is the key (a, b, c, p, q, r).
@@ -100,22 +100,16 @@ class Laurent(SparsePoly):
 
     def _rates(self) -> tuple[int, int, int]:
         """(p, q, r) with self = p u + q v + r w, all integers; else ValueError."""
-        rates = [0, 0, 0]
-        for key, c in self._terms.items():
-            axis = _LINEAR.get(key)
-            if axis is None or self._den != 1:
-                raise ValueError(f"{self!r} is not an integer-linear argument")
-            rates[axis] = c
-        return rates[0], rates[1], rates[2]
+        if (rates := _linear((self._terms, self._den), _LINEAR)) is None:
+            raise ValueError(f"{self!r} is not an integer-linear argument")
+        return rates
 
     def exp(self) -> "Laurent":
         return Laurent._of({(0, 0, 0) + self._rates(): 1}, 1)
 
     def _half(self, sign: int) -> "Laurent":
-        """(e^x + sign e^-x) / 2: two monomials over denominator 2, one when x = 0."""
-        up = (0, 0, 0) + self._rates()
-        down = up[:3] + tuple(-r for r in up[3:])
-        return Laurent._of({up: 1 + sign} if up == down else {up: 1, down: sign}, 2)
+        """(e^x + sign e^-x) / 2."""
+        return Laurent._of(*_half_sum((0, 0, 0) + self._rates(), sign))
 
     def sinh(self) -> "Laurent":
         return self._half(-1)

@@ -84,7 +84,10 @@ class SignCertificate:
         ints (not bools): w-degrees in ``[0, MAX_DEGREE]`` and t-degrees in
         ``[0, 2 * MAX_DEGREE]``.  Every chain of a parsed text fits, and the
         cap bounds replay time, which grows with the degree.  Coefficient size
-        is not capped.
+        is not capped.  Each step must be in the form ``to_dict`` writes: its
+        terms are what ``to_term_list()`` re-emits (no repeated degree pair, no
+        zero, in canonical order, each rational reduced), and its boundary
+        value is the ``rational_str`` text of the value it reads.
         """
         try:
             if set(data) != {"claim", "steps"}:
@@ -97,7 +100,12 @@ class SignCertificate:
                 for i, k, _ in step["terms"]:
                     if not (0 <= i <= MAX_DEGREE and 0 <= k <= 2 * MAX_DEGREE):
                         raise ValueError(f"term degrees ({i}, {k}) out of range")
-                steps.append(ReductionStep(expr, parse_rational(step["boundary_value"])))
+                if expr.to_term_list() != step["terms"]:
+                    raise ValueError("terms are not in the canonical form of to_term_list()")
+                value = parse_rational(step["boundary_value"])
+                if rational_str(value) != step["boundary_value"]:
+                    raise ValueError(f"boundary value {step['boundary_value']!r} is not canonical")
+                steps.append(ReductionStep(expr, value))
             return cls(claim=Outcome(data["claim"]), steps=tuple(steps))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc

@@ -30,6 +30,33 @@ def test_exact_kernels_share_one_arithmetic():
         assert not shared & set(vars(kernel)), kernel
 
 
+def test_parser_and_both_kernels_reach_one_product(monkeypatch):
+    # at run time: parsing a product, ExpPoly * ExpPoly and Laurent * Laurent
+    # each multiply through exppoly._mul; a product loop of their own fails here
+    from tiltbound import exppoly
+    from tiltbound.identities import U, V
+
+    calls = []
+    mul = exppoly._mul
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(exppoly, "_mul", counting)
+    products = {
+        "parse_expression": lambda: exppoly.parse_expression("(1+w)*(1+exp(w))"),
+        "ExpPoly": lambda: (1 + exppoly.W) * (1 + exppoly.T),
+        "Laurent": lambda: (1 + U) * (1 + V),
+    }
+    results = {}
+    for name, build in products.items():
+        before = len(calls)
+        results[name] = build()
+        assert len(calls) > before, name
+    assert results["parse_expression"] == results["ExpPoly"]
+
+
 def test_benchmark_span_points_resolve(monkeypatch):
     # the traced benchmark re-binds these (module, attribute) names; one that
     # no longer exists makes a traced run fail with AttributeError

@@ -257,6 +257,13 @@ class TestCertificates:
             (("steps", 0, "terms", 0, 1), 81),
             (("steps", 0, "terms", 0, 0), -1),
             (("claim",), ...),
+            # terms and values that to_dict never writes; read as data, the
+            # repeated degree pair keeps its last coefficient and replays POSITIVE
+            (("steps", 0, "terms"), [[0, 0, "5/1"], [0, 0, "-1/1"], [0, 2, "1/1"], [1, 1, "-2/1"]]),
+            (("steps", 0, "terms"), [[0, 0, "-1/1"], [0, 1, "0/1"], [0, 2, "1/1"], [1, 1, "-2/1"]]),
+            (("steps", 0, "terms"), [[1, 1, "-2/1"], [0, 2, "1/1"], [0, 0, "-1/1"]]),
+            (("steps", 0, "terms", 1, 2), "2/4"),
+            (("steps", 0, "boundary_value"), "0/7"),
         ],
     )
     def test_malformed_json_is_a_certificate_error(self, path, value):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiltbound import exppoly
 from tiltbound.exppoly import ExpPoly, derivative
 from tiltbound.identities import Laurent, U, V, W
 from tiltbound.prover import verify_battery
@@ -129,7 +130,7 @@ def step(rng, kernel, p, ref):
             return p - q, ref_add(ref, other, -1)
         return p * q, ref_mul(ref, other)
     if op == "pow":
-        n = rng.randint(0, 3)
+        n = rng.randint(0, 9 if len(ref) <= 5 else 3)  # small bases to higher powers
         out = {kernel._ONE: Fraction(1)}
         for _ in range(n):
             out = ref_mul(out, ref)
@@ -185,6 +186,25 @@ def test_random_operation_sequences_match_the_fraction_reference(kernel):
             if len(ref) > 40:  # keep products small
                 ref = random_ref(rng, kernel)
                 p = kernel(ref)
+
+
+def test_power_squares(monkeypatch):
+    # ** multiplies by squaring: p ** 64 takes six squarings and one product
+    calls = []
+    mul = exppoly._mul
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(exppoly, "_mul", counting)
+    ref = {(0, 0): Fraction(1), (1, 0): Fraction(-2, 3), (2, 0): Fraction(5)}
+    power = ExpPoly(ref) ** 64
+    assert 0 < len(calls) <= 2 * (64).bit_length()
+    out = {ExpPoly._ONE: Fraction(1)}
+    for _ in range(64):
+        out = ref_mul(out, ref)
+    assert_matches(power, out)
 
 
 def test_the_verdict_path_builds_no_fraction(monkeypatch):
