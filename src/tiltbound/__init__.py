@@ -3,7 +3,7 @@
 Layers:
 
 * :mod:`tiltbound.tilted` evaluates tilted-capped means of finite symmetric
-  distributions, the two sharp bound factors as plain functions, and the
+  distributions, the two bound factors as plain functions, and the
   symmetrized comparison expressions.
 * :mod:`tiltbound.prover` certifies one-variable exp-polynomial inequalities
   with exact, replayable certificates.

@@ -5,18 +5,22 @@ supremum of the tilted mean, divided by s^2, climbs to sinh(hw)/w as s drops
 to 0, driven by the three-point family supported on {-w, 0, w}.
 :func:`ratio_limit_scan` reproduces that limit numerically through
 :func:`sup_symmetric`.  :func:`sup_zero_mean` searches the zero-mean class,
-whose corresponding constant is the larger (e^{hw} - 1)/w.  Both searches
-take E[X^2] = sigma2 and place atoms in [-4w, 4w].
+for which the factor quoted is the larger (e^{hw} - 1)/w; its float search
+gives only a lower bound on that class's supremum and proves nothing about
+the factor.  Both searches take E[X^2] = sigma2 and place atoms in [-4w, 4w].
 
-The optimizer is deterministic (coarse grids plus coordinate refinement, no
-randomness) so scans are reproducible run to run.  For fixed atom positions
-the objective is a ratio of two linear functions of the weights, so over the
-weight polytope cut out by the mass and second-moment constraints the optimum
-sits at a vertex with at most two active support points; the search therefore
-enumerates the pair family of :func:`pair_atoms` (one pair plus an atom at
-zero, or two pairs) with weights solved exactly.  A private pair objective
-evaluates each candidate to the same float as :func:`tilted_mean_signed` of
-its :func:`pair_atoms`, from exponentials computed once per support point.
+The optimizer is deterministic (no randomness) so scans are reproducible run
+to run.  For fixed atom positions the objective is a ratio of two linear
+functions of the weights, so over the weight polytope cut out by the mass and
+second-moment constraints the optimum sits at a vertex with at most two
+active support points; the search therefore enumerates the pair family of
+:func:`pair_atoms` (one pair plus an atom at zero, or two pairs) with weights
+solved exactly.  Both families with two free support points, the two pairs
+and sup_zero_mean's {x_pos, -x_neg, 0}, go through one search routine: the
+first best point of a 2-D grid, then coordinate refinement up to its fixed
+point.  A private pair objective evaluates each candidate to the same float
+as :func:`tilted_mean_signed` of its :func:`pair_atoms`, from exponentials
+computed once per support point.
 """
 
 from __future__ import annotations
@@ -155,25 +159,58 @@ def _refine_scalar(
     points: int = 129,
     rounds: int = 4,
 ) -> tuple[float, float]:
-    """Grid search with shrinking windows; returns (best_x, best_value)."""
+    """Grid search with shrinking windows; returns (best_x, best_value).
+
+    Round 0 scans [lo, hi] at ``points`` even steps plus the ``extra``
+    points inside it; each of the ``rounds`` that follow scans the steps of
+    one grid spacing either side of the best point so far, within [lo, hi].
+    """
     best_x, best_val = lo, -math.inf
-    candidates = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    candidates.extend(x for x in extra if lo <= x <= hi)
-    for x in candidates:
-        val = objective(x)
-        if val > best_val:
-            best_x, best_val = x, val
-    span = (hi - lo) / (points - 1)
-    for _ in range(rounds):
-        window_lo = max(lo, best_x - span)
-        window_hi = min(hi, best_x + span)
-        for i in range(points):
-            x = window_lo + (window_hi - window_lo) * i / (points - 1)
+    window_lo, window_hi = lo, hi
+    extras = [x for x in extra if lo <= x <= hi]
+    for _ in range(rounds + 1):
+        width = window_hi - window_lo
+        for x in [window_lo + width * i / (points - 1) for i in range(points)] + extras:
             val = objective(x)
             if val > best_val:
                 best_x, best_val = x, val
-        span = (window_hi - window_lo) / (points - 1)
+        extras = []
+        span = width / (points - 1)
+        window_lo, window_hi = max(lo, best_x - span), min(hi, best_x + span)
     return best_x, best_val
+
+
+_Window = Callable[[float], tuple[float, float, Sequence[float]]]  # -> (lo, hi, extra)
+
+
+def _coordinate_search(
+    value: Callable[[float, float], float], xs: Sequence[float],
+    ys: Callable[[float], Sequence[float]], start: tuple[float, float],
+    x_window: _Window, y_window: _Window,
+) -> tuple[float, float, float]:
+    """Best (x, y, value) of a 2-D objective; the one search of both families.
+
+    Takes the first best point of the grid ``for x in xs: for y in ys(x)``
+    (``start`` if none beats -inf), then refines one coordinate at a time
+    with :func:`_refine_scalar`: x over ``x_window(y)``, then y over
+    ``y_window(x)``.  A round that leaves y where it began would be repeated
+    call for call by the next, so the refinement stops there, after at most
+    3 rounds.
+    """
+    best_x, best_y = start
+    best_val = -math.inf
+    for x in xs:
+        for y in ys(x):
+            val = value(x, y)
+            if val > best_val:
+                best_x, best_y, best_val = x, y, val
+    for _ in range(3):  # each coordinate at 65 points, 2 rounds
+        best_x, _ = _refine_scalar(lambda x: value(x, best_y), *x_window(best_y), 65, 2)
+        last_y = best_y
+        best_y, best_val = _refine_scalar(lambda y: value(best_x, y), *y_window(best_x), 65, 2)
+        if best_y == last_y:
+            break
+    return best_x, best_y, best_val
 
 
 @dataclass(frozen=True)
@@ -221,22 +258,10 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
         grid_n = 33
         lows = [sigma * i / grid_n for i in range(1, grid_n + 1)]
         highs = [sigma + (x_max - sigma) * i / (grid_n - 1) for i in range(grid_n)]
-        best_lo, best_hi, best_two = lows[0], highs[-1], -math.inf
-        for xl in lows:
-            for xh in highs:
-                val = pair_value(xl, xh)
-                if val > best_two:
-                    best_lo, best_hi, best_two = xl, xh, val
-        for _ in range(3):  # coordinate refinement, up to its fixed point
-            best_lo, best_two = _refine_scalar(
-                lambda x: pair_value(x, best_hi), sigma / grid_n, sigma, points=65, rounds=2
-            )
-            last_hi = best_hi
-            best_hi, best_two = _refine_scalar(
-                lambda x: pair_value(best_lo, x), sigma, x_max, extra=[p.w], points=65, rounds=2
-            )
-            if best_hi == last_hi:  # a further round would repeat this one
-                break
+        best_lo, best_hi, best_two = _coordinate_search(
+            pair_value, lows, lambda _: highs, (lows[0], highs[-1]),
+            lambda _: (sigma / grid_n, sigma, ()), lambda _: (sigma, x_max, (p.w,)),
+        )
         if best_two > best_val:
             best_val = best_two
             best_atoms = pair_atoms(best_lo, best_hi, sigma2)
@@ -248,8 +273,9 @@ def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over zero-mean laws with E[X^2] = sigma2.
 
     Searches three-atom supports {x_pos, -x_neg, 0} in [-4w, 4w]; the value
-    is a lower bound on the true supremum, which approaches the factor
-    (e^{hw} - 1)/w as sigma2 drops to 0.
+    is a lower bound on the true supremum.  At small sigma2 its ratio to
+    sigma2 comes close to (e^{hw} - 1)/w from below, which is evidence for
+    that factor, not a proof of it.
     """
     x_max = _atom_range(sigma2, p)
 
@@ -272,28 +298,18 @@ def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
     pos_points = [sigma2 / x_max + (x_max - sigma2 / x_max) * i / 64 for i in range(65)]
     if sigma2 / x_max <= p.w <= x_max:
         pos_points.append(p.w)
-    best = (-math.inf, x_max, x_max)
-    for xp in pos_points:
-        for xn in neg_grid(xp):
-            val = value(xp, xn)
-            if val > best[0]:
-                best = (val, xp, xn)
-    _, best_pos, best_neg = best
-    for _ in range(3):  # coordinate refinement, up to its fixed point
-        best_pos, _ = _refine_scalar(
-            lambda x: value(x, best_neg), sigma2 / x_max, x_max, extra=[p.w], points=65, rounds=2
-        )
-        floor = sigma2 / best_pos
-        last_neg = best_neg
-        best_neg, best_value = _refine_scalar(
-            lambda x: value(best_pos, x), floor, x_max, extra=[floor], points=65, rounds=2
-        )
-        if best_neg == last_neg:  # a further round would repeat this one
-            break
+    best_pos, best_neg, best_value = _coordinate_search(
+        value, pos_points, neg_grid, (x_max, x_max),
+        lambda _: (sigma2 / x_max, x_max, (p.w,)),
+        lambda x_pos: (sigma2 / x_pos, x_max, (sigma2 / x_pos,)),
+    )
     return SupSearchResult(best_value, tuple(zero_mean_three_atom(best_pos, best_neg, sigma2)))
 
 
 # -- sharpness scan ----------------------------------------------------------
+
+
+_SCAN_COLUMNS = ("sigma", "sup", "ratio", "bound_factor", "gap")  # to_dict keys, CSV columns
 
 
 @dataclass(frozen=True)
@@ -306,13 +322,7 @@ class ScanRow:
     atoms: tuple[tuple[float, float], ...]  # signed support of the best law found
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "sup": self.sup,
-            "ratio": self.ratio,
-            "bound_factor": self.bound_factor,
-            "gap": self.gap,
-        }
+        return {name: getattr(self, name) for name in _SCAN_COLUMNS}
 
 
 def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
@@ -345,9 +355,7 @@ def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
 
 
 def scan_to_csv(rows: Sequence[ScanRow]) -> str:
-    lines = ["sigma,sup,ratio,bound_factor,gap"]
+    lines = [",".join(_SCAN_COLUMNS)]
     for row in rows:
-        lines.append(
-            f"{row.sigma!r},{row.sup!r},{row.ratio!r},{row.bound_factor!r},{row.gap!r}"
-        )
+        lines.append(",".join(repr(getattr(row, name)) for name in _SCAN_COLUMNS))
     return "\n".join(lines) + "\n"

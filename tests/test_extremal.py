@@ -222,6 +222,45 @@ class TestSupSearch:
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert second == pytest.approx(1e-4, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "sigma2, h, w, value, atoms",
+        [
+            (1e-4, 1.0, 1.0, "0x1.684f126a9b221p-13",
+             ((-0.0001, 0.9999000099990002), (1.0, 9.999000099990002e-05))),
+            (1e-2, 2.0, 0.5, "0x1.0d3aff68b862fp-5",
+             ((-0.02, 0.9615384615384615), (0.5, 0.038461538461538464),
+              (0.0, 1.1102230246251565e-16))),
+            (0.25, 0.5, 2.0, "0x1.9a84b69752633p-3",
+             ((-0.125, 0.9411764705882353), (2.0, 0.058823529411764705))),
+            (1.0, 1.0, 1.0, "0x1.b5892a4c64e0dp-1",
+             ((-0.649746192893401, 0.7031507618719764), (1.5390625, 0.29684923812802344),
+              (0.0, 1.1102230246251565e-16))),
+        ],
+    )
+    def test_zero_mean_search_is_pinned_bit_for_bit(self, sigma2, h, w, value, atoms):
+        # the search is deterministic: a change to its grids, windows or
+        # evaluation order shows here as a different float or argmax
+        found = sup_zero_mean(sigma2, TiltParams(h, w))
+        assert found.value.hex() == value
+        assert found.atoms == atoms
+
+    @pytest.mark.parametrize(
+        "search, sigma2, reached",
+        # sigma = 1e-10 is below the two-pair cut-off sigma > 1e-9
+        [(sup_symmetric, 0.01, 1), (sup_zero_mean, 0.01, 1), (sup_symmetric, 1e-20, 0)],
+    )
+    def test_both_families_share_one_search(self, monkeypatch, search, sigma2, reached):
+        calls = []
+        coordinate_search = extremal._coordinate_search
+
+        def counting_search(*args):
+            calls.append(args)
+            return coordinate_search(*args)
+
+        monkeypatch.setattr(extremal, "_coordinate_search", counting_search)
+        search(sigma2, P11)
+        assert len(calls) == reached
+
     def test_infeasible_sigma_rejected(self):
         # atoms stay in [-4w, 4w], so sigma2 = 100 > (4w)^2 = 16 is infeasible
         for search in (sup_symmetric, sup_zero_mean):
