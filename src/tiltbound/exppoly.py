@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterator, Mapping
 
-from .rootisolation import Scalar, exact, primitive
+from .rootisolation import Scalar, exact
 
 
 # The one arithmetic of the exact kernels, on pairs (terms, den): the polynomial
@@ -156,15 +156,14 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _pair(self, other) -> tuple[dict, int] | None:
-        """(terms, den) of an operand of this type or of a scalar ``_scalar`` takes, else None."""
-        if type(other) is type(self):
-            return other._terms, other._den
-        ratio = self._scalar(other)
+    def _pair(self, scalar) -> tuple[dict, int] | None:
+        """(terms, den) of a scalar ``_scalar`` takes, else None; ``+ - *`` read their own type."""
+        ratio = self._scalar(scalar)
         return None if ratio is None else ({self._ONE: ratio[0]}, ratio[1])
 
     def __add__(self, other):
-        if (pair := self._pair(other)) is None:
+        pair = (other._terms, other._den) if type(other) is type(self) else self._pair(other)
+        if pair is None:
             return NotImplemented
         return self._of(*_add((self._terms, self._den), pair))
 
@@ -176,7 +175,8 @@ class SparsePoly:
         return p
 
     def __sub__(self, other):
-        if (pair := self._pair(other)) is None:
+        pair = (other._terms, other._den) if type(other) is type(self) else self._pair(other)
+        if pair is None:
             return NotImplemented
         return self._of(*_add((self._terms, self._den), pair, -1))
 
@@ -186,7 +186,8 @@ class SparsePoly:
         return self._of(*_add(pair, (self._terms, self._den), -1))
 
     def __mul__(self, other):
-        if (pair := self._pair(other)) is None:
+        pair = (other._terms, other._den) if type(other) is type(self) else self._pair(other)
+        if pair is None:
             return NotImplemented
         return self._of(*_mul((self._terms, self._den), pair, self._ONE))
 
@@ -246,7 +247,7 @@ class ExpPoly(SparsePoly):
     @property
     def w_degree(self) -> int:
         """Highest power of w; -1 for the zero polynomial."""
-        return max((i for i, _ in self._terms), default=-1)
+        return max(self._terms)[0] if self._terms else -1  # keys (i, k) order by i first
 
     @property
     def t_degrees(self) -> tuple[int, int]:
@@ -264,7 +265,11 @@ class ExpPoly(SparsePoly):
 
     def eval_at_zero(self) -> Scalar:
         """Exact value of P(w, e^w) at w = 0, i.e. P(0, 1)."""
-        return self._rational(sum(c for (i, _), c in self._terms.items() if i == 0))
+        total = 0
+        for (i, _), c in self._terms.items():
+            if not i:
+                total += c
+        return self._rational(total)
 
     def evaluate(self, w: float) -> float:
         """Floating-point value of P(w, e^w).  May overflow for large w."""
@@ -329,13 +334,25 @@ def normalize(raw: ExpPoly) -> ExpPoly:
     of P(w, e^w) pointwise since w > 0 and t = e^w > 0.
 
     Raises ValueError on the zero polynomial.
+
+    One pass for each minimum, and the terms are rebuilt only when a minimum
+    is nonzero or the content is not 1; otherwise the result shares the
+    input's dict (a polynomial is immutable).  The numerators are nonzero and
+    coprime over denominator 1, so the result is already reduced.
     """
-    if raw.is_zero:
+    terms = raw._terms
+    if not terms:
         raise ValueError("cannot normalize the zero polynomial")
-    min_i = min(i for i, _ in raw._terms)
-    min_k = min(k for _, k in raw._terms)
-    keys = [(i - min_i, k - min_k) for i, k in raw._terms]
-    return ExpPoly._of(dict(zip(keys, primitive(raw._terms.values()))), 1)
+    min_i = min(terms)[0]  # keys (i, k) order by i first
+    min_k = min([k for _, k in terms])
+    g = math.gcd(*terms.values())  # the content, as in rootisolation.primitive
+    if min_i or min_k:
+        terms = {(i - min_i, k - min_k): c // g for (i, k), c in terms.items()}
+    elif g != 1:
+        terms = {key: c // g for key, c in terms.items()}
+    p = ExpPoly.__new__(ExpPoly)
+    p._terms, p._den = terms, 1
+    return p
 
 
 def derivative(p: ExpPoly) -> ExpPoly:

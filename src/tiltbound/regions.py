@@ -461,14 +461,15 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     """
     u, v, w = U, V, W
     d1 = vexp(v + w) * CATALOG["d1_case2"].fn(u, v, w)
+    d1_v = d1.diff("v")
     sw, ew, c = vsinh(w), vexp(w), vcosh(u) - 1
     return (
         (d1, (w * vexp(v) * CATALOG["d_case2"].fn(u, v, w).diff("v"),)),
         (
-            vexp(-v) * d1.diff("v").diff("v"),
+            vexp(-v) * d1_v.diff("v"),
             (lemmas["M2"], -4 * sw * c * (2 + v), -4 * sw * (v - w)),
         ),
-        (d1.diff("v").at("v", "w"), (lemmas["S0"], -4 * sw * ew * (1 + w) * c)),
+        (d1_v.at("v", "w"), (lemmas["S0"], -4 * sw * ew * (1 + w) * c)),
         (
             d1.at("v", "w"),
             (

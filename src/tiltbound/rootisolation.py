@@ -53,7 +53,8 @@ def evaluate(p: Poly, x: Scalar) -> Scalar:
 def primitive(cs: Sequence[int]) -> tuple[int, ...]:
     """cs divided by their content, so coprime; cs is empty or not all 0.
 
-    The one content routine of the exact kernels.
+    The content is ``gcd`` of the coefficients, the one content of the exact
+    kernels: :func:`~.exppoly.normalize` divides by the same ``gcd``.
     """
     g = gcd(*cs)
     return tuple(cs) if g == 1 else tuple(c // g for c in cs)

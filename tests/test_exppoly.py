@@ -1,6 +1,7 @@
 """ExpPoly algebra, the expression grammar, and the normal form."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from tiltbound.exppoly import (
     parse_rational,
     rational_str,
 )
+from tiltbound.rootisolation import primitive
 
 
 def poly(terms):
@@ -117,6 +119,78 @@ class TestNormalize:
                 # allow either to be a numerical zero
                 if abs(a) > 1e-9 and abs(b) > 1e-9:
                     assert (a > 0) == (b > 0)
+
+
+def _reference_normalize(p: ExpPoly) -> ExpPoly:
+    """The two-pass normal form: both minima by generator, keys and content rebuilt."""
+    min_i = min(i for i, _ in p._terms)
+    min_k = min(k for _, k in p._terms)
+    keys = [(i - min_i, k - min_k) for i, k in p._terms]
+    return ExpPoly._of(dict(zip(keys, primitive(p._terms.values()))), 1)
+
+
+def _reference_w_degree(p: ExpPoly) -> int:
+    return max((i for i, _ in p._terms), default=-1)
+
+
+def _reference_t_degrees(p: ExpPoly) -> tuple[int, int]:
+    ks = [k for _, k in p._terms] or [0]
+    return (min(ks), max(ks))
+
+
+def _reference_eval_at_zero(p: ExpPoly):
+    return p._rational(sum(c for (i, _), c in p._terms.items() if i == 0))
+
+
+def _chain_inputs(seed: int, count: int) -> list[ExpPoly]:
+    """Random ExpPolys: Fraction coefficients, negative t-degrees, one-term ones,
+    content above 1 and already-normal ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        terms = {}
+        for _ in range(rng.choice((1, 1, 2, 3, 5, 8))):
+            key = (rng.randint(0, 5), rng.randint(-6, 6))
+            terms[key] = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 12)))
+        p = ExpPoly(terms)
+        if p.is_zero:
+            continue
+        p = p * rng.choice((1, 1, 2, 6, Fraction(35, 4))) * W ** rng.randint(0, 2)
+        out += [p, normalize(p)]
+        if not (dp := derivative(p)).is_zero:
+            out.append(dp)
+    return out
+
+
+class TestChainRoutines:
+    """The routines of each chain level against their reference formulas."""
+
+    def test_inputs_cover_every_shape(self):
+        polys = _chain_inputs(7, 600)
+        assert any(len(p._terms) == 1 for p in polys)
+        assert any(p._den != 1 for p in polys)
+        assert any(p.t_degrees[0] < 0 for p in polys)
+        assert any(p._den == 1 and math.gcd(*p._terms.values()) > 1 for p in polys)
+        assert any(normalize(p) == p for p in polys)
+
+    def test_equal_their_references(self):
+        for p in _chain_inputs(7, 600):
+            before = (dict(p._terms), p._den)
+            q = normalize(p)
+            assert type(q) is ExpPoly
+            assert q == _reference_normalize(p) and q._den == 1, p
+            assert all(type(c) is int and c for c in q._terms.values())
+            assert (dict(p._terms), p._den) == before  # the input is unchanged
+            assert normalize(q) == q
+            for r in (p, q):
+                assert r.w_degree == _reference_w_degree(r)
+                assert r.t_degrees == _reference_t_degrees(r)
+                value, reference = r.eval_at_zero(), _reference_eval_at_zero(r)
+                assert value == reference and type(value) is type(reference)
+        for r in (ExpPoly.zero(), ExpPoly.constant(Fraction(-3, 4))):
+            assert r.w_degree == _reference_w_degree(r)
+            assert r.t_degrees == _reference_t_degrees(r)
+            assert r.eval_at_zero() == _reference_eval_at_zero(r)
 
 
 class TestDerivative:

@@ -1,5 +1,6 @@
 """Sign decisions, certificates, replay, and the inequality battery."""
 
+import hashlib
 import json
 import math
 import random
@@ -340,3 +341,37 @@ class TestBattery:
         assert data["all_certified"] is True
         assert len(data["entries"]) == len(BATTERY)
         assert all(e["outcome"] == e["expected"] for e in data["entries"])
+
+
+# Claims pinned beside the battery: Fraction and decimal coefficients, sinh and
+# cosh of w, 2w and 3w, negated and exp-shifted claims, and the longest chain
+# (12 steps, the remainder of exp(w) after its Taylor polynomial of degree 11).
+PINNED_CLAIMS = (
+    "exp(w) - 1 - w - w^2/2 - w^3/6 - w^4/24 - w^5/120 - w^6/720 - w^7/5040"
+    " - w^8/40320 - w^9/362880 - w^10/3628800 - w^11/39916800",
+    "3/7*(exp(-2*w) - 1 + 2*w - 2*w^2)",
+    "-5/9*exp(2*w)*(cosh(3*w) - 1 - 9/2*w^2 - 27/8*w^4)",
+    "sinh(2*w) - 2*w - 4/3*w^3",
+    "1/3*w*cosh(w) - 1/3*sinh(w)",
+    "0.25*(w*cosh(2*w) - 1/2*sinh(2*w))",
+    "exp(w)^2 - 4*exp(w) + 5",
+    "w/7 + 2/9*(cosh(w) - 1) + 1/11*w^3*exp(w)",
+    "cosh(w) - 1",
+    "-(2/3)*(exp(3*w) - 1 - 3*w - 9/2*w^2)",
+)
+# sha256 of the JSON list of their to_dict() certificates, battery first
+PINNED_DIGEST = "e3f4fa0aa5a7d88553430d29b6a9c31cc5f661300914cffcdeec5063e0c7ed67"
+
+
+def test_certificates_are_pinned():
+    # a change to the derivative chain that moves any step, boundary value or
+    # claim of these certificates changes the digest
+    texts = [text for _, text, _, _ in BATTERY] + list(PINNED_CLAIMS)
+    certificates = []
+    for text in texts:
+        certificate = decide_sign(parse_expression(text)).certificate
+        assert certificate is not None, text
+        certificates.append(certificate.to_dict())
+    assert max(len(c["steps"]) for c in certificates) == 12
+    blob = json.dumps(certificates, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DIGEST
