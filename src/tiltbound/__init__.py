@@ -21,7 +21,6 @@ from .extremal import (
     ratio_limit_scan,
     scan_to_csv,
     sup_symmetric,
-    sup_zero_mean,
     three_point_extremal,
 )
 from .intervals import Interval
@@ -92,7 +91,6 @@ __all__ = [
     "replay",
     "scan_to_csv",
     "sup_symmetric",
-    "sup_zero_mean",
     "symmetric_factor",
     "three_point_extremal",
     "tilted_mean",

@@ -4,10 +4,11 @@ The sharpness side of the bound: over symmetric laws with E[X^2] = s^2 the
 supremum of the tilted mean, divided by s^2, climbs to sinh(hw)/w as s drops
 to 0, driven by the three-point family supported on {-w, 0, w}.
 :func:`ratio_limit_scan` reproduces that limit numerically through
-:func:`sup_symmetric`.  :func:`sup_zero_mean` searches the zero-mean class,
-for which the factor quoted is the larger (e^{hw} - 1)/w; its float search
-gives only a lower bound on that class's supremum and proves nothing about
-the factor.  Both searches take E[X^2] = sigma2 and place atoms in [-4w, 4w].
+:func:`sup_symmetric`, which takes E[X^2] = sigma2 and places atoms in
+[-4w, 4w].  The theorem and this search are about symmetric laws only; the
+zero-mean factor (e^{hw} - 1)/w is a comparison point, and the tests show
+with the closed-form two-point law on {w, -sigma2/w} that a zero-mean law
+exceeds sinh(hw)/w, so the symmetric bound needs symmetry.
 
 The optimizer is deterministic (no randomness) so scans are reproducible run
 to run.  For fixed atom positions the objective is a ratio of two linear
@@ -15,12 +16,11 @@ functions of the weights, so over the weight polytope cut out by the mass and
 second-moment constraints the optimum sits at a vertex with at most two
 active support points; the search therefore enumerates the pair family of
 :func:`pair_atoms` (one pair plus an atom at zero, or two pairs) with weights
-solved exactly.  Both families with two free support points, the two pairs
-and sup_zero_mean's {x_pos, -x_neg, 0}, go through one search routine: the
-first best point of a 2-D grid, then coordinate refinement up to its fixed
-point.  A private pair objective evaluates each candidate to the same float
-as :func:`tilted_mean_signed` of its :func:`pair_atoms`, from exponentials
-computed once per support point.
+solved exactly.  The two-pair family goes through :func:`_coordinate_search`:
+the first best point of a 2-D grid, then coordinate refinement up to its
+fixed point.  A private pair objective evaluates each candidate to the same
+float as :func:`~.tilted.tilted_mean_signed` of its :func:`pair_atoms`, from
+exponentials computed once per support point.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+# bench/tracing.py counts calls through extremal.tilted_mean_signed
 from .tilted import SymmetricDiscreteDistribution, TiltParams, symmetric_factor, tilted_mean_signed
 
 
@@ -126,28 +127,6 @@ def _pair_objective(sigma2: float, p: TiltParams) -> Callable[[float, float], fl
     return value
 
 
-def zero_mean_three_atom(
-    x_pos: float, x_neg: float, sigma2: float
-) -> list[tuple[float, float]]:
-    """Zero-mean signed atoms {x_pos, -x_neg, 0} with E[X^2] = sigma2.
-
-    Solving E X = 0 and E X^2 = sigma2 gives the two outer weights; the
-    remainder sits at zero and must be nonnegative, i.e. x_pos * x_neg >=
-    sigma2.
-    """
-    if x_pos <= 0 or x_neg <= 0:
-        raise ValueError("support points must be positive")
-    q_pos = sigma2 / (x_pos * (x_pos + x_neg))
-    q_neg = sigma2 / (x_neg * (x_pos + x_neg))
-    q_zero = 1.0 - q_pos - q_neg
-    if q_zero < -1e-12:
-        raise ValueError("infeasible: support too close to zero for the moment")
-    atoms = [(-x_neg, q_neg), (x_pos, q_pos)]
-    if q_zero > 0:
-        atoms.append((0.0, q_zero))
-    return atoms
-
-
 # -- deterministic refinement ------------------------------------------------
 
 
@@ -180,34 +159,30 @@ def _refine_scalar(
     return best_x, best_val
 
 
-_Window = Callable[[float], tuple[float, float, Sequence[float]]]  # -> (lo, hi, extra)
-
-
 def _coordinate_search(
-    value: Callable[[float, float], float], xs: Sequence[float],
-    ys: Callable[[float], Sequence[float]], start: tuple[float, float],
-    x_window: _Window, y_window: _Window,
+    value: Callable[[float, float], float], xs: list[float], ys: list[float],
+    x_window: tuple[float, float, Sequence[float]], y_window: tuple[float, float, Sequence[float]],
 ) -> tuple[float, float, float]:
-    """Best (x, y, value) of a 2-D objective; the one search of both families.
+    """Best (x, y, value) of a 2-D objective over the grid ``xs`` x ``ys``.
 
-    Takes the first best point of the grid ``for x in xs: for y in ys(x)``
-    (``start`` if none beats -inf), then refines one coordinate at a time
-    with :func:`_refine_scalar`: x over ``x_window(y)``, then y over
-    ``y_window(x)``.  A round that leaves y where it began would be repeated
-    call for call by the next, so the refinement stops there, after at most
-    3 rounds.
+    Takes the first best point of the grid ``for x in xs: for y in ys``
+    (``(xs[0], ys[-1])`` if none beats -inf), then refines one coordinate at
+    a time with :func:`_refine_scalar`: x over ``x_window``, then y over
+    ``y_window``, each a ``(lo, hi, extra)`` tuple.  A round that leaves y
+    where it began would be repeated call for call by the next, so the
+    refinement stops there, after at most 3 rounds.
     """
-    best_x, best_y = start
+    best_x, best_y = xs[0], ys[-1]
     best_val = -math.inf
     for x in xs:
-        for y in ys(x):
+        for y in ys:
             val = value(x, y)
             if val > best_val:
                 best_x, best_y, best_val = x, y, val
     for _ in range(3):  # each coordinate at 65 points, 2 rounds
-        best_x, _ = _refine_scalar(lambda x: value(x, best_y), *x_window(best_y), 65, 2)
+        best_x, _ = _refine_scalar(lambda x: value(x, best_y), *x_window, 65, 2)
         last_y = best_y
-        best_y, best_val = _refine_scalar(lambda y: value(best_x, y), *y_window(best_x), 65, 2)
+        best_y, best_val = _refine_scalar(lambda y: value(best_x, y), *y_window, 65, 2)
         if best_y == last_y:
             break
     return best_x, best_y, best_val
@@ -220,7 +195,7 @@ class SupSearchResult:
 
 
 def _atom_range(sigma2: float, p: TiltParams) -> float:
-    """The searches place atoms in [-4w, 4w]; sigma2 must fit inside.
+    """The search places atoms in [-4w, 4w]; sigma2 must fit inside.
 
     A subnormal sigma2 is rejected: the weights solved from it lose their
     precision, and the search then reports ratios above sinh(hw)/w.  So is a
@@ -259,51 +234,13 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
         lows = [sigma * i / grid_n for i in range(1, grid_n + 1)]
         highs = [sigma + (x_max - sigma) * i / (grid_n - 1) for i in range(grid_n)]
         best_lo, best_hi, best_two = _coordinate_search(
-            pair_value, lows, lambda _: highs, (lows[0], highs[-1]),
-            lambda _: (sigma / grid_n, sigma, ()), lambda _: (sigma, x_max, (p.w,)),
+            pair_value, lows, highs, (sigma / grid_n, sigma, ()), (sigma, x_max, (p.w,))
         )
         if best_two > best_val:
             best_val = best_two
             best_atoms = pair_atoms(best_lo, best_hi, sigma2)
 
     return SupSearchResult(best_val, tuple(best_atoms))
-
-
-def sup_zero_mean(sigma2: float, p: TiltParams) -> SupSearchResult:
-    """Best tilted mean found over zero-mean laws with E[X^2] = sigma2.
-
-    Searches three-atom supports {x_pos, -x_neg, 0} in [-4w, 4w]; the value
-    is a lower bound on the true supremum.  At small sigma2 its ratio to
-    sigma2 comes close to (e^{hw} - 1)/w from below, which is evidence for
-    that factor, not a proof of it.
-    """
-    x_max = _atom_range(sigma2, p)
-
-    def value(x_pos: float, x_neg: float) -> float:
-        try:  # zero_mean_three_atom is the one feasibility check
-            atoms = zero_mean_three_atom(x_pos, x_neg, sigma2)
-        except ValueError:
-            return -math.inf
-        return tilted_mean_signed(atoms, p.h, p.w)
-
-    # x_neg spans many orders of magnitude (the extremal shape pushes it to
-    # its feasibility floor sigma2 / x_pos), so scan it on a log scale.
-    def neg_grid(x_pos: float, n: int = 65) -> list[float]:
-        floor = sigma2 / x_pos
-        if floor >= x_max:
-            return []
-        ratio = x_max / floor
-        return [floor * ratio ** (i / (n - 1)) for i in range(n)]
-
-    pos_points = [sigma2 / x_max + (x_max - sigma2 / x_max) * i / 64 for i in range(65)]
-    if sigma2 / x_max <= p.w <= x_max:
-        pos_points.append(p.w)
-    best_pos, best_neg, best_value = _coordinate_search(
-        value, pos_points, neg_grid, (x_max, x_max),
-        lambda _: (sigma2 / x_max, x_max, (p.w,)),
-        lambda x_pos: (sigma2 / x_pos, x_max, (sigma2 / x_pos,)),
-    )
-    return SupSearchResult(best_value, tuple(zero_mean_three_atom(best_pos, best_neg, sigma2)))
 
 
 # -- sharpness scan ----------------------------------------------------------

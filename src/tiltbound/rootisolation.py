@@ -35,9 +35,14 @@ def exact(value: Scalar) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def _rational(value) -> Scalar:
+    """value read as an exact rational (an int stays as it is); NaN raises ValueError."""
+    return value if type(value) is int else exact(Fraction(value))
+
+
 def make_poly(coeffs: Sequence) -> Poly:
     """Build a trimmed ascending-coefficient polynomial from any rationals."""
-    cs = [c if type(c) is int else exact(Fraction(c)) for c in coeffs]
+    cs = [_rational(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -93,6 +98,7 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
     near an irrational multiple root, whose variations never fall to 1.
     """
     leaves, work = [], 0
+    lower = _rational(lower)
     shifted = _shift(make_poly(p), lower)  # p(lower + x), then over one denominator
     den = lcm(*(c.denominator for c in shifted))
     shifted = primitive([c.numerator * (den // c.denominator) for c in shifted])
@@ -122,6 +128,10 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
 
 def count_roots_above(p: Poly, lower: Scalar) -> int:
     """Number of distinct real roots of p in the open interval (lower, oo).
+
+    ``lower`` is read as an exact rational, as :func:`make_poly` reads the
+    coefficients: the float 1.5 counts as Fraction(3, 2), and NaN raises
+    ValueError.
 
     Raises ArithmeticError when the bisection does not resolve the roots
     (see ``_leaves``).

@@ -11,7 +11,6 @@ from tiltbound import (
     ratio_limit_scan,
     scan_to_csv,
     sup_symmetric,
-    sup_zero_mean,
     symmetric_factor,
     three_point_extremal,
     tilted_mean,
@@ -19,7 +18,7 @@ from tiltbound import (
     zero_mean_factor,
 )
 from tiltbound import extremal
-from tiltbound.extremal import _pair_objective, pair_atoms, zero_mean_three_atom
+from tiltbound.extremal import _pair_objective, pair_atoms
 
 P11 = TiltParams(1.0, 1.0)
 
@@ -57,6 +56,21 @@ def second_moment(atoms) -> float:
     return math.fsum(x * x * p for x, p in atoms)
 
 
+WITNESS_PARAMS = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (1.5, 1.5)]
+
+
+def zero_mean_two_point(sigma2: float, w: float) -> list[tuple[float, float]]:
+    """The zero-mean law on {-a, w} with E[X^2] = sigma2, a = sigma2 / w.
+
+    Mass q = a / (w + a) at w balances the mean; E X^2 = a^2 (1 - q) + w^2 q
+    = a w = sigma2.  A float search over zero-mean three-atom laws converged
+    to this law at small sigma2.
+    """
+    a = sigma2 / w
+    q = a / (w + a)
+    return [(-a, 1.0 - q), (w, q)]
+
+
 class TestCandidateConstructors:
     def test_single_pair_moment(self, rng):
         for _ in range(100):
@@ -86,19 +100,6 @@ class TestCandidateConstructors:
         assert pair_atoms(1.0, 2.0, 1.0) == [(-1.0, 0.5), (1.0, 0.5)]
         assert pair_atoms(1.0, 3.0, 5.0) == [(-1.0, 0.25), (1.0, 0.25), (-3.0, 0.25), (3.0, 0.25)]
 
-    def test_zero_mean_constraints(self, rng):
-        for _ in range(100):
-            sigma2 = float(rng.uniform(0.001, 1.0))
-            x_pos = float(rng.uniform(0.2, 4.0))
-            x_neg = float(rng.uniform(sigma2 / x_pos, 4.0))
-            atoms = zero_mean_three_atom(x_pos, x_neg, sigma2)
-            mass = sum(p for _, p in atoms)
-            mean = sum(x * p for x, p in atoms)
-            second = sum(x * x * p for x, p in atoms)
-            assert mass == pytest.approx(1.0, abs=1e-10)
-            assert mean == pytest.approx(0.0, abs=1e-10)
-            assert second == pytest.approx(sigma2, abs=1e-10)
-
     def test_infeasible_configurations_rejected(self):
         with pytest.raises(ValueError):
             pair_atoms(0.0, 0.5, 1.0)  # x^2 < sigma2
@@ -106,8 +107,6 @@ class TestCandidateConstructors:
             pair_atoms(2.0, 3.0, 1.0)  # sigma2 below both atoms
         with pytest.raises(ValueError):
             pair_atoms(-1.0, 3.0, 1.0)  # a negative low pair
-        with pytest.raises(ValueError):
-            zero_mean_three_atom(0.1, 0.1, 1.0)  # zero mass would be negative
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
@@ -209,45 +208,31 @@ class TestSupSearch:
         )
 
     def test_zero_mean_ratio_approaches_sharp_factor(self):
-        factor = zero_mean_factor(P11)
-        found = sup_zero_mean(1e-4, P11)
-        ratio = found.value / 1e-4
-        assert ratio < factor
-        assert ratio == pytest.approx(factor, abs=3e-4)
+        # the symmetric bound needs symmetry: a zero-mean law beats
+        # sinh(hw)/w, and its ratio climbs to (e^{hw} - 1)/w as sigma2 -> 0
+        for h, w in WITNESS_PARAMS:
+            p = TiltParams(h, w)
+            ratios = {
+                sigma2: tilted_mean_signed(zero_mean_two_point(sigma2, w), h, w) / sigma2
+                for sigma2 in (1e-2, 1e-4, 1e-6)
+            }
+            for sigma2, ratio in ratios.items():
+                assert symmetric_factor(p) < ratio < zero_mean_factor(p), (h, w, sigma2)
+            assert ratios[1e-6] == pytest.approx(zero_mean_factor(p), rel=1e-4)
 
     def test_zero_mean_atoms_satisfy_constraints(self):
-        found = sup_zero_mean(1e-4, P11)
-        mean = sum(x * p for x, p in found.atoms)
-        second = sum(x * x * p for x, p in found.atoms)
-        assert mean == pytest.approx(0.0, abs=1e-12)
-        assert second == pytest.approx(1e-4, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "sigma2, h, w, value, atoms",
-        [
-            (1e-4, 1.0, 1.0, "0x1.684f126a9b221p-13",
-             ((-0.0001, 0.9999000099990002), (1.0, 9.999000099990002e-05))),
-            (1e-2, 2.0, 0.5, "0x1.0d3aff68b862fp-5",
-             ((-0.02, 0.9615384615384615), (0.5, 0.038461538461538464),
-              (0.0, 1.1102230246251565e-16))),
-            (0.25, 0.5, 2.0, "0x1.9a84b69752633p-3",
-             ((-0.125, 0.9411764705882353), (2.0, 0.058823529411764705))),
-            (1.0, 1.0, 1.0, "0x1.b5892a4c64e0dp-1",
-             ((-0.649746192893401, 0.7031507618719764), (1.5390625, 0.29684923812802344),
-              (0.0, 1.1102230246251565e-16))),
-        ],
-    )
-    def test_zero_mean_search_is_pinned_bit_for_bit(self, sigma2, h, w, value, atoms):
-        # the search is deterministic: a change to its grids, windows or
-        # evaluation order shows here as a different float or argmax
-        found = sup_zero_mean(sigma2, TiltParams(h, w))
-        assert found.value.hex() == value
-        assert found.atoms == atoms
+        for _, w in WITNESS_PARAMS:
+            for sigma2 in (1e-2, 1e-4, 1e-6):
+                atoms = zero_mean_two_point(sigma2, w)
+                assert math.fsum(p for _, p in atoms) == pytest.approx(1.0, abs=1e-15)
+                assert math.fsum(x * p for x, p in atoms) == pytest.approx(0.0, abs=1e-15 * w)
+                assert second_moment(atoms) == pytest.approx(sigma2, rel=1e-14)
 
     @pytest.mark.parametrize(
         "search, sigma2, reached",
-        # sigma = 1e-10 is below the two-pair cut-off sigma > 1e-9
-        [(sup_symmetric, 0.01, 1), (sup_zero_mean, 0.01, 1), (sup_symmetric, 1e-20, 0)],
+        # the two-pair search runs once above the cut-off sigma > 1e-9 and
+        # never below it (sigma = 1e-10)
+        [(sup_symmetric, 0.01, 1), (sup_symmetric, 1e-20, 0)],
     )
     def test_both_families_share_one_search(self, monkeypatch, search, sigma2, reached):
         calls = []
@@ -263,22 +248,19 @@ class TestSupSearch:
 
     def test_infeasible_sigma_rejected(self):
         # atoms stay in [-4w, 4w], so sigma2 = 100 > (4w)^2 = 16 is infeasible
-        for search in (sup_symmetric, sup_zero_mean):
-            with pytest.raises(ValueError):
-                search(100.0, P11)
+        with pytest.raises(ValueError):
+            sup_symmetric(100.0, P11)
 
     def test_sigma2_validation(self):
-        for search in (sup_symmetric, sup_zero_mean):
-            for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
-                with pytest.raises(ValueError):
-                    search(sigma2, P11)
+        for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
+            with pytest.raises(ValueError):
+                sup_symmetric(sigma2, P11)
 
     def test_refinement_stops_at_its_fixed_point(self, monkeypatch):
         # deterministic cost guard: a coordinate-refinement round that ends
         # on the point it started from would be repeated call for call by
-        # the next, so both searches stop there; at P11 sup_symmetric stops
-        # after round 2 of 3 and sup_zero_mean after round 1 (running all
-        # three rounds took 2,909 and 5,402 objective evaluations)
+        # the next, so the search stops there; at P11 it stops after round 2
+        # of 3 (running all three rounds took 2,909 objective evaluations)
         calls, found = [], []
         objective, refine = extremal._pair_objective, extremal._refine_scalar
 
@@ -308,26 +290,72 @@ class TestSupSearch:
         assert high_1 != calls[grid_end][1]  # round 1 moved x_high off the grid's best
         assert high_2 == high_1  # round 2 did not, so round 3 would repeat it
 
-        evaluations = []
-
-        def counting_atoms(*args):
-            evaluations.append(args)
-            return zero_mean_three_atom(*args)
-
-        monkeypatch.setattr(extremal, "zero_mean_three_atom", counting_atoms)
-        sup_zero_mean(0.01, P11)
-        # a 65 x 65 grid, one round of 3 * 65 + 1 points per coordinate, and
-        # the atoms of the result
-        assert len(evaluations) == 65 * 65 + 2 * (3 * 65 + 1) + 1
 
     def test_subnormal_bound_scale_rejected(self):
         # sinh(hw)/w * sigma2 is the scale of the mean found; below the
         # smallest normal float the search printed ratios off the factor
-        for search in (sup_symmetric, sup_zero_mean):
-            for params, sigma2 in [(TiltParams(1e-320, 1.0), 0.01), (TiltParams(1e-300, 1.0), 1e-9)]:
-                with pytest.raises(ValueError, match="sinh"):
-                    search(sigma2, params)
+        for params, sigma2 in [(TiltParams(1e-320, 1.0), 0.01), (TiltParams(1e-300, 1.0), 1e-9)]:
+            with pytest.raises(ValueError, match="sinh"):
+                sup_symmetric(sigma2, params)
         assert sup_symmetric(0.25, TiltParams(1e-300, 1.0)).value > 0
+
+
+SCAN_PIN = [  # (h, w, sigma, sup.hex(), atoms) of ratio_limit_scan rows
+    (1.0, 1.0, 0.4, "0x1.624db03ed28acp-3",
+     ((0.0, 0.84), (-1.0, 0.08000000000000002), (1.0, 0.08000000000000002))),
+    (1.0, 1.0, 0.1, "0x1.7f0287258baacp-7",
+     ((0.0, 0.99), (-1.0, 0.005000000000000001), (1.0, 0.005000000000000001))),
+    (1.0, 1.0, 0.01, "0x1.ece36a2dee25dp-14", ((0.0, 0.9999), (-1.0, 5e-05), (1.0, 5e-05))),
+    (1.0, 1.0, 0.001, "0x1.3b772acf7405ep-20", ((0.0, 0.999999), (-1.0, 5e-07), (1.0, 5e-07))),
+    (1.0, 1.0, 1e-06, "0x1.4aca2ba77d26cp-40",
+     ((0.0, 0.999999999999), (-1.0, 5e-13), (1.0, 5e-13))),
+    (1.0, 1.0, 1e-10, "0x1.bbfa7c3c8eb73p-67",
+     ((0.0, 1.0), (-1.0, 5.0000000000000005e-21), (1.0, 5.0000000000000005e-21))),
+    (2.0, 0.5, 0.4, "0x1.1dc40dda254fbp-2",
+     ((0.0, 0.3599999999999999), (-0.5, 0.32000000000000006), (0.5, 0.32000000000000006))),
+    (2.0, 0.5, 0.1, "0x1.78e70321a1a97p-6",
+     ((0.0, 0.96), (-0.5, 0.020000000000000004), (0.5, 0.020000000000000004))),
+    (2.0, 0.5, 0.01, "0x1.eccedc8e7c5adp-13", ((0.0, 0.9996), (-0.5, 0.0002), (0.5, 0.0002))),
+    (2.0, 0.5, 0.001, "0x1.3b7709207e2a2p-19", ((0.0, 0.999996), (-0.5, 2e-06), (0.5, 2e-06))),
+    (2.0, 0.5, 1e-06, "0x1.4aca2ba77ad64p-39",
+     ((0.0, 0.999999999996), (-0.5, 2e-12), (0.5, 2e-12))),
+    (2.0, 0.5, 1e-10, "0x1.bbfa7c3c8eb73p-66",
+     ((0.0, 1.0), (-0.5, 2.0000000000000002e-20), (0.5, 2.0000000000000002e-20))),
+    (0.5, 2.0, 0.4, "0x1.78e70321a1a97p-4",
+     ((0.0, 0.96), (-2.0, 0.020000000000000004), (2.0, 0.020000000000000004))),
+    (0.5, 2.0, 0.1, "0x1.80915b437cfbfp-8",
+     ((0.0, 0.9975), (-2.0, 0.0012500000000000002), (2.0, 0.0012500000000000002))),
+    (0.5, 2.0, 0.01, "0x1.ece88dda5ebfbp-15", ((0.0, 0.999975), (-2.0, 1.25e-05), (2.0, 1.25e-05))),
+    (0.5, 2.0, 0.001, "0x1.3b77333b329c8p-21",
+     ((0.0, 0.99999975), (-2.0, 1.25e-07), (2.0, 1.25e-07))),
+    (0.5, 2.0, 1e-06, "0x1.4aca2ba77dbafp-41",
+     ((0.0, 0.99999999999975), (-2.0, 1.25e-13), (2.0, 1.25e-13))),
+    (0.5, 2.0, 1e-10, "0x1.bbfa7c3c8eb73p-68",
+     ((0.0, 1.0), (-2.0, 1.2500000000000001e-21), (2.0, 1.2500000000000001e-21))),
+    (1.5, 1.5, 0.4, "0x1.9378d8034b55fp-2",
+     ((0.0, 0.9288888888888889), (-1.5, 0.03555555555555556), (1.5, 0.03555555555555556))),
+    (1.5, 1.5, 0.1, "0x1.f7e5e8e9e328fp-6",
+     ((0.0, 0.9955555555555555), (-1.5, 0.0022222222222222227), (1.5, 0.0022222222222222227))),
+    (1.5, 1.5, 0.01, "0x1.47e19046677ffp-12",
+     ((0.0, 0.9999555555555556), (-1.5, 2.2222222222222223e-05), (1.5, 2.2222222222222223e-05))),
+    (1.5, 1.5, 0.001, "0x1.a3c2077316df3p-19",
+     ((0.0, 0.9999995555555555), (-1.5, 2.2222222222222222e-07), (1.5, 2.2222222222222222e-07))),
+    (1.5, 1.5, 1e-06, "0x1.b82619b7143f6p-39",
+     ((0.0, 0.9999999999995556), (-1.5, 2.2222222222222222e-13), (1.5, 2.2222222222222222e-13))),
+    (1.5, 1.5, 1e-10, "0x1.2760fe419ea61p-65",
+     ((0.0, 1.0), (-1.5, 2.2222222222222223e-21), (1.5, 2.2222222222222223e-21))),
+    (2.0, 2.0, 0.4, "0x1.106d194732266p+0",
+     ((0.0, 0.9621298841490795), (-2.055472517572343, 0.018935057925460245), (2.055472517572343, 0.018935057925460245))),
+    (2.0, 2.0, 0.1, "0x1.0634170e47467p-3",
+     ((0.0, 0.9975), (-2.0, 0.0012500000000000002), (2.0, 0.0012500000000000002))),
+    (2.0, 2.0, 0.01, "0x1.657594a9008dcp-10", ((0.0, 0.999975), (-2.0, 1.25e-05), (2.0, 1.25e-05))),
+    (2.0, 2.0, 0.001, "0x1.c9d887eea009bp-17",
+     ((0.0, 0.99999975), (-2.0, 1.25e-07), (2.0, 1.25e-07))),
+    (2.0, 2.0, 1e-06, "0x1.e016dc653280bp-37",
+     ((0.0, 0.99999999999975), (-2.0, 1.25e-13), (2.0, 1.25e-13))),
+    (2.0, 2.0, 1e-10, "0x1.422eb6babcb50p-63",
+     ((0.0, 1.0), (-2.0, 1.2500000000000001e-21), (2.0, 1.2500000000000001e-21))),
+]
 
 
 class TestRatioScan:
@@ -377,3 +405,21 @@ class TestRatioScan:
         assert lines[0] == "sigma,sup,ratio,bound_factor,gap"
         assert len(lines) == 3
         assert text == scan_to_csv(ratio_limit_scan(P11, [0.5, 0.1]))
+
+    @pytest.mark.parametrize("h, w, sigma, sup, atoms", SCAN_PIN)
+    def test_rows_are_pinned_bit_for_bit(self, h, w, sigma, sup, atoms):
+        # the scan is deterministic: a change to the search's grids, windows
+        # or evaluation order shows here as a different float or argmax
+        (row,) = ratio_limit_scan(TiltParams(h, w), [sigma])
+        assert (row.sup.hex(), row.atoms) == (sup, atoms)
+
+    def test_two_pair_result_is_pinned_bit_for_bit(self):
+        # no SCAN_PIN row takes the two-pair search's point; at sigma2 = 2,
+        # P11 it wins, one ulp above the law +-sqrt(2) that the x_low = 0 phase
+        # finds, with a low pair whose weight is rounding residue
+        found = sup_symmetric(2.0, P11)
+        assert found.value.hex() == "0x1.2e9869f0a6e89p+0"
+        assert found.atoms == (
+            (-0.7928166940576443, 1.6653345369377348e-16), (0.7928166940576443, 1.6653345369377348e-16),
+            (-1.4142135623730951, 0.49999999999999983), (1.4142135623730951, 0.49999999999999983),
+        )

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -70,6 +71,27 @@ def test_benchmark_span_points_resolve(monkeypatch):
     prover = importlib.import_module("tiltbound.prover")
     missing += [f"prover.ri.{fn}" for fn in tracing.RI_FUNCTIONS if not hasattr(prover.ri, fn)]
     assert not missing
+
+
+
+def test_prover_reads_only_the_traced_rootisolation_names(monkeypatch):
+    # the traced benchmark swaps prover.ri for a namespace holding only
+    # RI_FUNCTIONS, so any other ri.<name> the prover reads fails every
+    # traced run; collect the reads from the source and check each one
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("bench.tracing")
+    tree = ast.parse((ROOT / "src" / "tiltbound" / "prover.py").read_text())
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "ri"]
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ri"
+    ]
+    # ri passed on whole, or read by getattr, would escape the check
+    assert len(uses) == len(reads)
+    names = {node.attr for node in reads}
+    assert names  # count_roots_above and evaluate today
+    assert names <= set(tracing.RI_FUNCTIONS), names - set(tracing.RI_FUNCTIONS)
 
 
 def test_verify_proof_json_has_the_keys_the_benchmark_reads(capsys):

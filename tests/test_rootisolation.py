@@ -117,6 +117,15 @@ class TestCounting:
         # right children that scaled, q(s(1 + x)), would cycle around 16 = 1 + 15
         assert count_roots_above(from_roots([16, 16, 20]), Fraction(1)) == 2
 
+    def test_bound_is_read_as_an_exact_rational(self):
+        # the bound takes the coefficients' exact rule: the float 1.5 is 3/2
+        # (it raised AttributeError on the float's missing denominator)
+        p = (2, -3, 1)  # roots 1 and 2
+        assert count_roots_above(p, 1.5) == count_roots_above(p, Fraction(3, 2)) == 1
+        assert isolate_roots_above(p, 1.5) == isolate_roots_above(p, Fraction(3, 2))
+        with pytest.raises(ValueError):
+            count_roots_above(p, float("nan"))
+
     def test_unresolved_multiple_root_raises(self):
         # (t^2 - 2t - 1)^2: the double root 1 + sqrt 2 is no split point, and
         # the variations around it never fall below 2
