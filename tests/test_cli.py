@@ -211,7 +211,7 @@ class TestExtremal:
             ("extremal_default.json", []),
             (
                 "extremal_h0.5_w2_csv.csv",
-                # the last sigma is below the two-pair cut-off of sup_symmetric
+                # from near the cap w = 2 down to a pair weight of 2.5e-21
                 ["--h", "0.5", "--w", "2", "--sigma", "1.5", "--sigma", "0.2"]
                 + ["--sigma", "1e-5", "--sigma", "1e-10", "--format", "csv"],
             ),

@@ -18,7 +18,7 @@ from tiltbound import (
     zero_mean_factor,
 )
 from tiltbound import extremal
-from tiltbound.extremal import _pair_objective, pair_atoms
+from tiltbound.extremal import _three_point
 
 P11 = TiltParams(1.0, 1.0)
 
@@ -47,6 +47,13 @@ class TestThreePoint:
             three_point_extremal(1.0, 1.0)
         three_point_extremal(1.0 - 1e-9, 1.0)  # just inside is fine
 
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-160])
+    def test_sigma_squared_below_the_smallest_normal_rejected(self, sigma):
+        # 1e-170 squared underflows to 0 (the point mass at 0, a law with
+        # E X^2 = 0), and 1e-160 squared is subnormal, as is its pair weight
+        with pytest.raises(ValueError, match="smallest normal"):
+            three_point_extremal(sigma, 1.0)
+
     def test_closed_form(self):
         dist = three_point_extremal(0.1, 1.0)
         assert tilted_mean(dist, P11) == pytest.approx(three_point_value(0.1, 1, 1), rel=1e-14)
@@ -71,15 +78,35 @@ def zero_mean_two_point(sigma2: float, w: float) -> list[tuple[float, float]]:
     return [(-a, 1.0 - q), (w, q)]
 
 
+def two_pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[float, float]]:
+    """Signed atoms of the symmetric law on {+-x_low, +-x_high} with E[X^2] = sigma2.
+
+    The closed-form vertex weights for 0 <= x_low < x_high and x_low^2 <=
+    sigma2 <= x_high^2: q_high = (sigma2 - x_low^2) / (x_high^2 - x_low^2) on
+    the high pair, the rest on the low pair (one atom at zero when x_low =
+    0).  A pair of weight 0 is left out; infeasible points raise ValueError.
+    """
+    low2, high2 = x_low * x_low, x_high * x_high
+    if not (0 <= x_low < x_high and low2 <= sigma2 <= high2 and low2 < high2):
+        raise ValueError("infeasible pair configuration")
+    q_high = (sigma2 - low2) / (high2 - low2)
+    atoms = []
+    for x, q in ((x_low, 1.0 - q_high), (x_high, q_high)):
+        if q > 0:
+            atoms.extend([(0.0, q)] if x == 0.0 else [(-x, q / 2), (x, q / 2)])
+    return atoms
+
+
 class TestCandidateConstructors:
     def test_single_pair_moment(self, rng):
         for _ in range(100):
             sigma2 = float(rng.uniform(0.01, 4.0))
             x = float(rng.uniform(math.sqrt(sigma2), 6.0))
-            atoms = pair_atoms(0.0, x, sigma2)
+            atoms = _three_point(sigma2, x).signed_atoms()
             assert second_moment(atoms) == pytest.approx(sigma2, abs=1e-10)
 
     def test_two_pair_moment(self, rng):
+        # the falsifier's reference law has the second moment it is built for
         for _ in range(100):
             sigma2 = float(rng.uniform(0.05, 4.0))
             sigma = math.sqrt(sigma2)
@@ -87,91 +114,31 @@ class TestCandidateConstructors:
             x_high = float(rng.uniform(sigma, 8.0))
             if x_high <= x_low:
                 continue
-            atoms = pair_atoms(x_low, x_high, sigma2)
+            atoms = two_pair_atoms(x_low, x_high, sigma2)
             assert second_moment(atoms) == pytest.approx(sigma2, abs=1e-10)
 
     @pytest.mark.parametrize("sigma, w", [(0.1, 1.0), (0.5, 1.0), (0.2, 2.0), (1e-5, 0.7)])
     def test_zero_low_pair_is_the_three_point_law(self, sigma, w):
-        assert pair_atoms(0.0, w, sigma**2) == three_point_extremal(sigma, w).signed_atoms()
+        # the reference at x_low = 0 is the law the search scores
+        assert two_pair_atoms(0.0, w, sigma**2) == three_point_extremal(sigma, w).signed_atoms()
 
     def test_signed_atoms_order_and_weights(self):
-        # a pair of weight 0 is dropped, as SymmetricDiscreteDistribution does
-        assert pair_atoms(0.0, 2.0, 4.0) == [(-2.0, 0.5), (2.0, 0.5)]
-        assert pair_atoms(1.0, 2.0, 1.0) == [(-1.0, 0.5), (1.0, 0.5)]
-        assert pair_atoms(1.0, 3.0, 5.0) == [(-1.0, 0.25), (1.0, 0.25), (-3.0, 0.25), (3.0, 0.25)]
+        # an atom of weight 0 is left out
+        assert _three_point(4.0, 2.0).signed_atoms() == [(-2.0, 0.5), (2.0, 0.5)]
+        assert _three_point(1.0, 2.0).signed_atoms() == [(0.0, 0.75), (-2.0, 0.125), (2.0, 0.125)]
 
     def test_infeasible_configurations_rejected(self):
-        with pytest.raises(ValueError):
-            pair_atoms(0.0, 0.5, 1.0)  # x^2 < sigma2
-        with pytest.raises(ValueError):
-            pair_atoms(2.0, 3.0, 1.0)  # sigma2 below both atoms
-        with pytest.raises(ValueError):
-            pair_atoms(-1.0, 3.0, 1.0)  # a negative low pair
+        # x * x < sigma2 would leave a negative mass at zero
+        for x in (0.5, 0.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                _three_point(1.0, x)
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
-        # 1e-170 < 2e-170, but both squares underflow to 0.0, so the weight
-        # solve would divide by zero (it raised ZeroDivisionError)
+        # 0 < 1e-170, but both squares are 0.0, so the pair weight would be
+        # 0 / 0 (the two-pair weight solve raised ZeroDivisionError here)
         with pytest.raises(ValueError):
-            pair_atoms(1e-170, 2e-170, sigma2)
-        assert _pair_objective(sigma2, P11)(1e-170, 2e-170) == -math.inf
-
-
-class TestPairObjective:
-    def test_equals_the_reference_mean_bit_for_bit(self, rng):
-        # every ordered pair of a seeded point set, including 0, -0.25, nan,
-        # points on both sides of w and w itself, under sigma2 = s * s for
-        # each admissible point s, so sigma2 == x_low**2 (q_high = 0) and
-        # sigma2 == x_high**2 (q_low = 0) occur exactly
-        seen = set()
-        for h, w in [(1.0, 1.0), (0.5, 2.0), *(tuple(rng.uniform(0.05, 3.0, 2)) for _ in range(3))]:
-            h, w = float(h), float(w)
-            free = [float(x) for x in rng.uniform(0.0, 4.0 * w, 6)]
-            points = [0.0, 0.1 * w, w, 1.7 * w, 4.0 * w, *free]
-            for s in points:
-                sigma2 = s * s
-                value = _pair_objective(sigma2, TiltParams(h, w))
-                for x_low in [-0.25, math.nan, *points]:
-                    for x_high in [math.nan, *points]:
-                        try:
-                            reference = tilted_mean_signed(pair_atoms(x_low, x_high, sigma2), h, w)
-                        except ValueError:
-                            reference = -math.inf
-                            seen.add("infeasible")
-                        else:
-                            seen.update(
-                                name
-                                for name, hit in [
-                                    ("x_low = 0", x_low == 0.0),
-                                    ("q_high = 0", sigma2 == x_low * x_low),
-                                    ("q_low = 0", sigma2 == x_high * x_high),
-                                    ("x_low < w < x_high", 0 < x_low < w < x_high),
-                                    ("both beyond w", w < x_low),
-                                    ("both below w", x_high < w),
-                                ]
-                                if hit
-                            )
-                        assert value(x_low, x_high) == reference, (h, w, sigma2, x_low, x_high)
-        assert seen == {
-            "infeasible", "x_low = 0", "q_high = 0", "q_low = 0",
-            "x_low < w < x_high", "both beyond w", "both below w",
-        }
-
-    def test_each_exponential_is_computed_once(self, monkeypatch):
-        # deterministic cost guard: the pair family's exponentials depend on
-        # the support point alone, and every point at or beyond w shares the
-        # cap's, so no expm1 argument repeats within one search
-        calls = []
-        expm1 = math.expm1
-
-        def recording(x):
-            calls.append(x)
-            return expm1(x)
-
-        monkeypatch.setattr(math, "expm1", recording)
-        sup_symmetric(0.01, P11)
-        assert calls
-        assert len(set(calls)) == len(calls)
+            _three_point(sigma2, 1e-170)
 
 
 class TestSupSearch:
@@ -228,23 +195,45 @@ class TestSupSearch:
                 assert math.fsum(x * p for x, p in atoms) == pytest.approx(0.0, abs=1e-15 * w)
                 assert second_moment(atoms) == pytest.approx(sigma2, rel=1e-14)
 
-    @pytest.mark.parametrize(
-        "search, sigma2, reached",
-        # the two-pair search runs once above the cut-off sigma > 1e-9 and
-        # never below it (sigma = 1e-10)
-        [(sup_symmetric, 0.01, 1), (sup_symmetric, 1e-20, 0)],
-    )
-    def test_both_families_share_one_search(self, monkeypatch, search, sigma2, reached):
+    def test_scores_each_candidate_once(self, monkeypatch):
+        # deterministic cost guard: 129 grid points plus the extras w and
+        # sigma in round 0, then 4 rounds of 129, each scored by one call
         calls = []
-        coordinate_search = extremal._coordinate_search
 
-        def counting_search(*args):
-            calls.append(args)
-            return coordinate_search(*args)
+        def counting(atoms, h, w):
+            calls.append(atoms)
+            return tilted_mean_signed(atoms, h, w)
 
-        monkeypatch.setattr(extremal, "_coordinate_search", counting_search)
-        search(sigma2, P11)
-        assert len(calls) == reached
+        monkeypatch.setattr(extremal, "tilted_mean_signed", counting)
+        sup_symmetric(0.01, P11)
+        assert len(calls) == 129 + 2 + 4 * 129
+
+    @pytest.mark.parametrize(
+        "h, w, sigma",
+        # sigma >= w and hw >= 10 included
+        [(1.0, 1.0, 0.5), (1.0, 1.0, 1.4), (2.0, 2.0, 1.0), (0.5, 2.0, 0.1),
+         (2.0, 0.5, 0.3), (1.0, 1.0, 3.0), (2.0, 6.0, 1.0), (5.0, 3.0, 4.0)],
+    )
+    def test_no_two_pair_law_beats_the_search(self, h, w, sigma):
+        # falsifier for the vertices the search leaves out: two-pair laws
+        # from their closed-form weights on an (x_low, x_high) grid over
+        # (0, sigma] x [sigma, 4w], none above the search's value beyond
+        # a few ulps of rounding
+        sigma2 = sigma * sigma
+        found = sup_symmetric(sigma2, TiltParams(h, w)).value
+        n = 24
+        lows = [sigma * i / n for i in range(1, n + 1)]
+        highs = [sigma + (4.0 * w - sigma) * i / (n - 1) for i in range(n)] + [w]
+        best = -math.inf
+        for x_low in lows:
+            for x_high in highs:
+                try:
+                    atoms = two_pair_atoms(x_low, x_high, sigma2)
+                except ValueError:
+                    continue
+                best = max(best, tilted_mean_signed(atoms, h, w))
+        assert best > -math.inf
+        assert best <= found + 4 * math.ulp(found), (best - found) / found
 
     def test_infeasible_sigma_rejected(self):
         # atoms stay in [-4w, 4w], so sigma2 = 100 > (4w)^2 = 16 is infeasible
@@ -255,41 +244,6 @@ class TestSupSearch:
         for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
             with pytest.raises(ValueError):
                 sup_symmetric(sigma2, P11)
-
-    def test_refinement_stops_at_its_fixed_point(self, monkeypatch):
-        # deterministic cost guard: a coordinate-refinement round that ends
-        # on the point it started from would be repeated call for call by
-        # the next, so the search stops there; at P11 it stops after round 2
-        # of 3 (running all three rounds took 2,909 objective evaluations)
-        calls, found = [], []
-        objective, refine = extremal._pair_objective, extremal._refine_scalar
-
-        def counting_objective(sigma2, p):
-            value = objective(sigma2, p)
-
-            def counted(x_low, x_high):
-                calls.append((x_low, x_high))
-                return value(x_low, x_high)
-
-            return counted
-
-        def recording_refine(*args, **kwargs):
-            best = refine(*args, **kwargs)
-            found.append(best[0])
-            return best
-
-        monkeypatch.setattr(extremal, "_pair_objective", counting_objective)
-        monkeypatch.setattr(extremal, "_refine_scalar", recording_refine)
-        sup_symmetric(0.01, P11)
-        # 129 + 2 extra + 4 * 129 points with x_low = 0, then a 33 x 33 grid
-        # (so far 1,736 calls), then rounds of 3 * 65 points for x_low and
-        # 3 * 65 + 1 extra for x_high
-        grid_end, per_round = 647 + 33 * 33, 2 * (3 * 65) + 1
-        assert len(calls) == grid_end + 2 * per_round
-        _, _, high_1, _, high_2 = found
-        assert high_1 != calls[grid_end][1]  # round 1 moved x_high off the grid's best
-        assert high_2 == high_1  # round 2 did not, so round 3 would repeat it
-
 
     def test_subnormal_bound_scale_rejected(self):
         # sinh(hw)/w * sigma2 is the scale of the mean found; below the
@@ -413,13 +367,13 @@ class TestRatioScan:
         (row,) = ratio_limit_scan(TiltParams(h, w), [sigma])
         assert (row.sup.hex(), row.atoms) == (sup, atoms)
 
-    def test_two_pair_result_is_pinned_bit_for_bit(self):
-        # no SCAN_PIN row takes the two-pair search's point; at sigma2 = 2,
-        # P11 it wins, one ulp above the law +-sqrt(2) that the x_low = 0 phase
-        # finds, with a low pair whose weight is rounding residue
+    def test_result_beyond_the_cap_is_pinned_bit_for_bit(self):
+        # sigma = sqrt(2) > w: the best law is +-sqrt(2), and sqrt(2)**2
+        # rounds to 2.0000000000000004, so the atom at zero keeps the
+        # rounding residue of 1 - 2 / 2.0000000000000004
         found = sup_symmetric(2.0, P11)
-        assert found.value.hex() == "0x1.2e9869f0a6e89p+0"
+        assert found.value.hex() == "0x1.2e9869f0a6e88p+0"
         assert found.atoms == (
-            (-0.7928166940576443, 1.6653345369377348e-16), (0.7928166940576443, 1.6653345369377348e-16),
-            (-1.4142135623730951, 0.49999999999999983), (1.4142135623730951, 0.49999999999999983),
+            (0.0, 2.220446049250313e-16),
+            (-1.4142135623730951, 0.4999999999999999), (1.4142135623730951, 0.4999999999999999),
         )
