@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .tilted import SymmetricDiscreteDistribution, TiltParams, symmetric_factor, tilted_mean_signed
 
@@ -61,12 +60,16 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
     """Three-point law on {-w, 0, w} with E[X^2] = sigma^2.
 
     Pair weight sigma^2 / w^2 splits evenly over +-w; the rest sits at zero.
-    Requires 0 < sigma < w so the zero mass stays positive, and sigma^2 at
-    least the smallest normal float.
+    Requires 0 < sigma < w so the zero mass stays positive, and sigma^2 and
+    the pair weight at least the smallest normal float: a subnormal weight
+    loses its precision, and one that underflows (w^2 may overflow) leaves
+    the point mass at zero.
     """
     if not (0 < sigma < w):
         raise ValueError("three-point family needs 0 < sigma < w")
     _check_sigma2(sigma * sigma)
+    if sigma * sigma / (w * w) < sys.float_info.min:
+        raise ValueError("pair weight sigma^2 / w^2 must be at least the smallest normal float")
     return _three_point(sigma * sigma, w)
 
 
@@ -102,8 +105,7 @@ def _refine_scalar(
     return best_x, best_val
 
 
-@dataclass(frozen=True)
-class SupSearchResult:
+class SupSearchResult(NamedTuple):
     value: float
     atoms: tuple[tuple[float, float], ...]  # signed support
 
@@ -153,8 +155,7 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
 _SCAN_COLUMNS = ("sigma", "sup", "ratio", "bound_factor", "gap")  # to_dict keys, CSV columns
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     sigma: float
     sup: float
     ratio: float

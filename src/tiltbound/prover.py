@@ -28,8 +28,7 @@ the stored certificate to equal the derivation, field for field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exppoly import (
     MAX_DEGREE, ExpPoly, derivative, normalize, parse_expression, parse_rational, rational_str
@@ -46,8 +45,7 @@ class Outcome(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One level of the chain: a normalized expression and its value at w = 0."""
 
     expr: ExpPoly
@@ -58,8 +56,7 @@ class CertificateError(ValueError):
     """A stored certificate is malformed or does not replay to its content."""
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(NamedTuple):
     claim: Outcome
     steps: tuple[ReductionStep, ...]
 
@@ -111,8 +108,7 @@ class SignCertificate:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
-@dataclass(frozen=True)
-class SignDecision:
+class SignDecision(NamedTuple):
     outcome: Outcome
     certificate: Optional[SignCertificate]
     reason: Optional[str] = None
@@ -257,8 +253,7 @@ BATTERY = (
 )
 
 
-@dataclass(frozen=True)
-class BatteryEntry:
+class BatteryEntry(NamedTuple):
     name: str
     expression: str
     poly: ExpPoly  # the parsed expression, the one decide_sign decided
@@ -276,8 +271,7 @@ class BatteryEntry:
         )
 
 
-@dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(NamedTuple):
     entries: tuple[BatteryEntry, ...]
 
     @property

@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .identities import U, V, W, Laurent
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
@@ -88,28 +88,25 @@ _CASE_ORDER: dict[CaseRegion, tuple[tuple[str, str], ...]] = {
 _AXES = ("u", "v", "w")
 
 
-@dataclass(frozen=True)
-class BoxRegion:
-    """Axis-aligned box in (u, v, w) tagged with its case region."""
+class BoxRegion(namedtuple("BoxRegion", "u v w case")):
+    """Axis-aligned box in (u, v, w) tagged with its case region.
 
-    u: tuple[float, float]
-    v: tuple[float, float]
-    w: tuple[float, float]
-    case: CaseRegion
+    ``u``, ``v`` and ``w`` are (lo, hi) pairs of floats; ``case`` is a
+    CaseRegion.  ``_replace`` checks the bounds as construction does.
+    """
 
-    def __post_init__(self):
-        for name in _AXES:
-            lo, hi = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, u, v, w, case: CaseRegion):
+        for name, (lo, hi) in zip(_AXES, (u, v, w)):
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise ValueError(f"invalid {name}-range [{lo}, {hi}]")
+        return super().__new__(cls, u, v, w, case)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def interval(self, axis: str) -> tuple[float, float]:
         return getattr(self, axis)
-
-    def replace(self, axis: str, bounds: tuple[float, float]) -> "BoxRegion":
-        parts = {name: getattr(self, name) for name in _AXES}
-        parts[axis] = bounds
-        return BoxRegion(case=self.case, **parts)
 
     def clipped(self, axes: tuple[str, ...] = _AXES) -> Optional["BoxRegion"]:
         """Bounding box of the intersection with the case-order constraints.
@@ -142,7 +139,7 @@ class BoxRegion:
     def split(self, axis: str) -> tuple["BoxRegion", "BoxRegion"]:
         lo, hi = getattr(self, axis)
         mid = 0.5 * (lo + hi)
-        return self.replace(axis, (lo, mid)), self.replace(axis, (mid, hi))
+        return self._replace(**{axis: (lo, mid)}), self._replace(**{axis: (mid, hi)})
 
     def sort_key(self) -> tuple:
         return (self.u, self.v, self.w)
@@ -156,8 +153,7 @@ class BoxRegion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofExpr:
+class ProofExpr(NamedTuple):
     """Closed form from the case analysis, generic over the value type.
 
     ``fn`` accepts floats, Intervals, Duals or Laurents, in the order given by
@@ -296,8 +292,7 @@ def eval_interval(expr: ProofExpr | str, box: BoxRegion) -> Interval:
     return _enclosure(expr, clipped)
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     certified: bool
     undecided: tuple[BoxRegion, ...]
     boxes_evaluated: int
@@ -365,8 +360,7 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(NamedTuple):
     """One structural fact and the reason it holds."""
 
     name: str
@@ -484,8 +478,7 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """One link of the case analysis, as :func:`verify_case_structure` checks it.
 
     ``lemmas`` pairs each battery entry the link reads with the symbol that
@@ -560,8 +553,7 @@ LINKS: tuple[Link, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CaseStructureReport:
+class CaseStructureReport(NamedTuple):
     cube: tuple[float, float]  # (lo, hi): the checks ran on [lo, hi]^3
     checks: tuple[StructureCheck, ...]
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .intervals import vcosh, vexp, vsinh, vsinh_over
 
@@ -50,18 +50,19 @@ class DegenerateDistributionError(ValueError):
     """Second moment is zero, so the bound's hypothesis fails."""
 
 
-@dataclass(frozen=True)
-class TiltParams:
-    """Tilt rate h and cap level w, both strictly positive."""
+class TiltParams(namedtuple("TiltParams", "h w")):
+    """Tilt rate h and cap level w, both strictly positive; ``_replace`` checks them too."""
 
-    h: float
-    w: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"tilt rate h must be positive and finite, got {self.h}")
-        if not (math.isfinite(self.w) and self.w > 0):
-            raise ValueError(f"cap level w must be positive and finite, got {self.w}")
+    def __new__(cls, h: float, w: float):
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"tilt rate h must be positive and finite, got {h}")
+        if not (math.isfinite(w) and w > 0):
+            raise ValueError(f"cap level w must be positive and finite, got {w}")
+        return super().__new__(cls, h, w)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class SymmetricDiscreteDistribution:
@@ -183,8 +184,7 @@ def zero_mean_factor(p: TiltParams) -> float:
     return math.expm1(p.h * p.w) / p.w
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     mean: float
     bound: float
     margin: float

@@ -47,12 +47,23 @@ class TestThreePoint:
             three_point_extremal(1.0, 1.0)
         three_point_extremal(1.0 - 1e-9, 1.0)  # just inside is fine
 
-    @pytest.mark.parametrize("sigma", [1e-170, 1e-160])
-    def test_sigma_squared_below_the_smallest_normal_rejected(self, sigma):
+    @pytest.mark.parametrize(
+        "sigma, w",
+        [
+            pytest.param(1e-170, 1.0, id="1e-170"),
+            pytest.param(1e-160, 1.0, id="1e-160"),
+            (1e-150, 1e10),
+            (1e-100, 1e200),
+            (1e150, 1e160),
+        ],
+    )
+    def test_sigma_squared_below_the_smallest_normal_rejected(self, sigma, w):
         # 1e-170 squared underflows to 0 (the point mass at 0, a law with
-        # E X^2 = 0), and 1e-160 squared is subnormal, as is its pair weight
+        # E X^2 = 0), and 1e-160 squared is subnormal, as is its pair weight;
+        # the pair weight of (1e-150, 1e10) is the subnormal 1e-320, and
+        # w^2 overflows for the last two, so their pair weight is 0
         with pytest.raises(ValueError, match="smallest normal"):
-            three_point_extremal(sigma, 1.0)
+            three_point_extremal(sigma, w)
 
     def test_closed_form(self):
         dist = three_point_extremal(0.1, 1.0)

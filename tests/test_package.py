@@ -3,9 +3,15 @@
 import ast
 import importlib
 import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import tiltbound
+from tiltbound import extremal, prover, regions, tilted
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,3 +119,107 @@ def test_verify_proof_json_has_the_keys_the_benchmark_reads(capsys):
             "expression", "region", "status", "undecided_boxes", "boxes_evaluated"
         } <= set(region)
         assert {"u", "v", "w", "case"} <= set(region["region"])  # read by its falsifier
+
+
+def test_import_generates_no_code():
+    # every result record is a named tuple, so importing the package and its
+    # command line loads neither dataclasses nor inspect; -S keeps site .pth
+    # files, which may import either, out of the check
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import tiltbound, tiltbound.cli, tiltbound.extremal, tiltbound.regions\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def records() -> dict:
+    """One instance of each result record, built by the routine that returns it where cheap."""
+    poly = tiltbound.parse_expression("sinh(w) - w")
+    decision = prover.decide_sign(poly)
+    entry = prover.BatteryEntry(
+        "sinh_dominates_identity", "sinh(w) - w", poly, prover.Outcome.POSITIVE, "role",
+        decision, True,
+    )
+    check = regions.StructureCheck("name", True, "detail")
+    box = regions.BoxRegion(u=(0.5, 1.0), v=(0.5, 1.0), w=(0.5, 1.0), case=regions.CaseRegion.CASE2)
+    p = tilted.TiltParams(h=1.0, w=1.0)
+    return {
+        "TiltParams": p,
+        "BoundCheck": tilted.check_bound(extremal.three_point_extremal(0.1, 1.0), p),
+        "ReductionStep": decision.certificate.steps[0],
+        "SignCertificate": decision.certificate,
+        "SignDecision": decision,
+        "BatteryEntry": entry,
+        "BatteryReport": prover.BatteryReport((entry,)),
+        "BoxRegion": box,
+        "ProofExpr": regions.CATALOG["d_case2"],
+        "CertifyResult": regions.certify_negative("d_at_v_eq_w_case2", box, 2),
+        "StructureCheck": check,
+        "Link": regions.LINKS[0],
+        "CaseStructureReport": regions.CaseStructureReport((0.5, 1.0), (check,)),
+        "SupSearchResult": extremal.sup_symmetric(0.01, p),
+        "ScanRow": extremal.ratio_limit_scan(p, [0.1])[0],
+    }
+
+
+RECORD_NAMES = (
+    "TiltParams", "BoundCheck", "ReductionStep", "SignCertificate", "SignDecision",
+    "BatteryEntry", "BatteryReport", "BoxRegion", "ProofExpr", "CertifyResult",
+    "StructureCheck", "Link", "CaseStructureReport", "SupSearchResult", "ScanRow",
+)
+
+
+class TestRecordContract:
+    def test_the_records_are_every_named_tuple_of_the_package(self):
+        modules = [
+            importlib.import_module(f"tiltbound.{path.stem}")
+            for path in (ROOT / "src" / "tiltbound").glob("*.py")
+            if path.stem != "__init__"
+        ]
+        found = {
+            name
+            for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, tuple) and value.__module__ == module.__name__
+        }
+        assert found == set(RECORD_NAMES)
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_record(self, records, name):
+        record = records[name]
+        assert type(record).__name__ == name
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance dict
+        # keyword construction, _replace, iteration and tuple equality
+        assert type(record)(**record._asdict()) == record
+        assert record._replace() == record
+        assert record == tuple(record) == tuple(getattr(record, f) for f in record._fields)
+        assert repr(record).startswith(f"{name}({field}=")
+
+    @pytest.mark.parametrize("axis", ["u", "v", "w"])
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 1.0), (0.0, math.inf), (1.0, 0.5)], ids=["nan", "inf", "inverted"]
+    )
+    def test_box_region_rejects_a_bad_bound(self, axis, bounds):
+        good = {"u": (0.0, 1.0), "v": (0.0, 1.0), "w": (0.0, 1.0), "case": regions.CaseRegion.CASE1}
+        with pytest.raises(ValueError, match=f"invalid {axis}-range"):
+            regions.BoxRegion(**{**good, axis: bounds})
+        with pytest.raises(ValueError, match=f"invalid {axis}-range"):
+            regions.BoxRegion(**good)._replace(**{axis: bounds})
+
+    @pytest.mark.parametrize("field", ["h", "w"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_tilt_params_rejects_a_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=f" {field} must be positive and finite"):
+            tilted.TiltParams(**{"h": 1.0, "w": 1.0, field: value})
+        with pytest.raises(ValueError, match=f" {field} must be positive and finite"):
+            tilted.TiltParams(h=1.0, w=1.0)._replace(**{field: value})

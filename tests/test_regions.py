@@ -1,6 +1,5 @@
 """Region checker: catalog fidelity, enclosure soundness, certification."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -410,7 +409,7 @@ def row(name):
 def with_identities(name, mutated):
     # LINKS with the named row's identity builder swapped for ``mutated``
     return tuple(
-        dataclasses.replace(link, identities=mutated) if link.name == name else link
+        link._replace(identities=mutated) if link.name == name else link
         for link in LINKS
     )
 
@@ -455,10 +454,9 @@ class TestCaseStructure:
     def test_every_detail_fills_its_slots(self, battery, spoiled, cube):
         # each template slot is filled, whether the link passes or not
         if spoiled:
-            battery = dataclasses.replace(
-                battery,
+            battery = battery._replace(
                 entries=tuple(
-                    dataclasses.replace(e, replay_matches=False)
+                    e._replace(replay_matches=False)
                     if e.name == "sinh_over_increasing"
                     else e
                     for e in battery.entries
@@ -511,11 +509,11 @@ class TestCaseStructure:
     @pytest.mark.parametrize(
         "spoil",
         [
-            lambda e: dataclasses.replace(e, replay_matches=False),
-            lambda e: dataclasses.replace(
-                e, decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
+            lambda e: e._replace(replay_matches=False),
+            lambda e: e._replace(
+                decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
             ),
-            lambda e: dataclasses.replace(e, expected=Outcome.NEGATIVE),
+            lambda e: e._replace(expected=Outcome.NEGATIVE),
         ],
         ids=["no-replay", "undetermined", "wrong-sign"],
     )
@@ -525,7 +523,7 @@ class TestCaseStructure:
         entries = tuple(
             spoil(e) if e.name == "sinh_over_increasing" else e for e in battery.entries
         )
-        spoiled = dataclasses.replace(battery, entries=entries)
+        spoiled = battery._replace(entries=entries)
         assert not spoiled.all_certified
         report = verify_case_structure(0.3, 2.0, spoiled)
         failed = {c.name for c in report.checks if not c.passed}
@@ -579,9 +577,9 @@ class TestCaseStructure:
     @pytest.mark.parametrize(
         "spoil",
         [
-            lambda e: dataclasses.replace(e, replay_matches=False),
-            lambda e: dataclasses.replace(
-                e, decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
+            lambda e: e._replace(replay_matches=False),
+            lambda e: e._replace(
+                decision=SignDecision(Outcome.UNDETERMINED, None, reason="spoiled")
             ),
         ],
         ids=["no-replay", "undetermined"],
@@ -590,7 +588,7 @@ class TestCaseStructure:
         # each lemma fails exactly the links that read it: sinh(w) > w is
         # read by both case-1 identity links too
         entries = tuple(spoil(e) if e.name == name else e for e in battery.entries)
-        spoiled = dataclasses.replace(battery, entries=entries)
+        spoiled = battery._replace(entries=entries)
         report = verify_case_structure(0.3, 2.0, spoiled)
         link = report.check("case2_decreasing_in_v")
         assert not link.passed
@@ -612,8 +610,8 @@ class TestCaseStructure:
         # the identities expand the catalog's own functions: a transcription
         # slip in either form fails the link
         form = CATALOG[name]
-        slipped = dataclasses.replace(
-            form, fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * vexp(-v)
+        slipped = form._replace(
+            fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * vexp(-v)
         )
         monkeypatch.setitem(CATALOG, name, slipped)
         link = verify_case_structure(0.3, 2.0, battery).check("case2_decreasing_in_v")
@@ -653,10 +651,10 @@ class TestCaseStructure:
         assert set(LEMMA_READERS) == {name for name, *_ in BATTERY}
         for name in LEMMA_READERS:
             entries = tuple(
-                dataclasses.replace(e, replay_matches=False) if e.name == name else e
+                e._replace(replay_matches=False) if e.name == name else e
                 for e in battery.entries
             )
-            report = verify_case_structure(0.3, 2.0, dataclasses.replace(battery, entries=entries))
+            report = verify_case_structure(0.3, 2.0, battery._replace(entries=entries))
             failed = {c.name for c in report.checks if not c.passed}
             assert failed, f"no link reads {name}"
             assert failed == LEMMA_READERS[name], name
@@ -708,8 +706,8 @@ class TestCaseStructure:
     def test_case1_links_read_the_catalog_forms(self, battery, monkeypatch, name, failed):
         # a transcription slip in a form fails exactly the links expanding it
         form = CATALOG[name]
-        slipped = dataclasses.replace(
-            form, fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * v * vexp(-v)
+        slipped = form._replace(
+            fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * v * vexp(-v)
         )
         monkeypatch.setitem(CATALOG, name, slipped)
         report = verify_case_structure(0.3, 2.0, battery)
