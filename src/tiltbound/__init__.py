@@ -3,7 +3,7 @@
 Layers:
 
 * :mod:`tiltbound.tilted` evaluates tilted-capped means of finite symmetric
-  distributions, the two bound factors as plain functions, and the
+  distributions, the symmetric bound factor as a plain function, and the
   symmetrized comparison expressions.
 * :mod:`tiltbound.prover` certifies one-variable exp-polynomial inequalities
   with exact, replayable certificates.
@@ -55,7 +55,6 @@ from .tilted import (
     symmetric_factor,
     tilted_mean,
     tilted_mean_signed,
-    zero_mean_factor,
 )
 
 __version__ = "0.1.0"
@@ -97,5 +96,4 @@ __all__ = [
     "tilted_mean_signed",
     "verify_battery",
     "verify_case_structure",
-    "zero_mean_factor",
 ]

@@ -144,8 +144,7 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
             return -math.inf
         return tilted_mean_signed(law.signed_atoms(), p.h, p.w)
 
-    extras = [x for x in (p.w, sigma) if sigma <= x <= x_max]
-    best_x, best_val = _refine_scalar(value, sigma, x_max, extra=extras)
+    best_x, best_val = _refine_scalar(value, sigma, x_max, extra=(p.w, sigma))
     return SupSearchResult(best_val, tuple(_three_point(sigma2, best_x).signed_atoms()))
 
 

@@ -45,9 +45,13 @@ independent cross-checks.
 
 Certification is sound but not complete: d genuinely reaches 0 at u = 0 with
 v = w, so boxes touching that edge come back UNDETERMINED with the undecided
-sub-boxes as witnesses.  Every check here, :func:`verify_case_structure`
-included, covers the bounded cube [lo, hi]^3 only; the unbounded tails are
-not covered.
+sub-boxes as witnesses.  Bisection covers exactly the box it is given.  The
+links of :func:`verify_case_structure` are not confined to a cube: each
+identity is exact and each battery lemma holds on all of w > 0, so together
+they give d < 0 on all of 0 < u <= v, w > 0, the unbounded tails included;
+u > v follows from the symmetry d(u, v, w) = d(v, u, w), which no code
+checks.  The cube [lo, hi]^3 is read only by the lo > 0 gate of
+``Link.needs_lo``, and it is the region the report names.
 """
 
 from __future__ import annotations
@@ -76,13 +80,11 @@ class EmptyRegionError(ValueError):
 class CaseRegion(enum.Enum):
     CASE1 = "case1"  # w <= u <= v
     CASE2 = "case2"  # u <= w <= v
-    CASE3 = "case3"  # u <= v <= w
 
 
 _CASE_ORDER: dict[CaseRegion, tuple[tuple[str, str], ...]] = {
     CaseRegion.CASE1: (("w", "u"), ("u", "v")),
     CaseRegion.CASE2: (("u", "w"), ("w", "v")),
-    CaseRegion.CASE3: (("u", "v"), ("v", "w")),
 }
 
 _AXES = ("u", "v", "w")
@@ -554,7 +556,7 @@ LINKS: tuple[Link, ...] = (
 
 
 class CaseStructureReport(NamedTuple):
-    cube: tuple[float, float]  # (lo, hi): the checks ran on [lo, hi]^3
+    cube: tuple[float, float]  # (lo, hi): the region [lo, hi]^3 the report names
     checks: tuple[StructureCheck, ...]
 
     @property
@@ -595,7 +597,7 @@ class CaseStructureReport(NamedTuple):
 
 
 def verify_case_structure(lo: float, hi: float, battery: BatteryReport) -> CaseStructureReport:
-    """Check every row of ``LINKS`` on [lo, hi]^3 by one rule.
+    """Check every row of ``LINKS`` by one rule, naming the cube [lo, hi]^3.
 
     A link passes when each of its identities expands to 0, ``battery``
     certified each lemma it reads (taken from the polynomial the battery

@@ -8,13 +8,12 @@ the capped variable min(X, w):
 where ``^`` is the pointwise minimum.  For a symmetric X with second moment
 s2 in (0, oo) this mean is strictly between 0 and (sinh(hw)/w) * s2, and the
 factor sinh(hw)/w is the smallest possible.  For merely zero-mean X the factor
-quoted is the larger (e^{hw} - 1)/w; nothing in this package proves it, and
-:func:`zero_mean_factor` is only its closed form.  The tests' witness, the
-zero-mean two-point law on {w, -s2/w}, has mean / s2 strictly between the two
-factors, so the symmetric bound needs symmetry.  This module evaluates the
-mean, the two factors as plain floats (:func:`symmetric_factor` and
-:func:`zero_mean_factor`), and the symmetrized comparison expressions g0, g1
-and d used by the region checker.
+quoted is the larger (e^{hw} - 1)/w; nothing in this package proves it or
+computes it.  The tests' witness, the zero-mean two-point law on {w, -s2/w},
+has mean / s2 strictly between the two factors, so the symmetric bound needs
+symmetry.  This module evaluates the mean, the symmetric factor as a plain
+float (:func:`symmetric_factor`), and the symmetrized comparison expressions
+g0, g1 and d used by the region checker.
 
 d has one definition, :func:`d`, generic over float, Interval, Dual and
 Laurent through the ``v*`` functions of :mod:`tiltbound.intervals`.  A flag
@@ -171,17 +170,6 @@ def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:
 def symmetric_factor(p: TiltParams) -> float:
     """sinh(hw)/w, the sharp c with mean < c * E[X^2] for symmetric X."""
     return math.sinh(p.h * p.w) / p.w
-
-
-def zero_mean_factor(p: TiltParams) -> float:
-    """(e^{hw} - 1)/w, the factor quoted for zero-mean X; a closed form, not proven here.
-
-    The tests check it against a closed-form witness: the zero-mean law on
-    {w, -s2/w} with E[X^2] = s2 has mean / s2 above :func:`symmetric_factor`
-    and below this factor, and tends to it as s2 -> 0.  ``report``'s
-    ``factor_comparison`` divides :func:`symmetric_factor` by it.
-    """
-    return math.expm1(p.h * p.w) / p.w
 
 
 class BoundCheck(NamedTuple):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from tiltbound import SymmetricDiscreteDistribution, verify_battery
+from tiltbound import SymmetricDiscreteDistribution, TiltParams, verify_battery
 from tiltbound.regions import BoxRegion, CaseRegion, certify_negative
 
 
@@ -28,6 +30,16 @@ def random_symmetric_distribution(
         atoms.append((0.0, float(zero_mass)))
     atoms.extend((float(x), float(p)) for x, p in zip(xs, weights))
     return SymmetricDiscreteDistribution(atoms)
+
+
+def zero_mean_factor(p: TiltParams) -> float:
+    """(e^{hw} - 1)/w, the factor quoted for zero-mean X; the package proves nothing about it.
+
+    The comparison point of the zero-mean witness on {w, -sigma^2/w}: that
+    law's mean / sigma^2 lies above sinh(hw)/w and below this factor, and
+    tends to it as sigma^2 -> 0.
+    """
+    return math.expm1(p.h * p.w) / p.w
 
 
 @pytest.fixture

@@ -28,12 +28,11 @@ from tiltbound import (
     symmetric_factor,
     tilted_mean,
     verify_battery,
-    zero_mean_factor,
 )
 from tiltbound import cli
 from tiltbound.regions import CATALOG
 
-from conftest import random_symmetric_distribution
+from conftest import random_symmetric_distribution, zero_mean_factor
 
 STRICT_SLACK = 1e-12
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,25 @@ def test_exit_status_is_every_link_certified(capsys, box, exit_code):
     assert all(set(b) == {"u", "v", "w", "case"} for b in undecided)
 
 
+def _masked_cube(payload: dict) -> dict:
+    """The report with the cube's bounds and each detail's "starts at" value masked."""
+    for region in payload["regions"]:
+        region["region"].update(u=None, v=None, w=None)
+    for check in payload["case_structure"]["checks"]:
+        check["detail"] = re.sub(r"(the cube starts at [uw] = )\S+", r"\1LO", check["detail"])
+    return payload
+
+
+def test_wide_cube_gives_the_default_verdict(capsys):
+    # each identity is exact and each lemma holds on all of w > 0, so the
+    # cube names the region and gates lo > 0, and checks nothing else
+    code, out, _ = run_cli(capsys, "verify-proof", "--box", "1e-300:1e300")
+    assert code == 0
+    wide, default = json.loads(out), json.loads((GOLDEN / "verify_proof_default.json").read_text())
+    assert wide != default
+    assert _masked_cube(wide) == _masked_cube(default)
+
+
 def test_cube_near_the_origin_is_negative_where_it_certifies():
     # --box 0.01:0.1 certifies every link; d itself must then be negative
     # at every grid point of the case-1 and case-2 parts of that cube
@@ -380,16 +400,14 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", *flags, "--sigma", "0.1")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == [
-            "factor_comparison", "battery", "case_structure", "regions", "extremal", "all_passed"
-        ]
-        ratios = [row["ratio"] for row in payload["factor_comparison"]]
-        assert ratios == sorted(ratios, reverse=True)
-        # the verify-proof sections come from the same pipeline
+        assert list(payload) == ["battery", "case_structure", "regions", "extremal", "all_passed"]
+        # verify-proof's payload plus extremal's, each from its own command's pipeline
         _, verify, _ = run_cli(capsys, "verify-proof", *flags)
         verify = json.loads(verify)
         for key in ("battery", "case_structure", "regions", "all_passed"):
             assert payload[key] == verify[key]
+        _, scan, _ = run_cli(capsys, "extremal", "--sigma", "0.1")
+        assert payload["extremal"] == json.loads(scan)
 
 
 @pytest.mark.parametrize(
@@ -441,6 +459,22 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "unrecognized arguments: --depth" in err
+
+
+    @pytest.mark.parametrize("command", ["verify-proof", "report"])
+    @pytest.mark.parametrize("box", ["1:0", "-1:1", "nan:1", "a:b", "1", "0.05:inf", "0:1e400"])
+    def test_bad_box_is_rejected_before_the_verdict(self, capsys, monkeypatch, command, box):
+        # "--box=" so that "-1:1" reaches the box parser, not argparse's option matcher
+        derivations = []
+        derive = prover._derive
+        monkeypatch.setattr(prover, "_derive", lambda p: derivations.append(p) or derive(p))
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--box={box}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --box:" in captured.err
+        assert derivations == []
 
 
 class TestSharedParser:

@@ -15,10 +15,11 @@ from tiltbound import (
     three_point_extremal,
     tilted_mean,
     tilted_mean_signed,
-    zero_mean_factor,
 )
 from tiltbound import extremal
 from tiltbound.extremal import _three_point
+
+from conftest import zero_mean_factor
 
 P11 = TiltParams(1.0, 1.0)
 

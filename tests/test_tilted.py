@@ -16,11 +16,10 @@ from tiltbound import (
     g_expr,
     symmetric_factor,
     tilted_mean,
-    zero_mean_factor,
 )
 from tiltbound.tilted import tilted_mean_signed
 
-from conftest import random_symmetric_distribution
+from conftest import random_symmetric_distribution, zero_mean_factor
 
 # ---------------------------------------------------------------------------
 # Oracles: the symmetrization identities, by direct and by exact summation.
