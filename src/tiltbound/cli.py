@@ -18,8 +18,11 @@ expression nested too deeply included, exits 2 with an ``error:`` line.
 
 :func:`main` builds its argument parser on its first call and reuses it for
 every later call in the same process; parsing leaves no state on a parser.
-Only the parser is shared: each call parses the battery, decides and replays
-every lemma, expands every identity and builds its report anew.
+Three things are kept between calls, each built on first use from module
+constants: the parser, each battery text's parsed polynomial
+(``prover._lemma``) and each catalog form's expansion at (U, V, W)
+(``regions._expanded``).  Every call still decides and replays every lemma,
+expands every identity, reads every certificate and builds its report anew.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ DEFAULT_SIGMAS = (0.5, 0.1, 0.01, 0.001)
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    """JSON, or one ``key: value`` line per key, a nested value as one line of JSON."""
     if fmt == "text":
         for key, value in payload.items():
-            print(f"{key}: {value}")
+            print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
     else:
         print(json.dumps(payload, indent=2))
 

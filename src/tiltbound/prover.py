@@ -28,6 +28,7 @@ the stored certificate to equal the derivation, field for field.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple, Optional
 
 from .exppoly import (
@@ -299,15 +300,22 @@ class BatteryReport(NamedTuple):
         }
 
 
+@functools.cache
+def _lemma(text: str) -> ExpPoly:
+    """A battery text's polynomial: parsed on its first use, then shared."""
+    return parse_expression(text)
+
+
 def verify_battery() -> BatteryReport:
     """Certify every built-in inequality and replay each certificate.
 
     The report fails loudly (``all_certified`` False) if any member comes
-    back UNDETERMINED or its certificate fails to replay.
+    back UNDETERMINED or its certificate fails to replay.  Each text is
+    parsed once per process; every call decides and replays every lemma.
     """
     entries = []
     for name, text, expected, role in BATTERY:
-        poly = parse_expression(text)
+        poly = _lemma(text)
         decision = decide_sign(poly)
         replay_ok = False
         if decision.certificate is not None:

@@ -59,7 +59,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .identities import U, V, W, Laurent
@@ -373,6 +373,16 @@ class StructureCheck(NamedTuple):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+@cache
+def _expanded(expr: ProofExpr) -> Laurent:
+    """A catalog form's Laurent at (U, V, W), expanded on its first use.
+
+    The key is the form itself, so a replaced ``CATALOG`` entry is expanded
+    afresh.  Only the form is kept; every identity is expanded on every call.
+    """
+    return expr.fn(U, V, W)
+
+
 def _case1_concavity_identities(lemmas: dict[str, Laurent]) -> tuple:
     """(left side, summands of the right side) of each identity of case-1 concavity.
 
@@ -388,9 +398,9 @@ def _case1_concavity_identities(lemmas: dict[str, Laurent]) -> tuple:
     """
     u, v, w = U, V, W
     so = vsinh_over(w)
-    dv2 = CATALOG["dv2_case1"].fn(u, v, w)
+    dv2 = _expanded(CATALOG["dv2_case1"])
     return (
-        (dv2, (CATALOG["d_case1"].fn(u, v, w).diff("v").diff("v"),)),
+        (dv2, (_expanded(CATALOG["d_case1"]).diff("v").diff("v"),)),
         (
             dv2,
             (
@@ -420,7 +430,7 @@ def _case1_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     d_v(u, u, w) = e^-u D1 / w < 0.
     """
     u, w = U, W
-    d1 = w * vexp(u) * CATALOG["d_case1"].fn(u, V, w).diff("v").at("v", "u")
+    d1 = w * vexp(u) * _expanded(CATALOG["d_case1"]).diff("v").at("v", "u")
     sw, e2w = vsinh(w), vexp(2 * w)
     return (
         (
@@ -456,11 +466,11 @@ def _case2_slope_identities(lemmas: dict[str, Laurent]) -> tuple:
     < 0, and d_v = e^-v d1 / w < 0.
     """
     u, v, w = U, V, W
-    d1 = vexp(v + w) * CATALOG["d1_case2"].fn(u, v, w)
+    d1 = vexp(v + w) * _expanded(CATALOG["d1_case2"])
     d1_v = d1.diff("v")
     sw, ew, c = vsinh(w), vexp(w), vcosh(u) - 1
     return (
-        (d1, (w * vexp(v) * CATALOG["d_case2"].fn(u, v, w).diff("v"),)),
+        (d1, (w * vexp(v) * _expanded(CATALOG["d_case2"]).diff("v"),)),
         (
             vexp(-v) * d1_v.diff("v"),
             (lemmas["M2"], -4 * sw * c * (2 + v), -4 * sw * (v - w)),

@@ -106,9 +106,9 @@ class SymmetricDiscreteDistribution:
         return signed
 
     def scaled(self, c: float) -> "SymmetricDiscreteDistribution":
-        """Law of c*X for c > 0."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
+        """Law of c*X for finite c > 0."""
+        if not 0 < c < math.inf:
+            raise ValueError("scale factor must be positive and finite")
         return SymmetricDiscreteDistribution((c * x, p) for x, p in self._atoms)
 
     def to_dict(self) -> dict:

@@ -10,7 +10,11 @@ import pytest
 
 from tiltbound import cli, prover, regions
 from tiltbound.cli import build_parser, main
+from tiltbound.exppoly import parse_expression
+from tiltbound.identities import U, V, W
+from tiltbound.intervals import vexp
 from tiltbound.prover import BATTERY
+from tiltbound.regions import CATALOG
 from tiltbound.tilted import d_expr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -413,6 +417,31 @@ class TestReport:
 @pytest.mark.parametrize(
     "argv",
     [
+        ("verify-proof", "--box", "0.3:2.0"),
+        ("extremal", "--sigma", "0.1"),
+        ("report", "--box", "0.3:2.0", "--sigma", "0.1"),
+    ],
+    ids=["verify-proof", "extremal", "report"],
+)
+def test_text_format_prints_nested_values_as_json(capsys, argv):
+    # one "key: value" line per key of the JSON payload; a nested value is
+    # one line of JSON, a scalar prints as before
+    _, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    _, text, _ = run_cli(capsys, *argv, "--format", "text")
+    lines = text.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == list(payload)
+    for line in lines:
+        key, value = line.split(": ", 1)
+        if isinstance(payload[key], (dict, list)):
+            assert json.loads(value) == payload[key]
+        else:
+            assert value == str(payload[key])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("eval", "--h", "800", "--w", "1"),
         ("bound-check", "--h", "800", "--w", "1"),
         ("extremal", "--h", "710", "--w", "1"),
@@ -536,3 +565,102 @@ class TestSharedParser:
         code, out, _ = run_cli(capsys, *second)
         assert code == 0
         assert out == (GOLDEN / golden).read_text() != before
+
+
+# the catalog forms the three identity builders expand at (U, V, W)
+EXPANDED_FORMS = ("d_case1", "dv2_case1", "d_case2", "d1_case2")
+
+
+class TestSharedConstants:
+    """What verify-proof keeps between calls: the parsed battery texts and the
+    expanded catalog forms, built on first use; nothing derived from them."""
+
+    def test_battery_texts_are_parsed_once_per_process(self, capsys, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_expression(text)
+
+        monkeypatch.setattr(prover, "parse_expression", counting_parse)
+        prover._lemma.cache_clear()
+        for _ in range(3):
+            assert run_cli(capsys, "verify-proof")[0] == 0
+        assert parsed == [text for _, text, _, _ in BATTERY]
+
+    def test_catalog_forms_are_expanded_once_per_process(self, capsys, monkeypatch):
+        calls = {name: 0 for name in EXPANDED_FORMS}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in EXPANDED_FORMS:
+            form = CATALOG[name]
+            monkeypatch.setitem(CATALOG, name, form._replace(fn=counting(name, form.fn)))
+        for _ in range(3):
+            code, out, _ = run_cli(capsys, "verify-proof")
+            assert code == 0
+            assert out == (GOLDEN / "verify_proof_default.json").read_text()
+        assert calls == {name: 1 for name in EXPANDED_FORMS}
+
+    def test_every_call_derives_expands_and_prints(self, capsys, monkeypatch):
+        derivations, built = [], []
+        derive = prover._derive
+
+        def counting_derive(p):
+            derivations.append(p)
+            return derive(p)
+
+        def counting(link):
+            def identities(lemmas):
+                built.append(link.name)
+                return link.identities(lemmas)
+            return link._replace(identities=identities)
+
+        monkeypatch.setattr(prover, "_derive", counting_derive)
+        monkeypatch.setattr(
+            regions, "LINKS",
+            tuple(link if link.identities is None else counting(link) for link in regions.LINKS),
+        )
+        expanding = [link.name for link in regions.LINKS if link.identities is not None]
+        assert len(expanding) == 3
+        for _ in range(3):
+            derivations.clear()
+            built.clear()
+            code, out, _ = run_cli(capsys, "verify-proof")
+            assert code == 0
+            assert (len(derivations), built) == (16, expanding)
+            assert out == (GOLDEN / "verify_proof_default.json").read_text()
+
+    def test_a_slip_after_a_warm_call_fails_its_links(self, capsys, monkeypatch):
+        # the expansion is keyed by the form, so a patched entry is expanded afresh
+        assert run_cli(capsys, "verify-proof")[0] == 0
+        form = CATALOG["d_case1"]
+        slipped = form._replace(fn=lambda u, v, w: form.fn(u, v, w) + 0.001 * u * v * vexp(-v))
+        monkeypatch.setitem(CATALOG, "d_case1", slipped)
+        code, out, _ = run_cli(capsys, "verify-proof")
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["case_structure"]["checks"] if not c["passed"]}
+        assert failed == {"case1_concavity_in_v", "case1_slope_at_v_eq_u"}
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "verify-proof")
+        assert code == 0
+        assert out == (GOLDEN / "verify_proof_default.json").read_text()
+
+    def test_shared_values_are_not_mutated(self, capsys):
+        for _ in range(3):
+            assert run_cli(capsys, "verify-proof")[0] == 0
+        lemma_hits = prover._lemma.cache_info().hits
+        for _, text, _, _ in BATTERY:
+            assert prover._lemma(text) == parse_expression(text)
+        assert prover._lemma.cache_info().hits == lemma_hits + len(BATTERY)
+        expanded_hits = regions._expanded.cache_info().hits
+        for name in EXPANDED_FORMS:
+            assert regions._expanded(CATALOG[name]) == CATALOG[name].fn(U, V, W)
+        assert regions._expanded.cache_info().hits == expanded_hits + len(EXPANDED_FORMS)
+        # the battery hands out the shared polynomial itself
+        entries = prover.verify_battery().entries
+        assert all(e.poly is prover._lemma(e.expression) for e in entries)

@@ -137,6 +137,22 @@ def test_import_generates_no_code():
     assert run.stdout.strip() == "[]"
 
 
+def test_import_fills_no_cache():
+    # the parsed battery texts and the expanded catalog forms are built on
+    # first use, so importing the package does no parsing or expanding
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import tiltbound, tiltbound.cli\n"
+        "from tiltbound import prover, regions\n"
+        "print(prover._lemma.cache_info().currsize, regions._expanded.cache_info().currsize)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0", "0"]
+
+
 @pytest.fixture(scope="module")
 def records() -> dict:
     """One instance of each result record, built by the routine that returns it where cheap."""

@@ -193,6 +193,12 @@ class TestDistributionValidation:
         dist = SymmetricDiscreteDistribution([(0.0, 0.75), (0.5, 0.25)])
         assert dist.second_moment() == pytest.approx(0.0625, abs=1e-15)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_scale_factor_must_be_positive_and_finite(self, c):
+        dist = SymmetricDiscreteDistribution([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(ValueError, match="^scale factor must be positive and finite$"):
+            dist.scaled(c)
+
 
 class TestTiltedMean:
     def test_rademacher(self):
