@@ -26,10 +26,13 @@ difference and a float quotient stepped one ulp outward, then clipped to
 those two bounds, which stay tight where the difference cancels.
 
 Every Interval is validated when it is built, by the one test
-``lo <= hi``: it rejects inverted bounds and a NaN at either end.
-Intervals are immutable.  A scalar operand must equal a float exactly: NaN
-and an int that no float equals (such as 2**53 + 1) raise ValueError, since
-rounding the int first is an error the one-ulp widening does not cover.
+``lo <= hi``, which rejects inverted bounds and a NaN at either end.  It
+runs in the private allocator ``_interval``: the public constructor
+``Interval(lo, hi)`` calls it, and every operation builds its result with
+it directly.  Intervals are immutable.  A scalar operand must equal a float
+exactly: NaN and an int that no float equals (such as 2**53 + 1) raise
+ValueError, since rounding the int first is an error the one-ulp widening
+does not cover.
 
 :class:`Dual` carries an interval value together with interval enclosures of
 the partial derivatives (forward mode).  A partial that is exactly zero (a
@@ -109,6 +112,8 @@ def _scalar(o) -> float:
     Rejects NaN and an int that no float equals: rounding it first would add
     an error that the one-ulp widening of the operation does not cover.
     """
+    if type(o) is float and o == o:  # a float that is not NaN is taken as it is
+        return o
     try:
         x = float(o)
     except OverflowError:
@@ -127,11 +132,8 @@ class Interval:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: float, hi: float):
-        if not lo <= hi:  # also false when either end is NaN
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
-        _set_lo(self, lo)
-        _set_hi(self, hi)
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        return _interval(lo, hi)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -151,7 +153,7 @@ class Interval:
 
     @staticmethod
     def point(value: float) -> "Interval":
-        return Interval(value, value)
+        return _interval(value, value)
 
     @property
     def width(self) -> float:
@@ -165,7 +167,7 @@ class Interval:
         hi = min(self.hi, other.hi)
         if lo > hi:
             raise ValueError("intersection of disjoint enclosures; a bound is unsound")
-        return Interval(lo, hi)
+        return _interval(lo, hi)
 
     # -- arithmetic: the other operand is an Interval or a real scalar -------
 
@@ -181,12 +183,12 @@ class Interval:
             lo, hi = self.lo + o, self.hi + o
         else:
             return NotImplemented
-        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
+        return _interval(_nextafter(lo, -_INF) if lo else 0.0, _nextafter(hi, _INF) if hi else 0.0)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, o) -> "Interval":
         if type(o) is Interval:
@@ -196,14 +198,14 @@ class Interval:
             lo, hi = self.lo - o, self.hi - o
         else:
             return NotImplemented
-        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
+        return _interval(_nextafter(lo, -_INF) if lo else 0.0, _nextafter(hi, _INF) if hi else 0.0)
 
     def __rsub__(self, o) -> "Interval":
-        if isinstance(o, (int, float)):
-            o = _scalar(o)
-            lo, hi = o - self.hi, o - self.lo
-            return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
-        return NotImplemented
+        if not isinstance(o, (int, float)):
+            return NotImplemented
+        o = _scalar(o)
+        lo, hi = o - self.hi, o - self.lo
+        return _interval(_nextafter(lo, -_INF) if lo else 0.0, _nextafter(hi, _INF) if hi else 0.0)
 
     def __mul__(self, o) -> "Interval":
         if type(o) is Interval:
@@ -216,30 +218,38 @@ class Interval:
         if lo >= 0.0 and olo >= 0.0:
             # Rounding is monotone, so the two endpoint products are the
             # least and the greatest of the four.
-            return Interval(
+            return _interval(
                 _nextafter(lo * olo, -_INF) if lo and olo else 0.0,
                 _nextafter(hi * ohi, _INF) if hi and ohi else 0.0,
             )
+        if lo and hi and olo and ohi:
+            # No factor is 0, so no product is 0 * inf = NaN, and each is
+            # the one _prod returns unless it underflows to 0.  When none
+            # does, both ends are nonzero and are widened.
+            a, b, c, d = lo * olo, lo * ohi, hi * olo, hi * ohi
+            if a and b and c and d:
+                lo, hi = min(a, b, c, d), max(a, b, c, d)
+                return _interval(_nextafter(lo, -_INF), _nextafter(hi, _INF))
         products = (_prod(lo, olo), _prod(lo, ohi), _prod(hi, olo), _prod(hi, ohi))
         lo, hi = min(products), max(products)
-        return Interval(_down(lo) if lo else 0.0, _up(hi) if hi else 0.0)
+        return _interval(_nextafter(lo, -_INF) if lo else 0.0, _nextafter(hi, _INF) if hi else 0.0)
 
     __rmul__ = __mul__
 
     # -- elementary functions ------------------------------------------------
 
     def exp(self) -> "Interval":
-        return Interval(max(0.0, _libm_down(_exp(self.lo))), _libm_up(_exp(self.hi)))
+        return _interval(max(0.0, _libm_down(_exp(self.lo))), _libm_up(_exp(self.hi)))
 
     def sinh(self) -> "Interval":
-        return Interval(_libm_down(_sinh(self.lo)), _libm_up(_sinh(self.hi)))
+        return _interval(_libm_down(_sinh(self.lo)), _libm_up(_sinh(self.hi)))
 
     def cosh(self) -> "Interval":
         at_lo, at_hi = _cosh(self.lo), _cosh(self.hi)
         top = _libm_up(max(at_lo, at_hi))
         if self.lo <= 0.0 <= self.hi:
-            return Interval(1.0, top)  # cosh attains its exact minimum 1 at 0
-        return Interval(max(1.0, _libm_down(min(at_lo, at_hi))), top)
+            return _interval(1.0, top)  # cosh attains its exact minimum 1 at 0
+        return _interval(max(1.0, _libm_down(min(at_lo, at_hi))), top)
 
     def sinh_over(self) -> "Interval":
         """Enclosure of sinh(x)/x for x >= 0, exploiting monotonicity.
@@ -255,19 +265,28 @@ class Interval:
             raise ValueError("sinh_over is defined for nonnegative intervals")
         bottom = max(1.0, _down(_libm_down(_sinh(lo) / lo))) if lo > 0.0 else 1.0
         top = max(1.0, _up(_libm_up(_sinh(hi) / hi))) if hi > 0.0 else 1.0
-        return Interval(bottom, top)
+        return _interval(bottom, top)
 
 
-# The slot setters, which only __init__ calls: they bypass _read_only.
+# The slot setters, which only the allocators _interval and _dual call: they
+# bypass _read_only.
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
+_new = object.__new__
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    """The one allocator of Interval, and the one place that checks its bounds."""
+    if not lo <= hi:  # also false when either end is NaN
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    result = _new(Interval)
+    _set_lo(result, lo)
+    _set_hi(result, hi)
+    return result
+
 
 ZERO = Interval(0.0, 0.0)  # the exact-zero partial; Dual tests for it by identity
 _ONE = Interval(1.0, 1.0)
-
-
-def _neg_partial(a: Interval) -> Interval:
-    return a if a is ZERO else -a
 
 
 def _so_slope(x: float) -> Interval:
@@ -285,7 +304,7 @@ def _so_slope(x: float) -> Interval:
     so_lo, so_hi = max(1.0, _down(_libm_down(so))), max(1.0, _up(_libm_up(so)))
     gap_lo, gap_hi = cosh_lo - so_hi, cosh_hi - so_lo
     gap_lo, gap_hi = _down(gap_lo) if gap_lo else 0.0, _up(gap_hi) if gap_hi else 0.0
-    return Interval(
+    return _interval(
         max(_down(x / 3.0), _down(gap_lo / x)),
         min(_up(_up(x * cosh_hi) / 3.0), _up(gap_hi / x)),
     )
@@ -301,9 +320,8 @@ class Dual:
 
     __slots__ = ("val", "grad")
 
-    def __init__(self, val: Interval, grad: tuple[Interval, ...]):
-        _set_val(self, val)
-        _set_grad(self, grad)
+    def __new__(cls, val: Interval, grad: tuple[Interval, ...]) -> "Dual":
+        return _dual(val, grad)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -312,42 +330,42 @@ class Dual:
 
     @classmethod
     def variable(cls, value: Interval, index: int, arity: int) -> "Dual":
-        return cls(value, tuple(_ONE if i == index else ZERO for i in range(arity)))
+        return cls(value, tuple([_ONE if i == index else ZERO for i in range(arity)]))
 
     def __add__(self, o) -> "Dual":
         if type(o) is Dual:
-            return Dual(
+            return _dual(
                 self.val + o.val,
-                tuple(
+                tuple([
                     b if a is ZERO else a if b is ZERO else a + b
                     for a, b in zip(self.grad, o.grad)
-                ),
+                ]),
             )
         if type(o) is Interval or isinstance(o, (int, float)):
-            return Dual(self.val + o, self.grad)
+            return _dual(self.val + o, self.grad)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Dual":
-        return Dual(-self.val, tuple(map(_neg_partial, self.grad)))
+        return _dual(-self.val, tuple([a if a is ZERO else -a for a in self.grad]))
 
     def __sub__(self, o) -> "Dual":
         if type(o) is Dual:
-            return Dual(
+            return _dual(
                 self.val - o.val,
-                tuple(
+                tuple([
                     a if b is ZERO else -b if a is ZERO else a - b
                     for a, b in zip(self.grad, o.grad)
-                ),
+                ]),
             )
         if type(o) is Interval or isinstance(o, (int, float)):
-            return Dual(self.val - o, self.grad)
+            return _dual(self.val - o, self.grad)
         return NotImplemented
 
     def __rsub__(self, o) -> "Dual":
         if type(o) is Interval or isinstance(o, (int, float)):
-            return Dual(o - self.val, tuple(map(_neg_partial, self.grad)))
+            return _dual(o - self.val, tuple([a if a is ZERO else -a for a in self.grad]))
         return NotImplemented
 
     def __mul__(self, o) -> "Dual":
@@ -361,16 +379,16 @@ class Dual:
                     grad.append(a * y)
                 else:
                     grad.append(a * y + b * x)
-            return Dual(x * y, tuple(grad))
+            return _dual(x * y, tuple(grad))
         if type(o) is Interval or isinstance(o, (int, float)):
-            return Dual(self.val * o, tuple(a if a is ZERO else a * o for a in self.grad))
+            return _dual(self.val * o, tuple([a if a is ZERO else a * o for a in self.grad]))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def _chain(self, value: Interval, slope: Interval) -> "Dual":
         """f(self) from f's value and an enclosure of f' over self.val."""
-        return Dual(value, tuple(a if a is ZERO else slope * a for a in self.grad))
+        return _dual(value, tuple([a if a is ZERO else slope * a for a in self.grad]))
 
     def exp(self) -> "Dual":
         e = self.val.exp()
@@ -386,12 +404,20 @@ class Dual:
         # so = sinh(x)/x is convex, so its slope over [lo, hi] runs from
         # so'(lo) to so'(hi)
         x = self.val
-        return self._chain(x.sinh_over(), Interval(_so_slope(x.lo).lo, _so_slope(x.hi).hi))
+        return self._chain(x.sinh_over(), _interval(_so_slope(x.lo).lo, _so_slope(x.hi).hi))
 
 
-# As for Interval, only __init__ calls these.
+# As for Interval, only the allocator _dual calls these.
 _set_val = Dual.val.__set__
 _set_grad = Dual.grad.__set__
+
+
+def _dual(val: Interval, grad: tuple[Interval, ...]) -> Dual:
+    """The one allocator of Dual."""
+    result = _new(Dual)
+    _set_val(result, val)
+    _set_grad(result, grad)
+    return result
 
 
 # Generic elementary functions: an int or float goes to math, and any other

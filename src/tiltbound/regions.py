@@ -173,7 +173,8 @@ class ProofExpr(NamedTuple):
 
 
 def _dv2_case1(u, v, w):
-    return vexp(-v) * (2 - v) - vsinh_over(w) * (vexp(-v) * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
+    ev = vexp(-v)
+    return ev * (2 - v) - vsinh_over(w) * (ev * (u * u) + 2 * vexp(-u) + 2 * vexp(w))
 
 
 def _d1_case2(u, v, w):
@@ -230,26 +231,21 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     """
     arity = len(expr.variables)
     spans = [box.interval(name) for name in expr.variables]
+    axes = [Interval(lo, hi) for lo, hi in spans]
+    centres = [0.5 * (lo + hi) for lo, hi in spans]
 
-    duals = [
-        Dual.variable(Interval(lo, hi), index, arity)
-        for index, (lo, hi) in enumerate(spans)
-    ]
-    full = expr.fn(*duals)
+    full = expr.fn(*[Dual.variable(axis, index, arity) for index, axis in enumerate(axes)])
     naive: Interval = full.val
 
-    mids = [Interval.point(0.5 * (lo + hi)) for lo, hi in spans]
-    mean_value = expr.fn(*mids)
-    for index, (lo, hi) in enumerate(spans):
-        offset = Interval(lo, hi) - 0.5 * (lo + hi)
-        mean_value = mean_value + full.grad[index] * offset
+    mean_value = expr.fn(*[Interval.point(centre) for centre in centres])
+    for grad, axis, centre in zip(full.grad, axes, centres):
+        mean_value = mean_value + grad * (axis - centre)
     enclosure = naive.intersect(mean_value)
 
     upper_faces = []
     lower_faces = []
     monotone = False
-    for index, (lo, hi) in enumerate(spans):
-        grad = full.grad[index]
+    for (lo, hi), axis, grad in zip(spans, axes, full.grad):
         if lo < hi and grad.hi < 0.0:
             monotone = True
             upper_faces.append(Interval.point(lo))
@@ -259,8 +255,8 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
             upper_faces.append(Interval.point(hi))
             lower_faces.append(Interval.point(lo))
         else:
-            upper_faces.append(Interval(lo, hi))
-            lower_faces.append(Interval(lo, hi))
+            upper_faces.append(axis)
+            lower_faces.append(axis)
     if monotone:
         sup_bound = expr.fn(*upper_faces).hi
         inf_bound = expr.fn(*lower_faces).lo

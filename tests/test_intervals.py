@@ -22,6 +22,10 @@ from tiltbound.intervals import (
 )
 
 
+ONE = Interval(1.0, 1.0)
+INF = Interval(math.inf, math.inf)
+
+
 def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
@@ -186,6 +190,33 @@ class TestStructure:
         for lo, hi in [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
             with pytest.raises(ValueError):
                 Interval(lo, hi)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: Interval(-math.inf, 1.0) + INF,
+            lambda: INF - INF,
+            lambda: Interval(-math.inf, 1.0) + math.inf,
+            lambda: math.inf + Interval(-math.inf, 1.0),
+            lambda: Interval(1.0, math.inf) - math.inf,
+            lambda: math.inf - Interval(1.0, math.inf),
+            lambda: Dual(ONE, (Interval(-math.inf, 0.0),)) + Dual(ONE, (INF,)),
+            lambda: Dual(ONE, (Interval(1.0, math.inf),)) - Dual(ONE, (INF,)),
+        ],
+        ids=["add", "sub", "add-scalar", "radd-scalar", "sub-scalar", "rsub-scalar",
+             "dual-add", "dual-sub"],
+    )
+    def test_every_operation_rejects_a_nan_bound(self, op):
+        # inf - inf is NaN: each operation builds its result through the one
+        # check lo <= hi, which a NaN end fails
+        with pytest.raises(ValueError, match="invalid interval"):
+            op()
+
+    def test_product_meeting_zero_times_inf_is_zero(self):
+        # the convention 0 * inf = 0, on the sign-mixed and the nonnegative path
+        assert Interval(-1.0, 0.0) * INF == Interval(-math.inf, 0.0)
+        assert Interval(0.0, 1.0) * INF == Interval(0.0, math.inf)
+        assert Interval(-2.0, 3.0) * Interval(0.0, 0.0) == Interval(0.0, 0.0)
 
     def test_bounds_are_read_only(self):
         iv = Interval(0.0, 1.0)

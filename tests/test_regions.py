@@ -1,6 +1,8 @@
 """Region checker: catalog fidelity, enclosure soundness, certification."""
 
+import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -296,6 +298,55 @@ class TestEnclosures:
         box = BoxRegion(u=(3.0, 4.0), v=(0.1, 0.2), w=(1.0, 2.0), case=CaseRegion.CASE2)
         with pytest.raises(EmptyRegionError):
             eval_interval("d_case2", box)  # needs u <= w <= v, impossible here
+
+
+def pin_boxes() -> list[tuple[str, BoxRegion]]:
+    """500 seeded boxes, 100 per catalog form, each meeting its case order.
+
+    Widths run from 1e-4 to about 3; about one axis in 17 starts at 0.
+    """
+    rng = random.Random(34)
+    names = list(CATALOG)
+    boxes = []
+    while len(boxes) < 500:
+        expr = CATALOG[names[len(boxes) % len(names)]]
+        spans = []
+        for _ in range(3):
+            lo = max(0.0, rng.uniform(-0.5, 8.0))
+            spans.append((lo, lo + 10.0 ** rng.uniform(-4.0, 0.5)))
+        box = BoxRegion(*spans, case=expr.case)
+        if box.clipped(expr.variables) is not None:
+            boxes.append((expr.name, box))
+    return boxes
+
+
+class TestBitForBit:
+    """Enclosures and bisections, pinned to the bit.
+
+    A faster interval kernel must give the same floats: the digest covers
+    both ends of each enclosure of ``pin_boxes()`` as ``float.hex`` strings.
+    """
+
+    def test_enclosures_are_pinned(self):
+        ends = [
+            (enc.lo.hex(), enc.hi.hex())
+            for enc in (eval_interval(name, box) for name, box in pin_boxes())
+        ]
+        digest = hashlib.sha256(repr(ends).encode()).hexdigest()
+        assert digest == "ca0260a53a8527b91bc137508854c4536f0385c3a50c36b2343e4c9f83a069c4"
+
+    @pytest.mark.parametrize(
+        "name, box, depth, certified, boxes, deepest",
+        [
+            ("d1_case2", ((0.05, 3.0),) * 3, 12, True, 133, 6),
+            ("d_case2", ((0.0, 1.0), (0.5, 1.5), (0.5, 1.5)), 4, False, 467, 4),
+        ],
+    )
+    def test_bisections_are_pinned(self, name, box, depth, certified, boxes, deepest):
+        result = certify_negative(name, BoxRegion(*box, case=CATALOG[name].case), depth)
+        assert (result.certified, result.boxes_evaluated, result.deepest_level) == (
+            certified, boxes, deepest
+        )
 
 
 class TestCertification:
