@@ -56,7 +56,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _load_distribution(path: str) -> SymmetricDiscreteDistribution:
     with open(path, "r", encoding="utf-8") as handle:
-        return SymmetricDiscreteDistribution.from_json(handle.read())
+        return SymmetricDiscreteDistribution.from_dict(json.load(handle))
 
 
 def _parse_box(text: str) -> tuple[float, float]:

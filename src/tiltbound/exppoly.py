@@ -73,10 +73,6 @@ def _mul(a: tuple[dict, int], b: tuple[dict, int], one: tuple, limit: float = ma
 
 def _power(base: tuple[dict, int], n: int, one: tuple, limit: float = math.inf):
     """base^n for an int n >= 0 by squaring, with ``one`` and ``limit`` as for :func:`_mul`."""
-    terms, den = base
-    if len(terms) == 1:  # a one-term base is raised by its exponents
-        ((key, c),) = terms.items()
-        return {tuple([e * n for e in key]): c**n}, den**n
     result = {one: 1}, 1
     while n:
         if n & 1:
@@ -233,10 +229,6 @@ class ExpPoly(SparsePoly):
     _ONE = (0, 0)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
 
     @classmethod
     def monomial(cls, coeff: Scalar, w_deg: int, t_deg: int) -> "ExpPoly":

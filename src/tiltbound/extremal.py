@@ -76,31 +76,32 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
 # -- deterministic refinement ------------------------------------------------
 
 
+REFINE_POINTS = 129  # even steps of each grid of _refine_scalar
+REFINE_ROUNDS = 4  # shrinking windows after its first grid
+
+
 def _refine_scalar(
-    objective: Callable[[float], float],
-    lo: float,
-    hi: float,
-    extra: Sequence[float] = (),
-    points: int = 129,
-    rounds: int = 4,
+    objective: Callable[[float], float], lo: float, hi: float, extra: Sequence[float] = ()
 ) -> tuple[float, float]:
     """Grid search with shrinking windows; returns (best_x, best_value).
 
-    Round 0 scans [lo, hi] at ``points`` even steps plus the ``extra``
-    points inside it; each of the ``rounds`` that follow scans the steps of
-    one grid spacing either side of the best point so far, within [lo, hi].
+    Round 0 scans [lo, hi] at ``REFINE_POINTS`` even steps plus the
+    ``extra`` points inside it; each of the ``REFINE_ROUNDS`` that follow
+    scans the steps of one grid spacing either side of the best point so
+    far, within [lo, hi].
     """
     best_x, best_val = lo, -math.inf
     window_lo, window_hi = lo, hi
     extras = [x for x in extra if lo <= x <= hi]
-    for _ in range(rounds + 1):
+    for _ in range(REFINE_ROUNDS + 1):
         width = window_hi - window_lo
-        for x in [window_lo + width * i / (points - 1) for i in range(points)] + extras:
+        steps = [window_lo + width * i / (REFINE_POINTS - 1) for i in range(REFINE_POINTS)]
+        for x in steps + extras:
             val = objective(x)
             if val > best_val:
                 best_x, best_val = x, val
         extras = []
-        span = width / (points - 1)
+        span = width / (REFINE_POINTS - 1)
         window_lo, window_hi = max(lo, best_x - span), min(hi, best_x + span)
     return best_x, best_val
 

@@ -107,33 +107,33 @@ class BoxRegion(namedtuple("BoxRegion", "u v w case")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def interval(self, axis: str) -> tuple[float, float]:
-        return getattr(self, axis)
-
     def clipped(self, axes: tuple[str, ...] = _AXES) -> Optional["BoxRegion"]:
         """Bounding box of the intersection with the case-order constraints.
 
-        Only constraints speaking about ``axes`` are applied.  Without v
-        among ``axes`` the box lies on the lower face of v in its case
-        order (v = u on case 1, v = w on case 2), so v takes that axis's
-        range.  Returns None when the intersection is empty.
+        Only constraints speaking about ``axes`` are applied.  The case
+        order is one chain a <= b <= c, so one pass up the chain raises each
+        lower end to the one below it and one pass back lowers each upper end
+        to the one above it.  Without v among ``axes`` the box lies on the
+        lower face of v in its case order (v = u on case 1, v = w on case 2),
+        so v takes that axis's range.  Returns the box itself when it
+        already meets its order, and None when the intersection is empty.
         """
-        bounds = {name: list(getattr(self, name)) for name in _AXES}
-        pairs = [
-            (a, b) for a, b in _CASE_ORDER[self.case] if a in axes and b in axes
-        ]
-        for _ in range(2):  # a <= b chains settle after two sweeps
-            for a, b in pairs:
-                bounds[b][0] = max(bounds[b][0], bounds[a][0])
-                bounds[a][1] = min(bounds[a][1], bounds[b][1])
-        for name in axes:
-            if bounds[name][0] > bounds[name][1]:
-                return None
+        order = _CASE_ORDER[self.case]
+        pairs = [(a, b) for a, b in order if a in axes and b in axes]
+        spans = {"u": self.u, "v": self.v, "w": self.w}
+        for a, b in pairs:
+            if spans[b][0] < spans[a][0]:
+                spans[b] = (spans[a][0], spans[b][1])
+        for a, b in reversed(pairs):
+            if spans[a][1] > spans[b][1]:
+                spans[a] = (spans[a][0], spans[b][1])
+        if any(lo > hi for lo, hi in spans.values()):
+            return None
         if "v" not in axes:
-            bounds["v"] = next(bounds[a] for a, b in _CASE_ORDER[self.case] if b == "v")
-        return BoxRegion(
-            u=tuple(bounds["u"]), v=tuple(bounds["v"]), w=tuple(bounds["w"]), case=self.case
-        )
+            spans["v"] = spans[next(a for a, b in order if b == "v")]
+        if (spans["u"], spans["v"], spans["w"]) == self[:3]:
+            return self
+        return BoxRegion(**spans, case=self.case)
 
     def widest_axis(self, axes: tuple[str, ...]) -> str:
         return max(axes, key=lambda name: getattr(self, name)[1] - getattr(self, name)[0])
@@ -230,7 +230,7 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     supremum (respectively infimum) lives before re-evaluating.
     """
     arity = len(expr.variables)
-    spans = [box.interval(name) for name in expr.variables]
+    spans = [getattr(box, name) for name in expr.variables]
     axes = [Interval(lo, hi) for lo, hi in spans]
     centres = [0.5 * (lo + hi) for lo, hi in spans]
 
@@ -312,17 +312,11 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
     """
     expr = _owner(expr, box)
     axes = expr.variables
-    root = box.clipped(axes)
-    if root is None:
-        return CertifyResult(True, (), 0, 0)
-
     undecided: list[BoxRegion] = []
     evaluated = 0
     deepest = 0
     zero_levels = {axis: 0 for axis in axes}
-    stack: list[tuple[BoxRegion, dict[str, int], Interval | None]] = [
-        (root, zero_levels, None)
-    ]
+    stack: list[tuple[BoxRegion, dict[str, int], Interval | None]] = [(box, zero_levels, None)]
     while stack:
         current, levels, inherited = stack.pop()
         clipped = current.clipped(axes)
@@ -364,9 +358,6 @@ class StructureCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @cache
@@ -573,7 +564,7 @@ class CaseStructureReport(NamedTuple):
         return next(c for c in self.checks if c.name == name)
 
     def to_dict(self) -> dict:
-        return {"all_passed": self.all_passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"all_passed": self.all_passed, "checks": [c._asdict() for c in self.checks]}
 
     def derived_regions(self) -> list[dict]:
         """d_case1 and d_case2, each derived from the ``LINKS`` rows that derive it.

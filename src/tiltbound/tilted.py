@@ -30,7 +30,6 @@ at zero.  Expectations are finite sums, so no quadrature error enters.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
@@ -131,10 +130,6 @@ class SymmetricDiscreteDistribution:
             raise InvalidDistributionError('expected an object {"atoms": [[x, p], ...]} of numbers')
         return cls(atoms)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricDiscreteDistribution":
-        return cls.from_dict(json.loads(text))
-
     def __repr__(self) -> str:
         return f"SymmetricDiscreteDistribution({list(self._atoms)!r})"
 
@@ -144,6 +139,12 @@ class SymmetricDiscreteDistribution:
         return self._atoms == other._atoms
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise OverflowError("result out of float range")
+    return value
+
+
 def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
     """Tilted mean over an explicit signed support; the evaluation core.
 
@@ -151,6 +152,7 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
     symmetric law the +-x terms of the first sum share one sign and the
     second sum is exactly zero; summed as x p e^{h min(x, w)}, the +-x terms
     would cancel to about 2 h x^2 p and keep the rounding error of x p.
+    A result out of float range, infinite or NaN, raises OverflowError.
     """
     shifted, linear, weights = [], [], []
     for x, p in atoms:
@@ -159,7 +161,7 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
         shifted.append(xp * math.expm1(a))
         linear.append(xp)
         weights.append(math.exp(a) * p)
-    return (math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights)
+    return _finite((math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights))
 
 
 def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:
@@ -195,13 +197,14 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
     """Evaluate mean, the symmetric-class bound, and their margin.
 
     Requires E[X^2] > 0; a point mass at zero has no meaningful bound and
-    raises DegenerateDistributionError.
+    raises DegenerateDistributionError.  A mean or bound out of float range
+    raises OverflowError.
     """
     s2 = dist.second_moment()
     if s2 <= 0:
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
-    bound = symmetric_factor(p) * s2
+    bound = _finite(symmetric_factor(p) * s2)
     return BoundCheck(mean=mean, bound=bound, margin=bound - mean)
 
 
@@ -230,12 +233,6 @@ def d(u, v, w, u_capped: bool, v_capped: bool):
     gu0, gu1 = _g(u, ew if u_capped else None)
     gv0, gv1 = _g(v, ew if v_capped else None)
     return gu1 + gv1 - vsinh_over(w) * (gu0 * (v * v) + gv0 * (u * u))
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise OverflowError("result out of float range")
-    return value
 
 
 def g_expr(j: int, x: float, w: float) -> float:

@@ -458,6 +458,25 @@ def test_float_overflow_is_a_clean_error(capsys, dist_file, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "atoms, argv",
+    [
+        ("[[0, 0.5], [1e10, 0.5]]", ("eval", "--h", "1e300", "--w", "1e300")),  # mean NaN
+        ("[[0, 0.5], [1e10, 0.5]]", ("bound-check", "--h", "1e300", "--w", "1e300")),
+        ("[[0, 0.5], [1e10, 0.5]]", ("bound-check", "--h", "1e300", "--w", "1e-300")),  # bound inf
+        ("[[0, 0.5], [1e200, 0.5]]", ("bound-check",)),  # bound inf, mean finite
+    ],
+)
+def test_non_finite_mean_or_bound_is_a_clean_error(capsys, tmp_path, atoms, argv):
+    # each command once printed NaN or Infinity (bound-check even "holds": true
+    # beside an infinite bound) instead of exiting 2 with an error line
+    path = tmp_path / "wide.json"
+    path.write_text(f'{{"atoms": {atoms}}}')
+    code, out, err = run_cli(capsys, *argv, "--dist", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,8 @@
 """Soundness of the outward-rounded interval arithmetic and the gradients."""
 
+import copy
 import math
+import pickle
 import struct
 import sys
 
@@ -223,6 +225,20 @@ class TestStructure:
         with pytest.raises(AttributeError):
             iv.lo = -1.0
         assert iv == Interval(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "iv", [Interval(-0.0, 1.5), Interval(-math.inf, 5e-324), Interval(2.0, 2.0), INF]
+    )
+    def test_pickle_and_deepcopy_round_trip(self, iv):
+        # __reduce__ rebuilds through Interval(lo, hi), ends kept to the bit
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(iv, protocol)) for protocol in protocols]
+        copies.append(copy.deepcopy(iv))
+        for again in copies:
+            assert type(again) is Interval and again == iv
+            assert (again.lo.hex(), again.hi.hex()) == (iv.lo.hex(), iv.hi.hex())
+            with pytest.raises(AttributeError):
+                again.lo = 0.0
 
 
 class TestDual:

@@ -116,7 +116,7 @@ class TestBaseCase:
         assert (len(shifts) - 1) // 2 <= 8  # splits: 5
 
     def test_zero_rejected(self):
-        zero = ReductionStep(ExpPoly.zero(), Fraction(0))
+        zero = ReductionStep(ExpPoly(), Fraction(0))
         with pytest.raises(CertificateError):
             replay(SignCertificate(Outcome.POSITIVE, (zero,)))
 
@@ -168,7 +168,7 @@ class TestDecideSign:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            decide_sign(ExpPoly.zero())
+            decide_sign(ExpPoly())
 
     def test_certified_signs_match_sampling(self):
         # falsifier, not prover: certified claims must survive point sampling

@@ -1,6 +1,7 @@
 """Region checker: catalog fidelity, enclosure soundness, certification."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -265,7 +266,7 @@ class TestEnclosures:
                 if clipped is None:
                     continue
                 point = {
-                    name: float(rng.uniform(*clipped.interval(name)))
+                    name: float(rng.uniform(*getattr(clipped, name)))
                     for name in expr.variables
                 }
                 enc = eval_interval(expr, box)
@@ -429,6 +430,50 @@ class TestCertification:
         assert a == b
 
 
+# the case orders written out here, independent of regions._CASE_ORDER
+ORDERS = {
+    CaseRegion.CASE1: (("w", "u"), ("u", "v")),  # w <= u <= v
+    CaseRegion.CASE2: (("u", "w"), ("w", "v")),  # u <= w <= v
+}
+AXIS_SUBSETS = [axes for r in range(4) for axes in itertools.combinations("uvw", r)]
+
+
+def two_sweep_clip(box: BoxRegion, axes: tuple[str, ...]):
+    """The reference clip: both sweeps of every pair, twice, over a dict of lists."""
+    bounds = {name: list(getattr(box, name)) for name in "uvw"}
+    pairs = [(a, b) for a, b in ORDERS[box.case] if a in axes and b in axes]
+    for _ in range(2):
+        for a, b in pairs:
+            bounds[b][0] = max(bounds[b][0], bounds[a][0])
+            bounds[a][1] = min(bounds[a][1], bounds[b][1])
+    if any(bounds[name][0] > bounds[name][1] for name in axes):
+        return None
+    if "v" not in axes:
+        bounds["v"] = next(bounds[a] for a, b in ORDERS[box.case] if b == "v")
+    return BoxRegion(*(tuple(bounds[name]) for name in "uvw"), case=box.case)
+
+
+def clip_boxes(seed: int, count: int):
+    """Seeded (box, axes) pairs over both cases and every axis subset.
+
+    Ends come from a coarse grid half the time, so ties and degenerate
+    ranges (lo == hi) are common, and many boxes miss their case order.
+    """
+    rng = random.Random(seed)
+    grid = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+    def end() -> float:
+        return rng.choice(grid) if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+
+    for index in range(count):
+        spans = []
+        for _ in range(3):
+            lo = end()
+            spans.append((lo, lo) if rng.random() < 0.2 else tuple(sorted((lo, end()))))
+        case = (CaseRegion.CASE1, CaseRegion.CASE2)[index % 2]
+        yield BoxRegion(*spans, case=case), AXIS_SUBSETS[index // 2 % len(AXIS_SUBSETS)]
+
+
 class TestClipping:
     def test_case1_chain(self):
         box = BoxRegion(u=(0.0, 2.0), v=(0.0, 1.0), w=(0.5, 3.0), case=CaseRegion.CASE1)
@@ -444,13 +489,48 @@ class TestClipping:
         assert clipped.u == (0.0, 2.0)  # u <= w
         assert clipped.v == clipped.w == (1.0, 2.0)  # on the face v = w
 
+    def test_matches_the_two_sweep_clip(self):
+        seen, empty, degenerate = set(), 0, 0
+        for box, axes in clip_boxes(seed=35, count=100_000):
+            clipped = box.clipped(axes)
+            assert clipped == two_sweep_clip(box, axes), (box, axes)
+            seen.add((box.case, axes))
+            empty += clipped is None
+            degenerate += any(lo == hi for lo, hi in box[:3])
+        assert len(seen) == 2 * len(AXIS_SUBSETS)  # both cases, every axis subset
+        assert empty > 10_000 and degenerate > 10_000
+
+    @pytest.mark.parametrize(
+        "box, axes",
+        [
+            (BoxRegion((0.5, 1.0), (1.0, 2.0), (0.2, 0.5), CaseRegion.CASE1), ("u", "v", "w")),
+            (BoxRegion((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), CaseRegion.CASE1), ("u", "v", "w")),
+            (BoxRegion((0.0, 1.0), (1.0, 2.0), (1.0, 2.0), CaseRegion.CASE2), ("u", "w")),
+            (BoxRegion((0.0, 4.0), (5.0, 6.0), (1.0, 2.0), CaseRegion.CASE2), ("v", "w")),
+        ],
+    )
+    def test_an_ordered_box_comes_back_as_itself(self, box, axes):
+        assert box.clipped(axes) is box
+
+    @pytest.mark.parametrize(
+        "name, box",
+        [
+            ("d_case1", ((1.0, 2.0), (0.1, 0.2), (3.0, 4.0))),  # needs w <= u <= v
+            ("d_case2", ((3.0, 4.0), (0.1, 0.2), (1.0, 2.0))),  # needs u <= w <= v
+            ("d_at_v_eq_w_case2", ((3.0, 4.0), (0.0, 9.0), (1.0, 2.0))),  # needs u <= w
+        ],
+    )
+    def test_certify_negative_on_a_box_missing_its_order(self, name, box):
+        result = certify_negative(name, BoxRegion(*box, case=CATALOG[name].case), 18)
+        assert result == (True, (), 0, 0)
+
     @pytest.mark.parametrize("name, plane", [("d_at_v_eq_w_case2", "w")])
     def test_restricted_forms_report_boxes_on_their_plane(self, name, plane):
         # the face vanishes at the origin, so [0, 1]^3 leaves undecided boxes
         cube = BoxRegion(u=(0.0, 1.0), v=(0.0, 1.0), w=(0.0, 1.0), case=CATALOG[name].case)
         result = certify_negative(name, cube, 5)
         assert result.undecided
-        assert all(b.v == b.interval(plane) for b in result.undecided)
+        assert all(b.v == getattr(b, plane) for b in result.undecided)
 
 
 def row(name):

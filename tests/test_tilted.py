@@ -262,6 +262,14 @@ class TestCheckBound:
         with pytest.raises(DegenerateDistributionError):
             check_bound(SymmetricDiscreteDistribution([(0.0, 1.0)]), P11)
 
+    def test_non_finite_mean_or_bound_raises(self):
+        # the mean is inf / inf = NaN; the bound sinh(1) / 1e-300 * 5e19 is inf
+        wide = SymmetricDiscreteDistribution([(0.0, 0.5), (1e10, 0.5)])
+        with pytest.raises(OverflowError):
+            tilted_mean_signed(wide.signed_atoms(), 1e300, 1e300)
+        with pytest.raises(OverflowError):
+            check_bound(wide, TiltParams(1e300, 1e-300))
+
 
 class TestGExpr:
     def test_zero_uses_power_convention(self):
