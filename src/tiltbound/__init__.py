@@ -9,7 +9,7 @@ Layers:
   with exact, replayable certificates.
 * :mod:`tiltbound.regions` certifies the multivariate negativity claims on
   bounded boxes with outward-rounded interval arithmetic, and checks its
-  exact links by expanding identities in :mod:`tiltbound.identities`.
+  exact links by expanding identities in :mod:`tiltbound.exppoly`.
 * :mod:`tiltbound.extremal` searches constrained distribution families, built
   as signed atoms, to reproduce the sharpness of the bound factor.
 * :mod:`tiltbound.cli` ties everything into reproducible reports.

@@ -42,7 +42,7 @@ from .regions import certify_negative  # noqa: F401  (bench/tracing.py wraps cli
 from .tilted import SymmetricDiscreteDistribution, TiltParams, check_bound, tilted_mean
 
 DEFAULT_BOX = (0.05, 8.0)
-DEFAULT_SIGMAS = (0.5, 0.1, 0.01, 0.001)
+DEFAULT_SIGMAS = (0.5, 0.1, 0.01, 0.001)  # times --w, as the scan needs 0 < sigma < w
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -121,7 +121,8 @@ def _cmd_verify_proof(args) -> int:
 
 def _scan(args) -> tuple[list, dict]:
     """The sharpness scan: its rows and the ``{"h", "w", "rows"}`` payload."""
-    rows = ratio_limit_scan(TiltParams(args.h, args.w), args.sigma or list(DEFAULT_SIGMAS))
+    sigmas = args.sigma or [args.w * s for s in DEFAULT_SIGMAS]
+    rows = ratio_limit_scan(TiltParams(args.h, args.w), sigmas)
     detail_rows = [{**row.to_dict(), "argmax_atoms": [[x, p] for x, p in row.atoms]} for row in rows]
     return rows, {"h": args.h, "w": args.w, "rows": detail_rows}
 
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--sigma",
                 type=float,
                 action="append",
-                help="sigma for the scan (repeatable; default 0.5 0.1 0.01 0.001)",
+                help="sigma for the scan (repeatable; default 0.5 0.1 0.01 0.001 times --w)",
             )
 
     p_eval = command("eval", help="tilted mean of a distribution")

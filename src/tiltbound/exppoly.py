@@ -1,26 +1,50 @@
-"""Exact bivariate polynomials P(w, t) with t standing for exp(w).
+"""The exact kernels: polynomials P(w, t) with t standing for exp(w), and Laurent polynomials.
 
 Every inequality handled by the prover has the shape ``P(w, e^w) < 0`` (or
 ``> 0``) on w in (0, oo) for a polynomial P with rational coefficients.  This
-module supplies the exact-arithmetic polynomial type, a small ASCII text
-grammar for entering such expressions (with fixed caps on what a text
-builds), symbolic differentiation with respect to w (where d/dw t = t), the
-sign-preserving normal form used by the prover, and the "num/den" text of
-the rationals in a certificate.  :class:`ExpPoly` shares its arithmetic and
-derivative rule (:class:`SparsePoly`) with :class:`tiltbound.identities.Laurent`.
+module supplies the exact-arithmetic polynomial type :class:`ExpPoly`, a
+small ASCII text grammar for entering such expressions (with fixed caps on
+what a text builds), symbolic differentiation with respect to w (where
+d/dw t = t), the sign-preserving normal form used by the prover, the
+"num/den" text of the rationals in a certificate, and the canonical rational
+itself (:data:`Scalar`, :func:`exact`).
 
-The arithmetic is one set of private routines on (int terms, den) pairs: add,
+It also holds the identity kernel :class:`Laurent`: a finite sum of monomials
+
+    c * u^a v^b w^c' * e^(p u + q v + r w)
+
+with rational c and integer exponents, negative ones included (so(w) =
+sinh(w)/w needs w^-1).  An identity between closed forms in u, v, w, e^u,
+e^v and e^w holds when the difference of its two sides expands to the zero
+Laurent polynomial: since u, v, w and e^u, e^v, e^w are algebraically
+independent, a sum that collects to no monomial is zero as a function, and
+one that does not is not zero as a formal expression.  Its operations are
++ - * ** == (with another Laurent or an exact scalar; a float operand is read
+exactly through ``as_integer_ratio()``), the formal partial derivative
+:meth:`Laurent.diff`, the substitution of one variable by another
+(:meth:`Laurent.at`, such as v := u, u := w or v := w), and exp, sinh, cosh
+and sinh_over of an integer-linear argument such as -(v + w) or 2w
+(sinh_over only of a multiple of one variable, whose division is a
+monomial).  Anything else raises: ``exp(u*u)`` or ``sinh_over(u/2)`` never
+expands to something else, and a Laurent has no truth value.  The generic
+``vexp``/``vsinh``/``vcosh``/``vsinh_over`` of :mod:`tiltbound.intervals`
+call these methods, so a catalog form evaluates here exactly as written.
+
+Both kernels share one arithmetic and derivative rule (:class:`SparsePoly`),
+which is one set of private routines on (int terms, den) pairs: add,
 multiply, power by squaring, reading the integer coefficients of a linear
-argument, and (e^x +- e^-x)/2.  :class:`SparsePoly`'s operators, the
-parser and the elementary functions of ``Laurent`` all call them.
+argument, and (e^x +- e^-x)/2.  :class:`SparsePoly`'s operators, the parser
+and the elementary functions of ``Laurent`` all call them, and no other
+module reads the pairs.
 
 A polynomial is stored as int numerators over one positive int denominator,
 reduced, and its arithmetic computes with ints alone; :func:`normalize`
-makes the denominator 1 and :func:`derivative` keeps it so.  Only reading a
-coefficient (``terms()``, ``coeff()``, ``eval_at_zero()``) yields a rational:
-an ``int``, or a :class:`fractions.Fraction` when it is not integral (never
-``Fraction(n, 1)``).  Floats are rejected so that certificates replay bit for
-bit.
+makes the denominator 1 and :func:`derivative` keeps it so, and Laurent's
+exp, sinh and cosh build theirs over 1 or 2, sinh_over over 2|k|.  Only
+reading a coefficient (``terms()``, ``coeff()``, ``eval_at_zero()``) yields
+a rational: an ``int``, or a :class:`fractions.Fraction` when it is not
+integral (never ``Fraction(n, 1)``).  ``ExpPoly`` rejects floats so that
+certificates replay bit for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +53,15 @@ import math
 import re
 import string
 from fractions import Fraction
-from operator import add, neg
-from typing import Iterator, Mapping
+from operator import add, neg, sub
+from typing import Iterator, Mapping, Union
 
-from .rootisolation import Scalar, exact
+Scalar = Union[int, Fraction]
+
+
+def exact(value: Scalar) -> Scalar:
+    """The canonical form of a rational: an int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 # The one arithmetic of the exact kernels, on pairs (terms, den): the polynomial
@@ -104,7 +133,7 @@ def _half_sum(up: tuple[int, ...], sign: int) -> tuple[dict, int]:
 class SparsePoly:
     """Sum of monomials (n / den) x^key with int-tuple keys, immutable by convention.
 
-    The arithmetic and derivative rule of :class:`ExpPoly` and :class:`~.identities.Laurent`.
+    The arithmetic and derivative rule of :class:`ExpPoly` and :class:`Laurent`.
     ``_terms`` maps each key to a nonzero int numerator and ``_den`` is one positive int
     denominator with ``gcd(den, *numerators) == 1``, so ``==`` and ``hash`` are structural.
     ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or a scalar that
@@ -313,10 +342,6 @@ def parse_rational(text: str) -> Scalar:
     return exact(Fraction(text))
 
 
-W = ExpPoly.monomial(1, 1, 0)
-T = ExpPoly.monomial(1, 0, 1)
-
-
 def normalize(raw: ExpPoly) -> ExpPoly:
     """Sign-equivalent normal form on w in (0, oo).
 
@@ -353,6 +378,102 @@ def derivative(p: ExpPoly) -> ExpPoly:
     Each monomial c w^i t^k maps to c i w^(i-1) t^k + c k w^i t^k.
     """
     return p._diff(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The identity kernel
+# ---------------------------------------------------------------------------
+
+# A monomial u^a v^b w^c e^(p u + q v + r w) is the key (a, b, c, p, q, r).
+Key = tuple[int, int, int, int, int, int]
+_AXES = ("u", "v", "w")
+_LINEAR = {(1, 0, 0, 0, 0, 0): 0, (0, 1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 2}  # key -> axis
+
+
+class Laurent(SparsePoly):
+    """A Laurent polynomial over the rationals in u, v, w, e^u, e^v and e^w."""
+
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0, 0, 0)
+
+    @staticmethod
+    def _scalar(value) -> tuple[int, int] | None:
+        """(numerator, denominator) of an int, Fraction or float (NaN and inf raise), else None."""
+        return value.as_integer_ratio() if isinstance(value, (int, Fraction, float)) else None
+
+    @classmethod
+    def variable(cls, name: str) -> "Laurent":
+        return cls({tuple(int(axis == name) for axis in _AXES) + (0, 0, 0): 1})
+
+    @classmethod
+    def in_w(cls, p: ExpPoly) -> "Laurent":
+        """The prover's P(w, t) read at t = e^w."""
+        return cls._of({(0, 0, i, 0, 0, k): c for (i, k), c in p._terms.items()}, p._den)
+
+    def terms(self) -> Iterator[tuple[Key, Scalar]]:
+        """(key, coefficient) of every monomial, in key order."""
+        for key in sorted(self._terms):
+            yield key, self._rational(self._terms[key])
+
+    def __repr__(self) -> str:
+        return f"Laurent({dict(self.terms())!r})"
+
+    def __bool__(self) -> bool:
+        raise TypeError("a Laurent polynomial has no truth value; use is_zero")
+
+    # -- formal operations ----------------------------------------------------
+
+    def diff(self, name: str) -> "Laurent":
+        """The partial derivative in u, v or w: x^a e^(p x) gives (a/x + p) x^a e^(p x)."""
+        axis = _AXES.index(name)
+        return self._diff(axis, 3 + axis)
+
+    def at(self, name: str, by: str) -> "Laurent":
+        """The substitution name := by, for two distinct axes of u, v, w."""
+        i, j = _AXES.index(name), _AXES.index(by)
+        if i == j:
+            raise ValueError(f"{name} := {by} is no substitution")
+        terms: dict[Key, int] = {}
+        for key, coeff in self._terms.items():
+            moved = list(key)
+            for a, b in ((i, j), (3 + i, 3 + j)):  # the power, then the rate
+                moved[a], moved[b] = 0, moved[a] + moved[b]
+            moved = tuple(moved)
+            terms[moved] = terms.get(moved, 0) + coeff
+        return self._of(terms, self._den)
+
+    # -- elementary functions of an integer-linear argument --------------------
+
+    def _rates(self) -> tuple[int, int, int]:
+        """(p, q, r) with self = p u + q v + r w, all integers; else ValueError."""
+        if (rates := _linear((self._terms, self._den), _LINEAR)) is None:
+            raise ValueError(f"{self!r} is not an integer-linear argument")
+        return rates
+
+    def exp(self) -> "Laurent":
+        return Laurent._of({(0, 0, 0) + self._rates(): 1}, 1)
+
+    def _half(self, sign: int) -> "Laurent":
+        """(e^x + sign e^-x) / 2."""
+        return Laurent._of(*_half_sum((0, 0, 0) + self._rates(), sign))
+
+    def sinh(self) -> "Laurent":
+        return self._half(-1)
+
+    def cosh(self) -> "Laurent":
+        return self._half(1)
+
+    def sinh_over(self) -> "Laurent":
+        """sinh(x)/x for x = k y with y one of u, v, w and k a nonzero integer."""
+        sinh = self.sinh()
+        if len(self._terms) != 1:
+            raise ValueError(f"sinh_over needs a multiple of one variable, got {self!r}")
+        ((key, k),) = self._terms.items()
+        terms = {tuple(map(sub, m, key)): c if k > 0 else -c for m, c in sinh._terms.items()}
+        return Laurent._of(terms, 2 * abs(k))  # / (k y)
+
+
+U, V, W = (Laurent.variable(name) for name in _AXES)
 
 
 # ---------------------------------------------------------------------------

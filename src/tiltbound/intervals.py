@@ -421,7 +421,7 @@ def _dual(val: Interval, grad: tuple[Interval, ...]) -> Dual:
 
 
 # Generic elementary functions: an int or float goes to math, and any other
-# value (Interval, Dual, or the exact identities.Laurent) to its own method.
+# value (Interval, Dual, or the exact exppoly.Laurent) to its own method.
 
 
 def vexp(x):

@@ -32,10 +32,10 @@ import functools
 from typing import NamedTuple, Optional
 
 from .exppoly import (
-    MAX_DEGREE, ExpPoly, derivative, normalize, parse_expression, parse_rational, rational_str
+    MAX_DEGREE, ExpPoly, Scalar, derivative, normalize, parse_expression, parse_rational,
+    rational_str,
 )
 from . import rootisolation as ri
-from .rootisolation import Scalar
 
 MAX_DEPTH = 32  # decide_sign differentiates at most this many times
 
@@ -243,7 +243,7 @@ BATTERY = (
         "sinh_dominates_identity",
         "sinh(w) - w",
         Outcome.POSITIVE,
-        "sinh w > w, used twice as a lemma in the case analysis",
+        "sinh w > w; read by three case links",
     ),
     (
         "sinh_over_increasing",

@@ -37,7 +37,7 @@ diagonal v = u; case 2 from its slope in v and the face v = w; case 3 from
 the face.  The diagonal, the face and case 3 are exact steps from the
 battery lemma ``sinh_over_increasing``.  Concavity and both slopes expand
 the catalog's own d_case1, dv2_case1, d_case2 and d1_case2 in
-:mod:`tiltbound.identities` into identities that tie them to their battery
+:mod:`tiltbound.exppoly` into identities that tie them to their battery
 lemmas, so the identities expand the same d that the bisection encloses
 and :func:`tiltbound.tilted.d_expr` evaluates.  The verdict reads no
 interval enclosure.  Bisecting the five catalog forms stays available as
@@ -62,7 +62,7 @@ from collections import namedtuple
 from functools import cache, partial
 from typing import Callable, NamedTuple, Optional
 
-from .identities import U, V, W, Laurent
+from .exppoly import U, V, W, Laurent
 from .intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 from .prover import BatteryReport
 from .tilted import d, d_expr  # noqa: F401  (bench/tracing.py wraps regions.d_expr)

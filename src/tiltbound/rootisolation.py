@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Sequence
 
-Scalar = Union[int, Fraction]
+from .exppoly import Scalar, exact
+
 Poly = tuple[Scalar, ...]
 
 # The splits of one root count may cost at most this much work.  A node q that
@@ -28,11 +29,6 @@ Poly = tuple[Scalar, ...]
 # dominates a small q: a quartic stops after a few hundred splits, not thousands.
 MAX_WORK = 2**26
 NODE_WORK = 2**17
-
-
-def exact(value: Scalar) -> Scalar:
-    """The canonical form of a rational: an int when it is integral."""
-    return value.numerator if value.denominator == 1 else value
 
 
 def _rational(value) -> Scalar:

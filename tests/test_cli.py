@@ -10,8 +10,7 @@ import pytest
 
 from tiltbound import cli, prover, regions
 from tiltbound.cli import build_parser, main
-from tiltbound.exppoly import parse_expression
-from tiltbound.identities import U, V, W
+from tiltbound.exppoly import U, V, W, parse_expression
 from tiltbound.intervals import vexp
 from tiltbound.prover import BATTERY
 from tiltbound.regions import CATALOG
@@ -134,6 +133,11 @@ class TestProve:
         assert code == 2
         assert "error:" in err
 
+    def test_trailing_input_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "prove", "--expr", "w)")
+        assert code == 2 and out == ""
+        assert err == "error: trailing input at ')'\n"
+
     @pytest.mark.parametrize("text", ["\u00b2", "\u0663*w"])
     def test_numbers_are_ascii_digits(self, capsys, text):
         # the superscript two leaked int()'s error, and the Arabic-Indic
@@ -203,6 +207,17 @@ class TestExtremal:
         code, out, err = run_cli(capsys, "extremal", "--h", "1e-320")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, w", [("extremal", "0.3"), ("report", "0.5")])
+    def test_default_sigmas_are_fractions_of_w(self, capsys, command, w):
+        # the default scan is w times 0.5, 0.1, 0.01 and 0.001, so it meets
+        # 0 < sigma < w at every w; fixed sigmas made both commands exit 2
+        code, out, err = run_cli(capsys, command, "--w", w)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        scan = payload["extremal"] if command == "report" else payload
+        sigmas = [float(w) * s for s in (0.5, 0.1, 0.01, 0.001)]
+        assert [row["sigma"] for row in scan["rows"]] == sigmas
 
     def test_json_includes_argmax(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--sigma", "0.1")
@@ -365,6 +380,24 @@ def test_cube_near_the_origin_is_negative_where_it_certifies():
     case2 = [d_expr(u, v, w) for u, v, w in points if u <= w <= v]
     assert case1 and case2
     assert max(case1) < 0.0 and max(case2) < 0.0
+
+
+def test_a_certificate_that_fails_to_replay_fails_the_verdict(capsys, monkeypatch):
+    # replay raising CertificateError is a failed replay: the entry reads
+    # replay_matches false, the battery is not certified and verify-proof exits 1
+    def failing(certificate):
+        raise prover.CertificateError("stored steps or claim and re-derivation differ")
+
+    monkeypatch.setattr(prover, "replay", failing)
+    report = prover.verify_battery()
+    assert not report.all_certified
+    assert not any(entry.replay_matches or entry.certified for entry in report.entries)
+    code, out, _ = run_cli(capsys, "verify-proof")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False and payload["battery"]["all_certified"] is False
+    entries = payload["battery"]["entries"]
+    assert [entry["replay_matches"] for entry in entries] == [False] * len(BATTERY)
 
 
 class TestVerifyProofDefaults:

@@ -14,8 +14,6 @@ from tiltbound.exppoly import (
     MAX_PRODUCT,
     ExpPoly,
     ExprSyntaxError,
-    T,
-    W,
     derivative,
     normalize,
     parse_expression,
@@ -23,6 +21,9 @@ from tiltbound.exppoly import (
     rational_str,
 )
 from tiltbound.rootisolation import primitive
+
+W = ExpPoly.monomial(1, 1, 0)  # w
+T = ExpPoly.monomial(1, 0, 1)  # t = exp(w)
 
 
 def poly(terms):
@@ -41,6 +42,11 @@ class TestArithmetic:
     def test_power(self):
         assert (W + 1) ** 2 == poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})
         assert T**0 == ExpPoly.constant(1)
+
+    @pytest.mark.parametrize("exponent", [-1, 2.0])
+    def test_power_needs_a_nonnegative_int(self, exponent):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            (W + 1) ** exponent
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):

@@ -179,6 +179,30 @@ class TestSupSearch:
             found = sup_symmetric(sigma * sigma, P11)
             assert found.value / (sigma * sigma) < factor
 
+    def test_an_infeasible_grid_point_scores_minus_infinity(self, monkeypatch):
+        # the first grid point x = sqrt(3) is infeasible by one ulp, so its
+        # pair weight 3 / x^2 would pass 1; it scores -inf and the search
+        # goes on to a feasible law
+        assert math.sqrt(3.0) ** 2 < 3.0
+        scores = {}
+        refine = extremal._refine_scalar
+
+        def recording(objective, lo, hi, extra=()):
+            scores[lo] = objective(lo)
+            return refine(objective, lo, hi, extra)
+
+        monkeypatch.setattr(extremal, "_refine_scalar", recording)
+        found = sup_symmetric(3.0, TiltParams(1.0, 2.0))
+        assert scores == {math.sqrt(3.0): -math.inf}
+        assert math.isfinite(found.value) and found.value > 0
+        x = max(x for x, _ in found.atoms)
+        assert x * x >= 3.0 and x <= 8.0
+        assert sorted(z for z, _ in found.atoms) in ([-x, 0.0, x], [-x, x])
+        assert all(p > 0 for _, p in found.atoms)
+        assert math.fsum(p for _, p in found.atoms) == pytest.approx(1.0, abs=1e-15)
+        assert second_moment(found.atoms) == pytest.approx(3.0, rel=1e-15)
+        assert found.value == tilted_mean_signed(list(found.atoms), 1.0, 2.0)
+
     def test_argmax_satisfies_constraints(self):
         found = sup_symmetric(0.01, P11)
         assert sum(x * x * p for x, p in found.atoms) == pytest.approx(0.01, abs=1e-10)

@@ -7,8 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tiltbound.exppoly import ExpPoly, derivative, parse_expression
-from tiltbound.identities import U, V, W, Laurent
+from tiltbound.exppoly import U, V, W, ExpPoly, Laurent, derivative, parse_expression
 from tiltbound.intervals import Interval, vcosh, vexp, vsinh, vsinh_over
 from tiltbound.regions import CATALOG
 

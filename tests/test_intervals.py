@@ -12,6 +12,7 @@ import pytest
 
 from tiltbound.intervals import (
     LIBM_ULPS,
+    ZERO,
     Dual,
     Interval,
     _libm_down,
@@ -184,6 +185,10 @@ class TestStructure:
         assert enc.width < 1e-6
         assert enc.lo >= 1.0
 
+    def test_sinh_over_rejects_a_negative_end(self):
+        with pytest.raises(ValueError, match="^sinh_over is defined for nonnegative intervals$"):
+            Interval(-1.0, 1.0).sinh_over()
+
     def test_intersect_detects_disjoint(self):
         with pytest.raises(ValueError):
             Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
@@ -321,6 +326,17 @@ class TestDual:
         for x in points:
             got, want = _so_slope(x), reference(x)
             assert (got.lo, got.hi) == (want.lo, want.hi), x
+
+    @pytest.mark.parametrize(
+        "other", [Interval(0.25, 0.5), 0.75, 3], ids=["interval", "float", "int"]
+    )
+    def test_subtracting_a_constant_keeps_the_gradient(self, other):
+        u = Dual.variable(Interval(1.0, 2.0), 0, 2)
+        result = u - other
+        want = u.val - other
+        assert (result.val.lo, result.val.hi) == (want.lo, want.hi)
+        assert [(g.lo, g.hi) for g in result.grad] == [(1.0, 1.0), (0.0, 0.0)]
+        assert result.grad[1] is ZERO  # the exact-zero partial passes through
 
     def test_unread_axis_has_an_exact_zero_partial(self):
         u, v, w = (Dual.variable(Interval(0.5, 1.5), i, 3) for i in range(3))

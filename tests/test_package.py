@@ -25,8 +25,7 @@ def test_exact_kernels_share_one_arithmetic():
     # ExpPoly and Laurent take their constructor, + - * ** ==, the reflected
     # forms, the derivative rule and the reading of a numerator as a rational
     # from SparsePoly; a copy in either class body fails here
-    from tiltbound.exppoly import ExpPoly, SparsePoly
-    from tiltbound.identities import Laurent
+    from tiltbound.exppoly import ExpPoly, Laurent, SparsePoly
 
     shared = {
         "__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -41,7 +40,7 @@ def test_parser_and_both_kernels_reach_one_product(monkeypatch):
     # at run time: parsing a product, ExpPoly * ExpPoly and Laurent * Laurent
     # each multiply through exppoly._mul; a product loop of their own fails here
     from tiltbound import exppoly
-    from tiltbound.identities import U, V
+    from tiltbound.exppoly import U, V, ExpPoly
 
     calls = []
     mul = exppoly._mul
@@ -53,7 +52,7 @@ def test_parser_and_both_kernels_reach_one_product(monkeypatch):
     monkeypatch.setattr(exppoly, "_mul", counting)
     products = {
         "parse_expression": lambda: exppoly.parse_expression("(1+w)*(1+exp(w))"),
-        "ExpPoly": lambda: (1 + exppoly.W) * (1 + exppoly.T),
+        "ExpPoly": lambda: (1 + ExpPoly.monomial(1, 1, 0)) * (1 + ExpPoly.monomial(1, 0, 1)),
         "Laurent": lambda: (1 + U) * (1 + V),
     }
     results = {}
@@ -62,6 +61,34 @@ def test_parser_and_both_kernels_reach_one_product(monkeypatch):
         results[name] = build()
         assert len(calls) > before, name
     assert results["parse_expression"] == results["ExpPoly"]
+
+
+def package_imports(module: Path):
+    """The names ``module`` imports from tiltbound: ``exppoly.ExpPoly``, ``rootisolation``."""
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tiltbound")):
+            source = (node.module or "").removeprefix("tiltbound").lstrip(".")
+            yield from (f"{source}.{alias.name}".lstrip(".") for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "tiltbound")
+
+
+def test_layering():
+    # no module imports another's private name, so the pair routines and
+    # the (terms, den) format stay inside exppoly; and exppoly, the exact
+    # kernel every verdict rests on, imports no other tiltbound module
+    modules = {
+        path.stem: list(package_imports(path)) for path in (ROOT / "src" / "tiltbound").glob("*.py")
+    }
+    private = [
+        f"{module}: {name}"
+        for module, names in modules.items()
+        for name in names
+        if name.rpartition(".")[2].startswith("_")
+    ]
+    assert not private
+    assert modules["exppoly"] == []
+    assert "exppoly.Laurent" in modules["regions"]  # the walk reads relative imports
 
 
 def test_benchmark_span_points_resolve(monkeypatch):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from tiltbound import d_expr, regions, replay
-from tiltbound.exppoly import parse_expression
-from tiltbound.identities import U, V, W, Laurent
+from tiltbound.exppoly import U, V, W, Laurent, parse_expression
 from tiltbound.intervals import vcosh, vexp, vsinh, vsinh_over
 from tiltbound.prover import BATTERY, Outcome, SignDecision
 from tiltbound.regions import (

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tiltbound import exppoly
-from tiltbound.exppoly import ExpPoly, derivative
-from tiltbound.identities import Laurent, U, V, W
+from tiltbound.exppoly import U, V, W, ExpPoly, Laurent, derivative
 from tiltbound.prover import verify_battery
 from tiltbound.regions import verify_case_structure
 

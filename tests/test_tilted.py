@@ -171,6 +171,10 @@ class TestDistributionValidation:
         with pytest.raises(InvalidDistributionError):
             SymmetricDiscreteDistribution([(2.0, 0.5), (1.0, 0.5)])
 
+    def test_at_least_one_atom(self):
+        with pytest.raises(InvalidDistributionError, match="^at least one atom is required$"):
+            SymmetricDiscreteDistribution([])
+
     def test_positions_nonnegative(self):
         with pytest.raises(InvalidDistributionError):
             SymmetricDiscreteDistribution([(-1.0, 1.0)])
@@ -306,6 +310,19 @@ class TestDExpr:
         for _ in range(500):
             u, v, w = rng.uniform(0.01, 6.0, size=3)
             assert d_expr(u, v, w) < 0.0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1.0, 1.0, 1.0), "u and v must be >= 0"),
+            ((1.0, -1e-300, 1.0), "u and v must be >= 0"),
+            ((1.0, 1.0, 0.0), "cap level w must be positive"),
+            ((1.0, 1.0, -1.0), "cap level w must be positive"),
+        ],
+    )
+    def test_domain_is_checked(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            d_expr(*args)
 
     @pytest.mark.parametrize(
         "f, args",
