@@ -137,8 +137,9 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    scan = _scan(args)[1]  # first, so a bad sigma fails before the verdict runs
     payload, all_passed = _verify(args.box)
-    payload["extremal"] = _scan(args)[1]
+    payload["extremal"] = scan
     payload["all_passed"] = all_passed
     _emit(payload, args.format)
     return 0 if all_passed else 1

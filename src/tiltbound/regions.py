@@ -17,16 +17,17 @@ exp/sinh/cosh formula.  The catalog holds five closed forms:
     d1_case2            w e^-w times the v-slope of d on case 2
     d_at_v_eq_w_case2   d on the face v = w of case 2, as 2 u^2 Phi(u, w)
 
-It bounds their ranges over boxes with outward-rounded interval arithmetic
-sharpened by a mean-value form, and certifies strict negativity by adaptive
-bisection.  The slope form carries a positive factor that keeps its sign
-and cancels its e^w growth, which naive interval evaluation would
-overestimate on wide boxes.  d_case1 and d_case2 are no transcriptions:
-they evaluate :func:`tiltbound.tilted.d`, the one definition of d, which
-writes a capped side in exponentials and an uncapped side in sinh and
-cosh.  So d_case2 has -v e^-v where a hyperbolic form of the capped v
-would have v sinh(v) - v cosh(v), two terms near v e^v / 2 whose
-enclosures cancel only to a width of that size.
+It bounds their ranges over boxes with outward-rounded interval arithmetic,
+sharpened by the corner evaluations when every axis of the box is monotone
+and otherwise by a mean-value form, built only then, and certifies strict
+negativity by adaptive bisection.  The slope form carries a positive factor
+that keeps its sign and cancels its e^w growth, which naive interval
+evaluation would overestimate on wide boxes.  d_case1 and d_case2 are no
+transcriptions: they evaluate :func:`tiltbound.tilted.d`, the one
+definition of d, which writes a capped side in exponentials and an uncapped
+side in sinh and cosh.  So d_case2 has -v e^-v where a hyperbolic form of
+the capped v would have v sinh(v) - v cosh(v), two terms near v e^v / 2
+whose enclosures cancel only to a width of that size.
 
 ``tiltbound verify-proof`` bisects nothing.  Its case analysis is one
 table, ``LINKS``: each row names a link, the case it derives, the battery
@@ -222,29 +223,34 @@ CATALOG: dict[str, ProofExpr] = {
 def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     """Interval evaluation sharpened by derivative information.
 
-    Three rigorous enclosures are intersected: the naive evaluation, the
-    mean-value form f(m) + grad(box) . (box - m) (quadratically tight in the
-    box width, which rescues the cancellation-heavy expressions near the
-    degenerate corner), and a monotonicity contraction: every axis whose
-    gradient enclosure has a strict sign is pinned to the face where the
-    supremum (respectively infimum) lives before re-evaluating.
+    One ``Dual`` pass gives the naive evaluation and the gradient enclosure.
+    Every axis of positive width whose gradient has a strict sign is pinned
+    to the face where the supremum (respectively infimum) lives, and the
+    form is evaluated on the upper and the lower faces.  When every axis is
+    monotone or has zero width, both faces are the corners, which bound the
+    range (the monotonicity test of Hansen & Walster), so the enclosure is
+    the naive one clipped by the two corner evaluations: three evaluations
+    of the form.  Otherwise the mean-value form f(m) + grad(box) . (box - m)
+    is built from one more evaluation, at the centre m (quadratically tight
+    in the box width, which rescues the cancellation-heavy expressions near
+    the degenerate corner), and intersected with the naive one before the
+    faces, if any axis is monotone, clip it.  On the corner branch no
+    intersection runs, so the one check that the enclosures meet is the
+    ``lo <= hi`` test of the final Interval, naive against the corners.  A
+    box with no monotone axis pins no face, so a point box, whose naive
+    enclosure is already the evaluation at that point, takes one pass.
     """
     arity = len(expr.variables)
     spans = [getattr(box, name) for name in expr.variables]
     axes = [Interval(lo, hi) for lo, hi in spans]
-    centres = [0.5 * (lo + hi) for lo, hi in spans]
 
     full = expr.fn(*[Dual.variable(axis, index, arity) for index, axis in enumerate(axes)])
-    naive: Interval = full.val
-
-    mean_value = expr.fn(*[Interval.point(centre) for centre in centres])
-    for grad, axis, centre in zip(full.grad, axes, centres):
-        mean_value = mean_value + grad * (axis - centre)
-    enclosure = naive.intersect(mean_value)
+    enclosure: Interval = full.val
 
     upper_faces = []
     lower_faces = []
     monotone = False
+    corners = True
     for (lo, hi), axis, grad in zip(spans, axes, full.grad):
         if lo < hi and grad.hi < 0.0:
             monotone = True
@@ -255,13 +261,21 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
             upper_faces.append(Interval.point(hi))
             lower_faces.append(Interval.point(lo))
         else:
+            corners = corners and lo == hi
             upper_faces.append(axis)
             lower_faces.append(axis)
-    if monotone:
-        sup_bound = expr.fn(*upper_faces).hi
-        inf_bound = expr.fn(*lower_faces).lo
-        enclosure = Interval(max(enclosure.lo, inf_bound), min(enclosure.hi, sup_bound))
-    return enclosure
+
+    if not corners:
+        centres = [0.5 * (lo + hi) for lo, hi in spans]
+        mean_value = expr.fn(*[Interval.point(centre) for centre in centres])
+        for grad, axis, centre in zip(full.grad, axes, centres):
+            mean_value = mean_value + grad * (axis - centre)
+        enclosure = enclosure.intersect(mean_value)
+    if not monotone:
+        return enclosure
+    sup_bound = expr.fn(*upper_faces).hi
+    inf_bound = expr.fn(*lower_faces).lo
+    return Interval(max(enclosure.lo, inf_bound), min(enclosure.hi, sup_bound))
 
 
 def _owner(expr: ProofExpr | str, box: BoxRegion) -> ProofExpr:

@@ -446,6 +446,19 @@ class TestReport:
         _, scan, _ = run_cli(capsys, "extremal", "--sigma", "0.1")
         assert payload["extremal"] == json.loads(scan)
 
+    def test_bad_sigma_fails_before_the_verdict(self, capsys, monkeypatch):
+        decided = []
+        decide = prover.decide_sign
+
+        def counting_decide(p):
+            decided.append(p)
+            return decide(p)
+
+        monkeypatch.setattr(prover, "decide_sign", counting_decide)
+        code, out, err = run_cli(capsys, "report", "--sigma", "2")
+        assert (code, out, err) == (2, "", "error: scan requires 0 < sigma < w\n")
+        assert decided == []
+
 
 @pytest.mark.parametrize(
     "argv",

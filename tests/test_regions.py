@@ -11,7 +11,7 @@ import pytest
 
 from tiltbound import d_expr, regions, replay
 from tiltbound.exppoly import U, V, W, Laurent, parse_expression
-from tiltbound.intervals import vcosh, vexp, vsinh, vsinh_over
+from tiltbound.intervals import Dual, Interval, vcosh, vexp, vsinh, vsinh_over
 from tiltbound.prover import BATTERY, Outcome, SignDecision
 from tiltbound.regions import (
     CATALOG,
@@ -299,6 +299,78 @@ class TestEnclosures:
         with pytest.raises(EmptyRegionError):
             eval_interval("d_case2", box)  # needs u <= w <= v, impossible here
 
+    @pytest.mark.parametrize("name", ["d_case1", "d_case2"])
+    def test_sub_micron_boxes_contain_the_high_precision_values(self, name):
+        # below the pinned widths: each enclosure holds the 40-digit value of
+        # d at the 8 corners and the centre of the box it encloses, each that
+        # meets the case order (the form is d only there); one box in four
+        # starts its middle axis at the lower end of the one below
+        rng = random.Random(37)
+        expr = CATALOG[name]
+        # the axes in case order, lowest first: w <= u <= v or u <= w <= v
+        order = ("w", "u", "v") if expr.case is CaseRegion.CASE1 else ("u", "w", "v")
+        for _ in range(150):
+            anchors = sorted(rng.uniform(0.01, 6.0) for _ in range(3))
+            if rng.random() < 0.25:
+                anchors[1] = anchors[0]
+            spans = {
+                axis: (x, x + 10.0 ** rng.uniform(-14.0, -4.0))
+                for axis, x in zip(order, anchors)
+            }
+            box = BoxRegion(**spans, case=expr.case).clipped()
+            enc = eval_interval(expr, box)
+            points = list(itertools.product(box.u, box.v, box.w))
+            points.append(tuple(0.5 * (lo + hi) for lo, hi in (box.u, box.v, box.w)))
+            for u, v, w in points:
+                point = {"u": u, "v": v, "w": w}
+                if point[order[0]] <= point[order[1]] <= point[order[2]]:
+                    assert enc.lo <= mp_d(u, v, w) <= enc.hi, (box, point)
+
+
+def enclosure_gradient(expr, box: BoxRegion) -> list:
+    """The gradient enclosure that the enclosure's ``Dual`` pass computes."""
+    axes = [Interval(*getattr(box, name)) for name in expr.variables]
+    duals = [Dual.variable(axis, index, len(axes)) for index, axis in enumerate(axes)]
+    return list(expr.fn(*duals).grad)
+
+
+class TestFormEvaluations:
+    """How many times one enclosure evaluates its catalog form.
+
+    The ``Dual`` pass is one evaluation.  When every axis is monotone or
+    has zero width, the two corners bound the range: three in all.  An axis
+    whose gradient straddles 0 adds the mean-value form's centre: four when
+    another axis is monotone, two when none is, as then no face is pinned.
+    A point box pins no face either, and its ``Dual`` pass is all it takes.
+    """
+
+    @pytest.mark.parametrize(
+        "box, signs, evaluations",
+        [
+            (((0.5, 0.51), (2.0, 2.01), (1.0, 1.01)), "--+", 3),
+            (((0.5, 0.51), (2.0, 2.01), (1.0, 1.0)), "--+", 3),
+            (((0.0, 0.1), (2.0, 2.01), (1.0, 1.01)), "0-+", 4),
+            (((0.0, 0.5), (0.8, 1.2), (0.8, 1.2)), "000", 2),
+            (((0.5, 0.5), (2.0, 2.0), (1.0, 1.0)), "--+", 1),
+        ],
+        ids=["monotone", "zero-width-axis", "straddling-axis", "no-monotone-axis", "point"],
+    )
+    def test_evaluations_per_enclosure(self, monkeypatch, box, signs, evaluations):
+        form = CATALOG["d_case2"]
+        box = BoxRegion(*box, case=form.case)
+        # the sign of each partial over the box, "0" where it may vanish
+        gradient = enclosure_gradient(form, box)
+        assert "".join("-" if g.hi < 0.0 else "+" if g.lo > 0.0 else "0" for g in gradient) == signs
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return form.fn(*args)
+
+        monkeypatch.setitem(CATALOG, "d_case2", form._replace(fn=counting))
+        eval_interval("d_case2", box)
+        assert len(calls) == evaluations
+
 
 def pin_boxes() -> list[tuple[str, BoxRegion]]:
     """500 seeded boxes, 100 per catalog form, each meeting its case order.
@@ -325,6 +397,11 @@ class TestBitForBit:
 
     A faster interval kernel must give the same floats: the digest covers
     both ends of each enclosure of ``pin_boxes()`` as ``float.hex`` strings.
+    The pins were taken while every enclosure still built the mean-value
+    form; on these widths (1e-4 and up) it never binds where every axis is
+    monotone, so skipping it there leaves every pin as it was.  Below 1e-6
+    it can bind by a few ulps, so narrower boxes are checked for soundness,
+    not bits (``test_sub_micron_boxes_contain_the_high_precision_values``).
     """
 
     def test_enclosures_are_pinned(self):
