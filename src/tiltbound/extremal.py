@@ -17,7 +17,8 @@ second-moment constraints the optimum sits at a vertex with at most two
 active support points: a pair +-x with an atom at zero, or two pairs.  The
 search covers the first kind, the three-point law on {-x, 0, x} with pair
 weight sigma2 / x^2, over x alone, and scores each candidate with
-:func:`~.tilted.tilted_mean_signed` of its signed atoms.  The two-pair
+:func:`~.tilted.tilted_mean_signed` of its signed atoms, laid out from its
+weights with no law object built or validated per candidate.  The two-pair
 vertices are left to a Tier-1 falsifier, which builds them on a grid from
 their closed-form weights and finds none above the search's value beyond a
 few ulps of rounding.
@@ -29,7 +30,13 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .tilted import SymmetricDiscreteDistribution, TiltParams, symmetric_factor, tilted_mean_signed
+from .tilted import (
+    SymmetricDiscreteDistribution,
+    TiltParams,
+    signed_support,
+    symmetric_factor,
+    tilted_mean_signed,
+)
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -44,16 +51,29 @@ def _check_sigma2(sigma2: float) -> None:
         raise ValueError("sigma2 must be finite and at least the smallest normal float")
 
 
-def _three_point(sigma2: float, x: float) -> SymmetricDiscreteDistribution:
-    """The law on {-x, 0, x} with E[X^2] = sigma2: pair weight sigma2 / x^2, the rest at zero.
+def _three_point_atoms(sigma2: float, x: float) -> list[tuple[float, float]] | None:
+    """Atoms of the law on {-x, 0, x} with E[X^2] = sigma2: pair weight sigma2 / x^2, the rest at zero.
 
     Feasible when 0 < sigma2 <= x^2, so the mass at zero is not negative;
-    anything else raises ValueError.  An atom of weight 0 is left out.
+    anything else gives None.  The atoms are (0, 1 - q) and then (x, q),
+    each only when its weight is positive.
     """
     if not (0 < sigma2 <= x * x):
-        raise ValueError("infeasible three-point law: needs 0 < sigma2 <= x^2")
+        return None
     pair = sigma2 / (x * x)
-    return SymmetricDiscreteDistribution([(z, q) for z, q in ((0.0, 1.0 - pair), (x, pair)) if q > 0])
+    zero = 1.0 - pair
+    atoms = [(0.0, zero)] if zero > 0 else []
+    if pair > 0:
+        atoms.append((x, pair))
+    return atoms
+
+
+def _three_point(sigma2: float, x: float) -> SymmetricDiscreteDistribution:
+    """The law of :func:`_three_point_atoms`; an infeasible one raises ValueError."""
+    atoms = _three_point_atoms(sigma2, x)
+    if atoms is None:
+        raise ValueError("infeasible three-point law: needs 0 < sigma2 <= x^2")
+    return SymmetricDiscreteDistribution(atoms)
 
 
 def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
@@ -132,18 +152,19 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
 
     Searches the three-point laws on {-x, 0, x} for x in [sigma, 4w]; the
-    value is a lower bound on the true supremum.  The atoms are the signed
-    support of the best law, without atoms of weight 0.
+    value is a lower bound on the true supremum.  Each candidate x is scored
+    from its signed atoms, and an infeasible one scores -inf; only the best
+    is built as a law, whose signed support, without atoms of weight 0, is
+    the atoms returned.
     """
     x_max = _atom_range(sigma2, p)
     sigma = math.sqrt(sigma2)
 
     def value(x: float) -> float:
-        try:
-            law = _three_point(sigma2, x)
-        except ValueError:
+        atoms = _three_point_atoms(sigma2, x)
+        if atoms is None:
             return -math.inf
-        return tilted_mean_signed(law.signed_atoms(), p.h, p.w)
+        return tilted_mean_signed(signed_support(atoms), p.h, p.w)
 
     best_x, best_val = _refine_scalar(value, sigma, x_max, extra=(p.w, sigma))
     return SupSearchResult(best_val, tuple(_three_point(sigma2, best_x).signed_atoms()))

@@ -94,15 +94,8 @@ class SymmetricDiscreteDistribution:
         return math.fsum(p * x * x for x, p in self._atoms)
 
     def signed_atoms(self) -> list[tuple[float, float]]:
-        """Expand to signed support: (+x, p/2), (-x, p/2), and (0, p)."""
-        signed = []
-        for x, p in self._atoms:
-            if x == 0.0:
-                signed.append((0.0, p))
-            else:
-                signed.append((-x, p / 2))
-                signed.append((x, p / 2))
-        return signed
+        """Expand to signed support: (-x, p/2), (+x, p/2), and (0, p)."""
+        return signed_support(self._atoms)
 
     def scaled(self, c: float) -> "SymmetricDiscreteDistribution":
         """Law of c*X for finite c > 0."""
@@ -139,6 +132,22 @@ class SymmetricDiscreteDistribution:
         return self._atoms == other._atoms
 
 
+def signed_support(atoms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Signed support of symmetric atoms (x, p), x >= 0: (-x, p/2), (+x, p/2), and (0, p).
+
+    The layout :meth:`SymmetricDiscreteDistribution.signed_atoms` returns,
+    for atoms that need no validation.
+    """
+    signed = []
+    for x, p in atoms:
+        if x == 0.0:
+            signed.append((0.0, p))
+        else:
+            half = p / 2
+            signed += ((-x, half), (x, half))
+    return signed
+
+
 def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise OverflowError("result out of float range")
@@ -152,7 +161,9 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
     symmetric law the +-x terms of the first sum share one sign and the
     second sum is exactly zero; summed as x p e^{h min(x, w)}, the +-x terms
     would cancel to about 2 h x^2 p and keep the rounding error of x p.
-    A result out of float range, infinite or NaN, raises OverflowError.
+    A result out of float range, infinite or NaN, raises OverflowError, as
+    does a denominator that underflows to 0; a support whose weights sum
+    to 0 (none at all, or every p zero) raises ValueError.
     """
     shifted, linear, weights = [], [], []
     for x, p in atoms:
@@ -161,7 +172,12 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
         shifted.append(xp * math.expm1(a))
         linear.append(xp)
         weights.append(math.exp(a) * p)
-    return _finite((math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights))
+    try:
+        return _finite((math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights))
+    except ZeroDivisionError:
+        if math.fsum(p for _, p in atoms) == 0:
+            raise ValueError("the support has no weight") from None
+        raise OverflowError("result out of float range") from None
 
 
 def tilted_mean(dist: SymmetricDiscreteDistribution, p: TiltParams) -> float:

@@ -1,6 +1,9 @@
 """Extremal families, the deterministic optimizer, and the sharpness scan."""
 
+import hashlib
 import math
+import random
+import sys
 
 import mpmath
 import numpy as np
@@ -17,7 +20,8 @@ from tiltbound import (
     tilted_mean_signed,
 )
 from tiltbound import extremal
-from tiltbound.extremal import _three_point
+from tiltbound.extremal import _three_point, _three_point_atoms
+from tiltbound.tilted import signed_support
 
 from conftest import zero_mean_factor
 
@@ -145,6 +149,24 @@ class TestCandidateConstructors:
             with pytest.raises(ValueError):
                 _three_point(1.0, x)
 
+    @pytest.mark.parametrize(
+        "sigma2, x",
+        [(4.0, 2.0), (1.0, 2.0), (3.0, math.sqrt(3.0)), (3.0, 1.7320508075688774), (2.0, math.sqrt(2.0)),
+         (1e-300, 1e150), (1e-8, 1e154), (1.0, 0.5), (0.0, 1.0), (1.0, math.nan)],
+    )
+    def test_the_searched_atoms_are_the_laws_signed_support(self, sigma2, x):
+        # the search scores _three_point_atoms with no law built; the law
+        # holds the same atoms, and infeasible points fail both ways
+        atoms = _three_point_atoms(sigma2, x)
+        if atoms is None:
+            with pytest.raises(ValueError):
+                _three_point(sigma2, x)
+            return
+        law = _three_point(sigma2, x)
+        assert law.atoms == tuple(atoms)
+        assert signed_support(atoms) == law.signed_atoms()
+        assert all(p > 0 for _, p in atoms)
+
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
         # 0 < 1e-170, but both squares are 0.0, so the pair weight would be
@@ -243,6 +265,29 @@ class TestSupSearch:
         monkeypatch.setattr(extremal, "tilted_mean_signed", counting)
         sup_symmetric(0.01, P11)
         assert len(calls) == 129 + 2 + 4 * 129
+
+    def test_builds_one_law_per_search(self, monkeypatch):
+        # deterministic cost guard: candidates are scored from their atoms,
+        # and only the best one becomes a SymmetricDiscreteDistribution
+        built = []
+        law = extremal.SymmetricDiscreteDistribution
+
+        def counting(atoms):
+            built.append(atoms)
+            return law(atoms)
+
+        monkeypatch.setattr(extremal, "SymmetricDiscreteDistribution", counting)
+        sup_symmetric(0.01, P11)
+        assert len(built) == 1
+        built.clear()
+        ratio_limit_scan(P11, [0.5, 0.1, 0.01, 0.001])
+        assert len(built) == 4
+
+    def test_integer_tilt_parameters_score_as_floats(self):
+        # TiltParams keeps an int w, so the extra grid point x = w is an int
+        # until the best law converts it
+        assert sup_symmetric(0.01, TiltParams(1, 1)) == sup_symmetric(0.01, P11)
+        assert sup_symmetric(4.0, TiltParams(1, 2)) == sup_symmetric(4.0, TiltParams(1.0, 2.0))
 
     @pytest.mark.parametrize(
         "h, w, sigma",
@@ -348,6 +393,34 @@ SCAN_PIN = [  # (h, w, sigma, sup.hex(), atoms) of ratio_limit_scan rows
 ]
 
 
+def sup_pin_cases() -> list[tuple[float, float, float]]:
+    """(h, w, sigma2) for the sup_symmetric pin: 180 seeded draws, then edge cases."""
+    rng = random.Random(38)
+    cases = []
+    for _ in range(180):
+        h = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+        w = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        sigma = w * math.exp(rng.uniform(math.log(1e-8), math.log(3.9)))
+        cases.append((h, w, sigma * sigma))
+    tiny = sys.float_info.min
+    return cases + [
+        # the first grid point sqrt(sigma2) is infeasible: sqrt(sigma2)**2 < sigma2
+        (1.0, 2.0, 3.0), (0.5, 3.0, 6.0), (2.0, 1.0, 0.3), (1.0, 0.5, 0.05),
+        # the best x is sigma, so the atom at zero drops out or keeps a residue
+        (1.0, 1.0, 4.0), (3.0, 0.5, 3.0), (1.0, 1.0, 2.0), (0.2, 0.3, 1.0),
+        # sigma at and near w
+        (1.0, 1.0, (1.0 - 2.0**-52) ** 2), (1.0, 1.0, 1.0), (1.0, 1.0, (1.0 + 2.0**-52) ** 2),
+        (2.0, 3.0, 9.0 * (1.0 - 1e-9)), (0.5, 0.7, 0.49 * (1.0 + 1e-9)),
+        # pair weights near the smallest normal float; (4w)^2 overflows at w = 1e154
+        (1e-150, 1e150, 2.2e-8), (1e-150, 1e150, 3.5e-8), (1e-154, 1e154, tiny * 1e308),
+        (1e-153, 1e153, tiny * 4e306), (1e-100, 1e100, tiny * 16e200),
+        (1e-100, 1e100, tiny * 1e200), (1e-120, 1e120, tiny * 3e240),
+    ]
+
+
+SUP_PIN_SHA256 = "3a35d2b39f290745c22e4282b04583b7217121a47ab4312c203e7f53ba8fae97"
+
+
 class TestRatioScan:
     def test_matches_closed_form_oracle(self):
         rows = ratio_limit_scan(P11, [0.5, 0.1, 0.01])
@@ -402,6 +475,15 @@ class TestRatioScan:
         # or evaluation order shows here as a different float or argmax
         (row,) = ratio_limit_scan(TiltParams(h, w), [sigma])
         assert (row.sup.hex(), row.atoms) == (sup, atoms)
+
+    def test_sup_symmetric_is_pinned_bit_for_bit(self):
+        # value and atoms of 200 searches, as float.hex, against their sha256
+        digest = hashlib.sha256()
+        for h, w, sigma2 in sup_pin_cases():
+            found = sup_symmetric(sigma2, TiltParams(h, w))
+            atoms = " ".join(f"{x.hex()}:{p.hex()}" for x, p in found.atoms)
+            digest.update(f"{found.value.hex()} {atoms}\n".encode())
+        assert digest.hexdigest() == SUP_PIN_SHA256
 
     def test_result_beyond_the_cap_is_pinned_bit_for_bit(self):
         # sigma = sqrt(2) > w: the best law is +-sqrt(2), and sqrt(2)**2

@@ -224,6 +224,19 @@ class TestTiltedMean:
             direct = tilted_mean_signed(dist.signed_atoms(), h, w)
             assert tilted_mean(dist, p) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("atoms", [[], [(1.0, 0.0)], [(0.0, 0.0), (-2.0, 0.0), (2.0, 0.0)]])
+    def test_a_support_with_no_weight_raises_value_error(self, atoms):
+        # the denominator is 0, which raised a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="no weight"):
+            tilted_mean_signed(atoms, 1.0, 1.0)
+
+    @pytest.mark.parametrize("atoms", [[(-800.0, 1.0)], [(-800.0, 0.5), (-900.0, 0.5)]])
+    def test_a_denominator_that_underflows_raises_overflow_error(self, atoms):
+        # e^-800 is 0.0 in floats, so the tilted weights sum to 0
+        assert math.exp(-800.0) == 0.0
+        with pytest.raises(OverflowError, match="out of float range"):
+            tilted_mean_signed(atoms, 1.0, 1.0)
+
 
 class TestBoundFactor:
     def test_symmetric_unit(self):
