@@ -154,6 +154,14 @@ def _finite(value: float) -> float:
     return value
 
 
+def _mean_below_zero(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
+    """The tilted mean of a support below 0, each weight scaled by e^(a - a_max)."""
+    exponents = [h * min(x, w) for x, _ in atoms]
+    top = max(exponents)
+    scaled = [(x, p * math.exp(a - top)) for (x, p), a in zip(atoms, exponents)]
+    return _finite(math.fsum(x * q for x, q in scaled) / math.fsum(q for _, q in scaled))
+
+
 def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
     """Tilted mean over an explicit signed support; the evaluation core.
 
@@ -161,9 +169,13 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
     symmetric law the +-x terms of the first sum share one sign and the
     second sum is exactly zero; summed as x p e^{h min(x, w)}, the +-x terms
     would cancel to about 2 h x^2 p and keep the rounding error of x p.
-    A result out of float range, infinite or NaN, raises OverflowError, as
-    does a denominator that underflows to 0; a support whose weights sum
-    to 0 (none at all, or every p zero) raises ValueError.
+    A support with every atom below 0 is summed as x p e^(a - a_max) over
+    p e^(a - a_max) instead, a = h min(x, w): there ``expm1`` rounds to -1
+    far out and the two numerator sums cancel, while the terms of each
+    shifted sum share one sign.  A result out of float range, infinite or
+    NaN, raises OverflowError, as does a denominator that underflows to 0;
+    a support whose weights sum to 0 (none at all, or every p zero) raises
+    ValueError.
     """
     shifted, linear, weights = [], [], []
     for x, p in atoms:
@@ -173,7 +185,10 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
         linear.append(xp)
         weights.append(math.exp(a) * p)
     try:
-        return _finite((math.fsum(shifted) + math.fsum(linear)) / math.fsum(weights))
+        moment = math.fsum(linear)  # exactly 0 for a symmetric law: one comparison
+        if moment < 0.0 and max(x for x, _ in atoms) < 0.0:
+            return _mean_below_zero(atoms, h, w)
+        return _finite((math.fsum(shifted) + moment) / math.fsum(weights))
     except ZeroDivisionError:
         if math.fsum(p for _, p in atoms) == 0:
             raise ValueError("the support has no weight") from None

@@ -3,7 +3,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -569,6 +572,79 @@ class TestFlags:
         assert captured.out == ""
         assert "error: argument --box:" in captured.err
         assert derivations == []
+
+
+# README's flags table: per subcommand, each option string in order with its
+# (default, choices, required, action)
+_TILT = [("--h", (1.0, None, False, "store")), ("--w", (1.0, None, False, "store"))]
+_FORMAT = ("--format", ("json", ("json", "text"), False, "store"))
+_BOX = ("--box", ((0.05, 8.0), None, False, "store"))
+_SIGMA = ("--sigma", (None, None, False, "append"))
+_DIST = ("--dist", (None, None, True, "store"))
+FLAGS = {
+    "eval": [*_TILT, _FORMAT, _DIST],
+    "bound-check": [*_TILT, _FORMAT, _DIST],
+    "prove": [_FORMAT, ("--expr", (None, None, True, "store"))],
+    "verify-proof": [_FORMAT, _BOX],
+    "extremal": [*_TILT, ("--format", ("json", ("json", "csv", "text"), False, "store")), _SIGMA],
+    "report": [*_TILT, _FORMAT, _BOX, _SIGMA],
+}
+ACTIONS = {argparse._StoreAction: "store", argparse._AppendAction: "append"}
+
+
+def test_each_subcommand_has_its_flags():
+    # the flags, their order, defaults and choices that every subcommand has
+    # had; a drift in the command table fails here
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(FLAGS)
+    for name, flags in FLAGS.items():
+        actions = [a for a in subparsers.choices[name]._actions if a.dest != "help"]
+        seen = [
+            (a.option_strings[0], (a.default, a.choices, a.required, ACTIONS[type(a)]))
+            for a in actions
+        ]
+        assert all(len(a.option_strings) == 1 for a in actions), name
+        assert seen == flags, name
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-proof",),
+        ("verify-proof", "--format", "text"),
+        ("extremal", "--format", "csv"),
+        ("prove", "--expr", "sinh(w) - w"),
+    ],
+    ids=["verify-proof", "verify-proof-text", "extremal-csv", "prove"],
+)
+def test_a_closed_stdout_exits_2(capsys, monkeypatch, argv):
+    # writing the payload is inside the error handler: a closed pipe is one
+    # error line and exit 2, not a traceback
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(list(argv))
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "golden, argv, exit_code",
+    [("verify_proof_default.json", (), 0), ("verify_proof_box_0_1.json", ("--box", "0:1"), 1)],
+)
+def test_a_fresh_process_prints_the_golden(golden, argv, exit_code):
+    # python -m runs the module's __main__ line, which exits with main's status
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-S", "-m", "tiltbound.cli", "verify-proof", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (run.returncode, run.stderr) == (exit_code, "")
+    assert run.stdout == (GOLDEN / golden).read_text()
 
 
 class TestSharedParser:

@@ -230,12 +230,32 @@ class TestTiltedMean:
         with pytest.raises(ValueError, match="no weight"):
             tilted_mean_signed(atoms, 1.0, 1.0)
 
-    @pytest.mark.parametrize("atoms", [[(-800.0, 1.0)], [(-800.0, 0.5), (-900.0, 0.5)]])
+    @pytest.mark.parametrize(
+        "atoms", [[(-800.0, 1.0), (1.0, 0.0)], [(-800.0, 0.5), (-900.0, 0.5), (1.0, 0.0)]]
+    )
     def test_a_denominator_that_underflows_raises_overflow_error(self, atoms):
-        # e^-800 is 0.0 in floats, so the tilted weights sum to 0
+        # e^-800 is 0.0 in floats, and the atom at 1 has no weight, so the
+        # tilted weights sum to 0; without that atom the support lies below
+        # 0 and keeps its mean (next test)
         assert math.exp(-800.0) == 0.0
         with pytest.raises(OverflowError, match="out of float range"):
             tilted_mean_signed(atoms, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "atoms, mean",
+        [
+            ([(-40.0, 1.0)], -40.0),
+            ([(-37.0, 1.0)], -37.0),
+            ([(-40.0, 0.5), (-39.0, 0.5)], -39.0 - 1.0 / (1.0 + math.e)),
+            ([(-800.0, 1.0)], -800.0),
+            ([(-800.0, 0.5), (-900.0, 0.5)], -800.0),
+        ],
+        ids=["at-40", "at-37", "at-40-and-39", "at-800", "at-800-and-900"],
+    )
+    def test_a_support_below_zero_keeps_its_mean(self, atoms, mean):
+        # expm1 rounds to -1 far below 0, so x p expm1(a) and x p cancelled:
+        # the first three read 0.0, -83.27 and 0.0, and e^-800 underflowed
+        assert tilted_mean_signed(atoms, 1.0, 1.0) == pytest.approx(mean, rel=1e-15)
 
 
 class TestBoundFactor:
