@@ -155,31 +155,38 @@ def _finite(value: float) -> float:
 
 
 def _mean_below_zero(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
-    """The tilted mean of a support below 0, each weight scaled by e^(a - a_max)."""
-    exponents = [h * min(x, w) for x, _ in atoms]
-    top = max(exponents)
-    scaled = [(x, p * math.exp(a - top)) for (x, p), a in zip(atoms, exponents)]
+    """The tilted mean of a support below 0, each weight scaled by e^(a - a_max).
+
+    a_max is taken over the atoms of positive weight, and atoms of weight 0
+    enter neither sum: e^(a - a_max) of one of them may overflow.
+    """
+    weighted = [(x, p, h * (w if w < x else x)) for x, p in atoms if p != 0]
+    top = max(a for _, p, a in weighted if p > 0)
+    scaled = [(x, p * math.exp(a - top)) for x, p, a in weighted]
     return _finite(math.fsum(x * q for x, q in scaled) / math.fsum(q for _, q in scaled))
 
 
 def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float) -> float:
     """Tilted mean over an explicit signed support; the evaluation core.
 
-    The numerator is summed as x p (e^{h min(x, w)} - 1) plus x p.  For a
-    symmetric law the +-x terms of the first sum share one sign and the
-    second sum is exactly zero; summed as x p e^{h min(x, w)}, the +-x terms
-    would cancel to about 2 h x^2 p and keep the rounding error of x p.
-    A support with every atom below 0 is summed as x p e^(a - a_max) over
-    p e^(a - a_max) instead, a = h min(x, w): there ``expm1`` rounds to -1
-    far out and the two numerator sums cancel, while the terms of each
-    shifted sum share one sign.  A result out of float range, infinite or
-    NaN, raises OverflowError, as does a denominator that underflows to 0;
-    a support whose weights sum to 0 (none at all, or every p zero) raises
-    ValueError.
+    The cap min(x, w) is written inline as ``w if w < x else x``, the rule
+    the builtin ``min`` applies (x on a tie, for NaN on either side, and for
+    zeros of either sign), without a call per atom.  The numerator is summed
+    as x p (e^{h min(x, w)} - 1) plus x p.  For a symmetric law the +-x terms
+    of the first sum share one sign and the second sum is exactly zero;
+    summed as x p e^{h min(x, w)}, the +-x terms would cancel to about
+    2 h x^2 p and keep the rounding error of x p.  A support with every atom
+    below 0 is summed as x p e^(a - a_max) over p e^(a - a_max) instead,
+    a = h min(x, w) and a_max the largest a of positive weight, leaving out
+    atoms of weight 0: there ``expm1`` rounds to -1 far out and the two
+    numerator sums cancel, while the terms of each shifted sum share one
+    sign.  A result out of float range, infinite or NaN, raises
+    OverflowError, as does a denominator that underflows to 0; a support
+    whose weights sum to 0 (none at all, or every p zero) raises ValueError.
     """
     shifted, linear, weights = [], [], []
     for x, p in atoms:
-        a = h * min(x, w)
+        a = h * (w if w < x else x)
         xp = x * p
         shifted.append(xp * math.expm1(a))
         linear.append(xp)

@@ -83,6 +83,16 @@ class TestBoundCheck:
         assert "margin:" in out
 
 
+@pytest.mark.parametrize("command", ["eval", "bound-check"])
+@pytest.mark.parametrize("suffix, argv", [("default", ()), ("h0.5_w2", ("--h", "0.5", "--w", "2"))])
+def test_law_file_matches_golden(capsys, command, suffix, argv):
+    # the committed law has an atom at 0, and atoms below, at and above each cap
+    law = str(GOLDEN / "law_eight_atoms.json")
+    code, out, _ = run_cli(capsys, command, "--dist", law, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{command.replace('-', '_')}_{suffix}.json").read_text()
+
+
 class TestProve:
     def test_positive_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "prove", "--expr", "exp(w) - 1 - w")

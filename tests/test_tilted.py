@@ -1,6 +1,8 @@
 """Tilted-capped means: evaluator contracts and the bound's structure."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,44 @@ COSH_1 = 1.5430806348152437
 D_111 = -2.5529160411188316
 D_121 = -10.34472038952272  # matches both the folded-sum and case-1 routes
 
+# sha256 of check_bound's mean and bound, as float.hex, over check_pin_cases()
+CHECK_PIN_SHA256 = "f852edf17b06b7592cec8812766219c3e020cfb638ea7d5f163685dd1c9beb19"
+
+
+def check_pin_cases():
+    """500 seeded laws of 1-64 atom pairs (about 33 on average), each with its (h, w)."""
+    rng = np.random.default_rng(40)
+    for _ in range(500):
+        dist = random_symmetric_distribution(rng, max_pairs=64)
+        yield dist, TiltParams(rng.uniform(0.05, 4.0), rng.uniform(0.05, 10.0))
+
+
+# (atoms, h, w, float.hex of the mean or the exception raised): the cap
+# X ^ w keeps min(x, w)'s rule, x unless w < x, so ties, signed zeros and
+# NaN on either side resolve as min resolves them
+CAP_RULE_CASES = {
+    "atom-at-w": ([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)], 1.0, 1.0, "0x1.d9353d7568af3p-2"),
+    "atoms-above-w": (
+        [(-5.0, 0.3), (-0.5, 0.2), (0.5, 0.2), (5.0, 0.3)], 1.0, 1.0, "0x1.a4eaa90236f12p+1"
+    ),
+    "signed-zeros": (
+        [(-0.0, 0.25), (0.0, 0.25), (-1.5, 0.25), (1.5, 0.25)], 1.0, 1.0, "0x1.83cca3d89cba5p-1"
+    ),
+    "signed-zeros-at-zero-cap": ([(-0.0, 0.5), (0.0, 0.5)], 1.0, -0.0, "0x0.0p+0"),
+    "signed-zero-and-negative-at-zero-cap": (
+        [(-0.0, 0.5), (-2.0, 0.5)], 1.0, 0.0, "-0x1.e84152bac31aep-3"
+    ),
+    "nan-atom": (
+        [(math.nan, 0.5), (1.0, 0.5)], 1.0, 1.0, (OverflowError, "result out of float range")
+    ),
+    "nan-cap": ([(-1.0, 0.5), (1.0, 0.5)], 1.0, math.nan, "0x1.85efab514f394p-1"),
+    "inf-cap": ([(-3.0, 0.5), (3.0, 0.5)], 1.0, math.inf, "0x1.7e19dccd38840p+1"),
+    "inf-atoms": (
+        [(-math.inf, 0.5), (math.inf, 0.5)], 1.0, 1.0, (ValueError, "-inf + inf in fsum")
+    ),
+    "below-zero-above-cap": ([(-1.0, 0.5), (-3.0, 0.5)], 1.0, -2.0, "-0x1.89b2b0a2a5d43p+0"),
+}
+
 
 class TestTiltParams:
     @pytest.mark.parametrize("h,w", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
@@ -224,7 +264,10 @@ class TestTiltedMean:
             direct = tilted_mean_signed(dist.signed_atoms(), h, w)
             assert tilted_mean(dist, p) == pytest.approx(direct, rel=1e-14)
 
-    @pytest.mark.parametrize("atoms", [[], [(1.0, 0.0)], [(0.0, 0.0), (-2.0, 0.0), (2.0, 0.0)]])
+    @pytest.mark.parametrize(
+        "atoms",
+        [[], [(1.0, 0.0)], [(0.0, 0.0), (-2.0, 0.0), (2.0, 0.0)], [(-1.0, 0.0), (-800.0, 0.0)]],
+    )
     def test_a_support_with_no_weight_raises_value_error(self, atoms):
         # the denominator is 0, which raised a bare ZeroDivisionError
         with pytest.raises(ValueError, match="no weight"):
@@ -249,13 +292,24 @@ class TestTiltedMean:
             ([(-40.0, 0.5), (-39.0, 0.5)], -39.0 - 1.0 / (1.0 + math.e)),
             ([(-800.0, 1.0)], -800.0),
             ([(-800.0, 0.5), (-900.0, 0.5)], -800.0),
+            ([(-1.0, 0.0), (-800.0, 1.0)], -800.0),
         ],
-        ids=["at-40", "at-37", "at-40-and-39", "at-800", "at-800-and-900"],
+        ids=["at-40", "at-37", "at-40-and-39", "at-800", "at-800-and-900", "weightless-top"],
     )
     def test_a_support_below_zero_keeps_its_mean(self, atoms, mean):
         # expm1 rounds to -1 far below 0, so x p expm1(a) and x p cancelled:
-        # the first three read 0.0, -83.27 and 0.0, and e^-800 underflowed
+        # the first three read 0.0, -83.27 and 0.0, and e^-800 underflowed;
+        # an atom of weight 0 sets no shift, or e^(-800 + 1) underflows too
         assert tilted_mean_signed(atoms, 1.0, 1.0) == pytest.approx(mean, rel=1e-15)
+
+    @pytest.mark.parametrize("atoms, h, w, expected", CAP_RULE_CASES.values(), ids=CAP_RULE_CASES)
+    def test_the_cap_follows_the_rule_of_min(self, atoms, h, w, expected):
+        if isinstance(expected, str):
+            assert tilted_mean_signed(atoms, h, w).hex() == expected
+        else:
+            error, message = expected
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                tilted_mean_signed(atoms, h, w)
 
 
 class TestBoundFactor:
@@ -306,6 +360,15 @@ class TestCheckBound:
             tilted_mean_signed(wide.signed_atoms(), 1e300, 1e300)
         with pytest.raises(OverflowError):
             check_bound(wide, TiltParams(1e300, 1e-300))
+
+    def test_many_atom_checks_are_pinned_bit_for_bit(self):
+        # a change to the mean's summation order or its cap shows here as a
+        # different float in some of the 500 laws
+        digest = hashlib.sha256()
+        for dist, p in check_pin_cases():
+            result = check_bound(dist, p)
+            digest.update(f"{result.mean.hex()} {result.bound.hex()}\n".encode())
+        assert digest.hexdigest() == CHECK_PIN_SHA256
 
 
 class TestGExpr:
