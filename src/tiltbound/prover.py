@@ -18,11 +18,15 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
   exhausted depth cap yields UNDETERMINED, never a wrong sign.
 
 Every certified claim carries a :class:`SignCertificate`: the claimed sign
-and the full chain of normalized expressions with exact boundary values.  The
-last expression of the chain determines the base case, so the certificate
-records nothing else.  :func:`replay` re-derives the certificate from its
-first expression with the same routine :func:`decide_sign` uses and requires
-the stored certificate to equal the derivation, field for field.
+and the full chain of normalized expressions.  A step is its normalized
+polynomial, and its boundary value P(0, 1) is read from that polynomial, so
+nothing beside it is stored; the JSON form writes the value next to the
+terms, and :meth:`SignCertificate.from_dict` accepts a step only in the form
+``_step_dict`` writes.  The last expression of the chain determines the base
+case, so the certificate records nothing else.  :func:`replay` re-derives
+the certificate from its first expression with the same routine
+:func:`decide_sign` uses and requires the stored certificate to equal the
+derivation, step for step.
 """
 
 from __future__ import annotations
@@ -31,10 +35,7 @@ import enum
 import functools
 from typing import NamedTuple, Optional
 
-from .exppoly import (
-    MAX_DEGREE, ExpPoly, Scalar, derivative, normalize, parse_expression, parse_rational,
-    rational_str,
-)
+from .exppoly import MAX_DEGREE, ExpPoly, derivative, normalize, parse_expression, rational_str
 from . import rootisolation as ri
 
 MAX_DEPTH = 32  # decide_sign differentiates at most this many times
@@ -46,64 +47,56 @@ class Outcome(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-class ReductionStep(NamedTuple):
-    """One level of the chain: a normalized expression and its value at w = 0."""
-
-    expr: ExpPoly
-    boundary_value: Scalar
-
-
 class CertificateError(ValueError):
     """A stored certificate is malformed or does not replay to its content."""
 
 
+def _step_dict(step: ExpPoly) -> dict:
+    """A step's JSON: its canonical terms and its value at w = 0, read from them."""
+    return {"terms": step.to_term_list(), "boundary_value": rational_str(step.eval_at_zero())}
+
+
 class SignCertificate(NamedTuple):
+    """A claimed sign and its derivative chain, each step a normalized polynomial.
+
+    A step's boundary value is ``step.eval_at_zero()``; it is written, not
+    stored.
+    """
+
     claim: Outcome
-    steps: tuple[ReductionStep, ...]
+    steps: tuple[ExpPoly, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim.value,
-            "steps": [
-                {
-                    "terms": step.expr.to_term_list(),
-                    "boundary_value": rational_str(step.boundary_value),
-                }
-                for step in self.steps
-            ],
-        }
+        return {"claim": self.claim.value, "steps": [_step_dict(step) for step in self.steps]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignCertificate":
         """Inverse of :meth:`to_dict`; raises CertificateError on malformed data.
 
-        The keys are exactly ``claim`` and ``steps``, and a step's exactly
-        ``terms`` and ``boundary_value``.  Rationals are strings and degrees
-        ints (not bools): w-degrees in ``[0, MAX_DEGREE]`` and t-degrees in
+        The keys are exactly ``claim`` and ``steps``.  A step is read as the
+        polynomial of its ``terms``: rationals are strings and degrees ints
+        (not bools), w-degrees in ``[0, MAX_DEGREE]`` and t-degrees in
         ``[0, 2 * MAX_DEGREE]``.  Every chain of a parsed text fits, and the
         cap bounds replay time, which grows with the degree.  Coefficient size
-        is not capped.  Each step must be in the form ``to_dict`` writes: its
-        terms are what ``to_term_list()`` re-emits (no repeated degree pair, no
-        zero, in canonical order, each rational reduced), and its boundary
-        value is the ``rational_str`` text of the value it reads.
+        is not capped.  The step is then accepted only if it equals what
+        ``_step_dict`` writes for that polynomial: exactly the keys ``terms``
+        and ``boundary_value``, the terms as ``to_term_list()`` re-emits them
+        (no repeated degree pair, no zero, in canonical order, each rational
+        reduced), and the boundary value the ``rational_str`` text of the
+        polynomial's own value at w = 0, so a wrong value is rejected here.
         """
         try:
             if set(data) != {"claim", "steps"}:
                 raise KeyError(f"keys {sorted(data)} are not claim and steps")
             steps = []
             for step in data["steps"]:
-                if set(step) != {"terms", "boundary_value"}:
-                    raise KeyError(f"step keys {sorted(step)} are not terms and boundary_value")
                 expr = ExpPoly.from_term_list(step["terms"])
                 for i, k, _ in step["terms"]:
                     if not (0 <= i <= MAX_DEGREE and 0 <= k <= 2 * MAX_DEGREE):
                         raise ValueError(f"term degrees ({i}, {k}) out of range")
-                if expr.to_term_list() != step["terms"]:
-                    raise ValueError("terms are not in the canonical form of to_term_list()")
-                value = parse_rational(step["boundary_value"])
-                if rational_str(value) != step["boundary_value"]:
-                    raise ValueError(f"boundary value {step['boundary_value']!r} is not canonical")
-                steps.append(ReductionStep(expr, value))
+                if step != _step_dict(expr):
+                    raise ValueError("step is not in the form to_dict writes")
+                steps.append(expr)
             return cls(claim=Outcome(data["claim"]), steps=tuple(steps))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from exc
@@ -139,16 +132,15 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
         return f"base case has a root on (1, oo): {count} root(s) inside (1, oo)"
     sign = Outcome.POSITIVE if ri.evaluate(q, 2) > 0 else Outcome.NEGATIVE
 
-    steps = tuple(ReductionStep(expr, expr.eval_at_zero()) for expr in chain)
-    for level in range(len(steps) - 2, -1, -1):
-        boundary_value = steps[level].boundary_value
+    for level in range(len(chain) - 2, -1, -1):
+        boundary_value = chain[level].eval_at_zero()
         wrong_side = boundary_value > 0 if sign is Outcome.NEGATIVE else boundary_value < 0
         if wrong_side:
             return (
                 f"level {level}: boundary value {boundary_value} is inconsistent "
                 f"with derivative sign {sign.value}"
             )
-    return SignCertificate(claim=sign, steps=steps)
+    return SignCertificate(claim=sign, steps=tuple(chain))
 
 
 def decide_sign(p: ExpPoly) -> SignDecision:
@@ -175,9 +167,9 @@ def replay(certificate: SignCertificate) -> Outcome:
     steps and claim equal it.
     """
     steps = certificate.steps
-    if not steps or steps[0].expr.is_zero:
+    if not steps or steps[0].is_zero:
         raise CertificateError("certificate has no nonzero first step")
-    derived = _derive(steps[0].expr)
+    derived = _derive(steps[0])
     if isinstance(derived, str):
         raise CertificateError(f"certificate proves nothing: {derived}")
     if certificate != derived:
@@ -310,18 +302,24 @@ def verify_battery() -> BatteryReport:
     """Certify every built-in inequality and replay each certificate.
 
     The report fails loudly (``all_certified`` False) if any member comes
-    back UNDETERMINED or its certificate fails to replay.  Each text is
-    parsed once per process; every call decides and replays every lemma.
+    back UNDETERMINED, or its certificate is not about the member (its first
+    step is not ``normalize`` of the member's polynomial) or fails to
+    replay: ``replay`` alone reads no claim, so the battery binds each
+    certificate to its lemma.  Each text is parsed once per process; every
+    call decides and replays every lemma.
     """
     entries = []
     for name, text, expected, role in BATTERY:
         poly = _lemma(text)
         decision = decide_sign(poly)
-        replay_ok = False
-        if decision.certificate is not None:
-            try:
-                replay_ok = replay(decision.certificate) is decision.outcome
-            except CertificateError:
-                replay_ok = False
+        certificate = decision.certificate
+        try:
+            replay_ok = (
+                certificate is not None
+                and certificate.steps[0] == normalize(poly)
+                and replay(certificate) is decision.outcome
+            )
+        except CertificateError:
+            replay_ok = False
         entries.append(BatteryEntry(name, text, poly, expected, role, decision, replay_ok))
     return BatteryReport(tuple(entries))

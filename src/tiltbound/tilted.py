@@ -182,7 +182,8 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
     numerator sums cancel, while the terms of each shifted sum share one
     sign.  A result out of float range, infinite or NaN, raises
     OverflowError, as does a denominator that underflows to 0; a support
-    whose weights sum to 0 (none at all, or every p zero) raises ValueError.
+    whose weights sum to 0 (none at all, or every p zero) raises ValueError,
+    as does a weight that is negative, NaN or infinite.
     """
     shifted, linear, weights = [], [], []
     for x, p in atoms:
@@ -191,11 +192,18 @@ def tilted_mean_signed(atoms: Sequence[tuple[float, float]], h: float, w: float)
         shifted.append(xp * math.expm1(a))
         linear.append(xp)
         weights.append(math.exp(a) * p)
+    total = math.fsum(weights)
+    if not (0.0 < total < math.inf and min(weights) > 0.0):
+        # a weight is 0, negative, NaN or infinite, or the total is out of
+        # range; e^a p of a negative p may underflow to -0.0, so read each p
+        for _, p in atoms:
+            if not 0.0 <= p < math.inf:
+                raise ValueError(f"weights must be finite and >= 0, got {p}")
     try:
         moment = math.fsum(linear)  # exactly 0 for a symmetric law: one comparison
         if moment < 0.0 and max(x for x, _ in atoms) < 0.0:
             return _mean_below_zero(atoms, h, w)
-        return _finite((math.fsum(shifted) + moment) / math.fsum(weights))
+        return _finite((math.fsum(shifted) + moment) / total)
     except ZeroDivisionError:
         if math.fsum(p for _, p in atoms) == 0:
             raise ValueError("the support has no weight") from None

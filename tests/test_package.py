@@ -195,7 +195,6 @@ def records() -> dict:
     return {
         "TiltParams": p,
         "BoundCheck": tilted.check_bound(extremal.three_point_extremal(0.1, 1.0), p),
-        "ReductionStep": decision.certificate.steps[0],
         "SignCertificate": decision.certificate,
         "SignDecision": decision,
         "BatteryEntry": entry,
@@ -212,7 +211,7 @@ def records() -> dict:
 
 
 RECORD_NAMES = (
-    "TiltParams", "BoundCheck", "ReductionStep", "SignCertificate", "SignDecision",
+    "TiltParams", "BoundCheck", "SignCertificate", "SignDecision",
     "BatteryEntry", "BatteryReport", "BoxRegion", "ProofExpr", "CertifyResult",
     "StructureCheck", "Link", "CaseStructureReport", "SupSearchResult", "ScanRow",
 )

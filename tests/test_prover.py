@@ -4,19 +4,17 @@ import hashlib
 import json
 import math
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from tiltbound import rootisolation
+from tiltbound import prover, rootisolation
 from tiltbound.exppoly import ExpPoly, normalize, parse_expression
 from tiltbound.prover import (
     BATTERY,
     CertificateError,
     Outcome,
-    ReductionStep,
     SignCertificate,
     decide_sign,
     replay,
@@ -90,9 +88,8 @@ class TestBaseCase:
         assert decision.outcome is Outcome.UNDETERMINED
         assert decision.certificate is None
         assert decision.reason.startswith("unresolved base case")
-        step = ReductionStep(normalize(p), normalize(p).eval_at_zero())
         with pytest.raises(CertificateError, match="unresolved base case"):
-            replay(SignCertificate(Outcome.POSITIVE, (step,)))
+            replay(SignCertificate(Outcome.POSITIVE, (normalize(p),)))
 
     def test_base_case_work_is_capped(self, monkeypatch):
         # degree 80: (t^2 - 2t - 1)^2 times 38 seeded quadratics with 20-bit
@@ -116,9 +113,8 @@ class TestBaseCase:
         assert (len(shifts) - 1) // 2 <= 8  # splits: 5
 
     def test_zero_rejected(self):
-        zero = ReductionStep(ExpPoly(), Fraction(0))
         with pytest.raises(CertificateError):
-            replay(SignCertificate(Outcome.POSITIVE, (zero,)))
+            replay(SignCertificate(Outcome.POSITIVE, (ExpPoly(),)))
 
 
 class TestDecideSign:
@@ -213,8 +209,7 @@ class TestCertificates:
     @staticmethod
     def _forged(text, claim):
         """A one-step certificate for a polynomial in t = e^w, with the claim as given."""
-        expr = normalize(parse_expression(text))
-        steps = (ReductionStep(expr, expr.eval_at_zero()),)
+        steps = (normalize(parse_expression(text)),)
         data = SignCertificate(Outcome(claim), steps).to_dict()
         return SignCertificate.from_dict(json.loads(json.dumps(data)))
 
@@ -286,8 +281,8 @@ class TestCertificates:
     def test_integral_values_read_back_as_ints(self):
         data = decide_sign(parse_expression("sinh(w) - w")).certificate.to_dict()
         restored = SignCertificate.from_dict(json.loads(json.dumps(data)))
-        values = [step.boundary_value for step in restored.steps]
-        values += [c for step in restored.steps for _, _, c in step.expr.terms()]
+        values = [step.eval_at_zero() for step in restored.steps]
+        values += [c for step in restored.steps for _, _, c in step.terms()]
         assert all(type(v) is int for v in values)
 
     def test_degree_past_the_cap_is_a_prompt_error(self):
@@ -300,7 +295,7 @@ class TestCertificates:
     def test_degree_at_the_cap_round_trips(self):
         # the largest t-degree a parsed text reaches: exp(40w) shifted by normalize
         certificate = decide_sign(parse_expression("exp(40*w) - exp(-40*w)")).certificate
-        assert certificate.steps[0].expr.t_degrees == (0, 80)
+        assert certificate.steps[0].t_degrees == (0, 80)
         restored = SignCertificate.from_dict(json.loads(json.dumps(certificate.to_dict())))
         assert restored == certificate
         assert replay(restored) is Outcome.POSITIVE
@@ -308,15 +303,17 @@ class TestCertificates:
     @pytest.mark.parametrize("text, certificate, outcome", list(_printed_certificates()))
     def test_printed_certificates_read_back(self, text, certificate, outcome):
         restored = SignCertificate.from_dict(json.loads(json.dumps(certificate)))
-        assert restored.steps[0].expr == normalize(parse_expression(text))
+        assert restored.steps[0] == normalize(parse_expression(text))
         assert replay(restored).value == outcome
 
     def test_tampered_boundary_rejected(self):
+        # "-3/1" is canonical text, but not the step's value at w = 0: the
+        # certificate is rejected when it is read, before any replay
         decision = decide_sign(parse_expression("exp(w) - 1 - w"))
         data = decision.certificate.to_dict()
         data["steps"][0]["boundary_value"] = "-3/1"
         with pytest.raises(CertificateError):
-            replay(SignCertificate.from_dict(data))
+            SignCertificate.from_dict(data)
 
 
 class TestBattery:
@@ -334,6 +331,24 @@ class TestBattery:
             for i in range(1, 401):
                 value = mp_value(p, mpmath.mpf(i) / 8)  # w up to 50
                 assert (value > 0) == want_positive, f"{name} fails at w={i / 8}"
+
+    def test_a_certificate_for_another_lemma_is_not_certified(self, monkeypatch):
+        # d111_negativity decided as d1_case2_slope_at_u_zero: a valid
+        # NEGATIVE certificate that replays, but for another polynomial
+        texts = {name: text for name, text, _, _ in BATTERY}
+        swap = {
+            parse_expression(texts["d111_negativity"]):
+                parse_expression(texts["d1_case2_slope_at_u_zero"]),
+        }
+        decide = prover.decide_sign
+        monkeypatch.setattr(prover, "decide_sign", lambda p: decide(swap.get(p, p)))
+        report = verify_battery()
+        assert [e.name for e in report.entries if not e.certified] == ["d111_negativity"]
+        swapped = next(e for e in report.entries if e.name == "d111_negativity")
+        assert swapped.decision.outcome is Outcome.NEGATIVE
+        assert not swapped.replay_matches
+        # replay alone binds no claim: the certificate replays to its own sign
+        assert replay(swapped.decision.certificate) is Outcome.NEGATIVE
 
     def test_report_shape(self):
         report = verify_battery()

@@ -274,6 +274,24 @@ class TestTiltedMean:
             tilted_mean_signed(atoms, 1.0, 1.0)
 
     @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(-800.0, -0.1), (1.0, 1.1)],
+            [(-1.0, 0.5), (1.0, -0.5), (0.0, 1.0)],
+            [(-1.0, -0.1), (-800.0, 1.1)],
+            [(-1.0, 0.5), (1.0, math.nan)],
+            [(-1.0, math.nan), (1.0, 0.5)],
+            [(-1.0, 0.5), (1.0, math.inf)],
+        ],
+        ids=["underflows-to-minus-zero", "cancels", "below-zero", "nan-last", "nan-first", "inf"],
+    )
+    def test_a_negative_or_non_finite_weight_raises_value_error(self, atoms):
+        # e^-800 times -0.1 is -0.0, so no tilted weight of the first is below
+        # 0; the second's weights cancel to a positive total
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            tilted_mean_signed(atoms, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
         "atoms", [[(-800.0, 1.0), (1.0, 0.0)], [(-800.0, 0.5), (-900.0, 0.5), (1.0, 0.0)]]
     )
     def test_a_denominator_that_underflows_raises_overflow_error(self, atoms):
