@@ -43,8 +43,10 @@ makes the denominator 1 and :func:`derivative` keeps it so, and Laurent's
 exp, sinh and cosh build theirs over 1 or 2, sinh_over over 2|k|.  Only
 reading a coefficient (``terms()``, ``coeff()``, ``eval_at_zero()``) yields
 a rational: an ``int``, or a :class:`fractions.Fraction` when it is not
-integral (never ``Fraction(n, 1)``).  ``ExpPoly`` rejects floats so that
-certificates replay bit for bit.
+integral (never ``Fraction(n, 1)``).  ``ExpPoly`` neither reads nor
+computes a float: a float coefficient or operand raises TypeError, and no
+method evaluates a polynomial in floating point, so certificates replay bit
+for bit.
 """
 
 from __future__ import annotations
@@ -171,12 +173,6 @@ class SparsePoly:
         """n / den as a canonical rational: an int when integral, else a Fraction."""
         return n if self._den == 1 else exact(Fraction(n, self._den))
 
-    @classmethod
-    def constant(cls, value):
-        if (ratio := cls._scalar(value)) is None:
-            raise TypeError(f"exact scalar required, got {type(value).__name__}")
-        return cls._of({cls._ONE: ratio[0]}, ratio[1])
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -257,12 +253,6 @@ class ExpPoly(SparsePoly):
     __slots__ = ()
     _ONE = (0, 0)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, w_deg: int, t_deg: int) -> "ExpPoly":
-        return cls({(w_deg, t_deg): coeff})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -291,14 +281,6 @@ class ExpPoly(SparsePoly):
             if not i:
                 total += c
         return self._rational(total)
-
-    def evaluate(self, w: float) -> float:
-        """Floating-point value of P(w, e^w).  May overflow for large w."""
-        t = math.exp(w)
-        total = 0.0
-        for (i, k), c in self._terms.items():
-            total += c / self._den * w**i * t**k
-        return total
 
     def __repr__(self) -> str:
         if self.is_zero:

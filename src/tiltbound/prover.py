@@ -5,7 +5,8 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
 
 * Base case.  If P has w-degree zero it is a plain polynomial q(t) evaluated
   at t = e^w, and w > 0 is equivalent to t > 1.  Descartes' rule of signs
-  over exact integer Taylor shifts (:mod:`tiltbound.rootisolation`) shows q
+  over exact integer Taylor shifts (:mod:`tiltbound.rootisolation`, which
+  takes q's primitive int coefficients and counts on t > 1 alone) shows q
   has no root on (1, oo); the sign at the sample point t = 2 is then the
   sign everywhere.
 
@@ -14,8 +15,10 @@ The procedure certifies claims of the form ``P(w, e^w) < 0 for all w > 0``
   the whole derivation computes with ints.  If the derivative is strictly
   negative on (0, oo) and P(0, 1) <= 0, then P < 0 strictly on (0, oo) by
   integration; symmetrically for positive.  Any other combination, a root in
-  the base-case domain, a base case the root count cannot resolve, or an
-  exhausted depth cap yields UNDETERMINED, never a wrong sign.
+  the base-case domain, a base case the root count cannot resolve, an
+  exhausted depth cap or a ValueError while the chain is built (a kernel
+  fault, such as a derivative that vanished) yields UNDETERMINED with that
+  reason, never a wrong sign.
 
 Every certified claim carries a :class:`SignCertificate`: the claimed sign
 and the full chain of normalized expressions.  A step is its normalized
@@ -84,6 +87,8 @@ class SignCertificate(NamedTuple):
         (no repeated degree pair, no zero, in canonical order, each rational
         reduced), and the boundary value the ``rational_str`` text of the
         polynomial's own value at w = 0, so a wrong value is rejected here.
+        A step that differs is rejected with the keys whose values differ
+        named, such as ``boundary_value`` or ``terms``, then any extra key.
         """
         try:
             if set(data) != {"claim", "steps"}:
@@ -94,8 +99,10 @@ class SignCertificate(NamedTuple):
                 for i, k, _ in step["terms"]:
                     if not (0 <= i <= MAX_DEGREE and 0 <= k <= 2 * MAX_DEGREE):
                         raise ValueError(f"term degrees ({i}, {k}) out of range")
-                if step != _step_dict(expr):
-                    raise ValueError("step is not in the form to_dict writes")
+                if step != (written := _step_dict(expr)):  # name what differs
+                    wrong = [key for key in written if step.get(key) != written[key]]
+                    wrong += sorted(map(str, step.keys() - written.keys()))
+                    raise ValueError(f"step differs from to_dict's form in {wrong}")
                 steps.append(expr)
             return cls(claim=Outcome(data["claim"]), steps=tuple(steps))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -114,18 +121,21 @@ def _derive(p: ExpPoly) -> SignCertificate | str:
     The one derivation of the prover: :func:`decide_sign` reports its result
     and :func:`replay` compares a stored certificate against it.
     """
-    chain = [normalize(p)]
-    while chain[-1].w_degree > 0:
-        if len(chain) > MAX_DEPTH:
-            return f"derivative chain exceeded max_depth={MAX_DEPTH}"
-        chain.append(normalize(derivative(chain[-1])))
+    try:
+        chain = [normalize(p)]
+        while chain[-1].w_degree > 0:
+            if len(chain) > MAX_DEPTH:
+                return f"derivative chain exceeded max_depth={MAX_DEPTH}"
+            chain.append(normalize(derivative(chain[-1])))
+    except ValueError as exc:  # a kernel fault, such as a derivative that vanished
+        return f"derivative chain failed: {exc}"
 
     # w > 0 is t = e^w > 1; with no root there, q has its sign at t = 2
     tail = chain[-1]
     # normalize leaves the tail's coefficients canonical ints, its top one nonzero
     q = tuple(tail.coeff(0, k) for k in range(tail.t_degrees[1] + 1))
     try:
-        count = ri.count_roots_above(q, 1)
+        count = ri.count_roots_above(q)
     except ArithmeticError as exc:
         return f"unresolved base case: {exc}"
     if count:

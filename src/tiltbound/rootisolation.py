@@ -1,25 +1,26 @@
-"""Exact real-root counting for rational polynomials by Descartes' rule of signs.
+"""Exact real-root counting on t > 1 for integer polynomials by Descartes' rule of signs.
 
-Polynomials are tuples of ints (Fractions where not integral) in ascending
-degree order.  Everything here is exact: the counts returned are theorems
-about the polynomial, not numerical estimates.  One routine, Vincent-Collins-
-Akritas bisection by Moebius transforms (Collins & Akritas 1976; Rouillier &
-Zimmermann 2004), covers (lower, oo) with leaves: it moves the interval to
-(0, oo) by an exact Taylor shift, clears the denominators once, and from
-then on computes with ints alone, reading the sign variations of the
-coefficients.  Used by the prover's base case to certify that a polynomial in
-t has no root on an open interval (a, oo), which pins its sign there.
+A polynomial is a tuple of ints in ascending degree order; its one caller is
+the prover's base case, which passes the primitive integer polynomial q(t) of
+the last step of a derivative chain and needs to know that q has no root on
+t = e^w > 1, which pins its sign there.  Everything here is exact: the counts
+returned are theorems about the polynomial, not numerical estimates.  One
+routine, Vincent-Collins-Akritas bisection by Moebius transforms (Collins &
+Akritas 1976; Rouillier & Zimmermann 2004), covers (1, oo) with leaves: it
+moves the interval to (0, oo) by the integer Taylor shift t = 1 + x and
+reads the sign variations of the coefficients, computing with ints alone.
+A coefficient that is not an int raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .exppoly import Scalar, exact
 
-Poly = tuple[Scalar, ...]
+Poly = tuple[int, ...]
 
 # The splits of one root count may cost at most this much work.  A node q that
 # splits charges len(q) times the sum over its coefficients of their bits plus
@@ -31,14 +32,9 @@ MAX_WORK = 2**26
 NODE_WORK = 2**17
 
 
-def _rational(value) -> Scalar:
-    """value read as an exact rational (an int stays as it is); NaN raises ValueError."""
-    return value if type(value) is int else exact(Fraction(value))
-
-
-def make_poly(coeffs: Sequence) -> Poly:
-    """Build a trimmed ascending-coefficient polynomial from any rationals."""
-    cs = [_rational(c) for c in coeffs]
+def make_poly(coeffs: Sequence[int]) -> Poly:
+    """The ascending int coefficients as a tuple, trailing zeros trimmed."""
+    cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -52,7 +48,7 @@ def evaluate(p: Poly, x: Scalar) -> Scalar:
 
 
 def primitive(cs: Sequence[int]) -> tuple[int, ...]:
-    """cs divided by their content, so coprime; cs is empty or not all 0.
+    """cs divided by their content, so coprime; cs is empty or not all 0, and ints only.
 
     The content is ``gcd`` of the coefficients, the one content of the exact
     kernels: :func:`~.exppoly.normalize` divides by the same ``gcd``.
@@ -61,7 +57,7 @@ def primitive(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs) if g == 1 else tuple(c // g for c in cs)
 
 
-def _shift(p: Sequence[Scalar], a: Scalar) -> list[Scalar]:
+def _shift(p: Sequence[int], a: int) -> list[int]:
     """The coefficients of p(x + a), by the O(n^2) Taylor shift."""
     cs = list(p)
     for i in range(len(cs) - 1):
@@ -75,8 +71,8 @@ def _variations(values) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
-    """One Moebius map (a, b, c, d) per distinct real root of p on (lower, oo).
+def _leaves(p: Poly) -> list[tuple[int, int, int, int]]:
+    """One Moebius map (a, b, c, d) per distinct real root of p on (1, oo).
 
     A node is q(x), x > 0, with t = (a x + b) / (c x + d), so its root lies
     between b/d and a/c (oo when c = 0).  With 0 sign variations q has no
@@ -94,11 +90,7 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
     near an irrational multiple root, whose variations never fall to 1.
     """
     leaves, work = [], 0
-    lower = _rational(lower)
-    shifted = _shift(make_poly(p), lower)  # p(lower + x), then over one denominator
-    den = lcm(*(c.denominator for c in shifted))
-    shifted = primitive([c.numerator * (den // c.denominator) for c in shifted])
-    stack = [(shifted, 1, (1, lower, 0, 1))]
+    stack = [(primitive(_shift(make_poly(p), 1)), 1, (1, 1, 0, 1))]  # p(1 + x)
     while stack:
         q, s, (a, b, c, d) = stack.pop()
         count = _variations(q)
@@ -122,17 +114,15 @@ def _leaves(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar, int, int]]:
     return leaves
 
 
-def count_roots_above(p: Poly, lower: Scalar) -> int:
-    """Number of distinct real roots of p in the open interval (lower, oo).
+def count_roots_above(p: Poly) -> int:
+    """Number of distinct real roots of the int polynomial p on t > 1.
 
-    ``lower`` is read as an exact rational, as :func:`make_poly` reads the
-    coefficients: the float 1.5 counts as Fraction(3, 2), and NaN raises
-    ValueError.
-
-    Raises ArithmeticError when the bisection does not resolve the roots
-    (see ``_leaves``).
+    The prover's base case calls it with the primitive integer polynomial of
+    the last step of a chain.  Raises ArithmeticError when the bisection does
+    not resolve the roots (see ``_leaves``), and TypeError on a coefficient
+    that is not an int.
     """
-    return len(_leaves(p, lower))
+    return len(_leaves(p))
 
 
 def root_magnitude_bound(p: Poly) -> Scalar:
@@ -143,8 +133,8 @@ def root_magnitude_bound(p: Poly) -> Scalar:
     return exact(1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1])))
 
 
-def isolate_roots_above(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar]]:
-    """Sorted intervals (lo, hi) in (lower, oo), each holding one root of p.
+def isolate_roots_above(p: Poly) -> list[tuple[Scalar, Scalar]]:
+    """Sorted intervals (lo, hi) in (1, oo), each holding one root of the int polynomial p.
 
     The leaves :func:`count_roots_above` counts: an open interval with
     exact rational ends, or (r, r) for a rational root r met as a split
@@ -154,7 +144,7 @@ def isolate_roots_above(p: Poly, lower: Scalar) -> list[tuple[Scalar, Scalar]]:
     """
     bound = root_magnitude_bound(p)
 
-    def at(num: Scalar, den: int) -> Scalar:
+    def at(num: int, den: int) -> Scalar:
         return exact(Fraction(num) / den) if den else bound
 
-    return sorted(tuple(sorted((at(b, d), at(a, c)))) for a, b, c, d in _leaves(p, lower))
+    return sorted(tuple(sorted((at(b, d), at(a, c)))) for a, b, c, d in _leaves(p))

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tiltbound import SymmetricDiscreteDistribution, TiltParams, verify_battery
+from tiltbound.exppoly import ExpPoly
 from tiltbound.regions import BoxRegion, CaseRegion, certify_negative
 
 
@@ -30,6 +32,19 @@ def random_symmetric_distribution(
         atoms.append((0.0, float(zero_mass)))
     atoms.extend((float(x), float(p)) for x, p in zip(xs, weights))
     return SymmetricDiscreteDistribution(atoms)
+
+
+def mp_exppoly(p: ExpPoly, w) -> mpmath.mpf:
+    """p(w, e^w) in mpmath at the working precision, from the exact coefficients.
+
+    ExpPoly itself computes no float, so the tests evaluate it here.
+    """
+    w = mpmath.mpf(w)
+    t = mpmath.e**w
+    total = mpmath.mpf(0)
+    for i, k, c in p.terms():
+        total += mpmath.mpf(c.numerator) / c.denominator * w**i * t**k
+    return total
 
 
 def zero_mean_factor(p: TiltParams) -> float:

@@ -134,6 +134,9 @@ class TestProve:
             ),
             ("exp_w_minus_3", "exp(w) - 3", 1),
             ("golden_ratio_base_case", "-exp(w)^2 + exp(w) + 1", 1),
+            # t^2 - 4t + 5 has no real root, but q(1 + s) = s^2 - 2s + 2 has two
+            # sign variations: the base case splits (1, oo) once
+            ("split_base_case", "exp(w)^2 - 4*exp(w) + 5", 0),
         ],
     )
     def test_stdout_matches_golden(self, capsys, name, text, exit_code):

@@ -52,7 +52,7 @@ def test_parser_and_both_kernels_reach_one_product(monkeypatch):
     monkeypatch.setattr(exppoly, "_mul", counting)
     products = {
         "parse_expression": lambda: exppoly.parse_expression("(1+w)*(1+exp(w))"),
-        "ExpPoly": lambda: (1 + ExpPoly.monomial(1, 1, 0)) * (1 + ExpPoly.monomial(1, 0, 1)),
+        "ExpPoly": lambda: (1 + ExpPoly({(1, 0): 1})) * (1 + ExpPoly({(0, 1): 1})),
         "Laurent": lambda: (1 + U) * (1 + V),
     }
     results = {}
@@ -89,6 +89,68 @@ def test_layering():
     assert not private
     assert modules["exppoly"] == []
     assert "exppoly.Laurent" in modules["regions"]  # the walk reads relative imports
+
+
+# The trusted base: every (module, function) of tiltbound that a cold
+# `verify-proof` executes.  A function that joins or leaves the verdict path
+# changes this pin, and README names the same set.
+TRUSTED_BASE = {
+    "cli": {"_cmd_verify_proof", "_parser", "build_parser", "main"},
+    "exppoly": {
+        "__add__", "__eq__", "__init__", "__mul__", "__neg__", "__rsub__", "__sub__", "_add",
+        "_diff", "_half", "_half_sum", "_linear", "_mul", "_of", "_pair", "_power", "_rates",
+        "_rational", "_scalar", "at", "coeff", "cosh", "derivative", "diff", "eval_at_zero",
+        "exp", "expect", "expr", "factor", "in_w", "is_zero", "normalize", "parse_expression",
+        "sinh", "sinh_over", "t_degrees", "term", "w_degree",
+    },
+    "intervals": {"vcosh", "vexp", "vsinh", "vsinh_over"},
+    "prover": {
+        "_derive", "_lemma", "all_certified", "certified", "decide_sign", "replay", "to_dict",
+        "verify_battery",
+    },
+    "regions": {
+        "__new__", "_case1_concavity_identities", "_case1_slope_identities",
+        "_case2_slope_identities", "_d1_case2", "_dv2_case1", "_expanded", "all_passed", "check",
+        "derived", "derived_regions", "to_dict", "verify_case_structure",
+    },
+    "rootisolation": {
+        "_leaves", "_shift", "_variations", "count_roots_above", "evaluate", "make_poly",
+        "primitive",
+    },
+    "tilted": {"_g", "d"},
+}
+
+
+def test_the_trusted_base_is_pinned(capsys):
+    # one cold verify-proof under sys.settrace: the caches it fills are
+    # emptied first, so parsing, expanding and the parser build are traced
+    # too; comprehension and lambda frames (<...>) are skipped, since Python
+    # 3.12 inlines comprehensions and 3.10 has no co_qualname
+    from tiltbound import cli
+
+    package = str(Path(tiltbound.__file__).parent)
+    seen = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package) and not code.co_name.startswith("<"):
+            seen.add((Path(code.co_filename).stem, code.co_name))
+
+    prover._lemma.cache_clear()
+    regions._expanded.cache_clear()
+    cli._parser.cache_clear()
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        status = cli.main(["verify-proof"])
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert status == 0
+    found = {}
+    for module, function in seen:
+        found.setdefault(module, set()).add(function)
+    assert found == TRUSTED_BASE
 
 
 def test_benchmark_span_points_resolve(monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import mpmath
@@ -20,6 +21,8 @@ from tiltbound.prover import (
     replay,
     verify_battery,
 )
+
+from conftest import mp_exppoly
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,16 +48,6 @@ def _printed_certificates():
     for entry in verify_battery().entries:
         certificate = entry.decision.certificate.to_dict()
         yield pytest.param(entry.expression, certificate, entry.expected.value, id=entry.name)
-
-
-def mp_value(p: ExpPoly, w) -> mpmath.mpf:
-    """High-precision evaluation of p(w, e^w), independent of ExpPoly.evaluate."""
-    w = mpmath.mpf(w)
-    t = mpmath.e**w
-    total = mpmath.mpf(0)
-    for i, k, c in p.terms():
-        total += mpmath.mpf(c.numerator) / c.denominator * w**i * t**k
-    return total
 
 
 class TestBaseCase:
@@ -116,6 +109,17 @@ class TestBaseCase:
         with pytest.raises(CertificateError):
             replay(SignCertificate(Outcome.POSITIVE, (ExpPoly(),)))
 
+    def test_a_kernel_fault_is_the_reason(self, monkeypatch):
+        # a derivative that vanishes makes normalize raise inside the chain:
+        # the claim is UNDETERMINED with that reason, and replay rejects it
+        monkeypatch.setattr(prover, "derivative", lambda p: ExpPoly())
+        p = parse_expression("sinh(w) - w")
+        decision = decide_sign(p)
+        reason = "derivative chain failed: cannot normalize the zero polynomial"
+        assert decision == (Outcome.UNDETERMINED, None, reason)
+        with pytest.raises(CertificateError, match=reason):
+            replay(SignCertificate(Outcome.POSITIVE, (normalize(p),)))
+
 
 class TestDecideSign:
     def test_exp_dominates_linear(self):
@@ -174,7 +178,7 @@ class TestDecideSign:
             want_positive = decision.outcome is Outcome.POSITIVE
             p = parse_expression(text)
             for i in range(1, 200):
-                value = mp_value(p, mpmath.mpf(i) / 10)
+                value = mp_exppoly(p, mpmath.mpf(i) / 10)
                 assert (value > 0) == want_positive
 
 
@@ -315,6 +319,24 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             SignCertificate.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("boundary_value", "-3/1"),  # canonical, but not the value at w = 0
+            ("boundary_value", "0/7"),  # the value, but not its canonical text
+            ("terms", "reversed"),  # the same polynomial, out of canonical order
+            ("extra", None),  # a key to_dict never writes
+        ],
+    )
+    def test_a_rejected_step_names_the_keys_that_differ(self, key, value):
+        data = decide_sign(parse_expression("sinh(w) - w")).certificate.to_dict()
+        step = data["steps"][0]
+        step[key] = step["terms"][::-1] if value == "reversed" else value
+        with pytest.raises(CertificateError) as raised:
+            SignCertificate.from_dict(data)
+        named = re.search(r"to_dict's form in \[([^]]*)\]", str(raised.value))[1]
+        assert named == repr(key)
+
 
 class TestBattery:
     def test_every_member_certifies_with_expected_sign(self):
@@ -329,7 +351,7 @@ class TestBattery:
             p = parse_expression(text)
             want_positive = expected is Outcome.POSITIVE
             for i in range(1, 401):
-                value = mp_value(p, mpmath.mpf(i) / 8)  # w up to 50
+                value = mp_exppoly(p, mpmath.mpf(i) / 8)  # w up to 50
                 assert (value > 0) == want_positive, f"{name} fails at w={i / 8}"
 
     def test_a_certificate_for_another_lemma_is_not_certified(self, monkeypatch):
