@@ -41,12 +41,12 @@ A polynomial is stored as int numerators over one positive int denominator,
 reduced, and its arithmetic computes with ints alone; :func:`normalize`
 makes the denominator 1 and :func:`derivative` keeps it so, and Laurent's
 exp, sinh and cosh build theirs over 1 or 2, sinh_over over 2|k|.  Only
-reading a coefficient (``terms()``, ``coeff()``, ``eval_at_zero()``) yields
-a rational: an ``int``, or a :class:`fractions.Fraction` when it is not
-integral (never ``Fraction(n, 1)``).  ``ExpPoly`` neither reads nor
-computes a float: a float coefficient or operand raises TypeError, and no
-method evaluates a polynomial in floating point, so certificates replay bit
-for bit.
+reading a coefficient (``terms()``, ``coeff()``, ``eval_at_zero()`` and the
+``repr``, the constructor call of either kernel) yields a rational: an
+``int``, or a :class:`fractions.Fraction` when it is not integral (never
+``Fraction(n, 1)``).  ``ExpPoly`` neither reads nor computes a float: a
+float coefficient or operand raises TypeError, and no method evaluates a
+polynomial in floating point, so certificates replay bit for bit.
 """
 
 from __future__ import annotations
@@ -227,6 +227,11 @@ class SparsePoly:
     def __hash__(self):
         return hash((self._den, tuple(sorted(self._terms.items()))))
 
+    def __repr__(self) -> str:
+        """The constructor call, canonical rationals in key order: ``eval`` with Fraction rebuilds it."""
+        terms = {key: self._rational(self._terms[key]) for key in sorted(self._terms)}
+        return f"{type(self).__name__}({terms!r})"
+
     def _diff(self, power_axis: int, rate_axis: int):
         """d/dx: x^a e^(r x) -> (a/x + r) x^a e^(r x), a = key[power_axis], r = key[rate_axis]."""
         terms: dict[tuple[int, ...], int] = {}
@@ -281,19 +286,6 @@ class ExpPoly(SparsePoly):
             if not i:
                 total += c
         return self._rational(total)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "ExpPoly(0)"
-        parts = []
-        for i, k, c in self.terms():
-            piece = str(c)
-            if i:
-                piece += f"*w^{i}" if i > 1 else "*w"
-            if k:
-                piece += f"*t^{k}" if k != 1 else "*t"
-            parts.append(piece)
-        return "ExpPoly(" + " + ".join(parts) + ")"
 
     # -- serialization -----------------------------------------------------
 
@@ -396,9 +388,6 @@ class Laurent(SparsePoly):
         """(key, coefficient) of every monomial, in key order."""
         for key in sorted(self._terms):
             yield key, self._rational(self._terms[key])
-
-    def __repr__(self) -> str:
-        return f"Laurent({dict(self.terms())!r})"
 
     def __bool__(self) -> bool:
         raise TypeError("a Laurent polynomial has no truth value; use is_zero")

@@ -4,11 +4,12 @@ The sharpness side of the bound: over symmetric laws with E[X^2] = s^2 the
 supremum of the tilted mean, divided by s^2, climbs to sinh(hw)/w as s drops
 to 0, driven by the three-point family supported on {-w, 0, w}.
 :func:`ratio_limit_scan` reproduces that limit numerically through
-:func:`sup_symmetric`, which takes E[X^2] = sigma2 and places atoms in
-[-4w, 4w].  The theorem and this search are about symmetric laws only; the
-zero-mean factor (e^{hw} - 1)/w is a comparison point, and the tests show
-with the closed-form two-point law on {w, -sigma2/w} that a zero-mean law
-exceeds sinh(hw)/w, so the symmetric bound needs symmetry.
+:func:`sup_symmetric`, which takes E[X^2] = sigma2 and places atoms in a
+range derived from h, w, sigma2 and the value found (see there).  The
+theorem and this search are about symmetric laws only; the zero-mean factor
+(e^{hw} - 1)/w is a comparison point, and the tests show with the
+closed-form two-point law on {w, -sigma2/w} that a zero-mean law exceeds
+sinh(hw)/w, so the symmetric bound needs symmetry.
 
 The optimizer is deterministic (no randomness) so scans are reproducible run
 to run.  For fixed atom positions the objective is a ratio of two linear
@@ -132,12 +133,13 @@ class SupSearchResult(NamedTuple):
 
 
 def _atom_range(sigma2: float, p: TiltParams) -> float:
-    """The search places atoms in [-4w, 4w]; sigma2 must fit inside.
+    """The end 4w of the search's first segment [sigma, 4w]; sigma2 must fit inside.
 
-    sigma2 must pass :func:`_check_sigma2`, and the bound scale
-    sinh(hw)/w * sigma2, which the mean found is near, must not be
-    subnormal: it loses its precision too (``extremal --h 1e-320`` printed
-    ratios 8.7% above the factor, and 0.0).
+    :func:`sup_symmetric` derives how far past 4w it searches.  sigma2
+    must pass :func:`_check_sigma2`, and the bound scale sinh(hw)/w *
+    sigma2, which the mean found is near, must not be subnormal: it loses
+    its precision too (``extremal --h 1e-320`` printed ratios 8.7% above
+    the factor, and 0.0).
     """
     _check_sigma2(sigma2)
     if symmetric_factor(p) * sigma2 < sys.float_info.min:
@@ -151,8 +153,13 @@ def _atom_range(sigma2: float, p: TiltParams) -> float:
 def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
 
-    Searches the three-point laws on {-x, 0, x} for x in [sigma, 4w]; the
-    value is a lower bound on the true supremum.  Each candidate x is scored
+    Searches the three-point laws on {-x, 0, x} for x in [sigma, 4w], then
+    in [4w, X] when 4w < X < inf, X = max(w, 2 sigma, 2 sigma2 e^(hw) / (3L))
+    with L the first value found: for x >= max(w, 2 sigma) the mean's
+    numerator is at most sigma2 e^(hw) / (2x) and its denominator at least
+    1 - sigma2 / x^2 >= 3/4, so no x beyond X beats L.  The second point
+    replaces the first only with a strictly larger value.  The value is a
+    lower bound on the true supremum.  Each candidate x is scored
     from its signed atoms, and an infeasible one scores -inf; only the best
     is built as a law, whose signed support, without atoms of weight 0, is
     the atoms returned.
@@ -167,6 +174,12 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
         return tilted_mean_signed(signed_support(atoms), p.h, p.w)
 
     best_x, best_val = _refine_scalar(value, sigma, x_max, extra=(p.w, sigma))
+    # X of the docstring: no x beyond reach beats best_val
+    reach = max(p.w, 2.0 * sigma, 2.0 * sigma2 * math.exp(p.h * p.w) / (3.0 * best_val))
+    if x_max < reach < math.inf:
+        far_x, far_val = _refine_scalar(value, x_max, reach)
+        if far_val > best_val:
+            best_x, best_val = far_x, far_val
     return SupSearchResult(best_val, tuple(_three_point(sigma2, best_x).signed_atoms()))
 
 
@@ -195,7 +208,9 @@ def ratio_limit_scan(p: TiltParams, sigmas: Sequence[float]) -> list[ScanRow]:
     every positive sigma), but it can fall below the rounding error of the
     float ratio, so the gap column, factor - ratio in floats, is within a
     few ulps of 0 on either side there (``extremal --w 1e-150 --sigma
-    5e-151`` prints -2.2e-16).  An exact gap is ROADMAP open item 11.
+    5e-151`` prints -2.2e-16).  Each row's search reaches as far past 4w as
+    :func:`sup_symmetric` derives its best pair can lie.  An exact gap is
+    ROADMAP open item 11.
     """
     factor = symmetric_factor(p)
     rows = []

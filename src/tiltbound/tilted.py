@@ -63,12 +63,12 @@ class TiltParams(namedtuple("TiltParams", "h w")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class SymmetricDiscreteDistribution:
-    """Finite symmetric law given by nonnegative atoms with pair weights."""
+class SymmetricDiscreteDistribution(namedtuple("SymmetricDiscreteDistribution", "atoms")):
+    """Finite symmetric law given by nonnegative atoms with pair weights; ``_replace`` checks them too."""
 
-    __slots__ = ("_atoms",)
+    __slots__ = ()
 
-    def __init__(self, atoms: Iterable[tuple[float, float]]):
+    def __new__(cls, atoms: Iterable[tuple[float, float]]):
         atoms = tuple((float(x), float(p)) for x, p in atoms)
         if not atoms:
             raise InvalidDistributionError("at least one atom is required")
@@ -84,27 +84,25 @@ class SymmetricDiscreteDistribution:
         total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise InvalidDistributionError(f"weights sum to {total!r}, expected 1")
-        self._atoms = atoms
+        return super().__new__(cls, atoms)
 
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return self._atoms
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def second_moment(self) -> float:
-        return math.fsum(p * x * x for x, p in self._atoms)
+        return math.fsum(p * x * x for x, p in self.atoms)
 
     def signed_atoms(self) -> list[tuple[float, float]]:
         """Expand to signed support: (-x, p/2), (+x, p/2), and (0, p)."""
-        return signed_support(self._atoms)
+        return signed_support(self.atoms)
 
     def scaled(self, c: float) -> "SymmetricDiscreteDistribution":
         """Law of c*X for finite c > 0."""
         if not 0 < c < math.inf:
             raise ValueError("scale factor must be positive and finite")
-        return SymmetricDiscreteDistribution((c * x, p) for x, p in self._atoms)
+        return SymmetricDiscreteDistribution((c * x, p) for x, p in self.atoms)
 
     def to_dict(self) -> dict:
-        return {"atoms": [[x, p] for x, p in self._atoms]}
+        return {"atoms": [[x, p] for x, p in self.atoms]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricDiscreteDistribution":
@@ -122,14 +120,6 @@ class SymmetricDiscreteDistribution:
         ):
             raise InvalidDistributionError('expected an object {"atoms": [[x, p], ...]} of numbers')
         return cls(atoms)
-
-    def __repr__(self) -> str:
-        return f"SymmetricDiscreteDistribution({list(self._atoms)!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricDiscreteDistribution):
-            return NotImplemented
-        return self._atoms == other._atoms
 
 
 def signed_support(atoms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -231,12 +221,7 @@ class BoundCheck(NamedTuple):
         return self.mean > -STRICTNESS_SLACK and self.margin > -STRICTNESS_SLACK
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "bound": self.bound,
-            "margin": self.margin,
-            "holds": self.holds,
-        }
+        return {**self._asdict(), "holds": self.holds}
 
 
 def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundCheck:

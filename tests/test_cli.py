@@ -251,6 +251,8 @@ class TestExtremal:
                 ["--h", "0.5", "--w", "2", "--sigma", "1.5", "--sigma", "0.2"]
                 + ["--sigma", "1e-5", "--sigma", "1e-10", "--format", "csv"],
             ),
+            # the best pair of the first two rows lies past 4w = 20
+            ("extremal_h2_w5.json", ["--h", "2", "--w", "5"]),
         ],
     )
     def test_stdout_matches_golden(self, capsys, golden, argv):

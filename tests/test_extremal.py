@@ -195,6 +195,24 @@ class TestSupSearch:
         assert outer == pytest.approx(5.13, abs=5e-3) and outer > p.w
         assert found.value < symmetric_factor(p)
 
+    @pytest.mark.parametrize(
+        "h, w, sigma, capped",
+        # the value each search found when its atoms stopped at 4w
+        [(2.0, 5.0, 2.5, 19.886), (2.0, 5.0, 0.5, 17.464), (3.0, 2.0, 1.0, 6.096)],
+    )
+    def test_reaches_the_three_point_peak_beyond_4w(self, h, w, sigma, capped):
+        # the best pair lies past 4w here (near sigma e^(hw/2) / sqrt(2) for
+        # large hw); the oracle is the three-point mean in closed form on a
+        # dense geometric grid far past that peak, with no _refine_scalar
+        s2 = sigma * sigma
+        x = np.geomspace(sigma, 100.0 * max(w, sigma * math.exp(h * w / 2)), 200_001)
+        q, up, down = s2 / (x * x), np.exp(h * np.minimum(x, w)), np.exp(-h * x)
+        dense = np.max((s2 / x) * (up - down) / 2 / (1 - q + q * (up + down) / 2))
+        found = sup_symmetric(s2, TiltParams(h, w))
+        assert found.value == pytest.approx(dense, rel=1e-8)
+        assert found.value > 1.1 * capped
+        assert max(x for x, _ in found.atoms) > 4.0 * w
+
     def test_stays_below_symmetric_bound(self):
         factor = symmetric_factor(P11)
         for sigma in (0.5, 0.2, 0.05):
@@ -418,7 +436,7 @@ def sup_pin_cases() -> list[tuple[float, float, float]]:
     ]
 
 
-SUP_PIN_SHA256 = "3a35d2b39f290745c22e4282b04583b7217121a47ab4312c203e7f53ba8fae97"
+SUP_PIN_SHA256 = "3b53750b136d9b21cb398a5cf6d5c52ff0caae1df5acf706a749f6c6a50b9af7"
 
 
 class TestRatioScan:

@@ -256,6 +256,7 @@ def records() -> dict:
     p = tilted.TiltParams(h=1.0, w=1.0)
     return {
         "TiltParams": p,
+        "SymmetricDiscreteDistribution": extremal.three_point_extremal(0.1, 1.0),
         "BoundCheck": tilted.check_bound(extremal.three_point_extremal(0.1, 1.0), p),
         "SignCertificate": decision.certificate,
         "SignDecision": decision,
@@ -273,8 +274,8 @@ def records() -> dict:
 
 
 RECORD_NAMES = (
-    "TiltParams", "BoundCheck", "SignCertificate", "SignDecision",
-    "BatteryEntry", "BatteryReport", "BoxRegion", "ProofExpr", "CertifyResult",
+    "TiltParams", "SymmetricDiscreteDistribution", "BoundCheck", "SignCertificate",
+    "SignDecision", "BatteryEntry", "BatteryReport", "BoxRegion", "ProofExpr", "CertifyResult",
     "StructureCheck", "Link", "CaseStructureReport", "SupSearchResult", "ScanRow",
 )
 
@@ -327,3 +328,25 @@ class TestRecordContract:
             tilted.TiltParams(**{"h": 1.0, "w": 1.0, field: value})
         with pytest.raises(ValueError, match=f" {field} must be positive and finite"):
             tilted.TiltParams(h=1.0, w=1.0)._replace(**{field: value})
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([(0.0, 0.5), (1.0, 0.25)], "weights sum to 0.75, expected 1"),
+            ([(-1.0, 1.0)], "atom positions must be finite and >= 0, got -1.0"),
+            ([(2.0, 0.5), (1.0, 0.5)], "atom positions must be strictly increasing"),
+        ],
+        ids=["weight-sum", "negative-atom", "unsorted"],
+    )
+    def test_law_rejects_bad_atoms(self, atoms, message):
+        law = tilted.SymmetricDiscreteDistribution([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(tilted.InvalidDistributionError, match=message):
+            tilted.SymmetricDiscreteDistribution(atoms)
+        with pytest.raises(tilted.InvalidDistributionError, match=message):
+            law._replace(atoms=atoms)
+
+    def test_law_is_hashable(self):
+        # a law is a tuple of its atoms, so equal laws hash alike
+        law = tilted.SymmetricDiscreteDistribution([(0.0, 0.5), (1.0, 0.5)])
+        assert {law: 1}[tilted.SymmetricDiscreteDistribution([(0, 0.5), (1, 0.5)])] == 1
+        assert law == (((0.0, 0.5), (1.0, 0.5)),)

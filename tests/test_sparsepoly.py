@@ -9,7 +9,7 @@ import pytest
 
 from tiltbound import exppoly
 from tiltbound.exppoly import U, V, W, ExpPoly, Laurent, derivative
-from tiltbound.prover import verify_battery
+from tiltbound.prover import BATTERY, verify_battery
 from tiltbound.regions import verify_case_structure
 
 AXES = ("u", "v", "w")
@@ -224,3 +224,16 @@ def test_the_verdict_path_builds_no_fraction(monkeypatch):
     assert built == []
     Fraction(1, 2)  # the counter sees a construction
     assert built == [(1, 2)]
+
+
+def test_repr_is_the_constructor_call():
+    # ExpPoly and Laurent print through SparsePoly.__repr__: the canonical
+    # rationals in key order, which eval with Fraction in scope rebuilds
+    assert "__repr__" not in vars(ExpPoly) and "__repr__" not in vars(Laurent)
+    p = ExpPoly({(1, 0): Fraction(1, 3), (0, 2): Fraction(-1, 7)})
+    assert repr(p) == "ExpPoly({(0, 2): Fraction(-1, 7), (1, 0): Fraction(1, 3)})"
+    battery = [exppoly.parse_expression(text) for _, text, _, _ in BATTERY]
+    assert len(battery) == 8
+    scope = {"ExpPoly": ExpPoly, "Laurent": Laurent, "Fraction": Fraction}
+    for q in [*battery, p, 0.1 * U, ExpPoly(), Laurent()]:
+        assert eval(repr(q), scope) == q, repr(q)
