@@ -4,12 +4,12 @@ The sharpness side of the bound: over symmetric laws with E[X^2] = s^2 the
 supremum of the tilted mean, divided by s^2, climbs to sinh(hw)/w as s drops
 to 0, driven by the three-point family supported on {-w, 0, w}.
 :func:`ratio_limit_scan` reproduces that limit numerically through
-:func:`sup_symmetric`, which takes E[X^2] = sigma2 and places atoms in a
-range derived from h, w, sigma2 and the value found (see there).  The
-theorem and this search are about symmetric laws only; the zero-mean factor
-(e^{hw} - 1)/w is a comparison point, and the tests show with the
-closed-form two-point law on {w, -sigma2/w} that a zero-mean law exceeds
-sinh(hw)/w, so the symmetric bound needs symmetry.
+:func:`sup_symmetric`, which takes E[X^2] = sigma2 and places atoms from
+sigma out to a range derived from h, w, sigma2 and the value found (see
+there).  The theorem and this search are about symmetric laws only; the
+zero-mean factor (e^{hw} - 1)/w is a comparison point, and the tests show
+with the closed-form two-point law on {w, -sigma2/w} that a zero-mean law
+exceeds sinh(hw)/w, so the symmetric bound needs symmetry.
 
 The optimizer is deterministic (no randomness) so scans are reproducible run
 to run.  For fixed atom positions the objective is a ratio of two linear
@@ -17,9 +17,9 @@ functions of the weights, so over the weight polytope cut out by the mass and
 second-moment constraints the optimum sits at a vertex with at most two
 active support points: a pair +-x with an atom at zero, or two pairs.  The
 search covers the first kind, the three-point law on {-x, 0, x} with pair
-weight sigma2 / x^2, over x alone, and scores each candidate with
-:func:`~.tilted.tilted_mean_signed` of its signed atoms, laid out from its
-weights with no law object built or validated per candidate.  The two-pair
+weight sigma2 / x^2, over x alone, and scores each candidate by one
+:func:`~.tilted.tilted_mean_signed` call on one tuple, the law's signed
+support, with no list, law object or validation per candidate.  The two-pair
 vertices are left to a Tier-1 falsifier, which builds them on a grid from
 their closed-form weights and finds none above the search's value beyond a
 few ulps of rounding.
@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple, Sequence
 from .tilted import (
     SymmetricDiscreteDistribution,
     TiltParams,
-    signed_support,
     symmetric_factor,
     tilted_mean_signed,
 )
@@ -52,29 +51,37 @@ def _check_sigma2(sigma2: float) -> None:
         raise ValueError("sigma2 must be finite and at least the smallest normal float")
 
 
-def _three_point_atoms(sigma2: float, x: float) -> list[tuple[float, float]] | None:
-    """Atoms of the law on {-x, 0, x} with E[X^2] = sigma2: pair weight sigma2 / x^2, the rest at zero.
+def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], ...] | None:
+    """Signed support of the law on {-x, 0, x} with E[X^2] = sigma2, or None when infeasible.
 
-    Feasible when 0 < sigma2 <= x^2, so the mass at zero is not negative;
-    anything else gives None.  The atoms are (0, 1 - q) and then (x, q),
-    each only when its weight is positive.
+    Feasible when 0 < sigma2 <= x^2, so the mass at zero is not negative.
+    With q = sigma2 / x^2 the support is (0, 1 - q), then (-x, q/2) and
+    (x, q/2): the zero atom only when 1 - q > 0, the pair only when q > 0
+    (q/2 of a subnormal q may round to 0, and the pair still appears).
+    The search scores this tuple, and :func:`_three_point` folds it into
+    the law, so both read one layout.
     """
     if not (0 < sigma2 <= x * x):
         return None
     pair = sigma2 / (x * x)
-    zero = 1.0 - pair
-    atoms = [(0.0, zero)] if zero > 0 else []
-    if pair > 0:
-        atoms.append((x, pair))
-    return atoms
+    zero, half = 1.0 - pair, pair / 2
+    if zero > 0:
+        return ((0.0, zero), (-x, half), (x, half)) if pair > 0 else ((0.0, zero),)
+    return ((-x, half), (x, half))  # zero <= 0 means q >= 1
 
 
 def _three_point(sigma2: float, x: float) -> SymmetricDiscreteDistribution:
-    """The law of :func:`_three_point_atoms`; an infeasible one raises ValueError."""
-    atoms = _three_point_atoms(sigma2, x)
-    if atoms is None:
+    """The law whose signed support is :func:`_three_point_signed`'s; an infeasible one raises ValueError.
+
+    The pair folds back into one atom at x of weight q/2 + q/2, which
+    expands to the same halves; it is q itself unless q/2 rounded, which
+    needs q below 2^-1021.
+    """
+    signed = _three_point_signed(sigma2, x)
+    if signed is None:
         raise ValueError("infeasible three-point law: needs 0 < sigma2 <= x^2")
-    return SymmetricDiscreteDistribution(atoms)
+    # the zero atom as it is, and the pair's halves as one atom at x
+    return SymmetricDiscreteDistribution((y, p + p if y else p) for y, p in signed if y != -x)
 
 
 def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
@@ -133,47 +140,53 @@ class SupSearchResult(NamedTuple):
 
 
 def _atom_range(sigma2: float, p: TiltParams) -> float:
-    """The end 4w of the search's first segment [sigma, 4w]; sigma2 must fit inside.
+    """4w, the end of the search's first segment [sigma, max(4w, sigma)] unless sigma lies past it.
 
-    :func:`sup_symmetric` derives how far past 4w it searches.  sigma2
-    must pass :func:`_check_sigma2`, and the bound scale sinh(hw)/w *
-    sigma2, which the mean found is near, must not be subnormal: it loses
-    its precision too (``extremal --h 1e-320`` printed ratios 8.7% above
-    the factor, and 0.0).
+    :func:`sup_symmetric` derives how far past that end it searches, so a
+    sigma beyond 4w is searched too.  sigma2 must pass
+    :func:`_check_sigma2`, and the bound scale sinh(hw)/w * sigma2, which
+    the mean found is near, must not be subnormal: it loses its precision
+    too (``extremal --h 1e-320`` printed ratios 8.7% above the factor, and
+    0.0).
     """
     _check_sigma2(sigma2)
     if symmetric_factor(p) * sigma2 < sys.float_info.min:
         raise ValueError("sinh(hw)/w * sigma2 must be at least the smallest normal float")
-    x_max = 4.0 * p.w
-    if sigma2 > x_max * x_max:
-        raise ValueError("infeasible: sigma exceeds the atom range")
-    return x_max
+    return 4.0 * p.w
 
 
 def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
 
-    Searches the three-point laws on {-x, 0, x} for x in [sigma, 4w], then
-    in [4w, X] when 4w < X < inf, X = max(w, 2 sigma, 2 sigma2 e^(hw) / (3L))
-    with L the first value found: for x >= max(w, 2 sigma) the mean's
-    numerator is at most sigma2 e^(hw) / (2x) and its denominator at least
-    1 - sigma2 / x^2 >= 3/4, so no x beyond X beats L.  The second point
-    replaces the first only with a strictly larger value.  The value is a
-    lower bound on the true supremum.  Each candidate x is scored
-    from its signed atoms, and an infeasible one scores -inf; only the best
-    is built as a law, whose signed support, without atoms of weight 0, is
-    the atoms returned.
+    Searches the three-point laws on {-x, 0, x} for x in [sigma, x_max],
+    x_max = max(4w, sigma), then in [x_max, X] when x_max < X < inf,
+    X = max(w, 2 sigma, 2 sigma2 e^(hw) / (3L)) with L the first value
+    found: for x >= max(w, 2 sigma) the mean's numerator is at most
+    sigma2 e^(hw) / (2x) and its denominator at least 1 - sigma2 / x^2 >=
+    3/4, so no x beyond X beats L.  When sigma >= 4w the first segment is
+    the one point sigma, or the next float up when sigma^2 rounds below
+    sigma2, so L is the value of a feasible law.  The second point replaces
+    the first only with a strictly larger value.  The value is a lower
+    bound on the true supremum.  Each candidate x is scored by one
+    :func:`~.tilted.tilted_mean_signed` call on the tuple
+    :func:`_three_point_signed` lays out, and an infeasible one scores
+    -inf; only the best is built as a law, whose signed support is the
+    atoms returned.
     """
-    x_max = _atom_range(sigma2, p)
+    four_w = _atom_range(sigma2, p)
     sigma = math.sqrt(sigma2)
+    h, w = p
 
     def value(x: float) -> float:
-        atoms = _three_point_atoms(sigma2, x)
-        if atoms is None:
-            return -math.inf
-        return tilted_mean_signed(signed_support(atoms), p.h, p.w)
+        signed = _three_point_signed(sigma2, x)
+        return -math.inf if signed is None else tilted_mean_signed(signed, h, w)
 
-    best_x, best_val = _refine_scalar(value, sigma, x_max, extra=(p.w, sigma))
+    if sigma < four_w:
+        best_x, best_val = _refine_scalar(value, sigma, four_w, extra=(p.w, sigma))
+    else:
+        best_x = sigma if sigma * sigma >= sigma2 else math.nextafter(sigma, math.inf)
+        best_val = value(best_x)
+    x_max = max(four_w, sigma)
     # X of the docstring: no x beyond reach beats best_val
     reach = max(p.w, 2.0 * sigma, 2.0 * sigma2 * math.exp(p.h * p.w) / (3.0 * best_val))
     if x_max < reach < math.inf:

@@ -1,5 +1,6 @@
 """Extremal families, the deterministic optimizer, and the sharpness scan."""
 
+import collections
 import hashlib
 import math
 import random
@@ -20,8 +21,7 @@ from tiltbound import (
     tilted_mean_signed,
 )
 from tiltbound import extremal
-from tiltbound.extremal import _three_point, _three_point_atoms
-from tiltbound.tilted import signed_support
+from tiltbound.extremal import _three_point, _three_point_signed
 
 from conftest import zero_mean_factor
 
@@ -75,6 +75,19 @@ class TestThreePoint:
         assert tilted_mean(dist, P11) == pytest.approx(three_point_value(0.1, 1, 1), rel=1e-14)
 
 
+def dense_three_point_sup(h: float, w: float, s2: float) -> float:
+    """Largest three-point mean in closed form on a dense geometric grid of x past its peak.
+
+    The grid runs from sigma to 100 max(w, sigma e^(hw/2)), far past the
+    peak near sigma e^(hw/2) / sqrt(2) of large hw, in 200,001 points; no
+    _refine_scalar.
+    """
+    sigma = math.sqrt(s2)
+    x = np.geomspace(sigma, 100.0 * max(w, sigma * math.exp(h * w / 2)), 200_001)
+    q, up, down = s2 / (x * x), np.exp(h * np.minimum(x, w)), np.exp(-h * x)
+    return float(np.max((s2 / x) * (up - down) / 2 / (1 - q + q * (up + down) / 2)))
+
+
 def second_moment(atoms) -> float:
     return math.fsum(x * x * p for x, p in atoms)
 
@@ -113,6 +126,26 @@ def two_pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[flo
     return atoms
 
 
+SIGNED_PIN = [
+    # (sigma2, x, _three_point(sigma2, x).signed_atoms()) as recorded before the
+    # search scored one tuple per candidate; None where the law raised
+    (4.0, 2.0, ((-2.0, 0.5), (2.0, 0.5))),
+    (1.0, 2.0, ((0.0, 0.75), (-2.0, 0.125), (2.0, 0.125))),
+    (3.0, math.sqrt(3.0), None),
+    (3.0, 1.7320508075688774,
+     ((0.0, 1.1102230246251565e-16), (-1.7320508075688774, 0.49999999999999994),
+      (1.7320508075688774, 0.49999999999999994))),
+    (2.0, math.sqrt(2.0),
+     ((0.0, 2.220446049250313e-16), (-1.4142135623730951, 0.4999999999999999),
+      (1.4142135623730951, 0.4999999999999999))),
+    (1e-300, 1e150, ((0.0, 1.0),)),
+    (1e-8, 1e154, ((0.0, 1.0), (-1e154, 4.9999997e-317), (1e154, 4.9999997e-317))),
+    (1.0, 0.5, None),
+    (0.0, 1.0, None),
+    (1.0, math.nan, None),
+]
+
+
 class TestCandidateConstructors:
     def test_single_pair_moment(self, rng):
         for _ in range(100):
@@ -148,24 +181,27 @@ class TestCandidateConstructors:
         for x in (0.5, 0.0, -0.5, math.nan):
             with pytest.raises(ValueError):
                 _three_point(1.0, x)
+        with pytest.raises(ValueError):  # feasible weights, but an atom below 0
+            _three_point(1.0, -2.0)
 
     @pytest.mark.parametrize(
-        "sigma2, x",
-        [(4.0, 2.0), (1.0, 2.0), (3.0, math.sqrt(3.0)), (3.0, 1.7320508075688774), (2.0, math.sqrt(2.0)),
-         (1e-300, 1e150), (1e-8, 1e154), (1.0, 0.5), (0.0, 1.0), (1.0, math.nan)],
+        "sigma2, x, signed",
+        [pytest.param(sigma2, x, signed, id=f"{sigma2}-{x}") for sigma2, x, signed in SIGNED_PIN],
     )
-    def test_the_searched_atoms_are_the_laws_signed_support(self, sigma2, x):
-        # the search scores _three_point_atoms with no law built; the law
-        # holds the same atoms, and infeasible points fail both ways
-        atoms = _three_point_atoms(sigma2, x)
-        if atoms is None:
+    def test_the_searched_atoms_are_the_laws_signed_support(self, sigma2, x, signed):
+        # the search scores the tuple _three_point_signed lays out, with no
+        # law built; the law's signed support is that tuple element for
+        # element (the subnormal halves of 1e-8 / 1e154^2 included), and
+        # infeasible points fail both ways
+        scored = _three_point_signed(sigma2, x)
+        if signed is None:
+            assert scored is None
             with pytest.raises(ValueError):
                 _three_point(sigma2, x)
             return
-        law = _three_point(sigma2, x)
-        assert law.atoms == tuple(atoms)
-        assert signed_support(atoms) == law.signed_atoms()
-        assert all(p > 0 for _, p in atoms)
+        assert type(scored) is tuple and scored == signed
+        assert [(a.hex(), b.hex()) for a, b in scored] == [(a.hex(), b.hex()) for a, b in signed]
+        assert _three_point(sigma2, x).signed_atoms() == list(signed)
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
@@ -202,12 +238,9 @@ class TestSupSearch:
     )
     def test_reaches_the_three_point_peak_beyond_4w(self, h, w, sigma, capped):
         # the best pair lies past 4w here (near sigma e^(hw/2) / sqrt(2) for
-        # large hw); the oracle is the three-point mean in closed form on a
-        # dense geometric grid far past that peak, with no _refine_scalar
+        # large hw); the oracle is the dense closed-form scan
         s2 = sigma * sigma
-        x = np.geomspace(sigma, 100.0 * max(w, sigma * math.exp(h * w / 2)), 200_001)
-        q, up, down = s2 / (x * x), np.exp(h * np.minimum(x, w)), np.exp(-h * x)
-        dense = np.max((s2 / x) * (up - down) / 2 / (1 - q + q * (up + down) / 2))
+        dense = dense_three_point_sup(h, w, s2)
         found = sup_symmetric(s2, TiltParams(h, w))
         assert found.value == pytest.approx(dense, rel=1e-8)
         assert found.value > 1.1 * capped
@@ -284,6 +317,36 @@ class TestSupSearch:
         sup_symmetric(0.01, P11)
         assert len(calls) == 129 + 2 + 4 * 129
 
+    def test_scores_each_candidate_from_one_tuple(self):
+        # deterministic cost guard: each candidate costs one value, one
+        # _three_point_signed and one tilted_mean_signed call on a tuple; no
+        # other function that extremal calls, signed_support or one that
+        # lays out atoms in a list among them, runs once per candidate
+        # (signed_support runs once, for the one law built)
+        calls, from_extremal, scored = collections.Counter(), collections.Counter(), []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+                if frame.f_back.f_code.co_filename == extremal.__file__:
+                    from_extremal[frame.f_code.co_name] += 1
+                if frame.f_code is tilted_mean_signed.__code__:
+                    scored.append(frame.f_locals["atoms"])
+
+        sys.setprofile(profile)
+        try:
+            sup_symmetric(0.01, P11)
+        finally:
+            sys.setprofile(None)
+        candidates = 129 + 2 + 4 * 129
+        assert calls["value"] == calls["tilted_mean_signed"] == len(scored) == candidates
+        assert calls["_three_point_signed"] == candidates + 1
+        assert calls["signed_support"] == 1
+        per_candidate = {name for name, count in from_extremal.items() if count >= candidates}
+        assert per_candidate == {"value", "_three_point_signed", "tilted_mean_signed"}
+        assert all(type(atoms) is tuple for atoms in scored)
+        assert all(atoms == _three_point_signed(0.01, atoms[-1][0]) for atoms in scored)
+
     def test_builds_one_law_per_search(self, monkeypatch):
         # deterministic cost guard: candidates are scored from their atoms,
         # and only the best one becomes a SymmetricDiscreteDistribution
@@ -334,10 +397,40 @@ class TestSupSearch:
         assert best > -math.inf
         assert best <= found + 4 * math.ulp(found), (best - found) / found
 
-    def test_infeasible_sigma_rejected(self):
-        # atoms stay in [-4w, 4w], so sigma2 = 100 > (4w)^2 = 16 is infeasible
-        with pytest.raises(ValueError):
-            sup_symmetric(100.0, P11)
+    @pytest.mark.parametrize(
+        "h, w, sigma2",
+        # sigma = 10 > 4w = 4; at (2, 5, 625) the peak lies near 25 e^5 /
+        # sqrt(2), far past 2 sigma; sqrt(s2)**2 rounds below s2 = 48 and
+        # 408, so the first point is the next float up, and at 408 a first
+        # value of -inf would stop the reach at 2 sigma, short of the peak;
+        # the last sigma2 is one ulp above (4w)^2 = 400, and its sigma is
+        # exactly 4w = 20 with sigma**2 < sigma2
+        [(1.0, 1.0, 100.0), (2.0, 5.0, 625.0), (1.0, 1.0, 48.0), (2.0, 5.0, 408.0),
+         (2.0, 5.0, 400.00000000000006)],
+    )
+    def test_sigma_beyond_4w_matches_a_dense_scan(self, h, w, sigma2):
+        # the law on {-sigma, sigma} is feasible, so the search starts at
+        # sigma and reaches as far as it derives; the oracle is the dense
+        # closed-form scan
+        found = sup_symmetric(sigma2, TiltParams(h, w))
+        assert found.value == pytest.approx(dense_three_point_sup(h, w, sigma2), rel=1e-8)
+        assert found.value < symmetric_factor(TiltParams(h, w)) * sigma2
+        assert second_moment(found.atoms) == pytest.approx(sigma2, rel=1e-15)
+        assert found.value == tilted_mean_signed(found.atoms, h, w)
+
+    def test_a_one_point_first_segment_is_scored_once(self, monkeypatch):
+        # sigma > 4w: the first segment [sigma, sigma] costs one evaluation,
+        # the second [sigma, X] its 129 + 4 * 129
+        calls = []
+
+        def counting(atoms, h, w):
+            calls.append(atoms)
+            return tilted_mean_signed(atoms, h, w)
+
+        monkeypatch.setattr(extremal, "tilted_mean_signed", counting)
+        sup_symmetric(100.0, P11)
+        assert len(calls) == 1 + 129 + 4 * 129
+        assert calls[0] == ((-10.0, 0.5), (10.0, 0.5))
 
     def test_sigma2_validation(self):
         for sigma2 in (-1.0, 0.0, 1e-320, math.inf, math.nan):  # 1e-320 is subnormal
