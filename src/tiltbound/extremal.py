@@ -19,10 +19,11 @@ active support points: a pair +-x with an atom at zero, or two pairs.  The
 search covers the first kind, the three-point law on {-x, 0, x} with pair
 weight sigma2 / x^2, over x alone, and scores each candidate by one
 :func:`~.tilted.tilted_mean_signed` call on one tuple, the law's signed
-support, with no list, law object or validation per candidate.  The two-pair
-vertices are left to a Tier-1 falsifier, which builds them on a grid from
-their closed-form weights and finds none above the search's value beyond a
-few ulps of rounding.
+support, with no list, law object or validation per candidate; it returns
+the best candidate's tuple as its atoms, with no law built per search.  The
+two-pair vertices are left to a Tier-1 falsifier, which builds them on a
+grid from their closed-form weights and finds none above the search's value
+beyond a few ulps of rounding.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], .
     With q = sigma2 / x^2 the support is (0, 1 - q), then (-x, q/2) and
     (x, q/2): the zero atom only when 1 - q > 0, the pair only when q > 0
     (q/2 of a subnormal q may round to 0, and the pair still appears).
-    The search scores this tuple, and :func:`_three_point` folds it into
-    the law, so both read one layout.
+    The search scores this tuple and returns the best one, and
+    :func:`three_point_extremal` folds it into the law, so both read one
+    layout.
     """
     if not (0 < sigma2 <= x * x):
         return None
@@ -70,20 +72,6 @@ def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], .
     return ((-x, half), (x, half))  # zero <= 0 means q >= 1
 
 
-def _three_point(sigma2: float, x: float) -> SymmetricDiscreteDistribution:
-    """The law whose signed support is :func:`_three_point_signed`'s; an infeasible one raises ValueError.
-
-    The pair folds back into one atom at x of weight q/2 + q/2, which
-    expands to the same halves; it is q itself unless q/2 rounded, which
-    needs q below 2^-1021.
-    """
-    signed = _three_point_signed(sigma2, x)
-    if signed is None:
-        raise ValueError("infeasible three-point law: needs 0 < sigma2 <= x^2")
-    # the zero atom as it is, and the pair's halves as one atom at x
-    return SymmetricDiscreteDistribution((y, p + p if y else p) for y, p in signed if y != -x)
-
-
 def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
     """Three-point law on {-w, 0, w} with E[X^2] = sigma^2.
 
@@ -91,14 +79,19 @@ def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistributio
     Requires 0 < sigma < w so the zero mass stays positive, and sigma^2 and
     the pair weight at least the smallest normal float: a subnormal weight
     loses its precision, and one that underflows (w^2 may overflow) leaves
-    the point mass at zero.
+    the point mass at zero.  These checks make :func:`_three_point_signed`'s
+    tuple feasible, and its pair folds back into one atom at w of weight
+    q/2 + q/2, which expands to the same halves; it is q itself unless q/2
+    rounded, which needs q below 2^-1021.
     """
     if not (0 < sigma < w):
         raise ValueError("three-point family needs 0 < sigma < w")
     _check_sigma2(sigma * sigma)
     if sigma * sigma / (w * w) < sys.float_info.min:
         raise ValueError("pair weight sigma^2 / w^2 must be at least the smallest normal float")
-    return _three_point(sigma * sigma, w)
+    # the zero atom as it is, and the pair's halves as one atom at w
+    signed = _three_point_signed(sigma * sigma, w)
+    return SymmetricDiscreteDistribution((y, p + p if y else p) for y, p in signed if y != -w)
 
 
 # -- deterministic refinement ------------------------------------------------
@@ -139,22 +132,6 @@ class SupSearchResult(NamedTuple):
     atoms: tuple[tuple[float, float], ...]  # signed support
 
 
-def _atom_range(sigma2: float, p: TiltParams) -> float:
-    """4w, the end of the search's first segment [sigma, max(4w, sigma)] unless sigma lies past it.
-
-    :func:`sup_symmetric` derives how far past that end it searches, so a
-    sigma beyond 4w is searched too.  sigma2 must pass
-    :func:`_check_sigma2`, and the bound scale sinh(hw)/w * sigma2, which
-    the mean found is near, must not be subnormal: it loses its precision
-    too (``extremal --h 1e-320`` printed ratios 8.7% above the factor, and
-    0.0).
-    """
-    _check_sigma2(sigma2)
-    if symmetric_factor(p) * sigma2 < sys.float_info.min:
-        raise ValueError("sinh(hw)/w * sigma2 must be at least the smallest normal float")
-    return 4.0 * p.w
-
-
 def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     """Best tilted mean found over symmetric laws with E[X^2] = sigma2.
 
@@ -170,10 +147,19 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     bound on the true supremum.  Each candidate x is scored by one
     :func:`~.tilted.tilted_mean_signed` call on the tuple
     :func:`_three_point_signed` lays out, and an infeasible one scores
-    -inf; only the best is built as a law, whose signed support is the
-    atoms returned.
+    -inf; the atoms returned are the best candidate's tuple, laid out
+    again at float(x) (an int w makes the grid point x = w an int), and no
+    law is built.
+
+    sigma2 must pass :func:`_check_sigma2`, and the bound scale
+    sinh(hw)/w * sigma2, which the mean found is near, must not be
+    subnormal: it loses its precision too (``extremal --h 1e-320`` printed
+    ratios 8.7% above the factor, and 0.0).
     """
-    four_w = _atom_range(sigma2, p)
+    _check_sigma2(sigma2)
+    if symmetric_factor(p) * sigma2 < sys.float_info.min:
+        raise ValueError("sinh(hw)/w * sigma2 must be at least the smallest normal float")
+    four_w = 4.0 * p.w
     sigma = math.sqrt(sigma2)
     h, w = p
 
@@ -193,7 +179,7 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
         far_x, far_val = _refine_scalar(value, x_max, reach)
         if far_val > best_val:
             best_x, best_val = far_x, far_val
-    return SupSearchResult(best_val, tuple(_three_point(sigma2, best_x).signed_atoms()))
+    return SupSearchResult(best_val, _three_point_signed(sigma2, float(best_x)))
 
 
 # -- sharpness scan ----------------------------------------------------------

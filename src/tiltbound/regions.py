@@ -144,9 +144,6 @@ class BoxRegion(namedtuple("BoxRegion", "u v w case")):
         mid = 0.5 * (lo + hi)
         return self._replace(**{axis: (lo, mid)}), self._replace(**{axis: (mid, hi)})
 
-    def sort_key(self) -> tuple:
-        return (self.u, self.v, self.w)
-
     def to_dict(self) -> dict:
         return {"u": list(self.u), "v": list(self.v), "w": list(self.w), "case": self.case.value}
 
@@ -357,7 +354,7 @@ def certify_negative(expr: ProofExpr | str, box: BoxRegion, max_depth: int) -> C
         stack.append((right, child_levels, enclosure))
         stack.append((left, child_levels, enclosure))
 
-    undecided.sort(key=lambda b: b.sort_key())
+    undecided.sort(key=lambda b: b[:3])
     return CertifyResult(not undecided, tuple(undecided), evaluated, deepest)
 
 

@@ -45,7 +45,7 @@ class InvalidDistributionError(ValueError):
 
 
 class DegenerateDistributionError(ValueError):
-    """Second moment is zero, so the bound's hypothesis fails."""
+    """Second moment is zero, or underflows to 0 in floating point, so no bound is checked."""
 
 
 class TiltParams(namedtuple("TiltParams", "h w")):
@@ -93,7 +93,14 @@ class SymmetricDiscreteDistribution(namedtuple("SymmetricDiscreteDistribution", 
 
     def signed_atoms(self) -> list[tuple[float, float]]:
         """Expand to signed support: (-x, p/2), (+x, p/2), and (0, p)."""
-        return signed_support(self.atoms)
+        signed = []
+        for x, p in self.atoms:
+            if x == 0.0:
+                signed.append((0.0, p))
+            else:
+                half = p / 2
+                signed += ((-x, half), (x, half))
+        return signed
 
     def scaled(self, c: float) -> "SymmetricDiscreteDistribution":
         """Law of c*X for finite c > 0."""
@@ -120,22 +127,6 @@ class SymmetricDiscreteDistribution(namedtuple("SymmetricDiscreteDistribution", 
         ):
             raise InvalidDistributionError('expected an object {"atoms": [[x, p], ...]} of numbers')
         return cls(atoms)
-
-
-def signed_support(atoms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Signed support of symmetric atoms (x, p), x >= 0: (-x, p/2), (+x, p/2), and (0, p).
-
-    The layout :meth:`SymmetricDiscreteDistribution.signed_atoms` returns,
-    for atoms that need no validation.
-    """
-    signed = []
-    for x, p in atoms:
-        if x == 0.0:
-            signed.append((0.0, p))
-        else:
-            half = p / 2
-            signed += ((-x, half), (x, half))
-    return signed
 
 
 def _finite(value: float) -> float:
@@ -228,11 +219,15 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
     """Evaluate mean, the symmetric-class bound, and their margin.
 
     Requires E[X^2] > 0; a point mass at zero has no meaningful bound and
-    raises DegenerateDistributionError.  A mean or bound out of float range
-    raises OverflowError.
+    raises DegenerateDistributionError, as does a law with weight off zero
+    whose E[X^2] underflows to 0 in floating point (atoms near 1e-200),
+    under a message saying so.  A mean or bound out of float range raises
+    OverflowError.
     """
     s2 = dist.second_moment()
     if s2 <= 0:
+        if any(x and p for x, p in dist.atoms):
+            raise DegenerateDistributionError("second moment underflows to 0 in floating point")
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
     bound = _finite(symmetric_factor(p) * s2)

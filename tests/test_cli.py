@@ -82,6 +82,19 @@ class TestBoundCheck:
         assert code == 0
         assert "margin:" in out
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([[0, 1]], "second moment must be positive"),
+            ([[1e-200, 1]], "second moment underflows to 0 in floating point"),
+        ],
+    )
+    def test_degenerate_second_moment_exits_2(self, capsys, tmp_path, atoms, message):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        code, out, err = run_cli(capsys, "bound-check", "--dist", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize("command", ["eval", "bound-check"])
 @pytest.mark.parametrize("suffix, argv", [("default", ()), ("h0.5_w2", ("--h", "0.5", "--w", "2"))])
@@ -463,6 +476,12 @@ class TestReport:
             assert payload[key] == verify[key]
         _, scan, _ = run_cli(capsys, "extremal", "--sigma", "0.1")
         assert payload["extremal"] == json.loads(scan)
+
+    def test_stdout_matches_golden(self, capsys):
+        # the default verdict and scan, each row's argmax_atoms included
+        code, out, _ = run_cli(capsys, "report")
+        assert code == 0
+        assert out == (GOLDEN / "report_default.json").read_text()
 
     def test_bad_sigma_fails_before_the_verdict(self, capsys, monkeypatch):
         decided = []

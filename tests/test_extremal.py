@@ -21,7 +21,7 @@ from tiltbound import (
     tilted_mean_signed,
 )
 from tiltbound import extremal
-from tiltbound.extremal import _three_point, _three_point_signed
+from tiltbound.extremal import _three_point_signed
 
 from conftest import zero_mean_factor
 
@@ -127,8 +127,9 @@ def two_pair_atoms(x_low: float, x_high: float, sigma2: float) -> list[tuple[flo
 
 
 SIGNED_PIN = [
-    # (sigma2, x, _three_point(sigma2, x).signed_atoms()) as recorded before the
-    # search scored one tuple per candidate; None where the law raised
+    # (sigma2, x, the signed support of the three-point law on {-x, 0, x})
+    # as recorded before the search scored one tuple per candidate; None
+    # where that law was infeasible
     (4.0, 2.0, ((-2.0, 0.5), (2.0, 0.5))),
     (1.0, 2.0, ((0.0, 0.75), (-2.0, 0.125), (2.0, 0.125))),
     (3.0, math.sqrt(3.0), None),
@@ -151,7 +152,7 @@ class TestCandidateConstructors:
         for _ in range(100):
             sigma2 = float(rng.uniform(0.01, 4.0))
             x = float(rng.uniform(math.sqrt(sigma2), 6.0))
-            atoms = _three_point(sigma2, x).signed_atoms()
+            atoms = _three_point_signed(sigma2, x)
             assert second_moment(atoms) == pytest.approx(sigma2, abs=1e-10)
 
     def test_two_pair_moment(self, rng):
@@ -173,42 +174,57 @@ class TestCandidateConstructors:
 
     def test_signed_atoms_order_and_weights(self):
         # an atom of weight 0 is left out
-        assert _three_point(4.0, 2.0).signed_atoms() == [(-2.0, 0.5), (2.0, 0.5)]
-        assert _three_point(1.0, 2.0).signed_atoms() == [(0.0, 0.75), (-2.0, 0.125), (2.0, 0.125)]
+        assert _three_point_signed(4.0, 2.0) == ((-2.0, 0.5), (2.0, 0.5))
+        assert _three_point_signed(1.0, 2.0) == ((0.0, 0.75), (-2.0, 0.125), (2.0, 0.125))
+        assert three_point_extremal(1.0, 2.0).signed_atoms() == [
+            (0.0, 0.75), (-2.0, 0.125), (2.0, 0.125)
+        ]
 
     def test_infeasible_configurations_rejected(self):
         # x * x < sigma2 would leave a negative mass at zero
         for x in (0.5, 0.0, -0.5, math.nan):
+            assert _three_point_signed(1.0, x) is None
             with pytest.raises(ValueError):
-                _three_point(1.0, x)
+                three_point_extremal(1.0, x)
         with pytest.raises(ValueError):  # feasible weights, but an atom below 0
-            _three_point(1.0, -2.0)
+            three_point_extremal(1.0, -2.0)
 
     @pytest.mark.parametrize(
         "sigma2, x, signed",
         [pytest.param(sigma2, x, signed, id=f"{sigma2}-{x}") for sigma2, x, signed in SIGNED_PIN],
     )
     def test_the_searched_atoms_are_the_laws_signed_support(self, sigma2, x, signed):
-        # the search scores the tuple _three_point_signed lays out, with no
-        # law built; the law's signed support is that tuple element for
-        # element (the subnormal halves of 1e-8 / 1e154^2 included), and
-        # infeasible points fail both ways
+        # the search scores and returns the tuple _three_point_signed lays
+        # out, with no law built; it is the law's recorded signed support
+        # element for element (the subnormal halves of 1e-8 / 1e154^2
+        # included), and None at the infeasible points
         scored = _three_point_signed(sigma2, x)
         if signed is None:
             assert scored is None
-            with pytest.raises(ValueError):
-                _three_point(sigma2, x)
             return
         assert type(scored) is tuple and scored == signed
         assert [(a.hex(), b.hex()) for a, b in scored] == [(a.hex(), b.hex()) for a, b in signed]
-        assert _three_point(sigma2, x).signed_atoms() == list(signed)
+
+    @pytest.mark.parametrize(
+        "sigma, w",
+        # the last pair weight is normal but below 2^-1021, and q/2 rounds
+        [(0.1, 1.0), (0.5, 1.0), (0.2, 2.0), (1e-5, 0.7), (1.0 - 1e-9, 1.0),
+         (4.4750044387201254e-154, 3.0)],
+    )
+    def test_the_law_expands_to_the_searched_tuple(self, sigma, w):
+        # three_point_extremal folds _three_point_signed's pair into one
+        # atom, and signed_atoms expands it back to the same halves
+        law = three_point_extremal(sigma, w).signed_atoms()
+        signed = _three_point_signed(sigma * sigma, w)
+        assert [(a.hex(), b.hex()) for a, b in law] == [(a.hex(), b.hex()) for a, b in signed]
 
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
         # 0 < 1e-170, but both squares are 0.0, so the pair weight would be
         # 0 / 0 (the two-pair weight solve raised ZeroDivisionError here)
+        assert _three_point_signed(sigma2, 1e-170) is None
         with pytest.raises(ValueError):
-            _three_point(sigma2, 1e-170)
+            three_point_extremal(sigma2, 1e-170)
 
 
 class TestSupSearch:
@@ -320,9 +336,9 @@ class TestSupSearch:
     def test_scores_each_candidate_from_one_tuple(self):
         # deterministic cost guard: each candidate costs one value, one
         # _three_point_signed and one tilted_mean_signed call on a tuple; no
-        # other function that extremal calls, signed_support or one that
-        # lays out atoms in a list among them, runs once per candidate
-        # (signed_support runs once, for the one law built)
+        # other function that extremal calls runs once per candidate (none
+        # lays out atoms in a list), and no law is expanded (the one more
+        # _three_point_signed call lays out the best tuple)
         calls, from_extremal, scored = collections.Counter(), collections.Counter(), []
 
         def profile(frame, event, arg):
@@ -341,33 +357,39 @@ class TestSupSearch:
         candidates = 129 + 2 + 4 * 129
         assert calls["value"] == calls["tilted_mean_signed"] == len(scored) == candidates
         assert calls["_three_point_signed"] == candidates + 1
-        assert calls["signed_support"] == 1
+        assert calls["signed_atoms"] == 0
         per_candidate = {name for name, count in from_extremal.items() if count >= candidates}
         assert per_candidate == {"value", "_three_point_signed", "tilted_mean_signed"}
         assert all(type(atoms) is tuple for atoms in scored)
         assert all(atoms == _three_point_signed(0.01, atoms[-1][0]) for atoms in scored)
 
-    def test_builds_one_law_per_search(self, monkeypatch):
+    def test_builds_no_law(self, monkeypatch):
         # deterministic cost guard: candidates are scored from their atoms,
-        # and only the best one becomes a SymmetricDiscreteDistribution
+        # and the best one is returned as its tuple, so neither a search nor
+        # a scan constructs a SymmetricDiscreteDistribution anywhere
         built = []
         law = extremal.SymmetricDiscreteDistribution
+        new = law.__new__
 
-        def counting(atoms):
+        def counting(cls, atoms):
             built.append(atoms)
-            return law(atoms)
+            return new(cls, atoms)
 
-        monkeypatch.setattr(extremal, "SymmetricDiscreteDistribution", counting)
-        sup_symmetric(0.01, P11)
-        assert len(built) == 1
+        monkeypatch.setattr(law, "__new__", counting)
+        assert three_point_extremal(0.1, 1.0) and len(built) == 1  # the counter sees a law
         built.clear()
+        sup_symmetric(0.01, P11)
+        assert len(built) == 0
         ratio_limit_scan(P11, [0.5, 0.1, 0.01, 0.001])
-        assert len(built) == 4
+        assert len(built) == 0
 
     def test_integer_tilt_parameters_score_as_floats(self):
         # TiltParams keeps an int w, so the extra grid point x = w is an int
-        # until the best law converts it
-        assert sup_symmetric(0.01, TiltParams(1, 1)) == sup_symmetric(0.01, P11)
+        # until the search lays out the best tuple at float(x); == alone
+        # would pass ints too
+        found = sup_symmetric(0.01, TiltParams(1, 1))
+        assert found == sup_symmetric(0.01, P11)
+        assert [type(v) for atom in found.atoms for v in atom] == [float] * 6
         assert sup_symmetric(4.0, TiltParams(1, 2)) == sup_symmetric(4.0, TiltParams(1.0, 2.0))
 
     @pytest.mark.parametrize(

@@ -368,8 +368,21 @@ class TestCheckBound:
         assert report.holds
 
     def test_point_mass_at_zero_rejected(self):
-        with pytest.raises(DegenerateDistributionError):
-            check_bound(SymmetricDiscreteDistribution([(0.0, 1.0)]), P11)
+        # with or without an atom of weight 0 off zero
+        positive = "^second moment must be positive$"
+        for atoms in ([(0.0, 1.0)], [(0.0, 1.0), (1.0, 0.0)]):
+            with pytest.raises(DegenerateDistributionError, match=positive):
+                check_bound(SymmetricDiscreteDistribution(atoms), P11)
+
+    @pytest.mark.parametrize("atoms", [[(1e-200, 1.0)], [(0.0, 1.0 - 1e-13), (1e-200, 1e-13)]])
+    def test_second_moment_underflow_is_named(self, atoms):
+        # a valid law with weight off zero whose E[X^2] rounds to 0 is not a
+        # point mass at zero, and the error says what happened
+        dist = SymmetricDiscreteDistribution(atoms)
+        assert dist.second_moment() == 0.0
+        underflow = "^second moment underflows to 0 in floating point$"
+        with pytest.raises(DegenerateDistributionError, match=underflow):
+            check_bound(dist, P11)
 
     def test_non_finite_mean_or_bound_raises(self):
         # the mean is inf / inf = NaN; the bound sinh(1) / 1e-300 * 5e19 is inf
