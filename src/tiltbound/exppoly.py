@@ -138,11 +138,14 @@ class SparsePoly:
     The arithmetic and derivative rule of :class:`ExpPoly` and :class:`Laurent`.
     ``_terms`` maps each key to a nonzero int numerator and ``_den`` is one positive int
     denominator with ``gcd(den, *numerators) == 1``, so ``==`` and ``hash`` are structural.
-    ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or a scalar that
-    ``_scalar`` takes; anything else, the other kernel included, raises TypeError.
+    ``_ONE`` is the key of 1.  An operand of ``+ - *`` is the same type or an instance of
+    one of the type's ``_SCALARS``, read exactly through ``as_integer_ratio()`` (a NaN
+    raises ValueError, an infinity OverflowError); anything else, the other kernel
+    included, raises TypeError.
     """
 
     __slots__ = ("_terms", "_den")
+    _SCALARS = (int, Fraction)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         terms = terms or {}
@@ -164,11 +167,6 @@ class SparsePoly:
         p._terms, p._den = terms, den
         return p
 
-    @staticmethod
-    def _scalar(value) -> tuple[int, int] | None:
-        """(numerator, denominator > 0) of a scalar operand, None if not one: an int or Fraction."""
-        return value.as_integer_ratio() if isinstance(value, (int, Fraction)) else None
-
     def _rational(self, n: int) -> Scalar:
         """n / den as a canonical rational: an int when integral, else a Fraction."""
         return n if self._den == 1 else exact(Fraction(n, self._den))
@@ -178,9 +176,11 @@ class SparsePoly:
         return not self._terms
 
     def _pair(self, scalar) -> tuple[dict, int] | None:
-        """(terms, den) of a scalar ``_scalar`` takes, else None; ``+ - *`` read their own type."""
-        ratio = self._scalar(scalar)
-        return None if ratio is None else ({self._ONE: ratio[0]}, ratio[1])
+        """(terms, den) of a ``_SCALARS`` operand, else None; ``+ - *`` read their own type."""
+        if not isinstance(scalar, self._SCALARS):
+            return None
+        num, den = scalar.as_integer_ratio()
+        return {self._ONE: num}, den
 
     def __add__(self, other):
         pair = (other._terms, other._den) if type(other) is type(self) else self._pair(other)
@@ -369,11 +369,7 @@ class Laurent(SparsePoly):
 
     __slots__ = ()
     _ONE = (0, 0, 0, 0, 0, 0)
-
-    @staticmethod
-    def _scalar(value) -> tuple[int, int] | None:
-        """(numerator, denominator) of an int, Fraction or float (NaN and inf raise), else None."""
-        return value.as_integer_ratio() if isinstance(value, (int, Fraction, float)) else None
+    _SCALARS = (int, Fraction, float)
 
     @classmethod
     def variable(cls, name: str) -> "Laurent":

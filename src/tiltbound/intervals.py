@@ -151,10 +151,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
-    @staticmethod
-    def point(value: float) -> "Interval":
-        return _interval(value, value)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -297,7 +293,7 @@ def _so_slope(x: float) -> Interval:
     """
     if x == 0.0:
         return ZERO
-    # the bounds of Interval.point(x).cosh() and .sinh_over() for x > 0, from
+    # the bounds of Interval(x, x).cosh() and .sinh_over() for x > 0, from
     # one libm call each, then their outward-rounded difference
     cosh, so = _cosh(x), _sinh(x) / x
     cosh_lo, cosh_hi = max(1.0, _libm_down(cosh)), _libm_up(cosh)

@@ -251,12 +251,12 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
     for (lo, hi), axis, grad in zip(spans, axes, full.grad):
         if lo < hi and grad.hi < 0.0:
             monotone = True
-            upper_faces.append(Interval.point(lo))
-            lower_faces.append(Interval.point(hi))
+            upper_faces.append(Interval(lo, lo))
+            lower_faces.append(Interval(hi, hi))
         elif lo < hi and grad.lo > 0.0:
             monotone = True
-            upper_faces.append(Interval.point(hi))
-            lower_faces.append(Interval.point(lo))
+            upper_faces.append(Interval(hi, hi))
+            lower_faces.append(Interval(lo, lo))
         else:
             corners = corners and lo == hi
             upper_faces.append(axis)
@@ -264,7 +264,7 @@ def _enclosure(expr: ProofExpr, box: BoxRegion) -> Interval:
 
     if not corners:
         centres = [0.5 * (lo + hi) for lo, hi in spans]
-        mean_value = expr.fn(*[Interval.point(centre) for centre in centres])
+        mean_value = expr.fn(*[Interval(centre, centre) for centre in centres])
         for grad, axis, centre in zip(full.grad, axes, centres):
             mean_value = mean_value + grad * (axis - centre)
         enclosure = enclosure.intersect(mean_value)

@@ -125,26 +125,20 @@ def count_roots_above(p: Poly) -> int:
     return len(_leaves(p))
 
 
-def root_magnitude_bound(p: Poly) -> Scalar:
-    """Cauchy bound: every real root lies in (-B, B)."""
-    p = make_poly(p)
-    if len(p) < 2:
-        return 1
-    return exact(1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1])))
-
-
 def isolate_roots_above(p: Poly) -> list[tuple[Scalar, Scalar]]:
     """Sorted intervals (lo, hi) in (1, oo), each holding one root of the int polynomial p.
 
     The leaves :func:`count_roots_above` counts: an open interval with
     exact rational ends, or (r, r) for a rational root r met as a split
-    point.  The unbounded right end is closed by :func:`root_magnitude_bound`.
+    point.  The unbounded right end is closed by the Cauchy bound
+    1 + max|c_i|/|c_n| over the lower coefficients c_i of p, which every
+    real root lies below; a leaf has a root, so p has degree 1 or more.
     A diagnostic that locates the roots keeping a base case from a verdict;
     nothing in the package calls it, and ``bench/tracing.py`` wraps it by name.
     """
-    bound = root_magnitude_bound(p)
+    p = make_poly(p)
 
-    def at(num: int, den: int) -> Scalar:
-        return exact(Fraction(num) / den) if den else bound
+    def at(num: int, den: int) -> Scalar:  # den 0 is the right end at infinity
+        return exact(Fraction(num) / den if den else 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1])))
 
     return sorted(tuple(sorted((at(b, d), at(a, c)))) for a, b, c, d in _leaves(p))

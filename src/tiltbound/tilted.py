@@ -31,6 +31,7 @@ at zero.  Expectations are finite sums, so no quadrature error enters.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
 
@@ -45,7 +46,7 @@ class InvalidDistributionError(ValueError):
 
 
 class DegenerateDistributionError(ValueError):
-    """Second moment is zero, or underflows to 0 in floating point, so no bound is checked."""
+    """Second moment is zero, or below the smallest normal float, so no bound is checked."""
 
 
 class TiltParams(namedtuple("TiltParams", "h w")):
@@ -220,14 +221,16 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
 
     Requires E[X^2] > 0; a point mass at zero has no meaningful bound and
     raises DegenerateDistributionError, as does a law with weight off zero
-    whose E[X^2] underflows to 0 in floating point (atoms near 1e-200),
-    under a message saying so.  A mean or bound out of float range raises
+    whose E[X^2] is 0 or subnormal in floating point (atoms near 1e-200 or
+    1e-160), under a message saying so: the floor is ``sys.float_info.min``,
+    as in ``extremal.sup_symmetric``, since a subnormal bound keeps only a
+    few significant digits.  A mean or bound out of float range raises
     OverflowError.
     """
     s2 = dist.second_moment()
-    if s2 <= 0:
+    if s2 < sys.float_info.min:
         if any(x and p for x, p in dist.atoms):
-            raise DegenerateDistributionError("second moment underflows to 0 in floating point")
+            raise DegenerateDistributionError("second moment underflows below the smallest normal float")
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
     bound = _finite(symmetric_factor(p) * s2)

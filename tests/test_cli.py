@@ -86,7 +86,8 @@ class TestBoundCheck:
         "atoms, message",
         [
             ([[0, 1]], "second moment must be positive"),
-            ([[1e-200, 1]], "second moment underflows to 0 in floating point"),
+            ([[1e-200, 1]], "second moment underflows below the smallest normal float"),
+            ([[1e-160, 1]], "second moment underflows below the smallest normal float"),
         ],
     )
     def test_degenerate_second_moment_exits_2(self, capsys, tmp_path, atoms, message):

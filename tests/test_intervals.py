@@ -84,7 +84,7 @@ class TestContainment:
         adversarial = [0.809034359644837, 0.06065109309681205, 0.05, 8.0, 1e-8, 700.0, -700.0]
         with mpmath.workprec(200):
             for x in [*map(float, seeded), *adversarial]:
-                iv, mx = Interval.point(x), mpmath.mpf(x)
+                iv, mx = Interval(x, x), mpmath.mpf(x)
                 cases = [
                     (iv.exp(), mpmath.exp(mx)),
                     (iv.sinh(), mpmath.sinh(mx)),
@@ -139,7 +139,7 @@ class TestContainment:
 
     def test_int_factor_that_no_float_equals_is_rejected(self):
         with pytest.raises(ValueError):
-            Interval.point(1.7622800824579419) * 9007199254745411
+            Interval(1.7622800824579419, 1.7622800824579419) * 9007199254745411
 
     @pytest.mark.parametrize(
         "op",
@@ -168,7 +168,7 @@ class TestContainment:
         assert (Interval(0.0, 0.0) + big).contains(big)
 
     def test_point_intervals_stay_tight(self):
-        v = Interval.point(1.5)
+        v = Interval(1.5, 1.5)
         result = (v * v + v.exp() - v.sinh()).width
         assert result < 1e-12
 
@@ -311,7 +311,7 @@ class TestDual:
         def reference(x):
             if x == 0.0:
                 return Interval(0.0, 0.0)
-            point = Interval.point(x)
+            point = Interval(x, x)
             cosh = point.cosh()
             gap = cosh - point.sinh_over()
             return Interval(

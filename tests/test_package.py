@@ -99,9 +99,9 @@ TRUSTED_BASE = {
     "exppoly": {
         "__add__", "__eq__", "__init__", "__mul__", "__neg__", "__rsub__", "__sub__", "_add",
         "_diff", "_half", "_half_sum", "_linear", "_mul", "_of", "_pair", "_power", "_rates",
-        "_rational", "_scalar", "at", "coeff", "cosh", "derivative", "diff", "eval_at_zero",
-        "exp", "expect", "expr", "factor", "in_w", "is_zero", "normalize", "parse_expression",
-        "sinh", "sinh_over", "t_degrees", "term", "w_degree",
+        "_rational", "at", "coeff", "cosh", "derivative", "diff", "eval_at_zero", "exp",
+        "expect", "expr", "factor", "in_w", "is_zero", "normalize", "parse_expression", "sinh",
+        "sinh_over", "t_degrees", "term", "w_degree",
     },
     "intervals": {"vcosh", "vexp", "vsinh", "vsinh_over"},
     "prover": {

@@ -18,7 +18,6 @@ from tiltbound.rootisolation import (
     evaluate,
     isolate_roots_above,
     make_poly,
-    root_magnitude_bound,
 )
 
 
@@ -77,9 +76,16 @@ def sturm_count_above_one(chain):
 
 class TestBasics:
     def test_cauchy_bound_dominates_roots(self):
-        p = from_roots([Fraction(7, 2), -5, Fraction(1, 3)])
-        bound = root_magnitude_bound(p)
-        assert bound > 5
+        # the one root above 1 lies in the first leaf, whose right end is
+        # closed by the Cauchy bound 1 + max|c_i|/|c_n|, above every root
+        for p, roots, bound in (
+            ((35, -108, 7, 6), (Fraction(7, 2), -5, Fraction(1, 3)), 19),  # 1 + 108/6
+            ((-5, 0, 2), (), Fraction(7, 2)),  # 2t^2 - 5: irrational roots +-sqrt(5/2)
+            ((7, -9, 2), (1, Fraction(7, 2)), Fraction(11, 2)),
+        ):
+            assert bound == 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
+            assert all(evaluate(p, r) == 0 and abs(r) < bound for r in roots)
+            assert isolate_roots_above(p) == [(1, bound)]
 
     def test_chain_is_the_rational_chain_up_to_positive_factors(self, rng):
         # the count against the textbook rational Sturm chain: negative leads,

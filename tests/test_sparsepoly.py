@@ -237,3 +237,58 @@ def test_repr_is_the_constructor_call():
     scope = {"ExpPoly": ExpPoly, "Laurent": Laurent, "Fraction": Fraction}
     for q in [*battery, p, 0.1 * U, ExpPoly(), Laurent()]:
         assert eval(repr(q), scope) == q, repr(q)
+
+
+# The scalar-operand rule of both kernels: one row per (kernel, operand), with
+# the exact rational the operand stands for, or the exception that every
+# operation below raises.  A bool is an int, Laurent reads a float through
+# as_integer_ratio() (NaN and infinities have none), ExpPoly reads no float,
+# and neither kernel takes the other.
+OPERAND_RULES = [
+    (ExpPoly, 3, 3),
+    (Laurent, 3, 3),
+    (ExpPoly, Fraction(-2, 3), Fraction(-2, 3)),
+    (Laurent, Fraction(-2, 3), Fraction(-2, 3)),
+    (ExpPoly, True, 1),
+    (Laurent, True, 1),
+    (ExpPoly, False, 0),
+    (Laurent, False, 0),
+    (Laurent, 0.1, Fraction(0.1)),
+    (Laurent, -2.5, Fraction(-5, 2)),
+    (Laurent, 0.0, 0),
+    (ExpPoly, 0.5, TypeError),
+    (ExpPoly, 1.0, TypeError),
+    (ExpPoly, math.nan, TypeError),
+    (ExpPoly, math.inf, TypeError),
+    (Laurent, math.nan, ValueError),
+    (Laurent, math.inf, OverflowError),
+    (Laurent, -math.inf, OverflowError),
+    (ExpPoly, W, TypeError),
+    (Laurent, ExpPoly({(1, 0): 1}), TypeError),
+    (ExpPoly, "1", TypeError),
+    (Laurent, None, TypeError),
+]
+
+OPERATIONS = {
+    "+": (lambda p, x: p + x, lambda p, x: x + p),
+    "-": (lambda p, x: p - x,),
+    "reflected -": (lambda p, x: x - p,),
+    "*": (lambda p, x: p * x, lambda p, x: x * p),
+}
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+@pytest.mark.parametrize(
+    ("kernel", "operand", "expected"),
+    OPERAND_RULES,
+    ids=[f"{kernel.__name__}-{type(x).__name__}-{x!r}" for kernel, x, _ in OPERAND_RULES],
+)
+def test_the_scalar_operand_rule(kernel, operand, expected, op):
+    p = kernel({kernel._ONE: Fraction(1, 2), (1,) + kernel._ONE[1:]: -3})
+    for combine in OPERATIONS[op]:
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                combine(p, operand)
+        else:  # the same value, structurally, as the exact constant
+            got = combine(p, operand)
+            assert type(got) is kernel and got == combine(p, kernel({kernel._ONE: expected}))
