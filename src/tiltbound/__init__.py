@@ -16,13 +16,7 @@ Layers:
 """
 
 from .exppoly import ExpPoly, derivative, normalize, parse_expression
-from .extremal import (
-    ScanRow,
-    ratio_limit_scan,
-    scan_to_csv,
-    sup_symmetric,
-    three_point_extremal,
-)
+from .extremal import ScanRow, ratio_limit_scan, scan_to_csv, sup_symmetric
 from .intervals import Interval
 from .prover import (
     BatteryReport,
@@ -51,7 +45,6 @@ from .tilted import (
     TiltParams,
     check_bound,
     d_expr,
-    g_expr,
     symmetric_factor,
     tilted_mean,
     tilted_mean_signed,
@@ -83,7 +76,6 @@ __all__ = [
     "decide_sign",
     "derivative",
     "eval_interval",
-    "g_expr",
     "normalize",
     "parse_expression",
     "ratio_limit_scan",
@@ -91,7 +83,6 @@ __all__ = [
     "scan_to_csv",
     "sup_symmetric",
     "symmetric_factor",
-    "three_point_extremal",
     "tilted_mean",
     "tilted_mean_signed",
     "verify_battery",

@@ -32,24 +32,7 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .tilted import (
-    SymmetricDiscreteDistribution,
-    TiltParams,
-    symmetric_factor,
-    tilted_mean_signed,
-)
-
-
-def _check_sigma2(sigma2: float) -> None:
-    """Reject a second moment that is not finite or is below the smallest normal float.
-
-    The pair weight sigma2 / x^2 solved from a subnormal sigma2 loses its
-    precision (the search then reported ratios above sinh(hw)/w), and a
-    sigma2 that underflows to 0 leaves the point mass at zero, a law with
-    E[X^2] = 0.
-    """
-    if not (math.isfinite(sigma2) and sigma2 >= sys.float_info.min):
-        raise ValueError("sigma2 must be finite and at least the smallest normal float")
+from .tilted import TiltParams, symmetric_factor, tilted_mean_signed
 
 
 def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], ...] | None:
@@ -59,9 +42,7 @@ def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], .
     With q = sigma2 / x^2 the support is (0, 1 - q), then (-x, q/2) and
     (x, q/2): the zero atom only when 1 - q > 0, the pair only when q > 0
     (q/2 of a subnormal q may round to 0, and the pair still appears).
-    The search scores this tuple and returns the best one, and
-    :func:`three_point_extremal` folds it into the law, so both read one
-    layout.
+    The search scores this tuple and returns the best one as its atoms.
     """
     if not (0 < sigma2 <= x * x):
         return None
@@ -70,28 +51,6 @@ def _three_point_signed(sigma2: float, x: float) -> tuple[tuple[float, float], .
     if zero > 0:
         return ((0.0, zero), (-x, half), (x, half)) if pair > 0 else ((0.0, zero),)
     return ((-x, half), (x, half))  # zero <= 0 means q >= 1
-
-
-def three_point_extremal(sigma: float, w: float) -> SymmetricDiscreteDistribution:
-    """Three-point law on {-w, 0, w} with E[X^2] = sigma^2.
-
-    Pair weight sigma^2 / w^2 splits evenly over +-w; the rest sits at zero.
-    Requires 0 < sigma < w so the zero mass stays positive, and sigma^2 and
-    the pair weight at least the smallest normal float: a subnormal weight
-    loses its precision, and one that underflows (w^2 may overflow) leaves
-    the point mass at zero.  These checks make :func:`_three_point_signed`'s
-    tuple feasible, and its pair folds back into one atom at w of weight
-    q/2 + q/2, which expands to the same halves; it is q itself unless q/2
-    rounded, which needs q below 2^-1021.
-    """
-    if not (0 < sigma < w):
-        raise ValueError("three-point family needs 0 < sigma < w")
-    _check_sigma2(sigma * sigma)
-    if sigma * sigma / (w * w) < sys.float_info.min:
-        raise ValueError("pair weight sigma^2 / w^2 must be at least the smallest normal float")
-    # the zero atom as it is, and the pair's halves as one atom at w
-    signed = _three_point_signed(sigma * sigma, w)
-    return SymmetricDiscreteDistribution((y, p + p if y else p) for y, p in signed if y != -w)
 
 
 # -- deterministic refinement ------------------------------------------------
@@ -151,12 +110,16 @@ def sup_symmetric(sigma2: float, p: TiltParams) -> SupSearchResult:
     again at float(x) (an int w makes the grid point x = w an int), and no
     law is built.
 
-    sigma2 must pass :func:`_check_sigma2`, and the bound scale
-    sinh(hw)/w * sigma2, which the mean found is near, must not be
-    subnormal: it loses its precision too (``extremal --h 1e-320`` printed
-    ratios 8.7% above the factor, and 0.0).
+    sigma2 must be finite and at least the smallest normal float: the pair
+    weight sigma2 / x^2 solved from a subnormal sigma2 loses its precision
+    (the search then reported ratios above sinh(hw)/w), and a sigma2 that
+    underflows to 0 leaves the point mass at zero, a law with E[X^2] = 0.
+    The bound scale sinh(hw)/w * sigma2, which the mean found is near, must
+    not be subnormal either: it loses its precision too (``extremal --h
+    1e-320`` printed ratios 8.7% above the factor, and 0.0).
     """
-    _check_sigma2(sigma2)
+    if not (math.isfinite(sigma2) and sigma2 >= sys.float_info.min):
+        raise ValueError("sigma2 must be finite and at least the smallest normal float")
     if symmetric_factor(p) * sigma2 < sys.float_info.min:
         raise ValueError("sinh(hw)/w * sigma2 must be at least the smallest normal float")
     four_w = 4.0 * p.w

@@ -20,8 +20,8 @@ Laurent through the ``v*`` functions of :mod:`tiltbound.intervals`.  A flag
 per argument resolves min(x, w): a capped side (x >= w) is written in
 exponentials, (2 g0, 2 g1) = (e^w + e^-x, x (e^w - e^-x)), and an uncapped
 one as (2 cosh(x), 2 x sinh(x)), which keeps x sinh(x) accurate for small x.
-The float functions :func:`g_expr` and :func:`d_expr` set the flags from
-x >= w, and the region catalog's d_case1 and d_case2 fix them by the case.
+The float function :func:`d_expr` sets the flags from x >= w, and the
+region catalog's d_case1 and d_case2 fix them by the case.
 
 Distributions are finite and symmetric: a list of (x, p) with x >= 0, where
 x > 0 contributes mass p/2 at each of +x and -x, and x = 0 contributes mass p
@@ -102,15 +102,6 @@ class SymmetricDiscreteDistribution(namedtuple("SymmetricDiscreteDistribution", 
                 half = p / 2
                 signed += ((-x, half), (x, half))
         return signed
-
-    def scaled(self, c: float) -> "SymmetricDiscreteDistribution":
-        """Law of c*X for finite c > 0."""
-        if not 0 < c < math.inf:
-            raise ValueError("scale factor must be positive and finite")
-        return SymmetricDiscreteDistribution((c * x, p) for x, p in self.atoms)
-
-    def to_dict(self) -> dict:
-        return {"atoms": [[x, p] for x, p in self.atoms]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricDiscreteDistribution":
@@ -209,8 +200,13 @@ class BoundCheck(NamedTuple):
 
     @property
     def holds(self) -> bool:
-        """0 < mean < bound, allowing the absolute slack STRICTNESS_SLACK."""
-        return self.mean > -STRICTNESS_SLACK and self.margin > -STRICTNESS_SLACK
+        """0 < mean < bound, allowing the slack STRICTNESS_SLACK * min(1, bound).
+
+        The slack is absolute for a bound of 1 or more and relative below, so
+        a law with a tiny E[X^2] does not hold whatever its mean.
+        """
+        slack = STRICTNESS_SLACK * min(1.0, self.bound)
+        return self.mean > -slack and self.margin > -slack
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "holds": self.holds}
@@ -223,9 +219,10 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
     raises DegenerateDistributionError, as does a law with weight off zero
     whose E[X^2] is 0 or subnormal in floating point (atoms near 1e-200 or
     1e-160), under a message saying so: the floor is ``sys.float_info.min``,
-    as in ``extremal.sup_symmetric``, since a subnormal bound keeps only a
-    few significant digits.  A mean or bound out of float range raises
-    OverflowError.
+    as in ``extremal.sup_symmetric``.  A subnormal bound sinh(hw)/w * E[X^2]
+    (``bound-check --h 1e-320``) raises ValueError under the same floor,
+    since it keeps only a few significant digits.  A mean or bound out of
+    float range raises OverflowError.
     """
     s2 = dist.second_moment()
     if s2 < sys.float_info.min:
@@ -234,6 +231,8 @@ def check_bound(dist: SymmetricDiscreteDistribution, p: TiltParams) -> BoundChec
         raise DegenerateDistributionError("second moment must be positive")
     mean = tilted_mean(dist, p)
     bound = _finite(symmetric_factor(p) * s2)
+    if bound < sys.float_info.min:
+        raise ValueError("sinh(hw)/w * E[X^2] must be at least the smallest normal float")
     return BoundCheck(mean=mean, bound=bound, margin=bound - mean)
 
 
@@ -262,23 +261,6 @@ def d(u, v, w, u_capped: bool, v_capped: bool):
     gu0, gu1 = _g(u, ew if u_capped else None)
     gv0, gv1 = _g(v, ew if v_capped else None)
     return gu1 + gv1 - vsinh_over(w) * (gu0 * (v * v) + gv0 * (u * u))
-
-
-def g_expr(j: int, x: float, w: float) -> float:
-    """Folded integrand g_j(x) = (f_j(x) + f_j(-x)) / 2 at tilt rate 1.
-
-    Here f_j(x) = x^j e^{x ^ w} with the convention 0^0 = 1, so
-    g0(x) = (e^{x^w} + e^{-x}) / 2 and g1(x) = x (e^{x^w} - e^{-x}) / 2.
-    Callers pass x = |X| >= 0; negative x is an input error.  A result
-    out of float range raises OverflowError.
-    """
-    if j not in (0, 1):
-        raise ValueError("index j must be 0 or 1")
-    if x < 0:
-        raise ValueError("g is defined for nonnegative arguments; pass |x|")
-    if w <= 0:
-        raise ValueError("cap level w must be positive")
-    return _finite(0.5 * _g(x, math.exp(w) if x >= w else None)[j])
 
 
 def d_expr(u: float, v: float, w: float) -> float:

@@ -96,6 +96,14 @@ class TestBoundCheck:
         code, out, err = run_cli(capsys, "bound-check", "--dist", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_subnormal_bound_exits_2(self, capsys):
+        # the bound sinh(hw)/w * E[X^2], near 3.7e-320 here, would keep
+        # only a few significant digits
+        law = str(GOLDEN / "law_eight_atoms.json")
+        code, out, err = run_cli(capsys, "bound-check", "--h", "1e-320", "--dist", law)
+        message = "sinh(hw)/w * E[X^2] must be at least the smallest normal float"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize("command", ["eval", "bound-check"])
 @pytest.mark.parametrize("suffix, argv", [("default", ()), ("h0.5_w2", ("--h", "0.5", "--w", "2"))])

@@ -16,11 +16,9 @@ from tiltbound import (
     scan_to_csv,
     sup_symmetric,
     symmetric_factor,
-    three_point_extremal,
-    tilted_mean,
     tilted_mean_signed,
 )
-from tiltbound import extremal
+from tiltbound import extremal, tilted
 from tiltbound.extremal import _three_point_signed
 
 from conftest import zero_mean_factor
@@ -36,43 +34,20 @@ def three_point_value(sigma: float, h: float, w: float) -> float:
 
 
 class TestThreePoint:
+    # the law on {-w, 0, w} as the search scores it: the signed tuple of
+    # _three_point_signed, read by tilted_mean_signed
     def test_masses(self):
-        dist = three_point_extremal(0.1, 1.0)
-        assert dist.atoms == ((0.0, 0.99), (1.0, pytest.approx(0.01, abs=1e-15)))
-        signed = dict(dist.signed_atoms())
-        assert signed[1.0] == pytest.approx(0.005, abs=1e-15)
-        assert signed[-1.0] == pytest.approx(0.005, abs=1e-15)
+        zero, low, high = _three_point_signed(0.1**2, 1.0)
+        assert zero == (0.0, 0.99)
+        assert low == (-1.0, pytest.approx(0.005, abs=1e-15))
+        assert high == (1.0, pytest.approx(0.005, abs=1e-15))
 
     def test_second_moment_exact(self):
-        dist = three_point_extremal(0.5, 1.0)
-        assert dist.second_moment() == 0.25
-
-    def test_sigma_at_cap_rejected(self):
-        with pytest.raises(ValueError):
-            three_point_extremal(1.0, 1.0)
-        three_point_extremal(1.0 - 1e-9, 1.0)  # just inside is fine
-
-    @pytest.mark.parametrize(
-        "sigma, w",
-        [
-            pytest.param(1e-170, 1.0, id="1e-170"),
-            pytest.param(1e-160, 1.0, id="1e-160"),
-            (1e-150, 1e10),
-            (1e-100, 1e200),
-            (1e150, 1e160),
-        ],
-    )
-    def test_sigma_squared_below_the_smallest_normal_rejected(self, sigma, w):
-        # 1e-170 squared underflows to 0 (the point mass at 0, a law with
-        # E X^2 = 0), and 1e-160 squared is subnormal, as is its pair weight;
-        # the pair weight of (1e-150, 1e10) is the subnormal 1e-320, and
-        # w^2 overflows for the last two, so their pair weight is 0
-        with pytest.raises(ValueError, match="smallest normal"):
-            three_point_extremal(sigma, w)
+        assert second_moment(_three_point_signed(0.5**2, 1.0)) == 0.25
 
     def test_closed_form(self):
-        dist = three_point_extremal(0.1, 1.0)
-        assert tilted_mean(dist, P11) == pytest.approx(three_point_value(0.1, 1, 1), rel=1e-14)
+        mean = tilted_mean_signed(_three_point_signed(0.1**2, 1.0), 1.0, 1.0)
+        assert mean == pytest.approx(three_point_value(0.1, 1, 1), rel=1e-14)
 
 
 def dense_three_point_sup(h: float, w: float, s2: float) -> float:
@@ -170,24 +145,17 @@ class TestCandidateConstructors:
     @pytest.mark.parametrize("sigma, w", [(0.1, 1.0), (0.5, 1.0), (0.2, 2.0), (1e-5, 0.7)])
     def test_zero_low_pair_is_the_three_point_law(self, sigma, w):
         # the reference at x_low = 0 is the law the search scores
-        assert two_pair_atoms(0.0, w, sigma**2) == three_point_extremal(sigma, w).signed_atoms()
+        assert two_pair_atoms(0.0, w, sigma**2) == list(_three_point_signed(sigma**2, w))
 
     def test_signed_atoms_order_and_weights(self):
         # an atom of weight 0 is left out
         assert _three_point_signed(4.0, 2.0) == ((-2.0, 0.5), (2.0, 0.5))
         assert _three_point_signed(1.0, 2.0) == ((0.0, 0.75), (-2.0, 0.125), (2.0, 0.125))
-        assert three_point_extremal(1.0, 2.0).signed_atoms() == [
-            (0.0, 0.75), (-2.0, 0.125), (2.0, 0.125)
-        ]
 
     def test_infeasible_configurations_rejected(self):
         # x * x < sigma2 would leave a negative mass at zero
         for x in (0.5, 0.0, -0.5, math.nan):
             assert _three_point_signed(1.0, x) is None
-            with pytest.raises(ValueError):
-                three_point_extremal(1.0, x)
-        with pytest.raises(ValueError):  # feasible weights, but an atom below 0
-            three_point_extremal(1.0, -2.0)
 
     @pytest.mark.parametrize(
         "sigma2, x, signed",
@@ -205,33 +173,19 @@ class TestCandidateConstructors:
         assert type(scored) is tuple and scored == signed
         assert [(a.hex(), b.hex()) for a, b in scored] == [(a.hex(), b.hex()) for a, b in signed]
 
-    @pytest.mark.parametrize(
-        "sigma, w",
-        # the last pair weight is normal but below 2^-1021, and q/2 rounds
-        [(0.1, 1.0), (0.5, 1.0), (0.2, 2.0), (1e-5, 0.7), (1.0 - 1e-9, 1.0),
-         (4.4750044387201254e-154, 3.0)],
-    )
-    def test_the_law_expands_to_the_searched_tuple(self, sigma, w):
-        # three_point_extremal folds _three_point_signed's pair into one
-        # atom, and signed_atoms expands it back to the same halves
-        law = three_point_extremal(sigma, w).signed_atoms()
-        signed = _three_point_signed(sigma * sigma, w)
-        assert [(a.hex(), b.hex()) for a, b in law] == [(a.hex(), b.hex()) for a, b in signed]
-
     @pytest.mark.parametrize("sigma2", [0.0, -0.0])
     def test_points_whose_squares_round_together_are_infeasible(self, sigma2):
         # 0 < 1e-170, but both squares are 0.0, so the pair weight would be
         # 0 / 0 (the two-pair weight solve raised ZeroDivisionError here)
         assert _three_point_signed(sigma2, 1e-170) is None
-        with pytest.raises(ValueError):
-            three_point_extremal(sigma2, 1e-170)
 
 
 class TestSupSearch:
     def test_dominates_three_point_candidate(self):
         for sigma in (0.5, 0.1, 0.01):
             found = sup_symmetric(sigma * sigma, P11)
-            assert found.value >= tilted_mean(three_point_extremal(sigma, 1.0), P11) - 1e-15
+            three_point = tilted_mean_signed(_three_point_signed(sigma**2, 1.0), 1.0, 1.0)
+            assert found.value >= three_point - 1e-15
 
     def test_beats_the_three_point_law_with_a_pair_beyond_the_cap(self):
         # at (h, w, sigma) = (2, 2, 1) the best law puts a pair at +-5.13 > w,
@@ -239,7 +193,7 @@ class TestSupSearch:
         # search is still needed
         p = TiltParams(2.0, 2.0)
         found = sup_symmetric(1.0, p)
-        three_point = tilted_mean(three_point_extremal(1.0, 2.0), p)
+        three_point = tilted_mean_signed(_three_point_signed(1.0, 2.0), 2.0, 2.0)
         assert three_point == pytest.approx(three_point_value(1.0, 2.0, 2.0), rel=1e-12)
         assert three_point == pytest.approx(1.8008, abs=1e-4)
         assert found.value == pytest.approx(2.6616, abs=1e-4)
@@ -368,7 +322,7 @@ class TestSupSearch:
         # and the best one is returned as its tuple, so neither a search nor
         # a scan constructs a SymmetricDiscreteDistribution anywhere
         built = []
-        law = extremal.SymmetricDiscreteDistribution
+        law = tilted.SymmetricDiscreteDistribution
         new = law.__new__
 
         def counting(cls, atoms):
@@ -376,7 +330,7 @@ class TestSupSearch:
             return new(cls, atoms)
 
         monkeypatch.setattr(law, "__new__", counting)
-        assert three_point_extremal(0.1, 1.0) and len(built) == 1  # the counter sees a law
+        assert law([(0.0, 0.99), (1.0, 0.01)]) and len(built) == 1  # the counter sees a law
         built.clear()
         sup_symmetric(0.01, P11)
         assert len(built) == 0

@@ -254,10 +254,11 @@ def records() -> dict:
     check = regions.StructureCheck("name", True, "detail")
     box = regions.BoxRegion(u=(0.5, 1.0), v=(0.5, 1.0), w=(0.5, 1.0), case=regions.CaseRegion.CASE2)
     p = tilted.TiltParams(h=1.0, w=1.0)
+    law = tilted.SymmetricDiscreteDistribution([(0.0, 0.99), (1.0, 0.01)])
     return {
         "TiltParams": p,
-        "SymmetricDiscreteDistribution": extremal.three_point_extremal(0.1, 1.0),
-        "BoundCheck": tilted.check_bound(extremal.three_point_extremal(0.1, 1.0), p),
+        "SymmetricDiscreteDistribution": law,
+        "BoundCheck": tilted.check_bound(law, p),
         "SignCertificate": decision.certificate,
         "SignDecision": decision,
         "BatteryEntry": entry,

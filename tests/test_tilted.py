@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from tiltbound import (
+    BoundCheck,
     DegenerateDistributionError,
     InvalidDistributionError,
     SymmetricDiscreteDistribution,
     TiltParams,
     check_bound,
     d_expr,
-    g_expr,
     symmetric_factor,
     tilted_mean,
 )
@@ -221,9 +221,10 @@ class TestDistributionValidation:
             SymmetricDiscreteDistribution([(-1.0, 1.0)])
 
     def test_json_round_trip(self):
-        dist = SymmetricDiscreteDistribution([(0.0, 0.4), (1.5, 0.6)])
-        again = SymmetricDiscreteDistribution.from_dict(dist.to_dict())
-        assert again == dist
+        data = {"atoms": [[0.0, 0.4], [1.5, 0.6]]}
+        dist = SymmetricDiscreteDistribution.from_dict(data)
+        assert dist == SymmetricDiscreteDistribution([(0.0, 0.4), (1.5, 0.6)])
+        assert [list(atom) for atom in dist.atoms] == data["atoms"]
 
     @pytest.mark.parametrize(
         "data",
@@ -237,12 +238,6 @@ class TestDistributionValidation:
     def test_second_moment(self):
         dist = SymmetricDiscreteDistribution([(0.0, 0.75), (0.5, 0.25)])
         assert dist.second_moment() == pytest.approx(0.0625, abs=1e-15)
-
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_scale_factor_must_be_positive_and_finite(self, c):
-        dist = SymmetricDiscreteDistribution([(0.0, 0.5), (1.0, 0.5)])
-        with pytest.raises(ValueError, match="^scale factor must be positive and finite$"):
-            dist.scaled(c)
 
 
 class TestTiltedMean:
@@ -389,6 +384,50 @@ class TestCheckBound:
         with pytest.raises(DegenerateDistributionError, match=underflow):
             check_bound(dist, P11)
 
+    @pytest.mark.parametrize(
+        "atoms, h",
+        # E[X^2] = 1 at h = 1e-320, E[X^2] = 1e-300 at h = 1e-10, and a
+        # bound that underflows to 0: each E[X^2] is normal, the bound not
+        [([(1.0, 1.0)], 1e-320), ([(1e-150, 1.0)], 1e-10), ([(1e-5, 1.0)], 1e-320)],
+    )
+    def test_subnormal_bound_rejected(self, atoms, h):
+        # a subnormal sinh(hw)/w * E[X^2] keeps only a few significant
+        # digits, so it is refused under sup_symmetric's floor
+        dist = SymmetricDiscreteDistribution(atoms)
+        assert dist.second_moment() >= sys.float_info.min
+        subnormal = r"^sinh\(hw\)/w \* E\[X\^2\] must be at least the smallest normal float$"
+        with pytest.raises(ValueError, match=subnormal):
+            check_bound(dist, TiltParams(h, 1.0))
+        # a bound of exactly the smallest normal float is checked
+        floor = TiltParams(sys.float_info.min, 1.0)
+        assert check_bound(RADEMACHER, floor).bound == sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "mean, bound, holds",
+        [
+            (2e-13, 1e-13, False),  # margin -1e-13: within 1e-12, not 1e-12 * bound
+            (1e-13 * (1 + 1e-13), 1e-13, True),  # within the relative slack
+            (0.5, 1.0, True),
+            (1.0 + 5e-13, 1.0, True),  # the slack is absolute from bound 1 up
+            (4.0 + 5e-13, 4.0, True),
+            (4.0 + 2e-12, 4.0, False),
+            (-5e-13, 1.0, True),
+            (-2e-25, 1e-13, False),  # a mean below -1e-12 * bound fails
+        ],
+    )
+    def test_slack_is_relative_below_bound_one(self, mean, bound, holds):
+        assert BoundCheck(mean=mean, bound=bound, margin=bound - mean).holds is holds
+
+    @pytest.mark.parametrize(
+        "s, margin_is_zero", [(1e-6, False), (1e-8, True), (1e-10, True), (1e-50, True)]
+    )
+    def test_small_three_point_laws_hold(self, s, margin_is_zero):
+        # the law {(0, 1 - s^2), (1, s^2)} at h = w = 1: its mean and bound
+        # round to one float from s = 1e-8 down, and the check still holds
+        report = check_bound(SymmetricDiscreteDistribution([(0.0, 1.0 - s * s), (1.0, s * s)]), P11)
+        assert report.margin >= 0.0 and (report.margin == 0.0) is margin_is_zero
+        assert report.holds
+
     def test_non_finite_mean_or_bound_raises(self):
         # the mean is inf / inf = NaN; the bound sinh(1) / 1e-300 * 5e19 is inf
         wide = SymmetricDiscreteDistribution([(0.0, 0.5), (1e10, 0.5)])
@@ -405,26 +444,6 @@ class TestCheckBound:
             result = check_bound(dist, p)
             digest.update(f"{result.mean.hex()} {result.bound.hex()}\n".encode())
         assert digest.hexdigest() == CHECK_PIN_SHA256
-
-
-class TestGExpr:
-    def test_zero_uses_power_convention(self):
-        assert g_expr(0, 0.0, 1.0) == 1.0
-        assert g_expr(1, 0.0, 1.0) == 0.0
-
-    def test_cosh_value(self):
-        assert g_expr(0, 1.0, 1.0) == pytest.approx(COSH_1, abs=1e-15)
-
-    def test_capped_value(self):
-        assert g_expr(1, 2.0, 1.0) == pytest.approx(2.5829465452224323, abs=1e-15)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            g_expr(0, -1.0, 1.0)
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            g_expr(2, 1.0, 1.0)
 
 
 class TestDExpr:
@@ -463,7 +482,6 @@ class TestDExpr:
             (d_expr, (709, 709.5, 710)),  # inf - inf
             (d_expr, (1, 2, 711)),  # e^w
             (d_expr, (709.9, 709.95, 710.3)),  # cosh and sinh stay finite, products do not
-            (g_expr, (1, 710, 711)),  # 2 x sinh(x)
         ],
     )
     def test_overflow_raises(self, f, args):
@@ -497,7 +515,8 @@ class TestTheoremInvariants:
             h, w = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
             c = rng.uniform(0.3, 3.0)
             base = tilted_mean(dist, TiltParams(h, w))
-            scaled = tilted_mean(dist.scaled(c), TiltParams(h / c, c * w))
+            law = SymmetricDiscreteDistribution((c * x, p) for x, p in dist.atoms)
+            scaled = tilted_mean(law, TiltParams(h / c, c * w))
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_expected_d_sign_matches_bound_comparison(self, rng):
